@@ -330,12 +330,16 @@ class RatFuncField:
                 f"construct the base field with a different gen_name")
         self.base = base
         self.var = var
+        # shared immutable constants: every Polynomial trim and every
+        # normalization over this field asks for them
+        self._zero = RationalFunction.zero(base, var)
+        self._one = RationalFunction.one(base, var)
 
     def zero(self):
-        return RationalFunction.zero(self.base, self.var)
+        return self._zero
 
     def one(self):
-        return RationalFunction.one(self.base, self.var)
+        return self._one
 
     def from_int(self, n):
         return RationalFunction.constant(self.base, self.base.from_int(n), self.var)

@@ -25,7 +25,7 @@ from .errors import (ConfigError, PreconditionError, StructuralError,
 from .ff import FiniteField, RatFuncField
 from .ordgroup import INFINITY, GroupSpec
 from .parsing import parse_expression
-from .ratfun import Polynomial, RationalFunction
+from .ratfun import Polynomial, RationalFunction, fraction_free_gcd
 
 
 class RationalsContext:
@@ -200,12 +200,14 @@ class TAdicRat(ValuedField):
         self.var = var
         self.group = GroupSpec.integers(1)
         self.residue_field = kappa
+        self._zero = RationalFunction.zero(kappa, var)
+        self._one = RationalFunction.one(kappa, var)
 
     def zero(self):
-        return RationalFunction.zero(self.kappa, self.var)
+        return self._zero
 
     def one(self):
-        return RationalFunction.one(self.kappa, self.var)
+        return self._one
 
     def from_int(self, n):
         return RationalFunction.constant(self.kappa, self.kappa.from_int(n), self.var)
@@ -279,12 +281,14 @@ class LexRank2(ValuedField):
         self.var1, self.var2 = vars
         self.group = GroupSpec.integers(2)
         self.residue_field = kappa
+        self._zero = RationalFunction.zero(self.inner, self.var2)
+        self._one = RationalFunction.one(self.inner, self.var2)
 
     def zero(self):
-        return RationalFunction.zero(self.inner, self.var2)
+        return self._zero
 
     def one(self):
-        return RationalFunction.one(self.inner, self.var2)
+        return self._one
 
     def from_int(self, n):
         return RationalFunction.constant(self.inner, self.inner.from_int(n), self.var2)
@@ -427,7 +431,7 @@ class HahnElement:
         if den.is_zero():
             raise StructuralError("zero denominator")
         if not _canonical:
-            num, den = _hahn_canon(field.kappa, num, den)
+            num, den = _hahn_canon(field, num, den)
         self.field = field
         self.num = num
         self.den = den
@@ -543,10 +547,11 @@ class HahnElement:
         return f"({side(self.num)})/({side(self.den)})"
 
 
-def _hahn_canon(kappa, num, den):
+def _hahn_canon(field, num, den):
+    kappa = field.kappa
     one = kappa.one()
     if num.is_zero():
-        return (HahnSum(kappa, ()), HahnSum(kappa, ((Fraction(0), one),)))
+        return (HahnSum(kappa, ()), field._one_sum)
     # Monomial denominator: divide through exactly, no gcd needed.
     if len(den.terms) == 1:
         e0, c0 = den.terms[0]
@@ -554,16 +559,10 @@ def _hahn_canon(kappa, num, den):
             return num, den
         inv = one / c0
         new_num = HahnSum(kappa, tuple((e - e0, c * inv) for e, c in num.terms))
-        return new_num, HahnSum(kappa, ((Fraction(0), one),))
-    m = 1
-    for e, _ in num.terms + den.terms:
-        m = _lcm(m, e.denominator)
-    a = num.min_exp()
-    b = den.min_exp()
-    npoly = Polynomial.from_dict(
-        kappa, {int((e - a) * m): c for e, c in num.terms}, "s")
-    dpoly = Polynomial.from_dict(
-        kappa, {int((e - b) * m): c for e, c in den.terms}, "s")
+        return new_num, field._one_sum
+    m = _exp_lcm((num, den))
+    a, npoly = _sum_to_poly(num, m)
+    b, dpoly = _sum_to_poly(den, m)
     if npoly.degree > 0 and dpoly.degree > 0:
         g = Polynomial.gcd(npoly, dpoly)
         if g.degree > 0:
@@ -574,12 +573,32 @@ def _hahn_canon(kappa, num, den):
         inv = one / c0
         npoly = npoly.scale(inv)
         dpoly = dpoly.scale(inv)
-    shift = a - b
-    new_num = HahnSum(kappa, tuple((shift + Fraction(i, m), npoly.coeffs[i])
-                                   for i in npoly.support()))
-    new_den = HahnSum(kappa, tuple((Fraction(i, m), dpoly.coeffs[i])
-                                   for i in dpoly.support()))
-    return new_num, new_den
+    return _poly_to_sum(kappa, npoly, m, a - b), _poly_to_sum(kappa, dpoly, m)
+
+
+# Hahn sums with exponents in (1/m)Z are Laurent polynomials in s = t^(1/m);
+# canonical forms and gcds are computed there.
+
+def _exp_lcm(sums):
+    """The lcm m of the exponent denominators of the given Hahn sums."""
+    m = 1
+    for hs in sums:
+        for e, _ in hs.terms:
+            m = _lcm(m, e.denominator)
+    return m
+
+
+def _sum_to_poly(hs, m):
+    """(a, P) with hs = t^a * P(t^(1/m)), P in kappa[s] and P(0) != 0."""
+    a = hs.min_exp()
+    return a, Polynomial.from_dict(
+        hs.kappa, {int((e - a) * m): c for e, c in hs.terms}, "s")
+
+
+def _poly_to_sum(kappa, poly, m, shift=Fraction(0)):
+    """t^shift * poly(t^(1/m)) as a Hahn sum."""
+    return HahnSum(kappa, tuple((shift + Fraction(i, m), poly.coeffs[i])
+                                for i in poly.support()))
 
 
 class HahnFinite(ValuedField):
@@ -595,35 +614,65 @@ class HahnFinite(ValuedField):
         self.kappa = kappa
         self.group = GroupSpec.rationals()
         self.residue_field = kappa
+        # shared immutable constants
+        self._one_sum = HahnSum(kappa, ((Fraction(0), kappa.one()),))
+        self._zero = HahnElement(self, self._sum(()), self._one_sum, _canonical=True)
+        self._one = HahnElement(self, self._one_sum, self._one_sum, _canonical=True)
 
     def _sum(self, terms):
         return HahnSum(self.kappa, terms)
 
-    def _one_sum(self):
-        return HahnSum(self.kappa, ((Fraction(0), self.kappa.one()),))
-
     def zero(self):
-        return HahnElement(self, self._sum(()), self._one_sum(), _canonical=True)
+        return self._zero
 
     def one(self):
-        return HahnElement(self, self._one_sum(), self._one_sum(), _canonical=True)
+        return self._one
 
     def from_int(self, n):
         c = self.kappa.from_int(n)
         if c == self.kappa.zero():
             return self.zero()
-        return HahnElement(self, self._sum(((Fraction(0), c),)), self._one_sum(),
+        return HahnElement(self, self._sum(((Fraction(0), c),)), self._one_sum,
                            _canonical=True)
 
     def monomial(self, q, c=None):
         c = self.kappa.one() if c is None else c
         if c == self.kappa.zero():
             return self.zero()
-        return HahnElement(self, self._sum(((Fraction(q), c),)), self._one_sum(),
+        return HahnElement(self, self._sum(((Fraction(q), c),)), self._one_sum,
                            _canonical=True)
 
     def gen(self):
         return self.monomial(1)
+
+    def poly_gcd(self, a, b):
+        """Monic gcd of two polynomials of positive degree over this field.
+
+        It is taken in kappa(s)[x], s = t^(1/m) with m the lcm of the
+        exponent denominators of all coefficients: the monic gcd does not
+        change under this field extension, and over kappa(s) the
+        fraction-free gcd of ratfun applies.
+        """
+        m = _exp_lcm(hs for p in (a, b) for c in p.coeffs for hs in (c.num, c.den))
+        g = fraction_free_gcd([self._s_fraction(c, m) for c in a.coeffs],
+                              [self._s_fraction(c, m) for c in b.coeffs])
+        lead = _poly_to_sum(self.kappa, g[-1], m)
+        return Polynomial(self, [HahnElement(self, _poly_to_sum(self.kappa, c, m), lead)
+                                 for c in g[:-1]] + [self.one()], a.var)
+
+    def _s_fraction(self, x, m):
+        """x as a (numerator, denominator) pair in kappa[s], s = t^(1/m)."""
+        b, den = _sum_to_poly(x.den, m)
+        if x.is_zero():
+            return Polynomial.zero(self.kappa, "s"), den
+        a, num = _sum_to_poly(x.num, m)
+        k = int((a - b) * m)
+        pad = [self.kappa.zero()] * abs(k)
+        if k > 0:
+            num = Polynomial(self.kappa, pad + list(num.coeffs), "s")
+        elif k < 0:
+            den = Polynomial(self.kappa, pad + list(den.coeffs), "s")
+        return num, den
 
     def valuation(self, x):
         if x.is_zero():
@@ -640,7 +689,7 @@ class HahnFinite(ValuedField):
     def lift(self, r):
         if r == self.kappa.zero():
             return self.zero()
-        return HahnElement(self, self._sum(((Fraction(0), r),)), self._one_sum(),
+        return HahnElement(self, self._sum(((Fraction(0), r),)), self._one_sum,
                            _canonical=True)
 
     def element_of_value(self, gamma):
@@ -657,7 +706,7 @@ class HahnFinite(ValuedField):
         num = self._sum(tuple(terms))
         if num.is_zero():
             return self.zero()
-        return HahnElement(self, num, self._one_sum())
+        return HahnElement(self, num, self._one_sum)
 
     def symbol_env(self):
         env = {"t": self.gen()}

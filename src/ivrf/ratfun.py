@@ -1,8 +1,9 @@
 """Exact univariate polynomials and rational functions over any field.
 
 The code is generic over a small coefficient-field protocol: the field
-object provides ``zero()``, ``one()`` and ``from_int(n)``, and its elements
-carry arithmetic through operator overloading (exact, no floats).  Rational
+object provides ``zero()``, ``one()`` and ``from_int(n)`` (and, optionally,
+``poly_gcd(a, b)``: see ``Polynomial.gcd``), and its elements carry
+arithmetic through operator overloading (exact, no floats).  Rational
 functions are always held in canonical form: numerator and denominator
 coprime, denominator monic.  Equality is therefore syntactic.
 """
@@ -212,55 +213,54 @@ class Polynomial:
 
     @staticmethod
     def gcd(a, b):
-        """Monic greatest common divisor by the Euclidean algorithm.
+        """Monic greatest common divisor.
 
-        Each remainder is rescaled to primitive form (integer content over
-        the rationals, polynomial content over rational-function
-        coefficients); without that the coefficient sizes of the remainder
-        sequence explode on inputs of moderate degree.
+        * Over rational-function coefficients F(v) the denominators are
+          cleared once and the gcd is taken in F[v][x] by the primitive
+          remainder sequence (Collins, J. ACM 1967; Brown, J. ACM 1971):
+          each pseudo-remainder is divided by its content, a gcd in F[v],
+          and only the final gcd is made monic over F(v).  Towers such as
+          GF(q)(u)(t) thus reduce to gcds in GF(q)[u] instead of
+          normalizing a fraction at every coefficient operation.
+        * A field with a gcd of its own (``field.poly_gcd``, the Hahn
+          fields, which work in kappa(t^(1/m))[x]) gets the two operands
+          once both have positive degree.
+        * Otherwise: the Euclidean algorithm, each remainder rescaled to
+          primitive form (integer content over the rationals); without that
+          the coefficient sizes explode on inputs of moderate degree.
+
+        The monic gcd is unique, so all three give the same result.
         """
+        if a.is_zero():
+            return b.monic()
+        if b.is_zero():
+            return a.monic()
+        if a.degree == 0 or b.degree == 0:
+            return Polynomial.constant(a.field, a.field.one(), a.var)
+        field_gcd = getattr(a.field, "poly_gcd", None)
+        if field_gcd is not None:
+            return field_gcd(a, b)
+        if isinstance(a.coeffs[-1], RationalFunction):
+            g = fraction_free_gcd([(c.num, c.den) for c in a.coeffs],
+                                  [(c.num, c.den) for c in b.coeffs])
+            lead = g[-1]
+            return Polynomial(a.field, [RationalFunction(c, lead) for c in g[:-1]]
+                              + [a.field.one()], a.var)
         while not b.is_zero():
             a, b = b, (a % b)._primitive()
         return a.monic()
 
     def _primitive(self):
-        if not self.coeffs:
+        if not self.coeffs or not isinstance(self.coeffs[0], Fraction):
             return self
-        c0 = self.coeffs[0]
-        if isinstance(c0, Fraction):
-            num_gcd = 0
-            den_lcm = 1
-            for c in self.coeffs:
-                num_gcd = _igcd(num_gcd, c.numerator)
-                den_lcm = den_lcm * c.denominator // _igcd(den_lcm, c.denominator)
-            if num_gcd == 0:
-                return self
-            return self.scale(Fraction(den_lcm, num_gcd))
-        if isinstance(c0, RationalFunction):
-            # clear denominators, then divide out the numerator content
-            den_lcm = None
-            for c in self.coeffs:
-                if den_lcm is None:
-                    den_lcm = c.den
-                elif not c.den.is_constant():
-                    den_lcm = den_lcm * (c.den // Polynomial.gcd(den_lcm, c.den))
-            cleared = self
-            if not den_lcm.is_constant():
-                cleared = self.scale(RationalFunction(den_lcm))
-            content = None
-            for c in cleared.coeffs:
-                if c.is_zero():
-                    continue
-                content = c.num if content is None else Polynomial.gcd(content, c.num)
-                if content.degree == 0:
-                    content = None
-                    break
-            if content is not None and content.degree > 0:
-                cleared = cleared.scale(RationalFunction(
-                    Polynomial.constant(content.field, content.field.one(),
-                                        content.var), content))
-            return cleared
-        return self
+        num_gcd = 0
+        den_lcm = 1
+        for c in self.coeffs:
+            num_gcd = _igcd(num_gcd, c.numerator)
+            den_lcm = den_lcm * c.denominator // _igcd(den_lcm, c.denominator)
+        if num_gcd == 0:
+            return self
+        return self.scale(Fraction(den_lcm, num_gcd))
 
     # -- evaluation and substitution ----------------------------------
 
@@ -281,10 +281,6 @@ class Polynomial:
         for c in reversed(self.coeffs[:-1]):
             acc = acc * other + Polynomial.constant(self.field, c, other.var)
         return acc
-
-    def map_coeffs(self, fn, new_field=None):
-        return Polynomial(new_field or self.field,
-                          [fn(c) for c in self.coeffs], self.var)
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -321,6 +317,85 @@ class Polynomial:
 
 def _paren(s):
     return f"({s})" if ("+" in s or "-" in s[1:] or "/" in s or " " in s) else s
+
+
+# -- gcd over F[v][x] -------------------------------------------------------
+#
+# A polynomial in x over F[v] is a list of Polynomials in v over F, lowest
+# degree first, with a nonzero last entry.
+
+def fraction_free_gcd(a, b):
+    """Primitive gcd in F[v][x] of two polynomials of positive degree over
+    F(v), each given by its coefficient fractions: (numerator, denominator)
+    pairs of Polynomials in v over F, lowest degree first.
+
+    Returns the gcd over F[v], primitive; the monic gcd over F(v) is this
+    list divided by its last entry.
+    """
+    a, b = _cleared(a), _cleared(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive_part(r)
+
+
+def _cleared(fracs):
+    """The primitive polynomial over F[v] that is a multiple, by a unit of
+    F(v), of the polynomial with the given coefficient fractions (whose
+    constant denominators are 1)."""
+    lcm = None
+    for _, d in fracs:
+        if d.degree > 0:
+            lcm = d if lcm is None else lcm * (d // Polynomial.gcd(lcm, d))
+    if lcm is None:
+        return _primitive_part([n for n, _ in fracs])
+    return _primitive_part([n * (lcm // d) for n, d in fracs])
+
+
+def _primitive_part(coeffs):
+    """Coefficients divided by their content, a gcd in F[v], and by the unit
+    of F that makes the leading coefficient's leading coefficient 1."""
+    content = None
+    for c in coeffs:
+        if c.is_zero():
+            continue
+        content = c if content is None else Polynomial.gcd(content, c)
+        if content.degree == 0:
+            break
+    one = content.field.one()
+    lead = coeffs[-1].leading()
+    if content.degree == 0:
+        if lead == one:
+            return coeffs
+        inv = one / lead
+        return [c.scale(inv) for c in coeffs]
+    divisor = content.scale(lead / content.leading())
+    return [c // divisor for c in coeffs]
+
+
+def _pseudo_remainder(a, b):
+    """Remainder of lc(b)^k * a by b in F[v][x] for some k <= deg a - deg b
+    + 1 (lazy: lc(b) multiplies only the steps that cancel a term), with
+    trailing zeros trimmed.  Needs deg a >= deg b and b primitive, so that a
+    constant lc(b) is 1."""
+    r = list(a)
+    lb = b[-1]
+    db = len(b) - 1
+    while len(r) > db:
+        c = r.pop()
+        if c.is_zero():
+            continue
+        shift = len(r) - db
+        if lb.degree > 0:
+            r = [lb * x for x in r]
+        for j in range(db):
+            r[shift + j] = r[shift + j] - c * b[j]
+    while r and r[-1].is_zero():
+        r.pop()
+    return r
 
 
 class RationalFunction:
@@ -488,6 +563,10 @@ class RationalFunction:
         return RationalFunction(self.den, self.num)
 
     def __pow__(self, n):
+        if isinstance(n, Fraction):
+            if n.denominator != 1:
+                return self._fractional_power(n)
+            n = int(n)
         if n < 0:
             return self.inverse() ** (-n)
         result = RationalFunction.one(self.field, self.var)
@@ -499,6 +578,21 @@ class RationalFunction:
             if n:
                 base = base * base
         return result
+
+    def _fractional_power(self, n):
+        """A constant function raised to a non-integer power: the power of
+        its coefficient, where the coefficient field has it exactly (the
+        Hahn monomials t^q)."""
+        if not self.is_constant():
+            raise StructuralError(f"power {n} of a non-constant function")
+        c = self.as_constant()
+        try:
+            root = c ** n
+        except TypeError:
+            root = None
+        if type(root) is not type(c):  # e.g. a float from Fraction ** Fraction
+            raise StructuralError(f"no exact power {n} of {c}")
+        return RationalFunction.constant(self.field, root, self.var)
 
     # -- evaluation, composition ------------------------------------------
 

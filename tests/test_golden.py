@@ -1,0 +1,37 @@
+"""Golden outputs: the ten verify suites must keep their reports byte for byte.
+
+Each digest is the sha256 of a suite's report at seed 3 and 20 samples,
+as sorted-key JSON (``default=str``, like ``ivrf verify``, without the
+indentation) with the wall-clock ``elapsed`` field removed.  A change
+that alters any certified verdict, witness, envelope or printed rational
+function changes a digest; a pure speed-up does not.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from ivrf.suites import run_suite
+
+GOLDEN = {
+    "envelope": "50c51f24123c5914148fb0cc9bd6320dc92e35c2f6fe838eb44c03be662124f7",
+    "gauss": "146e71e029ba501004284afeed8f9570e49b6411669b8e0e3ba2175d88cb6f11",
+    "predict": "77bb7688a9ae0af012c80a4c539e4911fa5cc3490f0981322f82c9f42f4a81bd",
+    "slopes": "8e477afbe297217adecbf9bee0f2f0b0c22fb63e1bacde0a7de0b6fb4b6a6377",
+    "psi-identity": "5f4db7e531d4700a8f14d431d40b4378d08b1369a5ac68a31eb277066eea43d8",
+    "theta": "11c50caeefb83fbca6e213f6b680337929f89dfb469879cb65c60b0a3bd7c684",
+    "rho": "6f982c6161907fabc54ef0c17c454c5d5406ef187acb718af7f17e9731195caf",
+    "mstar": "afc1d90a20f547d220522e3b95adfd48d0f45ba21b91a5acf6f6a47e091bcbda",
+    "witnesses": "55b7b7d3b9dbbb41e784cb855768cd7acf3bfdd87d0ac0809ee8cc2e0d85a5c0",
+    "dichotomy": "ae2f9878c68bac0a97785c9e5ec3219f36c6fbb33027c39e18da7e1107c3afad",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN))
+def test_report_digest(suite):
+    rep = run_suite(suite, seed=3, samples=20)
+    assert rep["ok"], rep["failures"][:5]
+    body = {k: v for k, v in rep.items() if k != "elapsed"}
+    text = json.dumps(body, sort_keys=True, default=str)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[suite]

@@ -1,11 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ivrf.errors import StructuralError
-from ivrf.fields import QQ
-from ivrf.ff import FiniteField
+from ivrf.fields import QQ, HahnFinite, LexRank2, PAdicQ, TAdicRat
+from ivrf.ff import FiniteField, RatFuncField
 from ivrf.ratfun import (POLE, Polynomial, RationalFunction, evaluate,
                          identity_check, normalize, parse_ratfun)
 
@@ -98,16 +99,30 @@ class TestIdentity:
 
 class TestParse:
     def test_padic_style(self):
-        from ivrf.fields import PAdicQ
         V = PAdicQ(5)
         phi = parse_ratfun(V, "(x^5 - x)/5")
         assert phi.evaluate(Fraction(2)) == 6
 
     def test_implicit_multiplication(self):
-        from ivrf.fields import PAdicQ
         V = PAdicQ(2)
         phi = parse_ratfun(V, "6(1+x^4)/((1+6x^2)(6+x^2))")
         assert phi.evaluate(Fraction(1)) == Fraction(12, 49)
+
+    def test_hahn_fractional_exponent(self):
+        H = HahnFinite(FiniteField(2))
+        phi = parse_ratfun(H, "t^{1/2}*x + 1")
+        assert phi.num.coeffs == (H.one(), H.monomial(Fraction(1, 2)))
+        assert phi.evaluate(H.monomial(Fraction(1, 2))) == H.gen() + 1
+
+    def test_fractional_power_of_variable(self):
+        with pytest.raises(StructuralError):
+            parse_ratfun(HahnFinite(FiniteField(2)), "x^{1/2}")
+
+    def test_fractional_power_without_exact_root(self):
+        with pytest.raises(StructuralError):
+            parse_ratfun(PAdicQ(5), "4^{1/2}*x")
+        with pytest.raises(StructuralError):
+            parse_ratfun(HahnFinite(FiniteField(2)), "(1 + t)^{1/2}")
 
 
 @given(coeff_lists, coeff_lists)
@@ -155,9 +170,95 @@ def test_divmod_reconstruction():
     assert r.degree < g.degree
 
 
+GF2 = FiniteField(2)
+GF2_U = RatFuncField(GF2, "u")
+
+# coefficient fields of the gcd paths: the rationals and GF(2) (Euclid),
+# fraction fields F(v) (fraction-free), Hahn fields (in kappa(t^(1/m))[x])
+GCD_FIELDS = {
+    "Q": (QQ, lambda rng: Fraction(rng.randint(-5, 5), rng.randint(1, 4))),
+    "GF2": (GF2, GF2.random),
+    "GF2(u)": (GF2_U, lambda rng: GF2_U.random(rng, degree=rng.randint(0, 2))),
+    "GF2(u)(t)": (TAdicRat(GF2_U), None),
+    "lex2": (LexRank2(GF2), None),
+    "hahn": (HahnFinite(GF2), None),             # exponents in {0, ±1, ±1/2, 2, 1/3}
+    "hahn/GF2(u)": (HahnFinite(GF2_U), None),
+}
+
+
+def _random_poly(V, rng, degree, draw=None):
+    draw = draw or V.random_element
+    return Polynomial(V, [draw(rng) for _ in range(degree + 1)])
+
+
+def _euclid_gcd(a, b):
+    """Reference: plain Euclid over the coefficient field, no rescaling.
+
+    Over GF(2)(u)(t) it is only fast enough for a test when one operand has
+    degree 1: on a degree-2 pair its remainders carry coefficients of
+    degree 20-40 in t, the swell the fraction-free gcd avoids.
+    """
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
 def test_gcd_monic_and_divides():
     f = qpoly(-1, 0, 1) * qpoly(2, 1)
     g = qpoly(-1, 1) * qpoly(2, 1)
     d = Polynomial.gcd(f, g)
     assert d.leading() == 1
     assert (f % d).is_zero() and (g % d).is_zero()
+    for name in GCD_FIELDS:
+        _check_gcd(name)
+
+
+def _check_gcd(name):
+    V, draw = GCD_FIELDS[name]
+    one = V.one()
+    x = Polynomial.gen(V)
+    for seed in range(6):
+        rng = random.Random(f"gcd:{name}:{seed}")
+        a = _random_poly(V, rng, rng.randint(1, 2), draw)
+        b = _random_poly(V, rng, rng.randint(1, 2), draw)
+        c = _random_poly(V, rng, rng.randint(1, 2), draw)
+        if c.is_zero():
+            c = x
+        c = c.monic()
+        d = Polynomial.gcd(a, b)
+        if not d.is_zero():
+            assert d.leading() == one
+            assert (a % d).is_zero() and (b % d).is_zero()
+        if a.degree + b.degree <= 3:
+            assert d == _euclid_gcd(a, b)
+        assert Polynomial.gcd(a * c, b * c) == d * c
+        assert Polynomial.gcd(x * c, (x + 1) * c) == c
+        assert Polynomial.gcd(a * c, Polynomial.zero(V)) == (a * c).monic()
+        assert Polynomial.gcd(Polynomial.zero(V), c) == c
+    assert Polynomial.gcd(Polynomial.zero(V), Polynomial.zero(V)).is_zero()
+
+
+def test_gcd_hahn_fractional_exponents():
+    H = HahnFinite(GF2)
+    x = Polynomial.gen(H)
+    r = H.monomial(Fraction(1, 2))
+    c = x + r                                      # root t^(1/2) ...
+    f = c * (x + H.monomial(Fraction(1, 3)))       # ... shared with t^(1/3)
+    g = c * (x + H.one())
+    assert Polynomial.gcd(f, g) == c
+    assert Polynomial.gcd(f.scale(H.monomial(Fraction(-2, 3))), g) == c
+
+
+@pytest.mark.parametrize("V", [TAdicRat(GF2_U), HahnFinite(GF2_U)],
+                         ids=["GF2(u)(t)", "hahn/GF2(u)"])
+@pytest.mark.parametrize("seed", range(6))
+def test_tower_normalization_reduces(V, seed):
+    # Degree-2 pairs over the towers, where a Euclid nested at every level
+    # of the tower blows up; checked for a reduced result, not for time.
+    rng = random.Random(seed)
+    num = _random_poly(V, rng, 2)
+    den = _random_poly(V, rng, 2)
+    r = RationalFunction(num, den)
+    assert r.num * den == r.den * num
+    assert r.den.leading() == V.one()
+    assert Polynomial.gcd(r.num, r.den).degree == 0

@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import constructions as cons
-from .errors import IvrfError
+from .errors import ConfigError, IvrfError
 from .fields import field_from_config, pvd_from_config
 from .ff import FiniteField
 from .fields import PrimePowerSubfield, FullResidueField
@@ -30,9 +30,17 @@ SCHEMA = "ivrf/1"
 
 
 def _load_config(spec):
-    if spec.lstrip().startswith("{"):
-        return json.loads(spec)
-    return json.loads(Path(spec).read_text())
+    inline = spec.lstrip().startswith("{")
+    where = "inline config" if inline else f"config file {spec!r}"
+    try:
+        cfg = json.loads(spec if inline else Path(spec).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{where} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {where}: {exc.strerror}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} is not a JSON object")
+    return cfg
 
 
 def _emit(payload, out, fmt="json"):
@@ -127,7 +135,7 @@ def locpoly(config, expr, at, out):
 @main.command()
 @click.option("--config", required=True, help="domain spec (JSON path or inline)")
 @click.option("--phi", required=True)
-@click.option("--depth", type=int, default=3)
+@click.option("--depth", type=click.IntRange(min=1), default=3)
 @click.option("--out", default=None)
 def member(config, phi, depth, out):
     """Certify membership of phi in the integer-valued ring of the domain."""
@@ -146,7 +154,7 @@ def member(config, phi, depth, out):
 @click.option("--at", default=None, help="anchor point for pointed ideals")
 @click.option("--component", type=int, default=0)
 @click.option("--power", type=int, default=1, help="power of m for --kind m")
-@click.option("--depth", type=int, default=3)
+@click.option("--depth", type=click.IntRange(min=1), default=3)
 @click.option("--out", default=None)
 def ideal(config, phi, kind, at, component, power, depth, out):
     """Ideal membership: pointed ideal, the envelope prime, or a power of m."""
@@ -262,7 +270,7 @@ def construct_separator(preset, phi, samples, out):
 
 @construct.command("witness")
 @click.option("--config", required=True, help="pullback domain spec")
-@click.option("--depth", type=int, default=3)
+@click.option("--depth", type=click.IntRange(min=1), default=3)
 @click.option("--samples", type=int, default=200)
 @click.option("--seed", type=int, default=0)
 @click.option("--out", default=None)
@@ -310,7 +318,7 @@ def scan_fieldmaps(order, sub_order, degree_bound, exceptions, out):
 @click.argument("suite", type=click.Choice(sorted(SUITES)))
 @click.option("--seed", type=int, default=0)
 @click.option("--samples", type=int, default=None)
-@click.option("--depth", type=int, default=3)
+@click.option("--depth", type=click.IntRange(min=1), default=3)
 @click.option("--out", default=None)
 def verify(suite, seed, samples, depth, out):
     """Run a named verification suite; exit 1 on any violation."""

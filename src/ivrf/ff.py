@@ -1,10 +1,13 @@
 """Finite fields GF(p^k) at table scale, and rational-function fields over them.
 
 GF(p^k) elements are indices into a fixed enumeration; for k > 1 the index
-encodes the coefficient vector of the residue class modulo a lex-least monic
-irreducible, and multiplication/inversion run off precomputed tables.  Prime
-fields of any size use plain modular arithmetic.  GF(q)(u) is built from the
-generic polynomial core with variable ``u``.
+encodes the base-p digits of the coefficient vector of the residue class
+modulo a lex-least monic irreducible.  Addition, negation, multiplication and
+inversion run off tables built once per field (q <= 64, so a two-operand
+table has at most 4096 entries); the digits are taken apart only while the
+tables are built and when an element is printed.  Prime fields of any size
+use plain modular arithmetic.  GF(q)(u) is built from the generic polynomial
+core with variable ``u``.
 """
 
 from __future__ import annotations
@@ -114,12 +117,16 @@ class FiniteField:
         return idx
 
     def _build_tables(self):
-        q = self.q
+        p, q = self.p, self.q
+        digits = [self._digits(i) for i in range(q)]
+        self._add_tab = [[self._index([(a + b) % p for a, b in zip(di, dj)])
+                          for dj in digits] for di in digits]
+        self._neg_tab = [self._index([(-a) % p for a in di]) for di in digits]
         mul = [[0] * q for _ in range(q)]
         for i in range(q):
-            di = self._digits(i)
+            di = digits[i]
             for j in range(i, q):
-                dj = self._digits(j)
+                dj = digits[j]
                 prod = [0] * (2 * self.k - 1)
                 for a, ca in enumerate(di):
                     if ca == 0:
@@ -198,13 +205,12 @@ class FiniteField:
     def _add(self, i, j):
         if self.k == 1:
             return (i + j) % self.p
-        di, dj = self._digits(i), self._digits(j)
-        return self._index([(a + b) % self.p for a, b in zip(di, dj)])
+        return self._add_tab[i][j]
 
     def _neg(self, i):
         if self.k == 1:
             return (-i) % self.p
-        return self._index([(-a) % self.p for a in self._digits(i)])
+        return self._neg_tab[i]
 
     def _mul_idx(self, i, j):
         if self.k == 1:
@@ -238,10 +244,12 @@ class FFElement:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.field._els[self.field._add(self.idx, o.idx)]
+        f = self.field
+        if type(other) is not FFElement or other.field is not f:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return f._els[f._add(self.idx, other.idx)]
 
     __radd__ = __add__
 
@@ -249,19 +257,23 @@ class FFElement:
         return self.field._els[self.field._neg(self.idx)]
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        f = self.field
+        if type(other) is not FFElement or other.field is not f:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return f._els[f._add(self.idx, f._neg(other.idx))]
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.field._els[self.field._mul_idx(self.idx, o.idx)]
+        f = self.field
+        if type(other) is not FFElement or other.field is not f:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return f._els[f._mul_idx(self.idx, other.idx)]
 
     __rmul__ = __mul__
 
@@ -307,9 +319,10 @@ class FFElement:
         f = self.field
         if f.k == 1:
             return str(self.idx)
+        digits = f._digits(self.idx)
         parts = []
         for i in range(f.k - 1, -1, -1):
-            d = f._digits(self.idx)[i]
+            d = digits[i]
             if d == 0:
                 continue
             if i == 0:

@@ -22,8 +22,8 @@ from math import gcd
 
 from .errors import (ConfigError, PreconditionError, StructuralError,
                      UnsupportedCaseError)
-from .ff import FiniteField, RatFuncField
-from .ordgroup import INFINITY, GroupSpec
+from .ff import FiniteField, RatFuncField, _is_prime
+from .ordgroup import INFINITY, GroupElement, GroupSpec
 from .parsing import parse_expression
 from .ratfun import Polynomial, RationalFunction, fraction_free_gcd
 
@@ -156,9 +156,10 @@ class PAdicQ(ValuedField):
         return v
 
     def valuation(self, x):
-        if x == 0:
+        n = x.numerator
+        if not n:
             return INFINITY
-        return self.group.element(self._vp(x.numerator) - self._vp(x.denominator))
+        return GroupElement(self.group, (self._vp(n) - self._vp(x.denominator),))
 
     def residue(self, x):
         v = self.valuation(x)
@@ -222,7 +223,7 @@ class TAdicRat(ValuedField):
     def valuation(self, x):
         if x.is_zero():
             return INFINITY
-        return self.group.element(self._ord(x.num) - self._ord(x.den))
+        return GroupElement(self.group, (self._ord(x.num) - self._ord(x.den),))
 
     def residue(self, x):
         v = self.valuation(x)
@@ -317,7 +318,7 @@ class LexRank2(ValuedField):
             return INFINITY
         a1, j1 = self._poly_val(x.num)
         a2, j2 = self._poly_val(x.den)
-        return self.group.element(a1 - a2, j1 - j2)
+        return GroupElement(self.group, (a1 - a2, j1 - j2))
 
     def residue(self, x):
         v = self.valuation(x)
@@ -929,6 +930,14 @@ def ideal_member(x, which, field_or_pvd):
 # configuration ingestion
 # ---------------------------------------------------------------------------
 
+def _require(cfg, key):
+    """``cfg[key]``, or a ConfigError naming the missing key."""
+    try:
+        return cfg[key]
+    except KeyError:
+        raise ConfigError(f"config {cfg!r} is missing the key {key!r}") from None
+
+
 def residue_field_from_config(cfg):
     kind = cfg.get("kind", "gf")
     if kind == "gf":
@@ -936,7 +945,7 @@ def residue_field_from_config(cfg):
             q = cfg["q"]
             p, k = _split_prime_power(q)
         else:
-            p, k = cfg["p"], cfg.get("k", 1)
+            p, k = _require(cfg, "p"), cfg.get("k", 1)
         return FiniteField(p, k, cfg.get("gen", "u"))
     if kind == "ratfunc":
         base_cfg = dict(cfg.get("base", {}))
@@ -952,7 +961,7 @@ def residue_field_from_config(cfg):
 
 def _split_prime_power(q):
     for p in range(2, q + 1):
-        if _is_prime_small(p) and q % p == 0:
+        if _is_prime(p) and q % p == 0:
             k = 0
             m = q
             while m % p == 0:
@@ -964,21 +973,10 @@ def _split_prime_power(q):
     raise ConfigError(f"{q} is not a prime power")
 
 
-def _is_prime_small(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def field_from_config(cfg):
     variant = cfg.get("variant")
     if variant == "padic":
-        return PAdicQ(cfg["p"])
+        return PAdicQ(_require(cfg, "p"))
     if variant == "tadic":
         return TAdicRat(residue_field_from_config(cfg.get("residue", {"q": 2})))
     if variant == "lex2":
@@ -999,7 +997,7 @@ def subfield_from_config(field, cfg):
             if p != L.p:
                 raise ConfigError("subfield characteristic mismatch")
         else:
-            d = cfg["d"]
+            d = _require(cfg, "d")
         return PrimePowerSubfield(L, d)
     if kind == "constants":
         return ConstantSubfield(L)
@@ -1009,6 +1007,6 @@ def subfield_from_config(field, cfg):
 
 
 def pvd_from_config(cfg):
-    field = field_from_config(cfg["field"])
+    field = field_from_config(_require(cfg, "field"))
     sub = subfield_from_config(field, cfg.get("subfield", {"kind": "full"}))
     return PVDSpec(field, sub)

@@ -24,10 +24,11 @@ a concrete witness that is re-verified by direct evaluation.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .errors import (ConfigError, PreconditionError, StructuralError,
                      UndecidedError)
-from .fields import (FrobeniusSubfield, PVDSpec, field_from_config,
+from .fields import (FrobeniusSubfield, PVDSpec, _require, field_from_config,
                      pvd_from_config)
 from .ff import FiniteField, RatFuncField
 from .newton import local_poly, minval_poly, minval_rat
@@ -502,7 +503,7 @@ def _check_interval(ctx, phi, seg, piece, restrict0, rec):
         return None
 
     if s != 0:
-        gstar = (ctx.tau - beta).scale(_frac(1, s))
+        gstar = (ctx.tau - beta).scale(Fraction(1, s))
         if piece.contains(gstar) and gstar.in_lattice():
             t = V.element_of_value(gstar)
             const = V.residue((f_c * t ** fi) / (g_c * t ** gj))
@@ -690,7 +691,7 @@ def _failing_subregion(piece, s, beta, tau, strict, group):
     if s == 0:
         fails = beta < tau or (strict and beta == tau)
         return piece if fails else None
-    gstar = (tau - beta).scale(_frac(1, s))
+    gstar = (tau - beta).scale(Fraction(1, s))
     if s > 0:
         # fails on the left of gstar
         return piece.intersect(None, True, gstar, not strict)
@@ -702,11 +703,6 @@ def _allowed_at(gamma, restrict0):
         return None
     g0, sub = restrict0
     return sub if gamma == g0 else None
-
-
-def _frac(a, b):
-    from fractions import Fraction
-    return Fraction(a, b)
 
 
 def _fmt(g):
@@ -895,7 +891,7 @@ def domain_from_config(cfg):
     elif "subfield" in cfg:
         dom = DomainSpec.pvd(pvd_from_config(cfg), E)
     else:
-        dom = DomainSpec.valuation_ring(field_from_config(cfg["field"]), E)
+        dom = DomainSpec.valuation_ring(field_from_config(_require(cfg, "field")), E)
     if isinstance(E, list):
         dom.E = [dom.field.parse(s) if isinstance(s, str) else s for s in E]
     return dom

@@ -4,11 +4,17 @@ A rank-k group element is a vector in Q^k compared lexicographically.  The
 same representation serves the lattice Z^k and its divisible closure; a
 per-coordinate flag records which coordinates are divisible, and
 ``in_lattice`` tells whether an element lies in the integral lattice.
+
+A coordinate is a plain ``int`` when it is integral and a ``Fraction`` only
+when it is not; this form is canonical (never a ``Fraction`` with denominator
+1), so the integral lattices run on machine integers.  An ``int`` equals,
+hashes and prints like the ``Fraction`` of the same value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 from .errors import StructuralError, UnsupportedCaseError
 
@@ -17,10 +23,32 @@ class GroupMismatchError(StructuralError):
     pass
 
 
+def _norm(c):
+    """Canonical form of an int or Fraction arithmetic result."""
+    if type(c) is int or c.denominator != 1:
+        return c
+    return c.numerator
+
+
+def _canon(c):
+    """The canonical coordinate for any exact rational ``c``."""
+    if type(c) is int:
+        return c
+    return _norm(c if type(c) is Fraction else Fraction(c))
+
+
+def _normed(coords):
+    """``coords`` (a tuple of arithmetic results) in canonical form."""
+    for c in coords:
+        if type(c) is not int and c.denominator == 1:
+            return tuple(map(_norm, coords))
+    return coords
+
+
 class GroupSpec:
     """Q^rank under lexicographic order, with lattice flags per coordinate."""
 
-    __slots__ = ("rank", "divisible")
+    __slots__ = ("rank", "divisible", "_zero")
 
     def __init__(self, rank, divisible=None):
         if rank < 1:
@@ -32,6 +60,7 @@ class GroupSpec:
             raise StructuralError("need one lattice flag per coordinate")
         self.rank = rank
         self.divisible = divisible
+        self._zero = GroupElement(self, (0,) * rank)
 
     @staticmethod
     def integers(rank=1):
@@ -63,10 +92,10 @@ class GroupSpec:
         if len(coords) != self.rank:
             raise GroupMismatchError(
                 f"expected {self.rank} coordinates, got {len(coords)}")
-        return GroupElement(self, tuple(Fraction(c) for c in coords))
+        return GroupElement(self, tuple([_canon(c) for c in coords]))
 
     def zero(self):
-        return GroupElement(self, (Fraction(0),) * self.rank)
+        return self._zero
 
 
 class GroupElement:
@@ -79,6 +108,8 @@ class GroupElement:
         self.coords = coords
 
     def _check(self, other):
+        if type(other) is GroupElement and other.group is self.group:
+            return
         if not isinstance(other, GroupElement):
             raise GroupMismatchError(f"not a group element: {other!r}")
         if other.group != self.group:
@@ -87,20 +118,20 @@ class GroupElement:
     def __add__(self, other):
         self._check(other)
         return GroupElement(
-            self.group, tuple(a + b for a, b in zip(self.coords, other.coords)))
+            self.group, _normed(tuple(map(add, self.coords, other.coords))))
 
     def __sub__(self, other):
         self._check(other)
         return GroupElement(
-            self.group, tuple(a - b for a, b in zip(self.coords, other.coords)))
+            self.group, _normed(tuple(map(sub, self.coords, other.coords))))
 
     def __neg__(self):
-        return GroupElement(self.group, tuple(-a for a in self.coords))
+        return GroupElement(self.group, tuple([-a for a in self.coords]))
 
     def scale(self, q):
         """Multiply by an exact rational; the result may leave the lattice."""
-        q = Fraction(q)
-        return GroupElement(self.group, tuple(a * q for a in self.coords))
+        q = _canon(q)
+        return GroupElement(self.group, _normed(tuple([a * q for a in self.coords])))
 
     def __mul__(self, q):
         return self.scale(q)
@@ -108,7 +139,7 @@ class GroupElement:
     __rmul__ = __mul__
 
     def in_lattice(self):
-        return all(d or c.denominator == 1
+        return all(d or type(c) is int
                    for c, d in zip(self.coords, self.group.divisible))
 
     def is_zero(self):
@@ -117,7 +148,8 @@ class GroupElement:
     def __eq__(self, other):
         if isinstance(other, _Infinity):
             return False
-        if not isinstance(other, GroupElement) or other.group != self.group:
+        if not isinstance(other, GroupElement) or (
+                other.group is not self.group and other.group != self.group):
             return NotImplemented
         return self.coords == other.coords
 
@@ -238,7 +270,7 @@ def _rank1_point(group, lo, hi, lo_open, hi_open):
             return None
         if l == h:
             return group.element(l)
-        return group.element((l + h) / 2)
+        return group.element(Fraction(l + h, 2))
     if lo is None and hi is None:
         return group.zero()
     if lo is None:

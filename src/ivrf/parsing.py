@@ -160,7 +160,10 @@ def parse_expression(text, env, make_int):
     other operation goes through the values' own operators.
     """
     p = _Parser(_tokenize(text), env, make_int)
-    value = p.expr()
+    try:
+        value = p.expr()
+    except ZeroDivisionError:  # 1/0 or 0^-1 over Q, or t^{1/0}
+        raise ParseError(f"division by zero in {text!r}") from None
     kind, _ = p.peek()
     if kind != "end":
         raise ParseError(f"trailing input after position {p.i}")

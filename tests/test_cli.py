@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from click.testing import CliRunner
 
 from ivrf.cli import main
@@ -169,3 +171,23 @@ class TestErrors:
     def test_unknown_suite_exits_two(self):
         res = run("verify", "nonsense")
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("config", [
+        "{bad",
+        '{"field": {"variant": "padic"}}',
+        '{"field": {"variant": "padic", "p": 5}, "E": ["1/0"]}',
+    ], ids=["invalid-json", "missing-p", "point-one-over-zero"])
+    def test_malformed_config_exits_two(self, config):
+        res = run("member", "--config", config, "--phi", "x")
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+
+    def test_missing_config_file_exits_two(self, tmp_path):
+        res = run("member", "--config", str(tmp_path / "missing.json"), "--phi", "x")
+        assert res.exit_code == 2, res.output
+        assert "missing.json" in res.output
+
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_depth_below_one_exits_two(self, depth):
+        res = run("member", "--config", RING5, "--phi", "x", "--depth", depth)
+        assert res.exit_code == 2, res.output

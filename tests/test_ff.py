@@ -91,3 +91,26 @@ class TestRatFuncField:
     def test_symbol_env_parse(self):
         env = self.L.symbol_env()
         assert "u" in env
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 6)])
+def test_add_neg_tables_match_digit_arithmetic(p, k):
+    F = FiniteField(p, k)
+    for i in range(F.q):
+        di = F._digits(i)
+        assert F._neg_tab[i] == F._index([(-a) % p for a in di])
+        for j in range(F.q):
+            dj = F._digits(j)
+            assert F._add_tab[i][j] == F._index([(a + b) % p for a, b in zip(di, dj)])
+    a, b = F.gen(), F.gen() ** 2
+    assert (a + b).idx == F._add_tab[a.idx][b.idx]
+    assert (a - b).idx == F._add_tab[a.idx][F._neg_tab[b.idx]]
+    assert (-a).idx == F._neg_tab[a.idx]
+    assert a + 1 == 1 + a and a - 1 == -(1 - a)
+
+
+def test_mixed_field_operations_raise():
+    F4, F8 = FiniteField(2, 2), FiniteField(2, 3)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(StructuralError):
+            op(F4.gen(), F8.gen())

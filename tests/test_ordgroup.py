@@ -130,3 +130,53 @@ class TestLatticeSearch:
         from ivrf.intr import _Region
         r = _Region(Z.element(2), False, Z.element(2), False)
         assert r.lattice_point(Z) == Z.element(2)
+
+
+class TestRepresentation:
+    """Integral coordinates are ints; others are Fractions."""
+
+    def test_integral_results_are_int(self):
+        half = Z.element(Fraction(1, 2))
+        results = [Z.element(3), Z.element(Fraction(6, 2)), Z.zero(), Z2.zero(),
+                   Z.element(3) + Z.element(4), Z2.element(1, 2) - Z2.element(3, 5),
+                   -Z.element(3), Z.element(3).scale(2), Z.element(3).scale(Fraction(2)),
+                   half + half, half - Z.element(Fraction(-1, 2)), half.scale(4),
+                   Z.element(6).scale(Fraction(1, 3)), Q.element(Fraction(4, 2))]
+        for g in results:
+            assert all(type(c) is int for c in g.coords), g.coords
+
+    def test_non_integral_results_are_fraction(self):
+        g = Z.element(1).scale(Fraction(1, 2))
+        assert g.coords == (Fraction(1, 2),) and type(g.coords[0]) is Fraction
+        assert type((g + Z.element(1)).coords[0]) is Fraction
+
+    def test_int_and_fraction_inputs_agree(self):
+        a, b = Z.element(3), Z.element(Fraction(3))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b) == "3"
+        assert a.to_json() == b.to_json() == ["3"]
+        assert repr(Z2.element(Fraction(2), Fraction(1, 2))) == "(2, 1/2)"
+
+    def test_rational_midpoint_is_exact(self):
+        p = lattice_point_in_interval(Q, Q.element(1), Q.element(2))
+        assert p == Q.element(Fraction(3, 2))
+        assert type(p.coords[0]) is Fraction
+        p = lattice_point_in_interval(Q, Q.element(1), Q.element(3))
+        assert p == Q.element(2) and type(p.coords[0]) is int
+
+    def test_equal_groups_built_apart_still_combine(self):
+        other_z = GroupSpec.integers()
+        assert other_z is not Z
+        assert Z.element(1) + other_z.element(2) == Z.element(3)
+
+    def test_different_groups_still_raise(self):
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a < b,
+                   lambda a, b: a >= b):
+            with pytest.raises(GroupMismatchError):
+                op(Z.element(1), Q.element(1))
+            with pytest.raises(GroupMismatchError):
+                op(Z2.element(1, 0), Z.element(1))
+        with pytest.raises(GroupMismatchError):
+            Z.element(1) + 1
+        assert Z.element(1) != Q.element(1)

@@ -930,28 +930,40 @@ def ideal_member(x, which, field_or_pvd):
 # configuration ingestion
 # ---------------------------------------------------------------------------
 
-def _require(cfg, key):
-    """``cfg[key]``, or a ConfigError naming the missing key."""
-    try:
-        return cfg[key]
-    except KeyError:
-        raise ConfigError(f"config {cfg!r} is missing the key {key!r}") from None
+_REQUIRED = object()
+_JSON_TYPE_NAMES = {dict: "a JSON object", list: "a JSON list", str: "a string",
+                    int: "an integer"}
+
+
+def _config_value(cfg, key, kind, default=_REQUIRED):
+    """``cfg[key]``, checked to be of the JSON type ``kind`` (dict, list, str
+    or int; a bool is not an int), or ``default`` when the key is absent and
+    a default is given.  A missing required key or a value of another type
+    is a ConfigError naming the key."""
+    if key not in cfg:
+        if default is _REQUIRED:
+            raise ConfigError(f"config {cfg!r} is missing the key {key!r}")
+        return default
+    value = cfg[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigError(f"config key {key!r} must be {_JSON_TYPE_NAMES[kind]}, "
+                          f"not {value!r}")
+    return value
 
 
 def residue_field_from_config(cfg):
-    kind = cfg.get("kind", "gf")
+    kind = _config_value(cfg, "kind", str, "gf")
     if kind == "gf":
         if "q" in cfg:
-            q = cfg["q"]
-            p, k = _split_prime_power(q)
+            p, k = _split_prime_power(_config_value(cfg, "q", int))
         else:
-            p, k = _require(cfg, "p"), cfg.get("k", 1)
-        return FiniteField(p, k, cfg.get("gen", "u"))
+            p, k = _config_value(cfg, "p", int), _config_value(cfg, "k", int, 1)
+        return FiniteField(p, k, _config_value(cfg, "gen", str, "u"))
     if kind == "ratfunc":
-        base_cfg = dict(cfg.get("base", {}))
+        base_cfg = dict(_config_value(cfg, "base", dict, {}))
         if "q" in cfg and "base" not in cfg:
             base_cfg = {"q": cfg["q"]}
-        var = cfg.get("var", "u")
+        var = _config_value(cfg, "var", str, "u")
         if "gen" not in base_cfg:
             base_cfg["gen"] = "w"
         base = residue_field_from_config({"kind": "gf", **base_cfg})
@@ -974,39 +986,40 @@ def _split_prime_power(q):
 
 
 def field_from_config(cfg):
-    variant = cfg.get("variant")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"a field spec must be a JSON object, not {cfg!r}")
+    variant = _config_value(cfg, "variant", str, None)
     if variant == "padic":
-        return PAdicQ(_require(cfg, "p"))
-    if variant == "tadic":
-        return TAdicRat(residue_field_from_config(cfg.get("residue", {"q": 2})))
-    if variant == "lex2":
-        return LexRank2(residue_field_from_config(cfg.get("residue", {"q": 2})))
-    if variant == "hahn":
-        return HahnFinite(residue_field_from_config(cfg.get("residue", {"q": 2})))
+        return PAdicQ(_config_value(cfg, "p", int))
+    over_residue = {"tadic": TAdicRat, "lex2": LexRank2, "hahn": HahnFinite}
+    if variant in over_residue:
+        residue = _config_value(cfg, "residue", dict, {"q": 2})
+        return over_residue[variant](residue_field_from_config(residue))
     raise ConfigError(f"unknown field variant {variant!r}")
 
 
 def subfield_from_config(field, cfg):
     L = field.residue_field
-    kind = cfg.get("kind", "full")
+    kind = _config_value(cfg, "kind", str, "full")
     if kind == "full":
         return FullResidueField(L)
     if kind == "subgf":
         if "order" in cfg:
-            p, d = _split_prime_power(cfg["order"])
+            p, d = _split_prime_power(_config_value(cfg, "order", int))
             if p != L.p:
                 raise ConfigError("subfield characteristic mismatch")
         else:
-            d = _require(cfg, "d")
+            d = _config_value(cfg, "d", int)
         return PrimePowerSubfield(L, d)
     if kind == "constants":
         return ConstantSubfield(L)
     if kind == "frobenius":
-        return FrobeniusSubfield(L, cfg.get("e", 1))
+        return FrobeniusSubfield(L, _config_value(cfg, "e", int, 1))
     raise ConfigError(f"unknown subfield kind {kind!r}")
 
 
 def pvd_from_config(cfg):
-    field = field_from_config(_require(cfg, "field"))
-    sub = subfield_from_config(field, cfg.get("subfield", {"kind": "full"}))
+    field = field_from_config(_config_value(cfg, "field", dict))
+    sub = subfield_from_config(field, _config_value(cfg, "subfield", dict,
+                                                    {"kind": "full"}))
     return PVDSpec(field, sub)

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import (ConfigError, PreconditionError, StructuralError,
                      UndecidedError)
-from .fields import (FrobeniusSubfield, PVDSpec, _require, field_from_config,
+from .fields import (FrobeniusSubfield, PVDSpec, _config_value, field_from_config,
                      pvd_from_config)
 from .ff import FiniteField, RatFuncField
 from .newton import local_poly, minval_poly, minval_rat
@@ -883,15 +883,21 @@ def dichotomy_check(phi, D):
 
 def domain_from_config(cfg):
     E = cfg.get("E", "ring")
-    if isinstance(E, str) and E not in (WHOLE_RING, WHOLE_FIELD):
-        raise ConfigError(f"unknown point set {E!r}")
+    if isinstance(E, str):
+        if E not in (WHOLE_RING, WHOLE_FIELD):
+            raise ConfigError(f"unknown point set {E!r}")
+    elif not (isinstance(E, list) and all(isinstance(s, str) for s in E)):
+        raise ConfigError(f"point set E must be {WHOLE_RING!r}, {WHOLE_FIELD!r} "
+                          f"or a list of element strings, not {E!r}")
     if "components" in cfg:
-        fields = [field_from_config(c) for c in cfg["components"]]
-        dom = DomainSpec.intersection(fields, E if isinstance(E, str) else list(E))
+        fields = [field_from_config(c)
+                  for c in _config_value(cfg, "components", list)]
+        dom = DomainSpec.intersection(fields, E)
     elif "subfield" in cfg:
         dom = DomainSpec.pvd(pvd_from_config(cfg), E)
     else:
-        dom = DomainSpec.valuation_ring(field_from_config(_require(cfg, "field")), E)
+        dom = DomainSpec.valuation_ring(
+            field_from_config(_config_value(cfg, "field", dict)), E)
     if isinstance(E, list):
-        dom.E = [dom.field.parse(s) if isinstance(s, str) else s for s in E]
+        dom.E = [dom.field.parse(s) for s in E]
     return dom

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PreconditionError, StructuralError
+from .ratfun import Polynomial
 
 
 class Segment:
@@ -231,25 +232,21 @@ def local_poly(f, t, V):
     With d the largest index attaining min_i v(a_i t^i), this is
     f(t x) / (a_d t^d) reduced modulo the maximal ideal: monic of degree d,
     and its coefficient at x^i is nonzero exactly when index i attains the
-    minimum.
+    minimum.  So only the attaining indices i < d take field arithmetic, the
+    residue of a_i / (a_d t^(d-i)); every other coefficient is 0.
     """
     if f.is_zero() or t == V.zero():
         raise PreconditionError("local polynomial needs f and t nonzero")
     vt = V.valuation(t)
-    vals = {}
-    for i in f.support():
-        vals[i] = V.valuation(f.coeffs[i]) + vt.scale(i)
-    mv = min(vals.values())
-    d = max(i for i, v in vals.items() if v == mv)
+    vals = [(i, V.valuation(f.coeffs[i]) + vt.scale(i)) for i in f.support()]
+    mv = min(v for _, v in vals)
+    attaining = [i for i, v in vals if v == mv]
+    d = attaining[-1]
     L = V.residue_field
-    lead = f.coeffs[d] * t ** d
-    coeffs = []
-    for i in range(d + 1):
-        if i not in vals:
-            coeffs.append(L.zero())
-        else:
-            coeffs.append(V.residue((f.coeffs[i] * t ** i) / lead))
-    from .ratfun import Polynomial
+    coeffs = [L.zero()] * d + [L.one()]
+    ad = f.coeffs[d]
+    for i in attaining[:-1]:
+        coeffs[i] = V.residue(f.coeffs[i] / (ad * t ** (d - i)))
     return ResiduePolynomial(Polynomial(L, coeffs, "x"))
 
 

@@ -265,9 +265,17 @@ class Polynomial:
     # -- evaluation and substitution ----------------------------------
 
     def evaluate(self, a):
-        """Horner evaluation at a field element (or anything with the ops)."""
+        """Horner evaluation at a field element (or anything with the ops).
+
+        Over Q (a ``Fraction`` point and ``Fraction`` coefficients) the sum
+        is taken on plain integers by ``_q_horner`` and reduced once at the
+        end; every other coefficient field runs the generic Horner loop.
+        """
         if not self.coeffs:
             return self.field.zero()
+        if isinstance(a, Fraction) and isinstance(self.coeffs[-1], Fraction):
+            num, den = _q_horner(self.coeffs, a)
+            return Fraction(num, den)
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * a + c
@@ -597,7 +605,18 @@ class RationalFunction:
     # -- evaluation, composition ------------------------------------------
 
     def evaluate(self, a):
-        """Value at a point; POLE where the reduced denominator vanishes."""
+        """Value at a point; POLE where the reduced denominator vanishes.
+
+        Over Q both polynomials go through ``_q_horner``: the value is
+        ``POLE`` when the denominator's integer numerator is 0, and otherwise
+        one ``Fraction`` built from the two unreduced pairs.
+        """
+        if isinstance(a, Fraction) and isinstance(self.den.coeffs[-1], Fraction):
+            dn, dd = _q_horner(self.den.coeffs, a)
+            if dn == 0:
+                return POLE
+            nn, nd = _q_horner(self.num.coeffs, a)
+            return Fraction(nn * dd, nd * dn)
         d = self.den.evaluate(a)
         if d == self.field.zero():
             return POLE
@@ -635,6 +654,32 @@ class RationalFunction:
         if len(self.den.support()) > 1:
             ds = f"({ds})"
         return f"{ns}/{ds}"
+
+
+def _q_horner(coeffs, a):
+    """p(a) over Q as an unreduced pair of ints (numerator, denominator).
+
+    ``coeffs`` are the Fraction (or int) coefficients of p, constant term
+    first, and ``a = r/s`` a Fraction.  With l the lcm of the coefficient
+    denominators and n = deg p, the pair is (l * s^n * p(a), l * s^n), and
+    its numerator sum_i (l c_i) r^i s^(n-i) is taken by Horner's rule, one
+    multiply-add on plain ints per coefficient: no gcd beyond the lcm and no
+    Fraction is built.  The zero polynomial gives (0, 1).
+    """
+    if not coeffs:
+        return 0, 1
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    lcm = 1
+    for _, d in ratios:
+        if lcm % d:
+            lcm = lcm * d // _igcd(lcm, d)
+    r, s = a.as_integer_ratio()
+    acc = 0
+    spow = 1  # s^(n-i) at index i
+    for n, d in reversed(ratios):
+        acc = acc * r + n * (lcm // d) * spow
+        spow *= s
+    return acc, lcm * spow // s
 
 
 def _compose_poly(p, other):

@@ -14,6 +14,7 @@ import time
 from fractions import Fraction
 
 from . import constructions as cons
+from .errors import StructuralError
 from .fields import (ConstantSubfield, FrobeniusSubfield, HahnFinite, PAdicQ,
                      PrimePowerSubfield, PVDSpec, TAdicRat)
 from .ff import FiniteField, RatFuncField
@@ -115,10 +116,10 @@ def envelope(seed=0, samples=None, depth=None):
             _fail(report, f=str(f), reason="slopes not strictly decreasing")
         if len(pl.breakpoints()) > max(f.support()):
             _fail(report, f=str(f), reason="too many breakpoints")
+        lines = [(i, V.valuation(f.coeffs[i])) for i in f.support()]
         for _ in range(100):
             gamma = _rand_gamma(V, rng)
-            direct = min(V.valuation(f.coeffs[i]) + gamma.scale(i)
-                         for i in f.support())
+            direct = min(b + gamma.scale(i) for i, b in lines)
             if pl.eval(gamma) != direct:
                 _fail(report, f=str(f), gamma=str(gamma), got=str(pl.eval(gamma)),
                       expected=str(direct))
@@ -314,7 +315,7 @@ def rho(seed=0, samples=None, depth=None):
             continue
         try:
             vrep = cons.verify_rho(phi1, phi2, S, points)
-        except Exception as exc:  # constant ratio at a pole of theta
+        except StructuralError as exc:  # constant ratio at a pole of theta
             _fail(report, phi1=str(phi1), phi2=str(phi2), error=str(exc))
             continue
         if not vrep["ok"]:
@@ -335,7 +336,7 @@ def rho(seed=0, samples=None, depth=None):
             continue
         try:
             r = cons.build_rho(phi1, phi2, S)
-        except Exception:
+        except StructuralError:  # constant ratio at a pole of theta
             continue
         usable = [i for i in family
                   if phi1.evaluate(i.a) is not POLE

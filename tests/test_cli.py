@@ -176,7 +176,14 @@ class TestErrors:
         "{bad",
         '{"field": {"variant": "padic"}}',
         '{"field": {"variant": "padic", "p": 5}, "E": ["1/0"]}',
-    ], ids=["invalid-json", "missing-p", "point-one-over-zero"])
+        '{"field": {"variant": "padic", "p": "5"}}',
+        '{"field": 5}',
+        '{"field": {"variant": "tadic", "residue": {"q": "4"}}}',
+        '{"components": 5}',
+        '{"field": {"variant": "padic", "p": 5}, "E": [0.5]}',
+    ], ids=["invalid-json", "missing-p", "point-one-over-zero", "p-string",
+            "field-number", "residue-q-string", "components-number",
+            "point-float"])
     def test_malformed_config_exits_two(self, config):
         res = run("member", "--config", config, "--phi", "x")
         assert res.exit_code == 2, res.output

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ivrf.errors import PreconditionError, StructuralError
-from ivrf.ff import FiniteField
+from ivrf.ff import FiniteField, RatFuncField
 from ivrf.fields import HahnFinite, LexRank2, PAdicQ, TAdicRat
 from ivrf.newton import (find_simultaneous_point, local_poly, minval_poly,
                          minval_rat, pl_eval, predict, slopes_check)
@@ -130,6 +130,56 @@ class TestLocalPoly:
                         if Q5.valuation(f.coeffs[i]) + vt.scale(i) == mv]
             assert loc.support() == achieved
             assert loc.degree == max(achieved)
+
+
+def _unit(V, rng):
+    L = V.residue_field
+    while True:
+        r = L.random(rng) if getattr(L, "is_finite", False) else L.random(rng, degree=1)
+        if r != L.zero():
+            return V.lift(r)
+
+
+def _definition_local_poly(f, t, V):
+    # residues of every coefficient of f(t*x) / (a_d t^d), d the largest
+    # index attaining the minimum of v(a_i t^i)
+    vals = {i: V.valuation(f.coeffs[i] * t ** i) for i in f.support()}
+    mv = min(vals.values())
+    d = max(i for i in vals if vals[i] == mv)
+    lead = f.coeffs[d] * t ** d
+    return Polynomial(V.residue_field,
+                      [V.residue(c * t ** i / lead) for i, c in enumerate(f.coeffs)])
+
+
+GF2U = RatFuncField(FiniteField(2), "u")
+
+
+@pytest.mark.parametrize("V", [Q5, TAdicRat(FiniteField(2, 2)), TAdicRat(GF2U),
+                               LexRank2(FiniteField(2)), HahnFinite(FiniteField(2)),
+                               HahnFinite(GF2U)],
+                         ids=lambda v: v.describe())
+def test_local_poly_matches_definition(V):
+    rng = random.Random(12)
+    zero = V.group.zero()
+    off_unit = several = 0
+    for k in range(30):
+        t = V.random_nonzero(rng)
+        if k % 2:
+            # every nonzero coefficient is a unit times c / t^i, so every
+            # index of the support attains the minimum at t
+            c = V.random_nonzero(rng)
+            f = Polynomial(V, [_unit(V, rng) * c / t ** i if rng.random() < 0.8
+                               else V.zero() for i in range(rng.randint(1, 4))])
+        else:
+            f = Polynomial(V, [V.random_element(rng) for _ in range(rng.randint(1, 4))])
+        if f.is_zero():
+            continue
+        loc = local_poly(f, t, V)
+        assert loc.poly == _definition_local_poly(f, t, V)
+        assert loc.is_monic()
+        off_unit += V.valuation(t) != zero
+        several += len(loc.support()) > 1
+    assert off_unit and several
 
 
 class TestPredict:

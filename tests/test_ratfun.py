@@ -19,6 +19,18 @@ x = RationalFunction.gen(QQ)
 
 small_fraction = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 coeff_lists = st.lists(small_fraction, min_size=1, max_size=5)
+# evaluation points: small, zero, and with large denominators, of either sign
+points = st.one_of(small_fraction, st.just(Fraction(0)),
+                   st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                                max_denominator=10 ** 15))
+
+
+def fraction_horner(coeffs, a):
+    # the reference: Horner with Fraction arithmetic at every step
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * a + c
+    return acc
 
 
 class TestNormalize:
@@ -59,6 +71,31 @@ class TestEvaluate:
     def test_theta_at_one(self):
         theta = (6 * (1 + x ** 4)) / ((1 + 6 * x ** 2) * (6 + x ** 2))
         assert evaluate(theta, Fraction(1)) == Fraction(12, 49)
+
+    @pytest.mark.parametrize("field", [QQ, PAdicQ(5)], ids=["QQ", "Q5"])
+    def test_pole_exactly_at_denominator_roots(self, field):
+        X = RationalFunction.gen(field)
+        roots = [Fraction(-3, 7), Fraction(10 ** 12, 10 ** 12 + 1), Fraction(0)]
+        den = (X - roots[0]) * (X - roots[1]) * (X - roots[2])
+        phi = (X - Fraction(5, 3)) / den
+        for r in roots:
+            assert phi.evaluate(r) is POLE
+        assert phi.evaluate(Fraction(5, 3)) == 0
+        for a in (Fraction(-3, 8), roots[1] + Fraction(1, 10 ** 15), Fraction(7)):
+            expect = (a - Fraction(5, 3)) / ((a - roots[0]) * (a - roots[1]) * a)
+            assert phi.evaluate(a) == expect
+        # a root shared with the numerator cancels: no pole there
+        assert ((X - roots[0]) / den).evaluate(roots[0]) == 1 / (
+            (roots[0] - roots[1]) * roots[0])
+        assert ((X - roots[0]) / den).evaluate(roots[1]) is POLE
+
+    @pytest.mark.parametrize("field", [QQ, PAdicQ(5)], ids=["QQ", "Q5"])
+    def test_zero_numerator(self, field):
+        zero = RationalFunction.zero(field)
+        for a in (Fraction(0), Fraction(-2, 3), Fraction(1, 10 ** 15)):
+            value = zero.evaluate(a)
+            assert value == 0 and type(value) is Fraction
+            assert Polynomial.zero(field).evaluate(a) == 0
 
 
 class TestArith:
@@ -135,7 +172,25 @@ def test_normalize_idempotent(nc, dc):
     assert RationalFunction(r.num, r.den) == r
 
 
-@given(coeff_lists, coeff_lists, small_fraction)
+@given(coeff_lists, coeff_lists, points, st.sampled_from([QQ, PAdicQ(5)]))
+@settings(max_examples=150)
+def test_evaluate_matches_fraction_horner(nc, dc, a, field):
+    f, g = Polynomial(field, nc), Polynomial(field, dc)
+    value = f.evaluate(a)
+    assert value == fraction_horner(nc, a) and type(value) is Fraction
+    if g.is_zero():
+        return
+    phi = RationalFunction(f, g)
+    d = fraction_horner(phi.den.coeffs, a)
+    if d == 0:
+        assert phi.evaluate(a) is POLE
+    else:
+        value = phi.evaluate(a)
+        assert value == fraction_horner(phi.num.coeffs, a) / d
+        assert type(value) is Fraction
+
+
+@given(coeff_lists, coeff_lists, points)
 @settings(max_examples=60)
 def test_evaluate_commutes_with_mul(nc, dc, a):
     f, g = Polynomial(QQ, nc), Polynomial(QQ, dc)

@@ -16,16 +16,14 @@ from .errors import (ConfigError, IvrfError, ParseError, PreconditionError,
                      ResourceError, StructuralError, UndecidedError,
                      UnsupportedCaseError)
 from .ordgroup import GroupElement, GroupSpec, INFINITY, cmp
-from .ratfun import (POLE, Polynomial, RationalFunction, evaluate,
-                     identity_check, normalize, parse_ratfun)
+from .ratfun import POLE, Polynomial, RationalFunction, parse_ratfun
 from .ff import FFElement, FiniteField, RatFuncField
 from .fields import (ConstantSubfield, FrobeniusSubfield, FullResidueField,
                      HahnElement, HahnFinite, LexRank2, PAdicQ, PVDSpec,
                      PrimePowerSubfield, QQ, SubfieldSpec, TAdicRat,
-                     ValuedField, field_from_config, pvd_from_config,
-                     pvd_member)
+                     ValuedField, field_from_config, pvd_from_config)
 from .newton import (PiecewiseLinear, ResiduePolynomial, Segment, local_poly,
-                     minval_poly, minval_rat, pl_eval, predict, slopes_check)
+                     minval_poly, minval_rat, predict, slopes_check)
 from .intr import (CertifiedIn, CertifiedOut, DomainSpec, MStar, Pointed,
                    Unknown, ValueIdeal, WHOLE_FIELD, WHOLE_RING,
                    characteristic_set, dichotomy_check, domain_from_config,

@@ -27,6 +27,7 @@ from math import gcd
 
 from .errors import (PreconditionError, ResourceError, StructuralError,
                      UnsupportedCaseError)
+from .ff import polynomials
 from .fields import PAdicQ
 from .intr import (DomainSpec, Pointed, WHOLE_FIELD, ideal_member,
                    intr_member, residue_roots)
@@ -90,10 +91,9 @@ def build_theta(S):
     return theta
 
 
-def coprime_grid(bound, include_zero=True):
-    """All reduced r/s with |r|, s <= bound, plus 0 when asked."""
-    if include_zero:
-        yield Fraction(0)
+def coprime_grid(bound):
+    """0 and all reduced r/s with |r|, s <= bound."""
+    yield Fraction(0)
     for s in range(1, bound + 1):
         for r in range(1, bound + 1):
             if gcd(r, s) == 1:
@@ -316,9 +316,6 @@ class FieldMapReport:
         self.maps = []
         self.scanned = 0
 
-    def functions(self):
-        return [entry["function"] for entry in self.maps]
-
     def find(self, phi):
         for entry in self.maps:
             if entry["function"] == phi:
@@ -365,8 +362,8 @@ def field_map_scan(L, M, degree_bound, exception_bound=0):
 
     report = FieldMapReport(L, M, degree_bound, exception_bound)
     elements = list(L.elements())
-    for den in _all_polys(L, degree_bound, monic=True):
-        for num in _all_polys(L, degree_bound, monic=False):
+    for den in polynomials(L, degree_bound, monic=True):
+        for num in polynomials(L, degree_bound):
             if num.is_zero():
                 if den.degree > 0:
                     continue  # the canonical zero is 0/1
@@ -392,15 +389,3 @@ def field_map_scan(L, M, degree_bound, exception_bound=0):
                 })
     return report
 
-
-def _all_polys(L, max_degree, monic):
-    import itertools
-    els = list(L.elements())
-    nonzero = [c for c in els if c != L.zero()]
-    if not monic:
-        yield Polynomial.zero(L)
-    for d in range(max_degree + 1):
-        leads = [L.one()] if monic else nonzero
-        for lead in leads:
-            for tail in itertools.product(els, repeat=d):
-                yield Polynomial(L, list(tail) + [lead])

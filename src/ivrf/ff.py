@@ -5,9 +5,9 @@ encodes the base-p digits of the coefficient vector of the residue class
 modulo a lex-least monic irreducible.  Addition, negation, multiplication and
 inversion run off tables built once per field (q <= 64, so a two-operand
 table has at most 4096 entries); the digits are taken apart only while the
-tables are built and when an element is printed.  Prime fields of any size
-use plain modular arithmetic.  GF(q)(u) is built from the generic polynomial
-core with variable ``u``.
+tables are built and when an element is printed.  Prime fields up to
+p = 2^16 use plain modular arithmetic.  GF(q)(u) is built from the generic
+polynomial core with variable ``u``.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .errors import StructuralError, ResourceError
 from .ratfun import Polynomial, RationalFunction
 
 _TABLE_CAP = 64  # largest q for table-backed extension fields
+_PRIME_CAP = 2 ** 16  # largest p; GF(p) keeps all p elements
 
 
 def _is_prime(n):
@@ -38,21 +39,24 @@ class FiniteField:
 
     def __new__(cls, p, k=1, gen_name="u"):
         key = (p, k, gen_name)
-        if key in cls._cache:
-            return cls._cache[key]
-        self = super().__new__(cls)
-        cls._cache[key] = self
-        self._init(p, k, gen_name)
+        self = cls._cache.get(key)
+        if self is None:
+            self = super().__new__(cls)
+            self._init(p, k, gen_name)
+            cls._cache[key] = self
         return self
 
     def _init(self, p, k, gen_name):
+        if p > _PRIME_CAP:
+            raise ResourceError(f"the prime {p} exceeds the cap {_PRIME_CAP}")
         if not _is_prime(p):
             raise StructuralError(f"{p} is not prime")
         if k < 1:
             raise StructuralError("extension degree must be positive")
+        # p^k > 64 exactly when p^min(k, 7) > 64, so a huge k builds no p^k
+        if k > 1 and p ** min(k, _TABLE_CAP.bit_length()) > _TABLE_CAP:
+            raise ResourceError(f"GF({p}^{k}) exceeds the table cap {_TABLE_CAP}")
         q = p ** k
-        if k > 1 and q > _TABLE_CAP:
-            raise ResourceError(f"GF({q}) exceeds the table cap {_TABLE_CAP}")
         self.p = p
         self.k = k
         self.q = q
@@ -383,27 +387,14 @@ class RatFuncField:
                              self.var)
         return RationalFunction(num, den)
 
-    def polynomials(self, max_degree, monic_only=False, include_zero=True):
-        """All polynomials of degree <= max_degree, lowest degree first."""
-        base = self.base
-        if include_zero and not monic_only:
-            yield Polynomial.zero(base, self.var)
-        for d in range(max_degree + 1):
-            leads = [base.one()] if monic_only else list(base.nonzero_elements())
-            for lead in leads:
-                for tail in itertools.product(base.elements(), repeat=d):
-                    yield Polynomial(base, list(tail) + [lead], self.var)
-
-    def small_elements(self, max_degree=2, include_zero=False):
+    def small_elements(self, max_degree=2):
         """Nonzero elements of slowly growing height, for bounded searches."""
-        if include_zero:
-            yield self.zero()
         for d in range(max_degree + 1):
-            for num in self.polynomials(d, include_zero=False):
+            for num in polynomials(self.base, d, var=self.var):
                 if num.degree != d:
                     continue
                 for dd in range(max_degree + 1):
-                    for den in self.polynomials(dd, monic_only=True):
+                    for den in polynomials(self.base, dd, monic=True, var=self.var):
                         if den.degree != dd:
                             continue
                         if Polynomial.gcd(num, den).degree > 0:
@@ -412,13 +403,7 @@ class RatFuncField:
 
     def pth_root(self, x):
         """The y with y^p = x, or None when x is not a p-th power."""
-        p = self.base.p
-        num = _poly_pth_root(x.num, p)
-        den = _poly_pth_root(x.den, p)
-        if num is None or den is None:
-            return None
-        root = RationalFunction(num, den)
-        return root if root ** p == x else None
+        return rf_pth_root(x, self.base.p)
 
     def symbol_env(self):
         env = {self.var: self.gen()}
@@ -440,13 +425,41 @@ class RatFuncField:
         return hash(("ratfuncfield", self.base.p, self.base.k, self.var))
 
 
+def polynomials(field, max_degree, monic=False, var="x"):
+    """Every polynomial of degree <= max_degree over a finite field (monic
+    ones only when ``monic``): zero first unless ``monic``, then by degree,
+    leading coefficient and tail, each in the field's element order."""
+    if not monic:
+        yield Polynomial.zero(field, var)
+    leads = [field.one()] if monic else list(field.nonzero_elements())
+    elements = list(field.elements())
+    for d in range(max_degree + 1):
+        for lead in leads:
+            for tail in itertools.product(elements, repeat=d):
+                yield Polynomial(field, (*tail, lead), var)
+
+
+def rf_pth_root(h, p):
+    """The rational function H with H^p = h, or None when there is none.
+
+    The coefficient field's ``pth_root`` returns a root or None (GF(q) is
+    perfect; GF(q)(u) is not)."""
+    num = _poly_pth_root(h.num, p)
+    den = _poly_pth_root(h.den, p)
+    if num is None or den is None:
+        return None
+    root = RationalFunction(num, den)
+    return root if root ** p == h else None
+
+
 def _poly_pth_root(poly, p):
-    """Coefficient-wise p-th root of a polynomial supported on p-divisible
-    exponents, or None."""
+    """Coefficient-wise p-th root of a polynomial, or None when an exponent
+    is not divisible by p or a coefficient has no p-th root."""
     field = poly.field
     out = {}
     for i in poly.support():
-        if i % p:
+        r = None if i % p else field.pth_root(poly.coeffs[i])
+        if r is None:
             return None
-        out[i // p] = field.pth_root(poly.coeffs[i])
+        out[i // p] = r
     return Polynomial.from_dict(field, out, poly.var)

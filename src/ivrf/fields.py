@@ -18,11 +18,11 @@ v(x) > 0, or v(x) = 0 and the residue lies in the subfield.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
-from .errors import (ConfigError, PreconditionError, StructuralError,
-                     UnsupportedCaseError)
-from .ff import FiniteField, RatFuncField, _is_prime
+from .errors import (ConfigError, PreconditionError, ResourceError,
+                     StructuralError, UnsupportedCaseError)
+from .ff import _PRIME_CAP, FiniteField, RatFuncField
 from .ordgroup import INFINITY, GroupElement, GroupSpec
 from .parsing import parse_expression
 from .ratfun import Polynomial, RationalFunction, fraction_free_gcd
@@ -876,19 +876,7 @@ class PVDSpec:
         self.subfield = subfield
 
     def member(self, x):
-        v = self.field.valuation(x)
-        if v is INFINITY:
-            return True
-        zero = self.field.group.zero()
-        if v > zero:
-            return True
-        if v < zero:
-            return False
-        return self.subfield.contains(self.field.residue(x))
-
-    def maximal_ideal_member(self, x):
-        v = self.field.valuation(x)
-        return v is INFINITY or v > self.field.group.zero()
+        return in_pullback(self.field, self.subfield, x)
 
     def is_trivial(self):
         return self.subfield.is_whole
@@ -900,8 +888,17 @@ class PVDSpec:
         return self.describe()
 
 
-def pvd_member(x, D):
-    return D.member(x)
+def in_pullback(V, sub, x):
+    """x in the pullback of the residue subfield ``sub`` under V: v(x) > 0,
+    or v(x) = 0 and res(x) in sub.  ``sub=None`` is the whole valuation
+    ring."""
+    v = V.valuation(x)
+    if v is INFINITY:
+        return True
+    zero = V.group.zero()
+    if v < zero:
+        return False
+    return v > zero or sub is None or sub.contains(V.residue(x))
 
 
 def ideal_member(x, which, field_or_pvd):
@@ -913,7 +910,7 @@ def ideal_member(x, which, field_or_pvd):
     field = field_or_pvd.field if isinstance(field_or_pvd, PVDSpec) else field_or_pvd
     v = field.valuation(x)
     zero = field.group.zero()
-    if which == "m" or which == "m_of_D":
+    if which == "m":
         return v is INFINITY or v > zero
     if isinstance(which, tuple) and which[0] == "m_power":
         k = which[1]
@@ -972,17 +969,18 @@ def residue_field_from_config(cfg):
 
 
 def _split_prime_power(q):
-    for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise ConfigError(f"{q} is not a prime power")
-            return p, k
-    raise ConfigError(f"{q} is not a prime power")
+    if q > _PRIME_CAP:
+        raise ResourceError(f"order {q} exceeds the cap {_PRIME_CAP}")
+    if q < 2:
+        raise ConfigError(f"{q} is not a prime power")
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    k, m = 0, q
+    while m % p == 0:
+        m //= p
+        k += 1
+    if m != 1:
+        raise ConfigError(f"{q} is not a prime power")
+    return p, k
 
 
 def field_from_config(cfg):

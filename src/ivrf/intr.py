@@ -23,22 +23,22 @@ a concrete witness that is re-verified by direct evaluation.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .errors import (ConfigError, PreconditionError, StructuralError,
                      UndecidedError)
 from .fields import (FrobeniusSubfield, PVDSpec, _config_value, field_from_config,
-                     pvd_from_config)
-from .ff import FiniteField, RatFuncField
+                     in_pullback, pvd_from_config)
+from .ff import FiniteField, RatFuncField, polynomials, rf_pth_root
 from .newton import local_poly, minval_poly, minval_rat
 from .ordgroup import INFINITY, lattice_point_in_interval
-from .ratfun import POLE, Polynomial, RationalFunction
+from .ratfun import POLE, Polynomial, RationalFunction, clear_denominators
 
 WHOLE_RING = "ring"
 WHOLE_FIELD = "field"
 
 _SEARCH_LIMIT = 64  # residues tried before a search degrades to Unknown
+_ROOT_CAP = 4  # degree bound of an exhaustive root search over GF(q)(u)
 
 
 # ---------------------------------------------------------------------------
@@ -127,16 +127,7 @@ class DomainSpec:
         return self.components[0][0]
 
     def member(self, x):
-        for V, sub in self.components:
-            v = V.valuation(x)
-            if v is INFINITY:
-                continue
-            zero = V.group.zero()
-            if v < zero:
-                return False
-            if v == zero and sub is not None and not sub.contains(V.residue(x)):
-                return False
-        return True
+        return all(in_pullback(V, sub, x) for V, sub in self.components)
 
     def contains_point(self, a):
         if self.E == WHOLE_FIELD:
@@ -240,14 +231,14 @@ def _everywhere():
 # residue-field searches
 # ---------------------------------------------------------------------------
 
-def residue_roots(poly, L, cap=4):
+def residue_roots(poly, L):
     """Nonzero roots of a polynomial over GF(q) or GF(q)(u).
 
     Returns (roots, complete).  Over GF(q) enumeration is exhaustive.  Over
     GF(q)(u) candidates come from the rational root bound: a reduced root
     n/d has n dividing the lowest cleared coefficient and d dividing the
     highest, so the search is complete whenever both degree bounds stay at
-    or below ``cap``; otherwise the bounded search may miss roots and
+    or below ``_ROOT_CAP``; otherwise the bounded search may miss roots and
     ``complete`` is False.
     """
     zero = L.zero()
@@ -263,20 +254,12 @@ def residue_roots(poly, L, cap=4):
     q = Polynomial(L, poly.coeffs[shift:], poly.var)
     if q.degree == 0:
         return (set(), True)
-    # Clear denominators to polynomials in GF(q)[u].
-    den = Polynomial.constant(L.base, L.base.one(), L.var)
-    for i in q.support():
-        den = den * (q.coeffs[i].den // Polynomial.gcd(den, q.coeffs[i].den))
-    cleared = {}
-    for i in q.support():
-        c = q.coeffs[i]
-        cleared[i] = c.num * (den // c.den)
-    lo_i = min(cleared)
-    hi_i = max(cleared)
-    bound_n = cleared[lo_i].degree
-    bound_d = cleared[hi_i].degree
-    complete = bound_n <= cap and bound_d <= cap
-    bn, bd = min(bound_n, cap), min(bound_d, cap)
+    # Clear denominators to polynomials in GF(q)[u], keeping the content.
+    cleared = clear_denominators([(c.num, c.den) for c in q.coeffs])
+    bound_n = cleared[0].degree
+    bound_d = cleared[-1].degree
+    complete = bound_n <= _ROOT_CAP and bound_d <= _ROOT_CAP
+    bn, bd = min(bound_n, _ROOT_CAP), min(bound_d, _ROOT_CAP)
     # keep the candidate count at desk scale even for larger base fields
     qsize = L.base.q
     while bn + bd > 0 and qsize ** (bn + 1) * qsize ** (bd + 1) > 100_000:
@@ -290,18 +273,18 @@ def residue_roots(poly, L, cap=4):
     deg = q.degree
     roots = set()
     zero_poly = Polynomial.zero(L.base, L.var)
-    for d in _ff_polys(L.base, bd, monic=True):
+    for d in polynomials(L.base, bd, monic=True, var=L.var):
         dpow = [Polynomial.constant(L.base, L.base.one(), L.var)]
         for _ in range(deg):
             dpow.append(dpow[-1] * d)
-        for n in _ff_polys(L.base, bn, monic=False):
+        for n in polynomials(L.base, bn, var=L.var):
             if n.is_zero():
                 continue
             acc = zero_poly
             npow = Polynomial.constant(L.base, L.base.one(), L.var)
-            for i in range(deg + 1):
-                if i in cleared:
-                    acc = acc + cleared[i] * npow * dpow[deg - i]
+            for i, c in enumerate(cleared):
+                if c:
+                    acc = acc + c * npow * dpow[deg - i]
                 if i < deg:
                     npow = npow * n
             if not acc.is_zero():
@@ -310,19 +293,6 @@ def residue_roots(poly, L, cap=4):
                 continue
             roots.add(RationalFunction(n, d))
     return roots, complete
-
-
-def _ff_polys(base, max_degree, monic):
-    if monic:
-        for d in range(max_degree + 1):
-            for tail in itertools.product(list(base.elements()), repeat=d):
-                yield Polynomial(base, list(tail) + [base.one()], "u")
-    else:
-        yield Polynomial.zero(base, "u")
-        for d in range(max_degree + 1):
-            for lead in base.nonzero_elements():
-                for tail in itertools.product(list(base.elements()), repeat=d):
-                    yield Polynomial(base, list(tail) + [lead], "u")
 
 
 def _small_residues(L, allowed, limit=_SEARCH_LIMIT):
@@ -350,41 +320,18 @@ def _small_residues(L, allowed, limit=_SEARCH_LIMIT):
                 return
 
 
-def _rf_power_root(h, L, p):
-    """H with H^p = h in L(x), or None; L must be GF(q)(u)."""
-    num = _x_poly_root(h.num, L, p)
-    den = _x_poly_root(h.den, L, p)
-    if num is None or den is None:
-        return None
-    cand = RationalFunction(num, den)
-    return cand if cand ** p == h else None
-
-
-def _x_poly_root(poly, L, p):
-    out = {}
-    for i in poly.support():
-        if i % p:
-            return None
-        r = L.pth_root(poly.coeffs[i])
-        if r is None:
-            return None
-        out[i // p] = r
-    return Polynomial.from_dict(L, out, poly.var)
-
-
 # ---------------------------------------------------------------------------
 # the certifier
 # ---------------------------------------------------------------------------
 
 class _Ctx:
-    __slots__ = ("V", "fsub", "tau", "strict", "root_cap")
+    __slots__ = ("V", "fsub", "tau", "strict")
 
-    def __init__(self, V, fsub, tau, strict, root_cap=4):
+    def __init__(self, V, fsub, tau, strict):
         self.V = V
         self.fsub = fsub
         self.tau = tau
         self.strict = strict
-        self.root_cap = root_cap
 
     def value_ok(self, v):
         if v is INFINITY:
@@ -527,14 +474,14 @@ def _check_point(ctx, phi, plf, plg, delta, region, restrict0, depth, prec):
     ok_val = ctx.value_ok(val)
     allowed = _allowed_at(delta, restrict0)
 
-    roots_g, complete_g = residue_roots(locg.poly, L, ctx.root_cap)
-    roots_f, complete_f = residue_roots(locf.poly, L, ctx.root_cap)
+    roots_g, complete_g = residue_roots(locg.poly, L)
+    roots_f, complete_f = residue_roots(locf.poly, L)
     if allowed is not None:
         roots_g = {c for c in roots_g if allowed.contains(c)}
         roots_f = {c for c in roots_f if allowed.contains(c)}
     unknown_reason = None
     if not complete_g or (not ok_val and not complete_f):
-        unknown_reason = (f"root search beyond degree cap {ctx.root_cap} "
+        unknown_reason = (f"root search beyond degree cap {_ROOT_CAP} "
                           f"at value {delta}")
 
     # Exact classes.
@@ -632,7 +579,7 @@ def _point_residue_condition(ctx, phi, locf, locg, t, delta, allowed, roots, pre
         reduced = h
         power_ok = True
         for _ in range(ctx.fsub.e):
-            reduced = _rf_power_root(reduced, L, L.base.p)
+            reduced = rf_pth_root(reduced, L.base.p)
             if reduced is None:
                 power_ok = False
                 break
@@ -713,7 +660,7 @@ def _fmt(g):
 # public operations
 # ---------------------------------------------------------------------------
 
-def intr_member(phi, D, depth=3, root_cap=4):
+def intr_member(phi, D, depth=3):
     """Certify phi(a) in D for all a in E; sound, possibly Unknown."""
     if phi.is_zero():
         return CertifiedIn([{"trivial": "zero function"}], 0)
@@ -740,7 +687,7 @@ def intr_member(phi, D, depth=3, root_cap=4):
             restrict0 = (zero, fsub) if fsub is not None else None
         else:
             raise ConfigError(f"unknown point set {D.E!r}")
-        ctx = _Ctx(V, fsub, zero, False, root_cap)
+        ctx = _Ctx(V, fsub, zero, False)
         out = _certify(ctx, phi, region, restrict0, depth)
         depth_used = max(depth_used, out.depth_used)
         if out.status == "out":

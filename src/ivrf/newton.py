@@ -74,12 +74,6 @@ class PiecewiseLinear:
     def breakpoints(self):
         return [seg.hi for seg in self.segments[:-1]]
 
-    def segment_at(self, gamma):
-        for seg in self.segments:
-            if seg.hi is None or gamma <= seg.hi:
-                return seg
-        return self.segments[-1]
-
     def slopes_around(self, gamma):
         """Slopes immediately left and right of gamma."""
         left = right = None
@@ -220,10 +214,6 @@ def minval_rat(phi, V):
         raise StructuralError("minval of the zero function")
     pl = minval_poly(phi.num, V) - minval_poly(phi.den, V)
     return pl.merged()
-
-
-def pl_eval(F, gamma):
-    return F.eval(gamma)
 
 
 def local_poly(f, t, V):

@@ -6,6 +6,13 @@ object provides ``zero()``, ``one()`` and ``from_int(n)`` (and, optionally,
 arithmetic through operator overloading (exact, no floats).  Rational
 functions are always held in canonical form: numerator and denominator
 coprime, denominator monic.  Equality is therefore syntactic.
+
+The operations are methods: ``RationalFunction(f, g)`` normalizes f/g,
+``phi.evaluate(a)`` returns a value or ``POLE``, ``phi.compose(psi)``
+substitutes, and ``==`` is the exact identity check.  Over fraction-field
+coefficients F(v), ``clear_denominators`` turns a polynomial over F(v)
+into one over F[v], which the gcd (``fraction_free_gcd``) and the residue
+root search share; ``parse_ratfun`` reads the text form.
 """
 
 from __future__ import annotations
@@ -281,15 +288,6 @@ class Polynomial:
             acc = acc * a + c
         return acc
 
-    def compose(self, other):
-        """Substitute a polynomial for the variable."""
-        if not self.coeffs:
-            return Polynomial.zero(self.field, other.var)
-        acc = Polynomial.constant(self.field, self.coeffs[-1], other.var)
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * other + Polynomial.constant(self.field, c, other.var)
-        return acc
-
     def _coerce(self, other):
         if isinstance(other, Polynomial):
             return other
@@ -340,7 +338,8 @@ def fraction_free_gcd(a, b):
     Returns the gcd over F[v], primitive; the monic gcd over F(v) is this
     list divided by its last entry.
     """
-    a, b = _cleared(a), _cleared(b)
+    a = _primitive_part(clear_denominators(a))
+    b = _primitive_part(clear_denominators(b))
     if len(a) < len(b):
         a, b = b, a
     while True:
@@ -350,17 +349,17 @@ def fraction_free_gcd(a, b):
         a, b = b, _primitive_part(r)
 
 
-def _cleared(fracs):
-    """The primitive polynomial over F[v] that is a multiple, by a unit of
-    F(v), of the polynomial with the given coefficient fractions (whose
-    constant denominators are 1)."""
+def clear_denominators(fracs):
+    """The polynomial over F[v] that is the lcm of the denominators times the
+    polynomial with the given coefficient fractions, (numerator, monic
+    denominator) pairs of Polynomials in v over F.  The content is kept."""
     lcm = None
     for _, d in fracs:
         if d.degree > 0:
             lcm = d if lcm is None else lcm * (d // Polynomial.gcd(lcm, d))
     if lcm is None:
-        return _primitive_part([n for n, _ in fracs])
-    return _primitive_part([n * (lcm // d) for n, d in fracs])
+        return [n for n, _ in fracs]
+    return [n * (lcm // d) for n, d in fracs]
 
 
 def _primitive_part(coeffs):
@@ -635,8 +634,8 @@ class RationalFunction:
         den = _compose_poly(self.den, other)
         # num/den here are fractions with common denominator other.den^deg.
         d = max(self.num.degree, self.den.degree)
-        nn = num[0] * other.den ** (d - self.num.degree)
-        dd = den[0] * other.den ** (d - self.den.degree)
+        nn = num * other.den ** (d - self.num.degree)
+        dd = den * other.den ** (d - self.den.degree)
         if dd.is_zero():
             raise StructuralError("composition hits a pole identically")
         return RationalFunction(nn, dd)
@@ -683,22 +682,19 @@ def _q_horner(coeffs, a):
 
 
 def _compose_poly(p, other):
-    """p(other.num/other.den) written over other.den**deg(p).
-
-    Returns a 1-tuple with the numerator polynomial; the caller supplies the
-    denominator power.
-    """
+    """The numerator of p(other.num/other.den) written over
+    other.den**deg(p); the caller supplies the denominator power."""
     if p.is_zero():
-        return (Polynomial.zero(p.field, other.var),)
+        return Polynomial.zero(p.field, other.var)
     acc = Polynomial.constant(p.field, p.coeffs[-1], other.var)
     power = Polynomial.constant(p.field, p.field.one(), other.var)
     for c in reversed(p.coeffs[:-1]):
         power = power * other.den
         acc = acc * other.num + power.scale(c)
-    return (acc,)
+    return acc
 
 
-# -- module-level operation names -------------------------------------------
+# -- parsing ----------------------------------------------------------------
 
 def parse_ratfun(field, text, var="x"):
     """Parse a rational function in ``var`` with coefficients in the field's
@@ -716,16 +712,3 @@ def parse_ratfun(field, text, var="x"):
         return RationalFunction.constant(field, value, var)
     return value
 
-
-def normalize(f, g):
-    """Reduced rational function f/g (idempotent)."""
-    return RationalFunction(f, g)
-
-
-def evaluate(phi, a):
-    return phi.evaluate(a)
-
-
-def identity_check(lhs, rhs):
-    """Exact equality of canonical forms."""
-    return lhs == rhs

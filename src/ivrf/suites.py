@@ -37,11 +37,6 @@ def _fail(report, **info):
         report["failures"].append(info)
 
 
-def _finish(report, t0):
-    report["elapsed"] = round(time.monotonic() - t0, 3)
-    return report
-
-
 # -- sample generators -------------------------------------------------------
 
 def _rand_poly_padic(V, rng, max_degree=8):
@@ -99,7 +94,6 @@ def _rand_gamma(V, rng):
 
 def envelope(seed=0, samples=None, depth=None):
     """Envelope oracle: the piecewise form equals the direct minimum."""
-    t0 = time.monotonic()
     functions = samples or 500
     rng = random.Random(seed)
     report = _report("envelope", seed=seed, functions=functions, points=100)
@@ -124,12 +118,11 @@ def envelope(seed=0, samples=None, depth=None):
                 _fail(report, f=str(f), gamma=str(gamma), got=str(pl.eval(gamma)),
                       expected=str(direct))
         report["checked"] += 1
-    return _finish(report, t0)
+    return report
 
 
 def gauss(seed=0, samples=None, depth=None):
     """Envelope of a product equals the sum of the envelopes."""
-    t0 = time.monotonic()
     pairs = samples or 500
     rng = random.Random(seed)
     report = _report("gauss", seed=seed, pairs=pairs)
@@ -145,7 +138,7 @@ def gauss(seed=0, samples=None, depth=None):
         if minval_poly(f * g, V) != minval_poly(f, V) + minval_poly(g, V):
             _fail(report, f=str(f), g=str(g))
         report["checked"] += 1
-    return _finish(report, t0)
+    return report
 
 
 def _tadic_pair_valuation(f, a, V):
@@ -163,7 +156,6 @@ def _tadic_pair_valuation(f, a, V):
 def predict(seed=0, samples=None, depth=None):
     """v(f(a)) never undercuts the envelope; equality holds exactly when the
     local polynomial does not vanish at the residue of a/a = 1."""
-    t0 = time.monotonic()
     count = samples or 10_000
     rng = random.Random(seed)
     report = _report("predict", seed=seed, count=count)
@@ -199,12 +191,11 @@ def predict(seed=0, samples=None, depth=None):
             _fail(report, f=str(f), a=str(a),
                   reason="exactness flag disagrees with the local polynomial")
         report["checked"] += 1
-    return _finish(report, t0)
+    return report
 
 
 def slopes(seed=0, samples=None, depth=None):
     """Local-polynomial support extremes match the envelope slopes."""
-    t0 = time.monotonic()
     count = samples or 200
     rng = random.Random(seed)
     report = _report("slopes", seed=seed, count=count)
@@ -233,7 +224,7 @@ def slopes(seed=0, samples=None, depth=None):
             _fail(report, phi=str(phi), t=str(tt), got=(c, cp),
                   expected=(left, right))
         report["checked"] += 1
-    return _finish(report, t0)
+    return report
 
 
 def _rand_q_ratfun(field, rng, max_degree=4):
@@ -248,7 +239,6 @@ def _rand_q_ratfun(field, rng, max_degree=4):
 
 def psi_identity(seed=0, samples=None, depth=None):
     """The cancellation identity of psi, plus its valuation case table."""
-    t0 = time.monotonic()
     functions = 100
     points = samples or 1000
     rng = random.Random(seed)
@@ -272,12 +262,11 @@ def psi_identity(seed=0, samples=None, depth=None):
     vrep2 = cons.verify_psi(x, S, grid)
     if not vrep2["ok"]:
         _fail(report, stage="case table x", failures=vrep2["violations"][:3])
-    return _finish(report, t0)
+    return report
 
 
 def theta(seed=0, samples=None, depth=None):
     """Exhaustive case table for theta on the reduced-fraction grid."""
-    t0 = time.monotonic()
     bound = samples or 200
     S = cons.preset("t6n2")
     report = _report("theta", bound=bound)
@@ -294,12 +283,11 @@ def theta(seed=0, samples=None, depth=None):
     x = RationalFunction.gen(S.field)
     if th.compose(1 / x) != th:
         _fail(report, stage="symmetry")
-    return _finish(report, t0)
+    return report
 
 
 def rho(seed=0, samples=None, depth=None):
     """Minimum-valuation law for rho and the characteristic-set equation."""
-    t0 = time.monotonic()
     triples = samples or 1000
     rng = random.Random(seed)
     S = cons.preset("t6n2")
@@ -349,7 +337,7 @@ def rho(seed=0, samples=None, depth=None):
             _fail(report, phi1=str(phi1), phi2=str(phi2),
                   reason="characteristic sets differ")
         report["checked"] += 1
-    return _finish(report, t0)
+    return report
 
 
 # -- pullback corpus over the Hahn field -------------------------------------
@@ -408,7 +396,6 @@ def _member_corpus(H, rng, size, mstar_only=False):
 def mstar(seed=0, samples=None, depth=None):
     """Ideal and primality laws for the envelope-at-zero prime, by exact
     piecewise-linear arithmetic."""
-    t0 = time.monotonic()
     combos = samples or 500
     rng = random.Random(seed)
     H, D = _hahn_pvd_constants()
@@ -470,13 +457,12 @@ def mstar(seed=0, samples=None, depth=None):
         a = H.monomial(Fraction(rng.randint(1, 8), rng.randint(1, 4)))
         if not ideal_member(x, Pointed(a), dom):
             _fail(report, a=str(a), reason="x missing from a pointed ideal")
-    return _finish(report, t0)
+    return report
 
 
 def witnesses(seed=0, samples=None, depth=3):
     """Both two-family witnesses: certified in, exhaustive map check, and the
     pointed-ideal split at sampled points."""
-    t0 = time.monotonic()
     count = samples or 1000
     rng = random.Random(seed)
     report = _report("witnesses", seed=seed, samples=count, depth=depth)
@@ -503,13 +489,12 @@ def witnesses(seed=0, samples=None, depth=3):
         _fail(report, case="inseparable", record={k: v for k, v in rec2.items()
                                                   if k != "membership"})
     report["checked"] = 2 * count + 2
-    return _finish(report, t0)
+    return report
 
 
 def dichotomy(seed=0, samples=None, depth=3):
     """Certified members of the pullback ring classify Zero or
     StrictlyPositive; the known non-member classifies Violation."""
-    t0 = time.monotonic()
     size = samples or 200
     rng = random.Random(seed)
     H, D = _hahn_pvd_constants()
@@ -535,7 +520,7 @@ def dichotomy(seed=0, samples=None, depth=3):
     if intr_member(bad, dom, depth=depth).kind != "out":
         _fail(report, reason="x^2/(x^2+t) must be certified out")
     report["checked"] += 1
-    return _finish(report, t0)
+    return report
 
 
 SUITES = {
@@ -553,6 +538,10 @@ SUITES = {
 
 
 def run_suite(name, seed=0, samples=None, depth=3):
+    """The suite's report, with its wall time in seconds under ``elapsed``."""
     if name not in SUITES:
         raise KeyError(name)
-    return SUITES[name](seed=seed, samples=samples, depth=depth)
+    t0 = time.monotonic()
+    report = SUITES[name](seed=seed, samples=samples, depth=depth)
+    report["elapsed"] = round(time.monotonic() - t0, 3)
+    return report

@@ -5,6 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 from ivrf.cli import main
+from ivrf.intr import domain_from_config
+from ivrf.ratfun import POLE, parse_ratfun
 
 PADIC5 = '{"variant": "padic", "p": 5}'
 RING5 = '{"field": {"variant": "padic", "p": 5}, "E": "ring"}'
@@ -54,6 +56,18 @@ class TestMember:
         data = payload(res)
         assert data["verdict"] == "CertifiedIn"
         assert data["depth_used"] == 2
+
+    def test_witness_in_the_residue_variable(self):
+        # roots over GF(2)(v) are built in v, not in a fixed variable
+        config = ('{"field": {"variant": "tadic", "residue": '
+                  '{"kind": "ratfunc", "q": 2, "var": "v"}}, "E": "ring"}')
+        data = payload(run("member", "--config", config, "--phi", "t/(x + v*t)"))
+        assert data["verdict"] == "CertifiedOut"
+        assert data["witness"] == "v*t"
+        D = domain_from_config(json.loads(config))
+        phi = parse_ratfun(D.field, "t/(x + v*t)")
+        value = phi.evaluate(D.field.parse(data["witness"]))
+        assert value is POLE or not D.member(value)
 
     def test_unknown_at_depth_one(self):
         res = run("member", "--config", RING5, "--phi", "(x^5-x)/5",
@@ -181,9 +195,14 @@ class TestErrors:
         '{"field": {"variant": "tadic", "residue": {"q": "4"}}}',
         '{"components": 5}',
         '{"field": {"variant": "padic", "p": 5}, "E": [0.5]}',
+        '{"field": {"variant": "padic", "p": 100000007}}',
+        '{"field": {"variant": "padic", "p": 1000000000000000003}}',
+        '{"field": {"variant": "tadic", "residue": {"q": 100000007}}}',
+        '{"field": {"variant": "tadic", "residue": {"p": 2, "k": 1000000}}}',
     ], ids=["invalid-json", "missing-p", "point-one-over-zero", "p-string",
             "field-number", "residue-q-string", "components-number",
-            "point-float"])
+            "point-float", "p-beyond-cap", "p-1e18-beyond-cap",
+            "residue-q-beyond-cap", "residue-k-beyond-cap"])
     def test_malformed_config_exits_two(self, config):
         res = run("member", "--config", config, "--phi", "x")
         assert res.exit_code == 2, res.output
@@ -198,3 +217,8 @@ class TestErrors:
     def test_depth_below_one_exits_two(self, depth):
         res = run("member", "--config", RING5, "--phi", "x", "--depth", depth)
         assert res.exit_code == 2, res.output
+
+    def test_scan_order_beyond_cap_exits_two(self):
+        res = run("scan", "fieldmaps", "--order", "1000003")
+        assert res.exit_code == 2, res.output
+        assert "exceeds the cap" in res.output

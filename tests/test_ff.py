@@ -3,7 +3,8 @@ import random
 import pytest
 
 from ivrf.errors import ResourceError, StructuralError
-from ivrf.ff import FiniteField, RatFuncField
+from ivrf.ff import FiniteField, RatFuncField, polynomials, rf_pth_root
+from ivrf.ratfun import RationalFunction
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
@@ -47,6 +48,41 @@ def test_table_cap():
         FiniteField(2, 7)  # GF(128) beyond the table cap
 
 
+@pytest.mark.parametrize("args,error", [
+    ((4,), StructuralError),            # not prime
+    ((2, 7), ResourceError),            # GF(128) beyond the table cap
+    ((2, 0), StructuralError),          # no extension of degree 0
+    ((2, 10 ** 12), ResourceError),     # 2^(10^12) is never built
+    ((100000007,), ResourceError),      # prime beyond the prime cap
+    ((1000000000000000003,), ResourceError),
+])
+def test_invalid_field_raises_every_time(args, error):
+    # a failed construction leaves nothing half-built in the cache
+    for _ in range(3):
+        with pytest.raises(error):
+            FiniteField(*args)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 1)])
+def test_polynomials_enumeration(p, k):
+    F = FiniteField(p, k)
+    q = F.order
+    for d in range(3):
+        every = list(polynomials(F, d, var="w"))
+        monic = list(polynomials(F, d, monic=True, var="w"))
+        assert len(every) == q ** (d + 1)
+        assert len(monic) == sum(q ** i for i in range(d + 1))
+        assert every[0].is_zero() and not monic[0].is_zero()
+        for polys in (every, monic):
+            assert len({f.coeffs for f in polys}) == len(polys)
+            assert all(f.var == "w" for f in polys)
+            assert all(f.degree <= d for f in polys)
+            degrees = [f.degree for f in polys]
+            assert degrees == sorted(degrees)
+        assert all(f.leading() == F.one() for f in monic)
+    assert all(f.var == "x" for f in polynomials(F, 1))
+
+
 def test_division_by_zero():
     F = FiniteField(2, 2)
     with pytest.raises(StructuralError):
@@ -80,6 +116,14 @@ class TestRatFuncField:
         assert self.L.pth_root(u ** 2) == u
         assert self.L.pth_root(u) is None
         assert self.L.pth_root((u ** 2 + 1) / u ** 4) == (u + 1) / u ** 2
+        # the same path one level up, over GF(2)(u)(x)
+        x = RationalFunction.gen(self.L)
+        U = RationalFunction.constant(self.L, u)
+        H = (1 + U * x) / (x ** 2 + U ** 3)
+        assert rf_pth_root(H ** 2, 2) == H
+        assert rf_pth_root(x ** 2 + U ** 2, 2) == x + U
+        assert rf_pth_root(U * x ** 2, 2) is None   # u has no square root
+        assert rf_pth_root(x ** 3, 2) is None       # odd exponent
 
     def test_small_elements_distinct(self):
         seen = []

@@ -264,7 +264,7 @@ class TestResidueRoots:
         L = RatFuncField(FiniteField(2), "u")
         big = L.gen() ** 9
         p = Polynomial(L, [big, L.one()])
-        roots, complete = residue_roots(p, L, cap=4)
+        roots, complete = residue_roots(p, L)
         assert not complete
 
     def test_m_star_strictness_within_pullback(self):

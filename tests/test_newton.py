@@ -7,7 +7,7 @@ from ivrf.errors import PreconditionError, StructuralError
 from ivrf.ff import FiniteField, RatFuncField
 from ivrf.fields import HahnFinite, LexRank2, PAdicQ, TAdicRat
 from ivrf.newton import (find_simultaneous_point, local_poly, minval_poly,
-                         minval_rat, pl_eval, predict, slopes_check)
+                         minval_rat, predict, slopes_check)
 from ivrf.ordgroup import INFINITY
 from ivrf.ratfun import Polynomial, RationalFunction
 
@@ -92,7 +92,7 @@ class TestMinvalRat:
                 gamma = G.element(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
                 expect = (direct_min(phi.num, Q5, gamma)
                           - direct_min(phi.den, Q5, gamma))
-                assert pl_eval(pl, gamma) == expect
+                assert pl.eval(gamma) == expect
 
 
 class TestLocalPoly:

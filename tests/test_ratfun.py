@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ivrf.errors import StructuralError
 from ivrf.fields import QQ, HahnFinite, LexRank2, PAdicQ, TAdicRat
 from ivrf.ff import FiniteField, RatFuncField
-from ivrf.ratfun import (POLE, Polynomial, RationalFunction, evaluate,
-                         identity_check, normalize, parse_ratfun)
+from ivrf.ratfun import POLE, Polynomial, RationalFunction, parse_ratfun
 
 
 def qpoly(*cs):
@@ -35,11 +34,11 @@ def fraction_horner(coeffs, a):
 
 class TestNormalize:
     def test_common_factor(self):
-        r = normalize(qpoly(-1, 0, 1), qpoly(-1, 1))  # (x^2-1)/(x-1)
+        r = RationalFunction(qpoly(-1, 0, 1), qpoly(-1, 1))  # (x^2-1)/(x-1)
         assert r == x + 1
 
     def test_unit_content(self):
-        assert normalize(qpoly(0, 2), qpoly(2)) == x
+        assert RationalFunction(qpoly(0, 2), qpoly(2)) == x
 
     def test_gf2_example(self):
         F2 = FiniteField(2)
@@ -48,29 +47,29 @@ class TestNormalize:
         assert r.num == P(1, 1, 1) and r.den == P(1)
 
     def test_idempotent(self):
-        r = normalize(qpoly(0, 6, 6), qpoly(0, 0, 3))
-        again = normalize(r.num, r.den)
+        r = RationalFunction(qpoly(0, 6, 6), qpoly(0, 0, 3))
+        again = RationalFunction(r.num, r.den)
         assert r == again
 
     def test_zero_denominator(self):
         with pytest.raises(StructuralError):
-            normalize(qpoly(1), qpoly())
+            RationalFunction(qpoly(1), qpoly())
 
     def test_denominator_monic(self):
-        r = normalize(qpoly(1), qpoly(2, 4))
+        r = RationalFunction(qpoly(1), qpoly(2, 4))
         assert r.den.leading() == Fraction(1)
 
 
 class TestEvaluate:
     def test_square(self):
-        assert evaluate(x ** 2, Fraction(3)) == 9
+        assert (x ** 2).evaluate(Fraction(3)) == 9
 
     def test_pole(self):
-        assert evaluate(1 / x, Fraction(0)) is POLE
+        assert (1 / x).evaluate(Fraction(0)) is POLE
 
     def test_theta_at_one(self):
         theta = (6 * (1 + x ** 4)) / ((1 + 6 * x ** 2) * (6 + x ** 2))
-        assert evaluate(theta, Fraction(1)) == Fraction(12, 49)
+        assert theta.evaluate(Fraction(1)) == Fraction(12, 49)
 
     @pytest.mark.parametrize("field", [QQ, PAdicQ(5)], ids=["QQ", "Q5"])
     def test_pole_exactly_at_denominator_roots(self, field):
@@ -124,14 +123,14 @@ class TestArith:
 class TestIdentity:
     def test_psi_identity(self):
         psi = x ** 2 / (x ** 4 + 6)
-        assert identity_check(x ** 2 * (1 - x ** 2 * psi), 6 * psi)
+        assert x ** 2 * (1 - x ** 2 * psi) == 6 * psi
 
     def test_theta_symmetry(self):
         theta = (6 * (1 + x ** 4)) / ((1 + 6 * x ** 2) * (6 + x ** 2))
-        assert identity_check(theta.compose(1 / x), theta)
+        assert theta.compose(1 / x) == theta
 
     def test_distinct(self):
-        assert not identity_check(x, x + 1)
+        assert x != x + 1
 
 
 class TestParse:
@@ -211,7 +210,7 @@ def test_identity_implies_pointwise_agreement(nc, dc):
         return
     phi = RationalFunction(f, g)
     psi = RationalFunction(f.scale(Fraction(3)), g.scale(Fraction(3)))
-    assert identity_check(phi, psi)
+    assert phi == psi
     for k in range(20):
         a = Fraction(k - 10, 3)
         assert phi.evaluate(a) == psi.evaluate(a)

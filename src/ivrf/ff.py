@@ -7,7 +7,9 @@ inversion run off tables built once per field (q <= 64, so a two-operand
 table has at most 4096 entries); the digits are taken apart only while the
 tables are built and when an element is printed.  Prime fields up to
 p = 2^16 use plain modular arithmetic.  GF(q)(u) is built from the generic
-polynomial core with variable ``u``.
+polynomial core with variable ``u``; GF(2) sets ``poly_bits``, so its
+polynomials are packed into ints (bit i the coefficient of u^i), and the
+polynomial arithmetic under the GF(2)(u) towers runs on ints.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ class FiniteField:
         self.k = k
         self.q = q
         self.gen_name = gen_name
+        # polynomials over GF(2) are packed into ints (ratfun._GF2Polynomial)
+        self.poly_bits = q == 2
         self._els = [FFElement(self, i) for i in range(q)]
         if k > 1:
             self.modulus = self._find_irreducible()
@@ -458,7 +462,7 @@ def _poly_pth_root(poly, p):
     field = poly.field
     out = {}
     for i in poly.support():
-        r = None if i % p else field.pth_root(poly.coeffs[i])
+        r = None if i % p else field.pth_root(poly.coeff(i))
         if r is None:
             return None
         out[i // p] = r

@@ -231,7 +231,7 @@ class TAdicRat(ValuedField):
         if v is INFINITY or v > self.group.zero():
             return self.kappa.zero()
         m = self._ord(x.num)
-        return x.num.coeffs[m] / x.den.coeffs[m]
+        return x.num.coeff(m) / x.den.coeff(m)
 
     def lift(self, r):
         return RationalFunction.constant(self.kappa, r, self.var)
@@ -308,7 +308,7 @@ class LexRank2(ValuedField):
     def _poly_val(self, poly):
         best = None
         for j in poly.support():
-            cand = (self._ord1(poly.coeffs[j]), j)
+            cand = (self._ord1(poly.coeff(j)), j)
             if best is None or cand < best:
                 best = cand
         return best
@@ -326,11 +326,11 @@ class LexRank2(ValuedField):
         if v is INFINITY or v > self.group.zero():
             return self.kappa.zero()
         a, j = self._poly_val(x.num)
-        cf = x.num.coeffs[j]
-        cg = x.den.coeffs[j]
+        cf = x.num.coeff(j)
+        cg = x.den.coeff(j)
         ratio = cf / cg  # t1-adic unit in kappa(t1)
         m = min(ratio.num.support())
-        return ratio.num.coeffs[m] / ratio.den.coeffs[m]
+        return ratio.num.coeff(m) / ratio.den.coeff(m)
 
     def lift(self, r):
         return RationalFunction.constant(self.inner, self.inner.constant(r), self.var2)
@@ -562,14 +562,14 @@ def _hahn_canon(field, num, den):
         new_num = HahnSum(kappa, tuple((e - e0, c * inv) for e, c in num.terms))
         return new_num, field._one_sum
     m = _exp_lcm((num, den))
-    a, npoly = _sum_to_poly(num, m)
-    b, dpoly = _sum_to_poly(den, m)
+    a, b = num.min_exp(), den.min_exp()
+    npoly, dpoly = _sum_to_poly(num, m, a), _sum_to_poly(den, m, b)
     if npoly.degree > 0 and dpoly.degree > 0:
         g = Polynomial.gcd(npoly, dpoly)
         if g.degree > 0:
             npoly = npoly // g
             dpoly = dpoly // g
-    c0 = dpoly.coeffs[0]
+    c0 = dpoly.coeff(0)
     if c0 != one:
         inv = one / c0
         npoly = npoly.scale(inv)
@@ -589,16 +589,16 @@ def _exp_lcm(sums):
     return m
 
 
-def _sum_to_poly(hs, m):
-    """(a, P) with hs = t^a * P(t^(1/m)), P in kappa[s] and P(0) != 0."""
-    a = hs.min_exp()
-    return a, Polynomial.from_dict(
+def _sum_to_poly(hs, m, a):
+    """P in kappa[s] with hs = t^a * P(t^(1/m)), for a at most the least
+    exponent of hs (P(0) != 0 when a is the least)."""
+    return Polynomial.from_dict(
         hs.kappa, {int((e - a) * m): c for e, c in hs.terms}, "s")
 
 
 def _poly_to_sum(kappa, poly, m, shift=Fraction(0)):
     """t^shift * poly(t^(1/m)) as a Hahn sum."""
-    return HahnSum(kappa, tuple((shift + Fraction(i, m), poly.coeffs[i])
+    return HahnSum(kappa, tuple((shift + Fraction(i, m), poly.coeff(i))
                                 for i in poly.support()))
 
 
@@ -663,17 +663,10 @@ class HahnFinite(ValuedField):
 
     def _s_fraction(self, x, m):
         """x as a (numerator, denominator) pair in kappa[s], s = t^(1/m)."""
-        b, den = _sum_to_poly(x.den, m)
-        if x.is_zero():
-            return Polynomial.zero(self.kappa, "s"), den
-        a, num = _sum_to_poly(x.num, m)
-        k = int((a - b) * m)
-        pad = [self.kappa.zero()] * abs(k)
-        if k > 0:
-            num = Polynomial(self.kappa, pad + list(num.coeffs), "s")
-        elif k < 0:
-            den = Polynomial(self.kappa, pad + list(den.coeffs), "s")
-        return num, den
+        a = x.den.min_exp()
+        if not x.is_zero():
+            a = min(a, x.num.min_exp())
+        return _sum_to_poly(x.num, m, a), _sum_to_poly(x.den, m, a)
 
     def valuation(self, x):
         if x.is_zero():

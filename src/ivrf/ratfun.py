@@ -5,7 +5,15 @@ object provides ``zero()``, ``one()`` and ``from_int(n)`` (and, optionally,
 ``poly_gcd(a, b)``: see ``Polynomial.gcd``), and its elements carry
 arithmetic through operator overloading (exact, no floats).  Rational
 functions are always held in canonical form: numerator and denominator
-coprime, denominator monic.  Equality is therefore syntactic.
+coprime, denominator monic.  Equality is therefore syntactic; two
+polynomials are equal when they have the same variable and equal
+coefficients.
+
+A polynomial over GF(2) (a field with ``poly_bits`` set) is stored as one
+int, bit i the coefficient of var^i (``_GF2Polynomial``): addition is xor,
+multiplication shift-xor, division and the gcd shifted xor.  The GF(2)(u)
+towers rest on this ring.  Every other field keeps the dense coefficient
+tuple; both print the same.
 
 The operations are methods: ``RationalFunction(f, g)`` normalizes f/g,
 ``phi.evaluate(a)`` returns a value or ``POLE``, ``phi.compose(psi)``
@@ -45,9 +53,18 @@ POLE = _Pole()
 
 
 class Polynomial:
-    """Dense univariate polynomial; trailing zeros trimmed."""
+    """Dense univariate polynomial; trailing zeros trimmed.
+
+    Over a field that sets ``poly_bits`` (GF(2)) the constructor returns a
+    ``_GF2Polynomial`` instead, which packs the coefficients into one int.
+    """
 
     __slots__ = ("field", "coeffs", "var")
+
+    def __new__(cls, field, coeffs=(), var="x"):
+        if getattr(field, "poly_bits", False):
+            return object.__new__(_GF2Polynomial)
+        return object.__new__(cls)
 
     def __init__(self, field, coeffs, var="x"):
         zero = field.zero()
@@ -57,6 +74,19 @@ class Polynomial:
         self.field = field
         self.coeffs = tuple(coeffs)
         self.var = var
+
+    def _new(self, coeffs):
+        """A polynomial in this one's field and variable from a coefficient
+        list, which is trimmed in place; arithmetic results skip the class
+        dispatch of the constructor."""
+        zero = self.field.zero()
+        while coeffs and coeffs[-1] == zero:
+            coeffs.pop()
+        p = object.__new__(Polynomial)
+        p.field = self.field
+        p.coeffs = tuple(coeffs)
+        p.var = self.var
+        return p
 
     # -- constructors ------------------------------------------------
 
@@ -110,10 +140,11 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (type(other) is type(self) and self.var == other.var
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash(("poly", self.coeffs))
+        return hash(("poly", self.var, self.coeffs))
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -130,12 +161,12 @@ class Polynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Polynomial(self.field, out, self.var)
+        return self._new(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.field, [-c for c in self.coeffs], self.var)
+        return self._new([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -156,7 +187,7 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         if self.is_zero() or other.is_zero():
-            return Polynomial.zero(self.field, self.var)
+            return self._new([])
         zero = self.field.zero()
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -164,7 +195,7 @@ class Polynomial:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return Polynomial(self.field, out, self.var)
+        return self._new(out)
 
     __rmul__ = __mul__
 
@@ -181,7 +212,7 @@ class Polynomial:
         return result
 
     def scale(self, c):
-        return Polynomial(self.field, [a * c for a in self.coeffs], self.var)
+        return self._new([a * c for a in self.coeffs])
 
     def __divmod__(self, other):
         if not isinstance(other, Polynomial):
@@ -201,8 +232,7 @@ class Polynomial:
             q[i - dn] = factor
             for j, b in enumerate(other.coeffs):
                 rem[i - dn + j] = rem[i - dn + j] - factor * b
-        return (Polynomial(self.field, q, self.var),
-                Polynomial(self.field, rem, self.var))
+        return self._new(q), self._new(rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -222,6 +252,7 @@ class Polynomial:
     def gcd(a, b):
         """Monic greatest common divisor.
 
+        * Over GF(2) (packed, ``_GF2Polynomial``): Euclid on the ints.
         * Over rational-function coefficients F(v) the denominators are
           cleared once and the gcd is taken in F[v][x] by the primitive
           remainder sequence (Collins, J. ACM 1967; Brown, J. ACM 1971):
@@ -236,8 +267,13 @@ class Polynomial:
           primitive form (integer content over the rationals); without that
           the coefficient sizes explode on inputs of moderate degree.
 
-        The monic gcd is unique, so all three give the same result.
+        The monic gcd is unique, so all of them give the same result.
         """
+        if type(a) is _GF2Polynomial:
+            x, y = a.bits, b.bits
+            while y:
+                x, y = y, _gf2_mod(x, y)
+            return a._new(x)
         if a.is_zero():
             return b.monic()
         if b.is_zero():
@@ -247,7 +283,7 @@ class Polynomial:
         field_gcd = getattr(a.field, "poly_gcd", None)
         if field_gcd is not None:
             return field_gcd(a, b)
-        if isinstance(a.coeffs[-1], RationalFunction):
+        if isinstance(a.leading(), RationalFunction):
             g = fraction_free_gcd([(c.num, c.den) for c in a.coeffs],
                                   [(c.num, c.den) for c in b.coeffs])
             lead = g[-1]
@@ -304,14 +340,12 @@ class Polynomial:
         return self.to_str()
 
     def to_str(self):
-        if not self.coeffs:
+        if self.is_zero():
             return "0"
         one = self.field.one()
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == self.field.zero():
-                continue
+        for i in reversed(self.support()):
+            c = self.coeff(i)
             cs = str(c)
             if i == 0:
                 parts.append(_paren(cs))
@@ -323,6 +357,163 @@ class Polynomial:
 
 def _paren(s):
     return f"({s})" if ("+" in s or "-" in s[1:] or "/" in s or " " in s) else s
+
+
+class _GF2Polynomial(Polynomial):
+    """A polynomial over GF(2) packed into one int: bit i is the coefficient
+    of var^i.  Addition is xor, multiplication shift-xor, and division and
+    the gcd (in ``Polynomial.gcd``) are shifted xor on the ints.  Only
+    printing and rare readers go through ``coeffs``, which unpacks."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self, field, coeffs, var="x"):
+        bits = 0
+        for i, c in enumerate(coeffs):
+            if c:
+                bits |= 1 << i
+        self.field = field
+        self.bits = bits
+        self.var = var
+
+    def _new(self, bits):
+        p = object.__new__(_GF2Polynomial)
+        p.field = self.field
+        p.bits = bits
+        p.var = self.var
+        return p
+
+    @property
+    def coeffs(self):
+        bits, f = self.bits, self.field
+        return tuple(f.from_int(bits >> i) for i in range(bits.bit_length()))
+
+    # -- structure ---------------------------------------------------
+
+    @property
+    def degree(self):
+        return self.bits.bit_length() - 1
+
+    def is_zero(self):
+        return not self.bits
+
+    def is_constant(self):
+        return self.bits < 2
+
+    def leading(self):
+        if not self.bits:
+            raise StructuralError("zero polynomial has no leading coefficient")
+        return self.field.one()
+
+    def coeff(self, i):
+        return self.field.from_int(self.bits >> i if i >= 0 else 0)
+
+    def support(self):
+        out = []
+        bits = self.bits
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return (type(other) is _GF2Polynomial and self.bits == other.bits
+                and self.var == other.var and self.field is other.field)
+
+    def __hash__(self):
+        return hash(("poly", self.var, self.bits))
+
+    def __bool__(self):
+        return self.bits != 0
+
+    # -- arithmetic --------------------------------------------------
+
+    def __add__(self, other):
+        if type(other) is not _GF2Polynomial:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._new(self.bits ^ other.bits)
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __neg__(self):
+        return self
+
+    def __mul__(self, other):
+        if type(other) is not _GF2Polynomial:
+            if isinstance(other, RationalFunction):
+                return NotImplemented
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._new(_gf2_mul(self.bits, other.bits))
+
+    __rmul__ = __mul__
+
+    def scale(self, c):
+        return self if c else self._new(0)
+
+    def __divmod__(self, other):
+        if type(other) is not _GF2Polynomial:
+            return NotImplemented
+        if not other.bits:
+            raise StructuralError("polynomial division by zero")
+        q, r = _gf2_divmod(self.bits, other.bits)
+        return self._new(q), self._new(r)
+
+    def monic(self):
+        return self
+
+    def evaluate(self, a):
+        """The value at a point: bit 0 at 0, the parity of the bits at 1,
+        and Horner on the bits at any other point."""
+        field = self.field
+        if a == field.zero():
+            return self.coeff(0)
+        if a == field.one():
+            return field.from_int(self.bits.bit_count())
+        acc = field.zero()
+        for i in range(self.degree, -1, -1):
+            acc = acc * a + self.coeff(i)
+        return acc
+
+
+def _gf2_mul(a, b):
+    """Carry-less product of two packed GF(2) polynomials: one shifted copy
+    of the longer operand per set bit of the shorter."""
+    if a.bit_length() > b.bit_length():
+        a, b = b, a
+    out = 0
+    while a:
+        low = a & -a
+        out ^= b << (low.bit_length() - 1)
+        a ^= low
+    return out
+
+
+def _gf2_divmod(a, b):
+    """Quotient and remainder of packed GF(2) polynomials, b nonzero."""
+    db = b.bit_length()
+    q = 0
+    shift = a.bit_length() - db
+    while shift >= 0:
+        q |= 1 << shift
+        a ^= b << shift
+        shift = a.bit_length() - db
+    return q, a
+
+
+def _gf2_mod(a, b):
+    db = b.bit_length()
+    shift = a.bit_length() - db
+    while shift >= 0:
+        a ^= b << shift
+        shift = a.bit_length() - db
+    return a
 
 
 # -- gcd over F[v][x] -------------------------------------------------------
@@ -467,9 +658,7 @@ class RationalFunction:
     def as_constant(self):
         if not self.is_constant():
             raise StructuralError("not a constant rational function")
-        if self.num.is_zero():
-            return self.field.zero()
-        return self.num.coeffs[0]
+        return self.num.coeff(0)
 
     def __eq__(self, other):
         if isinstance(other, RationalFunction):
@@ -479,7 +668,7 @@ class RationalFunction:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("ratfun", self.num.coeffs, self.den.coeffs))
+        return hash(("ratfun", self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -610,7 +799,7 @@ class RationalFunction:
         ``POLE`` when the denominator's integer numerator is 0, and otherwise
         one ``Fraction`` built from the two unreduced pairs.
         """
-        if isinstance(a, Fraction) and isinstance(self.den.coeffs[-1], Fraction):
+        if isinstance(a, Fraction) and isinstance(self.den.leading(), Fraction):
             dn, dd = _q_horner(self.den.coeffs, a)
             if dn == 0:
                 return POLE
@@ -686,11 +875,11 @@ def _compose_poly(p, other):
     other.den**deg(p); the caller supplies the denominator power."""
     if p.is_zero():
         return Polynomial.zero(p.field, other.var)
-    acc = Polynomial.constant(p.field, p.coeffs[-1], other.var)
+    acc = Polynomial.constant(p.field, p.leading(), other.var)
     power = Polynomial.constant(p.field, p.field.one(), other.var)
-    for c in reversed(p.coeffs[:-1]):
+    for i in range(p.degree - 1, -1, -1):
         power = power * other.den
-        acc = acc * other.num + power.scale(c)
+        acc = acc * other.num + power.scale(p.coeff(i))
     return acc
 
 

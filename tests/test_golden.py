@@ -5,13 +5,22 @@ as sorted-key JSON (``default=str``, like ``ivrf verify``, without the
 indentation) with the wall-clock ``elapsed`` field removed.  A change
 that alters any certified verdict, witness, envelope or printed rational
 function changes a digest; a pure speed-up does not.
+
+The suites meet the GF(2)(u) towers only in ``witnesses`` and ``mstar``,
+so one more digest pins canonical forms and verdicts over the fields whose
+arithmetic rests on GF(2)[v] (see ``test_tower_digest``).
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
+from ivrf.ff import FiniteField, RatFuncField
+from ivrf.fields import ConstantSubfield, HahnFinite, LexRank2, PVDSpec, TAdicRat
+from ivrf.intr import DomainSpec, intr_member
+from ivrf.ratfun import Polynomial, RationalFunction
 from ivrf.suites import run_suite
 
 GOLDEN = {
@@ -35,3 +44,42 @@ def test_report_digest(suite):
     body = {k: v for k, v in rep.items() if k != "elapsed"}
     text = json.dumps(body, sort_keys=True, default=str)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[suite]
+
+
+GF2 = FiniteField(2)
+GF2_U = RatFuncField(GF2, "u")
+# field name -> (domain, number of seeded pairs).  Two pairs over
+# Hahn/GF(2)(u): with polynomials over GF(2) held as coefficient lists the
+# third took more than 25 minutes to normalize.
+TOWER_DOMAINS = {
+    "GF2(u)(t)": (DomainSpec.pvd(PVDSpec(TAdicRat(GF2_U), ConstantSubfield(GF2_U))), 6),
+    "hahn/GF2(u)": (DomainSpec.pvd(PVDSpec(HahnFinite(GF2_U), ConstantSubfield(GF2_U))), 2),
+    "lex2": (DomainSpec.valuation_ring(LexRank2(GF2)), 6),
+    "hahn/GF2": (DomainSpec.valuation_ring(HahnFinite(GF2)), 6),
+}
+TOWER_DIGEST = "cc87de195bf12a1d350aef5748c4ba23e3862f12a5de5d0a78e3c290c1487c45"
+
+
+def _nonzero_poly(V, rng):
+    while True:
+        p = Polynomial(V, [V.random_element(rng) for _ in range(rng.randint(1, 3))])
+        if not p.is_zero():
+            return p
+
+
+def test_tower_digest():
+    # Per field, seeded pairs a, b of quotients of degree <= 2 polynomials;
+    # each line is a product or quotient as printed, and the kind and
+    # witness of intr_member(depth=3) on it.
+    lines = []
+    for name, (D, pairs) in TOWER_DOMAINS.items():
+        V = D.field
+        rng = random.Random(f"tower-golden:{name}")
+        for _ in range(pairs):
+            a = RationalFunction(_nonzero_poly(V, rng), _nonzero_poly(V, rng))
+            b = RationalFunction(_nonzero_poly(V, rng), _nonzero_poly(V, rng))
+            for phi in (a * b, a / b):
+                v = intr_member(phi, D, depth=3)
+                lines.append(f"{name}\t{phi}\t{v.kind}\t{getattr(v, 'witness', '')}")
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == TOWER_DIGEST

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ivrf.errors import StructuralError
-from ivrf.fields import QQ, HahnFinite, LexRank2, PAdicQ, TAdicRat
+from ivrf.fields import (QQ, ConstantSubfield, HahnFinite, LexRank2, PAdicQ,
+                         PVDSpec, TAdicRat)
 from ivrf.ff import FiniteField, RatFuncField
-from ivrf.ratfun import POLE, Polynomial, RationalFunction, parse_ratfun
+from ivrf.intr import DomainSpec, intr_member
+from ivrf.ratfun import (POLE, Polynomial, RationalFunction, _GF2Polynomial,
+                         parse_ratfun)
 
 
 def qpoly(*cs):
@@ -303,16 +306,177 @@ def test_gcd_hahn_fractional_exponents():
     assert Polynomial.gcd(f.scale(H.monomial(Fraction(-2, 3))), g) == c
 
 
+def _assert_reduced(r, num, den):
+    assert r.num * den == r.den * num
+    assert r.den.leading() == r.num.field.one()
+    assert Polynomial.gcd(r.num, r.den).degree == 0
+
+
 @pytest.mark.parametrize("V", [TAdicRat(GF2_U), HahnFinite(GF2_U)],
                          ids=["GF2(u)(t)", "hahn/GF2(u)"])
 @pytest.mark.parametrize("seed", range(6))
 def test_tower_normalization_reduces(V, seed):
-    # Degree-2 pairs over the towers, where a Euclid nested at every level
-    # of the tower blows up; checked for a reduced result, not for time.
-    rng = random.Random(seed)
-    num = _random_poly(V, rng, 2)
-    den = _random_poly(V, rng, 2)
-    r = RationalFunction(num, den)
-    assert r.num * den == r.den * num
-    assert r.den.leading() == V.one()
-    assert Polynomial.gcd(r.num, r.den).degree == 0
+    # Degree-2 and degree-3 pairs over the towers, where a Euclid nested at
+    # every level of the tower blows up; checked for a reduced result, not
+    # for time.
+    for degree in (2, 3):
+        rng = random.Random(seed)
+        num = _random_poly(V, rng, degree)
+        den = _random_poly(V, rng, degree)
+        _assert_reduced(RationalFunction(num, den), num, den)
+
+
+def test_tower_parse_reduces():
+    # A Hahn/GF(2)(u) function whose normalization once took minutes in
+    # nested gcds over GF(2)[u] held as coefficient lists.
+    H = HahnFinite(GF2_U)
+    num = ("(t^-1)*x^3 + t^2*x^2 + ((1/(u + 1))*t^{1/2})*x"
+           " + ((u/(u + 1))*t^-1 + (u/(u + 1))*t^{-1/2} + 1/(u + 1))")
+    den = ("((u/(u + 1))*t^{1/2})*x^3 + (((u + 1)/u)*t^{1/3})*x"
+           " + (t^-1 + (u/(u + 1))*t)")
+    r = parse_ratfun(H, f"({num})/({den})")
+    _assert_reduced(r, parse_ratfun(H, num).num, parse_ratfun(H, den).num)
+    assert r.num.degree == 3 and r.den.degree == 3
+
+
+# -- GF(2)[v], packed into ints, against a schoolbook reference --------------
+#
+# The reference works on lists of 0/1 ints, constant term first, with no
+# trailing zeros, so it shares nothing with the packed representation.
+
+def _ref_trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _ref_trim([(a[i] if i < len(a) else 0) ^ (b[i] if i < len(b) else 0)
+                      for i in range(n)])
+
+
+def _ref_mul(a, b):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] ^= x & y
+    return _ref_trim(out)
+
+
+def _ref_divmod(a, b):
+    r = list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    for i in range(len(r) - 1, len(b) - 2, -1):
+        if r[i]:
+            q[i - len(b) + 1] = 1
+            for j, y in enumerate(b):
+                r[i - len(b) + 1 + j] ^= y
+    return _ref_trim(q), _ref_trim(r)
+
+
+def _ref_gcd(a, b):
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return a  # monic: its last entry is 1
+
+
+def _gf2(bits):
+    return Polynomial(GF2, [GF2.from_int(c) for c in bits], "v")
+
+
+# degrees up to 70, across the 30- and 60-bit digits of Python ints
+gf2_lists = st.lists(st.integers(0, 1), max_size=71).map(_ref_trim)
+
+
+@given(gf2_lists, gf2_lists, st.integers(0, 3))
+@example([], [], 0)
+@example([1] * 71, [0] * 30 + [1], 3)
+@example([0] * 60 + [1], [1] * 61, 2)
+@settings(max_examples=200, deadline=None)
+def test_gf2_packed_matches_reference(a, b, n):
+    pa, pb = _gf2(a), _gf2(b)
+    assert type(pa) is _GF2Polynomial
+    assert pa.degree == len(a) - 1
+    assert pa.coeffs == tuple(GF2.from_int(c) for c in a)
+    assert pa.support() == [i for i, c in enumerate(a) if c]
+    assert [pa.coeff(i) for i in range(-1, len(a) + 2)] == (
+        [GF2.zero()] + [GF2.from_int(c) for c in a] + [GF2.zero()] * 2)
+    assert pa.is_constant() == (len(a) <= 1) and pa.is_zero() == (not a)
+    assert pa + pb == _gf2(_ref_add(a, b)) == pa - pb
+    assert -pa == pa
+    assert pa * pb == _gf2(_ref_mul(a, b))
+    power = [1]
+    for _ in range(n):
+        power = _ref_mul(power, a)
+    assert pa ** n == _gf2(power)
+    assert pa.evaluate(GF2.zero()) == GF2.from_int(a[0] if a else 0)
+    assert pa.evaluate(GF2.one()) == GF2.from_int(sum(a))
+    if b:
+        q, r = divmod(pa, pb)
+        assert q * pb + r == pa and r.degree < pb.degree
+        assert (q, r) == tuple(map(_gf2, _ref_divmod(a, b)))
+        assert pa // pb == q and pa % pb == r
+    else:
+        with pytest.raises(StructuralError):
+            divmod(pa, pb)
+    g = Polynomial.gcd(pa, pb)
+    assert g == _gf2(_ref_gcd(a, b))
+    if a or b:
+        assert g.leading() == GF2.one()
+        assert (pa % g).is_zero() and (pb % g).is_zero()
+    else:
+        assert g.is_zero()
+
+
+def test_polynomial_equality_includes_variable():
+    gf2_w = FiniteField(2, 1, "w")  # a second GF(2) object
+    for F in (QQ, GF2, GF2_U):
+        u1 = Polynomial.gen(F, "u") + 1
+        v1 = Polynomial.gen(F, "v") + 1
+        assert u1 != v1
+        assert u1 == Polynomial.gen(F, "u") + 1
+        assert hash(u1) == hash(Polynomial.gen(F, "u") + 1)
+        assert RationalFunction(u1) != RationalFunction(v1)
+    assert Polynomial.gen(QQ, "u") != Polynomial.gen(GF2, "u")
+    # the hash covers the variable and the coefficients, not the field object
+    assert Polynomial.gen(gf2_w, "u") != Polynomial.gen(GF2, "u")
+    assert hash(Polynomial.gen(gf2_w, "u")) == hash(Polynomial.gen(GF2, "u"))
+
+
+# The fields whose arithmetic rests on GF(2)[v], with a domain for
+# intr_member and one function over each.
+GF2_TOWERS = {
+    "GF2(u)(t)": (DomainSpec.pvd(PVDSpec(TAdicRat(GF2_U), ConstantSubfield(GF2_U))),
+                  "t*x/(x^2 + x + u)"),
+    "hahn/GF2(u)": (DomainSpec.pvd(PVDSpec(HahnFinite(GF2_U), ConstantSubfield(GF2_U))),
+                    "t*(x^2 + x)/(x^2 + x + u)"),
+    "lex2": (DomainSpec.valuation_ring(LexRank2(GF2)), "t2*x^2/(x^2 + x + 1)"),
+    "hahn/GF2": (DomainSpec.valuation_ring(HahnFinite(GF2)), "(x^2 + x)/(x^2 + x + 1)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GF2_TOWERS))
+def test_gf2_hot_paths_build_no_coefficient_tuple(name, monkeypatch):
+    # Normalization, gcds and intr_member over the towers read packed
+    # polynomials bit by bit; building their coefficient tuples costs time
+    # and memory on every call, so here it fails.
+    D, text = GF2_TOWERS[name]
+    V = D.field
+    rng = random.Random(f"packed:{name}")
+    polys = [_random_poly(V, rng, 1) for _ in range(6)]
+
+    def unpack(self):
+        raise AssertionError("coefficient tuple of a packed polynomial built")
+
+    monkeypatch.setattr(_GF2Polynomial, "coeffs", property(unpack))
+    fs = [RationalFunction(a, b) for a, b in zip(polys[::2], polys[1::2])
+          if not b.is_zero()]
+    for f, g in zip(fs, fs[1:]):
+        _assert_reduced(f * g, f.num * g.num, f.den * g.den)
+        if not g.is_zero():
+            _assert_reduced(f / g, f.num * g.den, f.den * g.num)
+        Polynomial.gcd(f.num * g.den, f.den * g.den)
+    phi = parse_ratfun(V, text)
+    assert intr_member(phi, D, depth=3).kind in ("in", "out")

@@ -8,7 +8,9 @@ function changes a digest; a pure speed-up does not.
 
 The suites meet the GF(2)(u) towers only in ``witnesses`` and ``mstar``,
 so one more digest pins canonical forms and verdicts over the fields whose
-arithmetic rests on GF(2)[v] (see ``test_tower_digest``).
+arithmetic rests on GF(2)[v] (see ``test_tower_digest``), and another over
+Hahn fields with a dense residue field, GF(4) and GF(3) (see
+``test_hahn_digest``).
 """
 
 import hashlib
@@ -18,7 +20,8 @@ import random
 import pytest
 
 from ivrf.ff import FiniteField, RatFuncField
-from ivrf.fields import ConstantSubfield, HahnFinite, LexRank2, PVDSpec, TAdicRat
+from ivrf.fields import (ConstantSubfield, HahnFinite, LexRank2, PrimePowerSubfield,
+                         PVDSpec, TAdicRat)
 from ivrf.intr import DomainSpec, intr_member
 from ivrf.ratfun import Polynomial, RationalFunction
 from ivrf.suites import run_suite
@@ -67,19 +70,36 @@ def _nonzero_poly(V, rng):
             return p
 
 
-def test_tower_digest():
+def _domain_digest(domains, seed_prefix):
     # Per field, seeded pairs a, b of quotients of degree <= 2 polynomials;
     # each line is a product or quotient as printed, and the kind and
     # witness of intr_member(depth=3) on it.
     lines = []
-    for name, (D, pairs) in TOWER_DOMAINS.items():
+    for name, (D, pairs) in domains.items():
         V = D.field
-        rng = random.Random(f"tower-golden:{name}")
+        rng = random.Random(f"{seed_prefix}:{name}")
         for _ in range(pairs):
             a = RationalFunction(_nonzero_poly(V, rng), _nonzero_poly(V, rng))
             b = RationalFunction(_nonzero_poly(V, rng), _nonzero_poly(V, rng))
             for phi in (a * b, a / b):
                 v = intr_member(phi, D, depth=3)
                 lines.append(f"{name}\t{phi}\t{v.kind}\t{getattr(v, 'witness', '')}")
-    text = "\n".join(lines)
-    assert hashlib.sha256(text.encode()).hexdigest() == TOWER_DIGEST
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_tower_digest():
+    assert _domain_digest(TOWER_DOMAINS, "tower-golden") == TOWER_DIGEST
+
+
+GF4 = FiniteField(2, 2)
+HAHN_GF4 = HahnFinite(GF4)
+HAHN_DOMAINS = {
+    "hahn/GF4": (DomainSpec.valuation_ring(HAHN_GF4), 6),
+    "hahn/GF4 over GF2": (DomainSpec.pvd(PVDSpec(HAHN_GF4, PrimePowerSubfield(GF4, 1))), 6),
+    "hahn/GF3": (DomainSpec.valuation_ring(HahnFinite(FiniteField(3))), 6),
+}
+HAHN_DIGEST = "db6bf9b2a4279f59298845f60af4a308a03cfba1f06b884abf772374b3fcb03b"
+
+
+def test_hahn_digest():
+    assert _domain_digest(HAHN_DOMAINS, "hahn-golden") == HAHN_DIGEST

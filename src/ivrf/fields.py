@@ -190,6 +190,11 @@ class PAdicQ(ValuedField):
         return f"Q(v_{self.p})"
 
 
+def _ord(poly):
+    """The least exponent of a nonzero polynomial."""
+    return min(poly.support())
+
+
 class TAdicRat(ValuedField):
     """kappa(t) with the t-adic valuation; elements are reduced fractions of
     polynomials in t over the residue field kappa."""
@@ -216,21 +221,17 @@ class TAdicRat(ValuedField):
     def gen(self):
         return RationalFunction.gen(self.kappa, self.var)
 
-    @staticmethod
-    def _ord(poly):
-        return min(poly.support())
-
     def valuation(self, x):
         if x.is_zero():
             return INFINITY
-        return GroupElement(self.group, (self._ord(x.num) - self._ord(x.den),))
+        return GroupElement(self.group, (_ord(x.num) - _ord(x.den),))
 
     def residue(self, x):
         v = self.valuation(x)
         self._check_nonneg(v)
         if v is INFINITY or v > self.group.zero():
             return self.kappa.zero()
-        m = self._ord(x.num)
+        m = _ord(x.num)
         return x.num.coeff(m) / x.den.coeff(m)
 
     def lift(self, r):
@@ -369,52 +370,32 @@ def _lcm(a, b):
     return a * b // gcd(a, b)
 
 
-class HahnSum:
-    """Finitely supported sum of c * t^q with q rational; terms sorted by q."""
+def _rescale(p, k, d=1):
+    """The polynomial with the coefficient of s^i in p at s^(i*k/d); d must
+    divide every exponent of p."""
+    return Polynomial.from_dict(p.field, {i * k // d: p.coeff(i) for i in p.support()},
+                                p.var)
 
-    __slots__ = ("kappa", "terms")
 
-    def __init__(self, kappa, terms):
-        merged = {}
-        zero = kappa.zero()
-        for e, c in terms:
-            e = Fraction(e)
-            acc = merged.get(e)
-            c = c if acc is None else acc + c
-            merged[e] = c
-        self.kappa = kappa
-        self.terms = tuple(sorted((e, c) for e, c in merged.items() if c != zero))
+def _spread(f, k):
+    """f(s^k): substituting s^k keeps a reduced fraction reduced and its
+    denominator monic."""
+    if k == 1:
+        return f
+    return RationalFunction(_rescale(f.num, k), _rescale(f.den, k), _canonical=True)
 
-    def is_zero(self):
-        return not self.terms
 
-    def min_exp(self):
-        return self.terms[0][0]
-
-    def coeff(self, e):
-        for te, tc in self.terms:
-            if te == e:
-                return tc
-        return self.kappa.zero()
-
-    def __add__(self, other):
-        return HahnSum(self.kappa, self.terms + other.terms)
-
-    def __neg__(self):
-        return HahnSum(self.kappa, tuple((e, -c) for e, c in self.terms))
-
-    def __mul__(self, other):
-        out = []
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                out.append((e1 + e2, c1 * c2))
-        return HahnSum(self.kappa, out)
-
-    def __eq__(self, other):
-        return isinstance(other, HahnSum) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
+def _hahn(field, m, f):
+    """The element f(t^(1/m)) on its least lattice: m and every exponent of f
+    are divided by their gcd."""
+    k = m
+    for p in (f.num, f.den):
+        for i in p.support():
+            k = gcd(k, i)
+            if k == 1:
+                return HahnElement(field, m, f)
+    return HahnElement(field, m // k, RationalFunction(
+        _rescale(f.num, 1, k), _rescale(f.den, 1, k), _canonical=True))
 
 
 def _exp_str(e):
@@ -422,23 +403,20 @@ def _exp_str(e):
 
 
 class HahnElement:
-    """Reduced fraction of Hahn sums.  Canonical form: the denominator has
-    least exponent 0 with coefficient 1, and numerator/denominator are coprime
-    after the exponent lattice is cleared to t^(1/m)."""
+    """A Hahn field element as a rational function in s = t^(1/m): ``f`` is
+    a reduced ``RationalFunction`` in s over kappa (monic denominator) and
+    ``m`` the least positive integer with the element in kappa(s).  The pair
+    is canonical, so equality is syntactic."""
 
-    __slots__ = ("field", "num", "den")
+    __slots__ = ("field", "m", "f")
 
-    def __init__(self, field, num, den, _canonical=False):
-        if den.is_zero():
-            raise StructuralError("zero denominator")
-        if not _canonical:
-            num, den = _hahn_canon(field, num, den)
+    def __init__(self, field, m, f):
         self.field = field
-        self.num = num
-        self.den = den
+        self.m = m
+        self.f = f
 
     def is_zero(self):
-        return self.num.is_zero()
+        return self.f.is_zero()
 
     def _coerce(self, other):
         if isinstance(other, HahnElement):
@@ -447,17 +425,25 @@ class HahnElement:
             return self.field.from_int(other)
         return None
 
+    def _lattice(self, o):
+        """The lcm of both lattices and both functions spread onto it."""
+        m, n = self.m, o.m
+        if m == n:
+            return m, self.f, o.f
+        lcm = _lcm(m, n)
+        return lcm, _spread(self.f, lcm // m), _spread(o.f, lcm // n)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return HahnElement(self.field, self.num * o.den + o.num * self.den,
-                           self.den * o.den)
+        m, a, b = self._lattice(o)
+        return _hahn(self.field, m, a + b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HahnElement(self.field, -self.num, self.den, _canonical=True)
+        return HahnElement(self.field, self.m, -self.f)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -472,7 +458,8 @@ class HahnElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return HahnElement(self.field, self.num * o.num, self.den * o.den)
+        m, a, b = self._lattice(o)
+        return _hahn(self.field, m, a * b)
 
     __rmul__ = __mul__
 
@@ -482,7 +469,8 @@ class HahnElement:
             return NotImplemented
         if o.is_zero():
             raise StructuralError("division by zero")
-        return HahnElement(self.field, self.num * o.den, self.den * o.num)
+        m, a, b = self._lattice(o)
+        return _hahn(self.field, m, a / b)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -493,48 +481,45 @@ class HahnElement:
     def __pow__(self, n):
         if isinstance(n, Fraction) and n.denominator != 1:
             # Fractional powers only for bare monomials t^q with coefficient 1.
-            if (len(self.num.terms) == 1 and self.num.terms[0][1] == self.field.kappa.one()
-                    and self.den.terms == ((Fraction(0), self.field.kappa.one()),)):
-                return self.field.monomial(self.num.terms[0][0] * n)
+            num, den = self.f.num, self.f.den
+            if (len(num.support()) == 1 and num.leading() == self.field.kappa.one()
+                    and len(den.support()) == 1):
+                return self.field.monomial(Fraction(num.degree - den.degree, self.m) * n)
             raise StructuralError("fractional power of a non-monomial")
-        n = int(n)
-        if n < 0:
-            if self.is_zero():
-                raise StructuralError("zero has no inverse")
-            return HahnElement(self.field, self.den, self.num) ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        # in characteristic p a power can shrink the lattice: (1 + s)^p = 1 + s^p
+        return _hahn(self.field, self.m, self.f ** int(n))
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.field.from_int(other)
         if not isinstance(other, HahnElement):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.m == other.m and self.f == other.f
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.m, self.f))
 
     def __bool__(self):
         return not self.is_zero()
 
     def __repr__(self):
-        def side(s):
+        # Printed as a fraction of sums of c*t^q whose denominator has least
+        # term 1; the denominator is left out when it is 1.
+        num, den = self.f.num, self.f.den
+        low = _ord(den)
+        c0 = den.coeff(low)
+        one = self.field.kappa.one()
+
+        def side(p):
             parts = []
-            one = self.field.kappa.one()
-            for e, c in s.terms:
+            for i in p.support():
+                e = Fraction(i - low, self.m)
+                c = p.coeff(i) / c0
+                cs = str(c)
                 if e == 0:
-                    parts.append(str(c))
+                    parts.append(cs)
                 else:
                     ts = "t" if e == 1 else f"t^{_exp_str(e)}"
-                    cs = str(c)
                     if c == one:
                         parts.append(ts)
                     elif "+" in cs or "-" in cs[1:] or "/" in cs or " " in cs:
@@ -543,70 +528,18 @@ class HahnElement:
                         parts.append(f"{cs}*{ts}")
             return " + ".join(parts) if parts else "0"
 
-        if self.den.terms == ((Fraction(0), self.field.kappa.one()),):
-            return side(self.num)
-        return f"({side(self.num)})/({side(self.den)})"
-
-
-def _hahn_canon(field, num, den):
-    kappa = field.kappa
-    one = kappa.one()
-    if num.is_zero():
-        return (HahnSum(kappa, ()), field._one_sum)
-    # Monomial denominator: divide through exactly, no gcd needed.
-    if len(den.terms) == 1:
-        e0, c0 = den.terms[0]
-        if e0 == 0 and c0 == one:
-            return num, den
-        inv = one / c0
-        new_num = HahnSum(kappa, tuple((e - e0, c * inv) for e, c in num.terms))
-        return new_num, field._one_sum
-    m = _exp_lcm((num, den))
-    a, b = num.min_exp(), den.min_exp()
-    npoly, dpoly = _sum_to_poly(num, m, a), _sum_to_poly(den, m, b)
-    if npoly.degree > 0 and dpoly.degree > 0:
-        g = Polynomial.gcd(npoly, dpoly)
-        if g.degree > 0:
-            npoly = npoly // g
-            dpoly = dpoly // g
-    c0 = dpoly.coeff(0)
-    if c0 != one:
-        inv = one / c0
-        npoly = npoly.scale(inv)
-        dpoly = dpoly.scale(inv)
-    return _poly_to_sum(kappa, npoly, m, a - b), _poly_to_sum(kappa, dpoly, m)
-
-
-# Hahn sums with exponents in (1/m)Z are Laurent polynomials in s = t^(1/m);
-# canonical forms and gcds are computed there.
-
-def _exp_lcm(sums):
-    """The lcm m of the exponent denominators of the given Hahn sums."""
-    m = 1
-    for hs in sums:
-        for e, _ in hs.terms:
-            m = _lcm(m, e.denominator)
-    return m
-
-
-def _sum_to_poly(hs, m, a):
-    """P in kappa[s] with hs = t^a * P(t^(1/m)), for a at most the least
-    exponent of hs (P(0) != 0 when a is the least)."""
-    return Polynomial.from_dict(
-        hs.kappa, {int((e - a) * m): c for e, c in hs.terms}, "s")
-
-
-def _poly_to_sum(kappa, poly, m, shift=Fraction(0)):
-    """t^shift * poly(t^(1/m)) as a Hahn sum."""
-    return HahnSum(kappa, tuple((shift + Fraction(i, m), poly.coeff(i))
-                                for i in poly.support()))
+        if den.degree == low:
+            return side(num)
+        return f"({side(num)})/({side(den)})"
 
 
 class HahnFinite(ValuedField):
     """Fraction field of finitely supported sums sum c_i t^(q_i), q_i in Q.
 
     The valuation ring has divisible value group Q and a maximal ideal that
-    is not principal; the residue field is kappa.
+    is not principal; the residue field is kappa.  An element is a reduced
+    rational function in s = t^(1/m) (``HahnElement``), so the field works
+    like ``TAdicRat`` on the lattice (1/m)Z.
     """
 
     is_discrete = False
@@ -616,12 +549,8 @@ class HahnFinite(ValuedField):
         self.group = GroupSpec.rationals()
         self.residue_field = kappa
         # shared immutable constants
-        self._one_sum = HahnSum(kappa, ((Fraction(0), kappa.one()),))
-        self._zero = HahnElement(self, self._sum(()), self._one_sum, _canonical=True)
-        self._one = HahnElement(self, self._one_sum, self._one_sum, _canonical=True)
-
-    def _sum(self, terms):
-        return HahnSum(self.kappa, terms)
+        self._zero = HahnElement(self, 1, RationalFunction.zero(kappa, "s"))
+        self._one = HahnElement(self, 1, RationalFunction.one(kappa, "s"))
 
     def zero(self):
         return self._zero
@@ -630,18 +559,18 @@ class HahnFinite(ValuedField):
         return self._one
 
     def from_int(self, n):
-        c = self.kappa.from_int(n)
-        if c == self.kappa.zero():
-            return self.zero()
-        return HahnElement(self, self._sum(((Fraction(0), c),)), self._one_sum,
-                           _canonical=True)
+        return self.lift(self.kappa.from_int(n))
 
     def monomial(self, q, c=None):
-        c = self.kappa.one() if c is None else c
-        if c == self.kappa.zero():
+        kappa = self.kappa
+        c = kappa.one() if c is None else c
+        if c == kappa.zero():
             return self.zero()
-        return HahnElement(self, self._sum(((Fraction(q), c),)), self._one_sum,
-                           _canonical=True)
+        q = Fraction(q)
+        a = q.numerator
+        num = Polynomial.from_dict(kappa, {max(a, 0): c}, "s")
+        den = Polynomial.from_dict(kappa, {max(-a, 0): kappa.one()}, "s")
+        return HahnElement(self, q.denominator, RationalFunction(num, den, _canonical=True))
 
     def gen(self):
         return self.monomial(1)
@@ -650,41 +579,37 @@ class HahnFinite(ValuedField):
         """Monic gcd of two polynomials of positive degree over this field.
 
         It is taken in kappa(s)[x], s = t^(1/m) with m the lcm of the
-        exponent denominators of all coefficients: the monic gcd does not
-        change under this field extension, and over kappa(s) the
-        fraction-free gcd of ratfun applies.
+        coefficients' lattices: the monic gcd does not change under this
+        field extension, and over kappa(s) the fraction-free gcd of ratfun
+        applies to the coefficients' (numerator, denominator) pairs.
         """
-        m = _exp_lcm(hs for p in (a, b) for c in p.coeffs for hs in (c.num, c.den))
-        g = fraction_free_gcd([self._s_fraction(c, m) for c in a.coeffs],
-                              [self._s_fraction(c, m) for c in b.coeffs])
-        lead = _poly_to_sum(self.kappa, g[-1], m)
-        return Polynomial(self, [HahnElement(self, _poly_to_sum(self.kappa, c, m), lead)
-                                 for c in g[:-1]] + [self.one()], a.var)
+        m = 1
+        for c in a.coeffs + b.coeffs:
+            m = _lcm(m, c.m)
 
-    def _s_fraction(self, x, m):
-        """x as a (numerator, denominator) pair in kappa[s], s = t^(1/m)."""
-        a = x.den.min_exp()
-        if not x.is_zero():
-            a = min(a, x.num.min_exp())
-        return _sum_to_poly(x.num, m, a), _sum_to_poly(x.den, m, a)
+        def fractions(p):
+            return [(_rescale(c.f.num, m // c.m), _rescale(c.f.den, m // c.m))
+                    for c in p.coeffs]
+
+        g = fraction_free_gcd(fractions(a), fractions(b))
+        return Polynomial(self, [_hahn(self, m, RationalFunction(c, g[-1])) for c in g[:-1]]
+                          + [self.one()], a.var)
 
     def valuation(self, x):
         if x.is_zero():
             return INFINITY
-        return self.group.element(x.num.min_exp())
+        return self.group.element(Fraction(_ord(x.f.num) - _ord(x.f.den), x.m))
 
     def residue(self, x):
         v = self.valuation(x)
         self._check_nonneg(v)
         if v is INFINITY or v > self.group.zero():
             return self.kappa.zero()
-        return x.num.coeff(Fraction(0))
+        k = _ord(x.f.num)
+        return x.f.num.coeff(k) / x.f.den.coeff(k)
 
     def lift(self, r):
-        if r == self.kappa.zero():
-            return self.zero()
-        return HahnElement(self, self._sum(((Fraction(0), r),)), self._one_sum,
-                           _canonical=True)
+        return HahnElement(self, 1, RationalFunction.constant(self.kappa, r, "s"))
 
     def element_of_value(self, gamma):
         return self.monomial(gamma.coords[0])
@@ -692,15 +617,12 @@ class HahnFinite(ValuedField):
     def random_element(self, rng):
         pool = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
                 Fraction(2), Fraction(-1, 2), Fraction(1, 3)]
-        terms = []
+        x = self.zero()
         for _ in range(rng.randint(1, 3)):
             c = (self.kappa.random(rng) if getattr(self.kappa, "is_finite", False)
                  else self.kappa.random(rng, degree=1))
-            terms.append((rng.choice(pool), c))
-        num = self._sum(tuple(terms))
-        if num.is_zero():
-            return self.zero()
-        return HahnElement(self, num, self._one_sum)
+            x = x + self.monomial(rng.choice(pool), c)
+        return x
 
     def symbol_env(self):
         env = {"t": self.gen()}

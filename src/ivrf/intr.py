@@ -28,7 +28,7 @@ from fractions import Fraction
 from .errors import (ConfigError, PreconditionError, StructuralError,
                      UndecidedError)
 from .fields import (FrobeniusSubfield, PVDSpec, _config_value, field_from_config,
-                     in_pullback, pvd_from_config)
+                     ideal_member as _field_ideal, in_pullback, pvd_from_config)
 from .ff import FiniteField, RatFuncField, polynomials, rf_pth_root
 from .newton import local_poly, minval_poly, minval_rat
 from .ordgroup import INFINITY, lattice_point_in_interval
@@ -745,7 +745,6 @@ def ideal_member(phi, ideal, D, depth=3):
                 if ev is POLE:
                     return False
                 for V, _ in D.components:
-                    from .fields import ideal_member as _field_ideal
                     if not _field_ideal(ev, ("m_power", ideal.power), V):
                         return False
             return True

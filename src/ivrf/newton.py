@@ -275,20 +275,3 @@ def slopes_check(phi, t, V):
     cprime = fs[0] - gs[0]
     return c, cprime
 
-
-def find_simultaneous_point(phis, gamma, V, rng, budget=200):
-    """Search for a with v(a) = gamma where every phi attains its envelope.
-
-    Sampling only; returns None when the budget is exhausted (existence is
-    guaranteed for infinite residue fields but is not proved here).
-    """
-    t = V.element_of_value(gamma)
-    L = V.residue_field
-    for _ in range(budget):
-        r = L.random(rng) if getattr(L, "is_finite", False) else L.random(rng, degree=1)
-        if r == L.zero():
-            continue
-        a = t * V.lift(r)
-        if all(predict(phi, a, V)[1] for phi in phis):
-            return a
-    return None

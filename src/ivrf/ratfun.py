@@ -141,7 +141,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return (type(other) is type(self) and self.var == other.var
-                and self.coeffs == other.coeffs)
+                and self.coeffs == other.coeffs and self.field == other.field)
 
     def __hash__(self):
         return hash(("poly", self.var, self.coeffs))
@@ -190,10 +190,13 @@ class Polynomial:
             return self._new([])
         zero = self.field.zero()
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        # the nonzero terms of the second factor, listed once: polynomials
+        # spread onto a finer lattice (Hahn fields) are mostly zeros
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b != zero]
         for i, a in enumerate(self.coeffs):
             if a == zero:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in terms:
                 out[i + j] = out[i + j] + a * b
         return self._new(out)
 

@@ -17,6 +17,11 @@ ALL_FIELDS = [
     LexRank2(FiniteField(2)),
     HahnFinite(RatFuncField(FiniteField(2), "u")),
 ]
+HAHN_FIELDS = [
+    HahnFinite(FiniteField(2)),
+    HahnFinite(FiniteField(2, 2)),
+    HahnFinite(RatFuncField(FiniteField(2), "u")),
+]
 
 
 class TestValuationExamples:
@@ -219,6 +224,12 @@ class TestParsing:
             for s in texts:
                 x = V.parse(s)
                 assert V.parse(str(x)) == x
+        for H in HAHN_FIELDS:
+            rng = random.Random(f"hahn-round-trip:{H.describe()}")
+            for _ in range(10):
+                x = H.random_element(rng) / H.random_nonzero(rng)
+                y = H.parse(str(x))
+                assert y == x and hash(y) == hash(x)
 
     def test_config_round_trip(self):
         V = field_from_config({"variant": "hahn", "residue": {"kind": "ratfunc", "q": 2}})
@@ -237,3 +248,15 @@ def test_hahn_canonical_equality():
     b = (t ** Fraction(1, 2) + t) / t ** Fraction(1, 2)
     assert b == 1 + t ** Fraction(1, 2)
     assert H.valuation(b) == H.group.zero()
+    # seeded random elements on the lattices (1/2)Z and (1/3)Z: canonical
+    # forms make the operations undo each other exactly, with equal hashes,
+    # and a product lands back on the coarsest lattice it lies in
+    for H in HAHN_FIELDS:
+        half, third = H.monomial(Fraction(1, 2)), H.monomial(Fraction(1, 3))
+        assert half * half == H.gen() and hash(half * half) == hash(H.gen())
+        rng = random.Random(f"hahn-canonical:{H.describe()}")
+        for _ in range(10):
+            x = H.random_nonzero(rng) * half + H.random_element(rng)
+            y = H.random_nonzero(rng) * third + H.random_element(rng)
+            for z in ((x * y) / y, (x + y) - y):
+                assert z == x and hash(z) == hash(x)

@@ -6,8 +6,7 @@ import pytest
 from ivrf.errors import PreconditionError, StructuralError
 from ivrf.ff import FiniteField, RatFuncField
 from ivrf.fields import HahnFinite, LexRank2, PAdicQ, TAdicRat
-from ivrf.newton import (find_simultaneous_point, local_poly, minval_poly,
-                         minval_rat, predict, slopes_check)
+from ivrf.newton import local_poly, minval_poly, minval_rat, predict, slopes_check
 from ivrf.ordgroup import INFINITY
 from ivrf.ratfun import Polynomial, RationalFunction
 
@@ -270,25 +269,3 @@ class TestGaussMultiplicativity:
             assert minval_poly(f * g, V) == minval_poly(f, V) + minval_poly(g, V)
             checked += 1
 
-
-def test_simultaneous_point_search():
-    V = HahnFinite(FiniteField(4, 1) if False else FiniteField(2, 2))
-    rng = random.Random(9)
-    P = lambda *cs: Polynomial(V, list(cs))
-    phis = [RationalFunction(P(V.one(), V.one())),
-            RationalFunction(P(V.gen(), V.one(), V.one()))]
-    gamma = V.group.zero()
-    a = find_simultaneous_point(phis, gamma, V, rng, budget=100)
-    assert a is not None
-    assert V.valuation(a) == gamma
-    for phi in phis:
-        assert predict(phi, a, V)[1]
-
-
-def test_simultaneous_point_budget_exhaustion():
-    # over GF(2) residues the only unit class is 1, and it is a root here
-    V = TAdicRat(FiniteField(2))
-    rng = random.Random(10)
-    P = lambda *cs: Polynomial(V, list(cs))
-    phi = RationalFunction(P(V.one(), V.one()))  # 1 + x: residue 1 is a root
-    assert find_simultaneous_point([phi], V.group.zero(), V, rng, budget=30) is None

@@ -440,6 +440,8 @@ def test_polynomial_equality_includes_variable():
         assert hash(u1) == hash(Polynomial.gen(F, "u") + 1)
         assert RationalFunction(u1) != RationalFunction(v1)
     assert Polynomial.gen(QQ, "u") != Polynomial.gen(GF2, "u")
+    # equality covers the field: zero polynomials over two dense fields differ
+    assert Polynomial.zero(QQ, "u") != Polynomial.zero(FiniteField(2, 2), "u")
     # the hash covers the variable and the coefficients, not the field object
     assert Polynomial.gen(gf2_w, "u") != Polynomial.gen(GF2, "u")
     assert hash(Polynomial.gen(gf2_w, "u")) == hash(Polynomial.gen(GF2, "u"))

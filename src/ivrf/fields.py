@@ -8,7 +8,8 @@ valuation onto an ordered group from :mod:`ivrf.ordgroup`:
 * ``LexRank2(kappa)``    kappa(t1)(t2) with the rank-2 lex valuation (Z x Z)
 * ``HahnFinite(kappa)``  fractions of finitely supported sums sum c_i t^(q_i),
                          q_i in Q (divisible group Q, residue kappa; the
-                         maximal ideal is not principal)
+                         maximal ideal is not principal), held as reduced
+                         rational functions in s = t^(1/m)
 
 Residue fields are GF(q) or GF(q)(u).  A pseudovaluation pullback is a field
 plus a subfield predicate on its residue field: x belongs to the pullback iff
@@ -588,8 +589,7 @@ class HahnFinite(ValuedField):
             m = _lcm(m, c.m)
 
         def fractions(p):
-            return [(_rescale(c.f.num, m // c.m), _rescale(c.f.den, m // c.m))
-                    for c in p.coeffs]
+            return [(f.num, f.den) for f in (_spread(c.f, m // c.m) for c in p.coeffs)]
 
         g = fraction_free_gcd(fractions(a), fractions(b))
         return Polynomial(self, [_hahn(self, m, RationalFunction(c, g[-1])) for c in g[:-1]]

@@ -274,4 +274,3 @@ def slopes_check(phi, t, V):
     c = fs[-1] - gs[-1]
     cprime = fs[0] - gs[0]
     return c, cprime
-

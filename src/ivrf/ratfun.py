@@ -6,8 +6,10 @@ object provides ``zero()``, ``one()`` and ``from_int(n)`` (and, optionally,
 arithmetic through operator overloading (exact, no floats).  Rational
 functions are always held in canonical form: numerator and denominator
 coprime, denominator monic.  Equality is therefore syntactic; two
-polynomials are equal when they have the same variable and equal
-coefficients.
+polynomials are equal when they have the same variable, the same field and
+equal coefficients.  Every fraction field in ivrf rests on this one form:
+an element of kappa(t) is a RationalFunction in t, and a Hahn field element
+is one in s = t^(1/m).
 
 A polynomial over GF(2) (a field with ``poly_bits`` set) is stored as one
 int, bit i the coefficient of var^i (``_GF2Polynomial``): addition is xor,
@@ -263,9 +265,11 @@ class Polynomial:
           and only the final gcd is made monic over F(v).  Towers such as
           GF(q)(u)(t) thus reduce to gcds in GF(q)[u] instead of
           normalizing a fraction at every coefficient operation.
-        * A field with a gcd of its own (``field.poly_gcd``, the Hahn
-          fields, which work in kappa(t^(1/m))[x]) gets the two operands
-          once both have positive degree.
+        * A field with a gcd of its own (``field.poly_gcd``) gets the two
+          operands once both have positive degree: the Hahn fields, whose
+          coefficients are rational functions in t^(1/k) for various k,
+          spread them onto one lattice s = t^(1/m) and run
+          ``fraction_free_gcd`` over kappa[s].
         * Otherwise: the Euclidean algorithm, each remainder rescaled to
           primitive form (integer content over the rationals); without that
           the coefficient sizes explode on inputs of moderate degree.

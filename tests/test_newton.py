@@ -268,4 +268,3 @@ class TestGaussMultiplicativity:
                 continue
             assert minval_poly(f * g, V) == minval_poly(f, V) + minval_poly(g, V)
             checked += 1
-

@@ -12,7 +12,7 @@ from ivrf.intr import (DomainSpec, MStar, Pointed, ValueIdeal, VIOLATION,
                        characteristic_set, dichotomy_check, domain_from_config,
                        ideal_member, intr_member, residue_roots)
 from ivrf.newton import minval_rat
-from ivrf.ratfun import POLE, Polynomial, RationalFunction
+from ivrf.ratfun import POLE, Polynomial, RationalFunction, parse_ratfun
 
 Q5 = PAdicQ(5)
 
@@ -358,3 +358,104 @@ class TestDomainConfig:
             "subfield": {"kind": "subgf", "order": 2},
             "E": ["t", "1 + t"]})
         assert len(D.E) == 2
+
+
+_TADIC_GF4 = {"variant": "tadic", "residue": {"kind": "gf", "q": 4}}
+_TADIC_GF2U = {"variant": "tadic", "residue": {"kind": "ratfunc", "q": 2}}
+_SUBGF2 = {"kind": "subgf", "order": 2}
+_CONSTANTS = {"kind": "constants"}
+_FROBENIUS = {"kind": "frobenius", "e": 1}
+# prod (x + c) over the seven squares c among the small residues of GF(2)(u)
+# (numerator and denominator of degree <= 2), so every probe residue is a root
+_SQUARES_PRODUCT = "*".join(
+    f"(x + {c})" for c in ("1", "u^2", "1/u^2", "1/(u^2 + 1)", "u^2/(u^2 + 1)",
+                           "u^2 + 1", "(u^2 + 1)/u^2"))
+
+
+def _out(witness, reason):
+    return {"verdict": "CertifiedOut", "witness": witness, "reason": reason}
+
+
+def _in_clear(component, *pieces):
+    return {"verdict": "CertifiedIn", "depth_used": 1,
+            "certificate": [{"component": component, "pieces": list(pieces)}]}
+
+
+class TestResidueBranches:
+    """One pullback input, E = ring, per branch of the residue checks: the
+    breakpoint ratio r0 * locf/locg (``_point_residue_condition``) and the
+    zero crossing const * c^s (``_residues_into_subfield_powers``)."""
+
+    CASES = {
+        # ratio over a finite enumeration: a value outside F, or all inside
+        "ratio finite out": (_TADIC_GF2U, _CONSTANTS, "x^2 + u",
+                             _out("1", "residue u + 1 outside subfield")),
+        "ratio finite in": (_TADIC_GF4, _SUBGF2, "x^2 + x", _in_clear(
+            "GF(4)(t) t-adic",
+            {"from": None, "to": "0", "slope": 2, "intercept": "0"},
+            {"point": "0", "classes": [{"residue": "*", "case": "exact",
+                                        "ratio": "x^2 + x"}]},
+            {"from": "0", "to": None, "slope": 1, "intercept": "0",
+             "status": "clear"})),
+        # a constant ratio: in F, outside F, and with every probe a root
+        "ratio constant in F": (_TADIC_GF2U, _FROBENIUS,
+                                "(x + 1 + t^2)/(x + 1 + t)",
+                                _out("(1/u)*t + 1",
+                                     "residue 1/(u + 1) outside subfield")),
+        "ratio constant out": (_TADIC_GF2U, _FROBENIUS, "(u*x + u + t)/(x + 1)",
+                               _out("(1/u^2)", "residue u outside subfield")),
+        "ratio constant no probe": (
+            _TADIC_GF2U, _FROBENIUS,
+            f"(u*{_SQUARES_PRODUCT} + t)/({_SQUARES_PRODUCT} + t)",
+            _out("t + ((u^2 + 1)/u^2)",
+                 "residue (u^9 + u^4 + u^3 + u^2 + u)/"
+                 "(u^9 + u^8 + u^3 + u^2 + u + 1) outside subfield")),
+        # a ratio that is a p-th power lands in the Frobenius subfield
+        "ratio pth power": (_TADIC_GF2U, _FROBENIUS, "x^4 + x^2", _in_clear(
+            "GF(2)(u)(t) t-adic",
+            {"from": None, "to": "0", "slope": 4, "intercept": "0"},
+            {"point": "0", "classes": [{"residue": "*", "case": "exact",
+                                        "ratio": "x^4 + x^2"}]},
+            {"from": "0", "to": None, "slope": 2, "intercept": "0",
+             "status": "clear"})),
+        # the bounded probe: a residue outside F, or none found
+        "ratio probe out": (_TADIC_GF2U, _FROBENIUS, "u*x^2 + x",
+                            _out("1", "residue u + 1 outside subfield")),
+        "ratio probe undecided": (_TADIC_GF2U, _FROBENIUS, "x^2 + x", {
+            "verdict": "Unknown", "depth_exhausted": False,
+            "reason": "residue ratio x^2 + x into subfield undecided at 0"}),
+        # value 0 on E = ring: the residues are F's units
+        "powers allowed in": (_TADIC_GF4, _SUBGF2, "x", _in_clear(
+            "GF(4)(t) t-adic",
+            {"from": None, "to": None, "slope": 1, "intercept": "0",
+             "status": "clear"})),
+        "powers allowed out": (_TADIC_GF4, _SUBGF2, "u*x",
+                               _out("1", "residue u outside subfield")),
+        # zero crossings at values 1 and 2 around the breakpoint 3/2
+        "powers finite out": (_TADIC_GF4, _SUBGF2, "t*x/(x^2 + t^3)",
+                              _out("u*t", "residue u + 1 outside subfield")),
+        "powers finite in": (_TADIC_GF4, _SUBGF2, "t^3*x^3/(x^6 + t^9)", _in_clear(
+            "GF(4)(t) t-adic",
+            {"from": None, "to": "3/2", "slope": -3, "intercept": "3",
+             "status": "clear"},
+            {"point": "3/2", "status": "not a value"},
+            {"from": "3/2", "to": None, "slope": 3, "intercept": "-6",
+             "status": "clear"})),
+        "powers power_subset": (_TADIC_GF2U, _FROBENIUS, "t^2*x^2/(x^4 + t^6)",
+                                _in_clear(
+            "GF(2)(u)(t) t-adic",
+            {"from": None, "to": "3/2", "slope": -2, "intercept": "2",
+             "status": "clear"},
+            {"point": "3/2", "status": "not a value"},
+            {"from": "3/2", "to": None, "slope": 2, "intercept": "-4",
+             "status": "clear"})),
+        "powers probe out": (_TADIC_GF2U, _CONSTANTS, "t*x/(x^2 + t^3)",
+                             _out("(1/u)*t", "residue u outside subfield")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_verdict(self, case):
+        field, subfield, text, expected = self.CASES[case]
+        D = domain_from_config({"field": field, "subfield": subfield, "E": "ring"})
+        v = intr_member(parse_ratfun(D.field, text), D, depth=3)
+        assert v.to_json() == expected

@@ -22,8 +22,8 @@ from .fields import (ConstantSubfield, FrobeniusSubfield, FullResidueField,
                      HahnElement, HahnFinite, LexRank2, PAdicQ, PVDSpec,
                      PrimePowerSubfield, QQ, SubfieldSpec, TAdicRat,
                      ValuedField, field_from_config, pvd_from_config)
-from .newton import (PiecewiseLinear, ResiduePolynomial, Segment, local_poly,
-                     minval_poly, minval_rat, predict, slopes_check)
+from .newton import (PiecewiseLinear, Segment, local_poly, minval_poly,
+                     minval_rat, predict, slopes_check)
 from .intr import (CertifiedIn, CertifiedOut, DomainSpec, MStar, Pointed,
                    Unknown, ValueIdeal, WHOLE_FIELD, WHOLE_RING,
                    characteristic_set, dichotomy_check, domain_from_config,

@@ -10,6 +10,7 @@ configuration errors.
 from __future__ import annotations
 
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -17,9 +18,9 @@ import click
 
 from . import constructions as cons
 from .errors import ConfigError, IvrfError
-from .fields import field_from_config, pvd_from_config
 from .ff import FiniteField
-from .fields import PrimePowerSubfield, FullResidueField
+from .fields import (FullResidueField, PrimePowerSubfield, _split_prime_power,
+                     field_from_config, pvd_from_config)
 from .intr import (MStar, Pointed, ValueIdeal, dichotomy_check,
                    domain_from_config, ideal_member, intr_member)
 from .newton import local_poly, minval_rat, predict
@@ -128,7 +129,7 @@ def locpoly(config, expr, at, out):
     t = V.parse(at)
     loc = local_poly(f.num, t, V)
     _emit(_report("locpoly", f=str(f), t=str(t), degree=loc.degree,
-                  local_polynomial=str(loc.poly),
+                  local_polynomial=str(loc),
                   support=loc.support()), out)
 
 
@@ -275,7 +276,6 @@ def construct_separator(preset, phi, samples, out):
 @click.option("--seed", type=int, default=0)
 @click.option("--out", default=None)
 def construct_witness(config, depth, samples, seed, out):
-    import random
     cfg = _load_config(config)
     D = pvd_from_config(cfg)
     rng = random.Random(seed)
@@ -300,7 +300,6 @@ def scan():
 @click.option("--out", default=None)
 def scan_fieldmaps(order, sub_order, degree_bound, exceptions, out):
     """All rational functions mapping a small field into a subfield."""
-    from .fields import _split_prime_power
     p, kk = _split_prime_power(order)
     L = FiniteField(p, kk)
     if sub_order is None:

@@ -5,7 +5,10 @@ encodes the base-p digits of the coefficient vector of the residue class
 modulo a lex-least monic irreducible.  Addition, negation, multiplication and
 inversion run off tables built once per field (q <= 64, so a two-operand
 table has at most 4096 entries); the digits are taken apart only while the
-tables are built and when an element is printed.  Prime fields up to
+tables are built and when an element is printed.  The modulus and the
+products come from ``Polynomial`` arithmetic over GF(p): trial division finds
+the modulus, and each product of two digit vectors is reduced by it with
+``%``.  Prime fields up to
 p = 2^16 use plain modular arithmetic.  GF(q)(u) is built from the generic
 polynomial core with variable ``u``; GF(2) sets ``poly_bits``, so its
 polynomials are packed into ints (bit i the coefficient of u^i), and the
@@ -73,42 +76,16 @@ class FiniteField:
     # -- construction helpers ------------------------------------------
 
     def _find_irreducible(self):
-        """Lex-least monic irreducible of degree k over GF(p)."""
-        p, k = self.p, self.k
-        for tail in itertools.product(range(p), repeat=k):
-            coeffs = list(reversed(tail)) + [1]  # low..high, monic
-            if self._poly_irreducible(coeffs):
-                return tuple(coeffs)
+        """Lex-least monic irreducible of degree k over GF(p), found by trial
+        division by the monic polynomials of degree 1..k//2."""
+        Fp = FiniteField(self.p)
+        divisors = [d for d in polynomials(Fp, self.k // 2, monic=True)
+                    if d.degree > 0]
+        for tail in itertools.product(Fp.elements(), repeat=self.k):
+            f = Polynomial(Fp, (*reversed(tail), Fp.one()))
+            if all(not (f % d).is_zero() for d in divisors):
+                return f
         raise StructuralError("no irreducible polynomial found")  # unreachable
-
-    def _poly_irreducible(self, coeffs):
-        # Trial division by all monic polynomials of degree 1..k//2.
-        p, k = self.p, self.k
-        if coeffs[0] == 0:
-            return False
-        for d in range(1, k // 2 + 1):
-            for tail in itertools.product(range(p), repeat=d):
-                div = list(tail) + [1]
-                if not any(self._poly_mod(coeffs, div)):
-                    return False
-        return True
-
-    def _poly_mod(self, a, b):
-        p = self.p
-        a = list(a)
-        db = len(b) - 1
-        while len(a) - 1 >= db and any(a):
-            while a and a[-1] == 0:
-                a.pop()
-            if len(a) - 1 < db:
-                break
-            c = a[-1]
-            shift = len(a) - 1 - db
-            for i, bc in enumerate(b):
-                a[shift + i] = (a[shift + i] - c * bc) % p
-        while a and a[-1] == 0:
-            a.pop()
-        return a
 
     def _digits(self, idx):
         p = self.p
@@ -130,23 +107,11 @@ class FiniteField:
         self._add_tab = [[self._index([(a + b) % p for a, b in zip(di, dj)])
                           for dj in digits] for di in digits]
         self._neg_tab = [self._index([(-a) % p for a in di]) for di in digits]
-        mul = [[0] * q for _ in range(q)]
-        for i in range(q):
-            di = digits[i]
-            for j in range(i, q):
-                dj = digits[j]
-                prod = [0] * (2 * self.k - 1)
-                for a, ca in enumerate(di):
-                    if ca == 0:
-                        continue
-                    for b, cb in enumerate(dj):
-                        prod[a + b] = (prod[a + b] + ca * cb) % self.p
-                rem = self._poly_mod(prod, list(self.modulus))
-                rem += [0] * (self.k - len(rem))
-                v = self._index(rem[: self.k])
-                mul[i][j] = v
-                mul[j][i] = v
-        self._mul = mul
+        Fp = self.modulus.field
+        polys = [Polynomial(Fp, [Fp.element(d) for d in di]) for di in digits]
+        self._mul = mul = [
+            [self._index([c.idx for c in ((a * b) % self.modulus).coeffs])
+             for b in polys] for a in polys]
         inv = [0] * q
         for i in range(1, q):
             row = mul[i]
@@ -318,7 +283,8 @@ class FFElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.p, self.field.k, self.idx))
+        # equal to hash(n) for the element n of the prime field, 0 <= n < p
+        return hash(self.idx)
 
     def __bool__(self):
         return self.idx != 0

@@ -816,28 +816,6 @@ def in_pullback(V, sub, x):
     return v > zero or sub is None or sub.contains(V.residue(x))
 
 
-def ideal_member(x, which, field_or_pvd):
-    """Membership of a field element in m or a power of m.
-
-    ``which`` is "m" (shared by the valuation ring and any pullback) or
-    ("m_power", k).  For a divisible value group every power of m equals m.
-    """
-    field = field_or_pvd.field if isinstance(field_or_pvd, PVDSpec) else field_or_pvd
-    v = field.valuation(x)
-    zero = field.group.zero()
-    if which == "m":
-        return v is INFINITY or v > zero
-    if isinstance(which, tuple) and which[0] == "m_power":
-        k = which[1]
-        if v is INFINITY:
-            return True
-        if not field.is_discrete:
-            return v > zero
-        step = field.valuation(field.uniformizer())
-        return v >= step.scale(k)
-    raise ConfigError(f"unknown ideal designator {which!r}")
-
-
 # ---------------------------------------------------------------------------
 # configuration ingestion
 # ---------------------------------------------------------------------------

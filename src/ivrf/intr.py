@@ -28,7 +28,7 @@ from fractions import Fraction
 from .errors import (ConfigError, PreconditionError, StructuralError,
                      UndecidedError)
 from .fields import (FrobeniusSubfield, PVDSpec, _config_value, field_from_config,
-                     ideal_member as _field_ideal, in_pullback, pvd_from_config)
+                     in_pullback, pvd_from_config)
 from .ff import FiniteField, RatFuncField, polynomials, rf_pth_root
 from .newton import local_poly, minval_poly, minval_rat
 from .ordgroup import INFINITY, lattice_point_in_interval
@@ -223,8 +223,15 @@ class _Region:
         return lattice_point_in_interval(group, self.lo, self.hi, True, True)
 
 
-def _everywhere():
-    return _Region(None, True, None, True)
+def _region(E, zero, fsub):
+    """The values of the nonzero points of E, and the residue restriction at
+    value ``zero`` (E = ring over a pullback: residues from ``fsub``)."""
+    if E == WHOLE_FIELD:
+        return _Region(None, True, None, True), None
+    if E == WHOLE_RING:
+        return (_Region(zero, False, None, True),
+                (zero, fsub) if fsub is not None else None)
+    raise ConfigError(f"unknown point set {E!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +481,8 @@ def _check_point(ctx, phi, plf, plg, delta, region, restrict0, depth, prec):
     ok_val = ctx.value_ok(val)
     allowed = _allowed_at(delta, restrict0)
 
-    roots_g, complete_g = residue_roots(locg.poly, L)
-    roots_f, complete_f = residue_roots(locf.poly, L)
+    roots_g, complete_g = residue_roots(locg, L)
+    roots_f, complete_f = residue_roots(locf, L)
     if allowed is not None:
         roots_g = {c for c in roots_g if allowed.contains(c)}
         roots_f = {c for c in roots_f if allowed.contains(c)}
@@ -549,60 +556,38 @@ def _point_residue_condition(ctx, phi, locf, locg, t, delta, allowed, roots, pre
     df, dg = locf.degree, locg.degree
     r0 = V.residue((phi.num.coeffs[df] * t ** df) /
                    (phi.den.coeffs[dg] * t ** dg))
-    h = RationalFunction(locf.poly.scale(r0), locg.poly)
+    h = RationalFunction(locf.scale(r0), locg)
     prec["classes"].append({"residue": "*", "case": "exact",
                             "ratio": str(h)})
 
     if (allowed is not None and allowed.is_finite()) or isinstance(L, FiniteField):
-        for c in _small_residues(L, allowed, limit=10 ** 6):
-            if c in roots:
-                continue
-            value = h.evaluate(c)
-            if value is POLE:
-                continue
-            if not ctx.fsub.contains(value):
-                return _Outcome("out", witness=t * V.lift(c),
-                                reason=f"residue {value} outside subfield")
-        return None
+        return _probe(ctx, t, _small_residues(L, allowed, limit=10 ** 6),
+                      h.evaluate, roots)
 
     if h.is_constant():
         const = h.as_constant()
         if ctx.fsub.contains(const):
             return None
-        c = _first_nonroot(L, allowed, roots)
-        if c is not None:
-            return _Outcome("out", witness=t * V.lift(c),
-                            reason=f"residue {const} outside subfield")
-        return _Outcome("unknown", reason="no probe residue found")
+        return (_probe(ctx, t, _small_residues(L, allowed), lambda c: const, roots)
+                or _Outcome("unknown", reason="no probe residue found"))
 
     if isinstance(ctx.fsub, FrobeniusSubfield) and isinstance(L, RatFuncField):
         reduced = h
-        power_ok = True
         for _ in range(ctx.fsub.e):
             reduced = rf_pth_root(reduced, L.base.p)
             if reduced is None:
-                power_ok = False
                 break
-        if power_ok:
+        else:
             return None
 
-    for c in _small_residues(L, allowed):
-        if c in roots:
-            continue
-        value = h.evaluate(c)
-        if value is POLE:
-            continue
-        if not ctx.fsub.contains(value):
-            return _Outcome("out", witness=t * V.lift(c),
-                            reason=f"residue {value} outside subfield")
-    return _Outcome("unknown",
-                    reason=f"residue ratio {h} into subfield undecided at {delta}")
+    return (_probe(ctx, t, _small_residues(L, allowed), h.evaluate, roots)
+            or _Outcome("unknown",
+                        reason=f"residue ratio {h} into subfield undecided at {delta}"))
 
 
 def _residues_into_subfield_powers(ctx, const, s, allowed, t):
     """Need const * c^s in the subfield for every allowed nonzero residue."""
-    V = ctx.V
-    L = V.residue_field
+    L = ctx.V.residue_field
     if allowed is not None:
         # residues restricted to the subfield's units: c^s stays inside, so
         # the condition is exactly const in F, and c = 1 witnesses failure
@@ -611,18 +596,26 @@ def _residues_into_subfield_powers(ctx, const, s, allowed, t):
         return _Outcome("out", witness=t,
                         reason=f"residue {const} outside subfield")
     if isinstance(L, FiniteField):
-        for c in _small_residues(L, None, limit=10 ** 6):
-            if not ctx.fsub.contains(const * c ** s):
-                return _Outcome("out", witness=t * V.lift(c),
-                                reason=f"residue {const * c ** s} outside subfield")
-        return None
+        return _probe(ctx, t, _small_residues(L, None, limit=10 ** 6),
+                      lambda c: const * c ** s)
     if ctx.fsub.contains(const) and ctx.fsub.power_subset(s):
         return None
-    for c in _small_residues(L, None):
-        if not ctx.fsub.contains(const * c ** s):
-            return _Outcome("out", witness=t * V.lift(c),
-                            reason=f"residue {const * c ** s} outside subfield")
-    return _Outcome("unknown", reason="power-residue condition undecided")
+    return (_probe(ctx, t, _small_residues(L, None), lambda c: const * c ** s)
+            or _Outcome("unknown", reason="power-residue condition undecided"))
+
+
+def _probe(ctx, t, residues, value_of, skip=()):
+    """The first residue c outside ``skip`` whose value (a pole is passed
+    over) lands outside the subfield, as an outcome with witness t * lift(c);
+    None when there is none."""
+    for c in residues:
+        if c in skip:
+            continue
+        value = value_of(c)
+        if value is not POLE and not ctx.fsub.contains(value):
+            return _Outcome("out", witness=t * ctx.V.lift(c),
+                            reason=f"residue {value} outside subfield")
+    return None
 
 
 def _first_nonroot(L, allowed, roots):
@@ -679,14 +672,7 @@ def intr_member(phi, D, depth=3):
     unknown = None
     for V, fsub in D.components:
         zero = V.group.zero()
-        if D.E == WHOLE_FIELD:
-            region = _everywhere()
-            restrict0 = None
-        elif D.E == WHOLE_RING:
-            region = _Region(zero, False, None, True)
-            restrict0 = (zero, fsub) if fsub is not None else None
-        else:
-            raise ConfigError(f"unknown point set {D.E!r}")
+        region, restrict0 = _region(D.E, zero, fsub)
         ctx = _Ctx(V, fsub, zero, False)
         out = _certify(ctx, phi, region, restrict0, depth)
         depth_used = max(depth_used, out.depth_used)
@@ -739,39 +725,28 @@ def ideal_member(phi, ideal, D, depth=3):
     if ideal.kind == "value":
         if phi.is_zero():
             return True
+        ctxs = []  # one threshold of m^power per component
+        for V, fsub in D.components:
+            if V.is_discrete:
+                tau = V.valuation(V.uniformizer()).scale(ideal.power)
+                ctxs.append((_Ctx(V, None, tau, False), fsub))
+            else:  # a divisible value group: every power of m is m
+                ctxs.append((_Ctx(V, None, V.group.zero(), True), fsub))
         if isinstance(D.E, (list, tuple)):
             for a in D.E:
                 ev = phi.evaluate(a)
-                if ev is POLE:
+                if ev is POLE or not all(ctx.value_ok(ctx.V.valuation(ev))
+                                         for ctx, _ in ctxs):
                     return False
-                for V, _ in D.components:
-                    if not _field_ideal(ev, ("m_power", ideal.power), V):
-                        return False
             return True
         verdicts = []
-        for V, fsub in D.components:
-            zero = V.group.zero()
-            if V.is_discrete:
-                tau = V.valuation(V.uniformizer()).scale(ideal.power)
-                strict = False
-            else:
-                tau = zero
-                strict = True
-            if D.E == WHOLE_FIELD:
-                region = _everywhere()
-                restrict0 = None
-            else:
-                region = _Region(zero, False, None, True)
-                restrict0 = (zero, fsub) if fsub is not None else None
+        for ctx, fsub in ctxs:
+            V = ctx.V
+            region, restrict0 = _region(D.E, V.group.zero(), fsub)
             ev0 = phi.evaluate(V.zero())
-            if ev0 is POLE:
+            if ev0 is POLE or not ctx.value_ok(V.valuation(ev0)):
                 return False
-            v0 = V.valuation(ev0)
-            if not (v0 is INFINITY or (v0 > tau if strict else v0 >= tau)):
-                return False
-            ctx = _Ctx(V, None, tau, strict)
-            out = _certify(ctx, phi, region, restrict0, depth)
-            verdicts.append(out.status)
+            verdicts.append(_certify(ctx, phi, region, restrict0, depth).status)
         if all(s == "in" for s in verdicts):
             return True
         if any(s == "out" for s in verdicts):

@@ -9,8 +9,9 @@ envelope of the denominator is taken segment-wise on the merged breakpoints.
 
 Local polynomials capture what happens at a single value: for t nonzero,
 loc(f, t) is f(t*x) divided by its dominant coefficient and reduced modulo
-the maximal ideal.  The envelope predicts v(f(a)) exactly unless the residue
-of a/t is a root of the local polynomial.
+the maximal ideal, a monic ``Polynomial`` in x over the residue field.  The
+envelope predicts v(f(a)) exactly unless the residue of a/t is a root of the
+local polynomial.
 """
 
 from __future__ import annotations
@@ -159,25 +160,6 @@ class PiecewiseLinear:
         return "PL{" + "; ".join(repr(s) for s in self.segments) + "}"
 
 
-class ResiduePolynomial:
-    """Monic polynomial over the residue field produced by localization."""
-
-    __slots__ = ("poly", "degree")
-
-    def __init__(self, poly):
-        self.poly = poly
-        self.degree = poly.degree
-
-    def is_monic(self):
-        return self.poly.leading() == self.poly.field.one()
-
-    def support(self):
-        return self.poly.support()
-
-    def __repr__(self):
-        return self.poly.to_str()
-
-
 def minval_poly(f, V):
     """Lower envelope of the lines v(a_i) + i*gamma over the support of f."""
     if f.is_zero():
@@ -217,7 +199,8 @@ def minval_rat(phi, V):
 
 
 def local_poly(f, t, V):
-    """The localized residue polynomial of f at t.
+    """The localized residue polynomial of f at t, a ``Polynomial`` in x over
+    the residue field.
 
     With d the largest index attaining min_i v(a_i t^i), this is
     f(t x) / (a_d t^d) reduced modulo the maximal ideal: monic of degree d,
@@ -237,7 +220,7 @@ def local_poly(f, t, V):
     ad = f.coeffs[d]
     for i in attaining[:-1]:
         coeffs[i] = V.residue(f.coeffs[i] / (ad * t ** (d - i)))
-    return ResiduePolynomial(Polynomial(L, coeffs, "x"))
+    return Polynomial(L, coeffs, "x")
 
 
 def predict(phi, a, V):
@@ -253,8 +236,8 @@ def predict(phi, a, V):
     predicted = minval_poly(phi.num, V).eval(va) - minval_poly(phi.den, V).eval(va)
     one = V.residue_field.one()
     zero = V.residue_field.zero()
-    exact = (local_poly(phi.num, a, V).poly.evaluate(one) != zero
-             and local_poly(phi.den, a, V).poly.evaluate(one) != zero)
+    exact = (local_poly(phi.num, a, V).evaluate(one) != zero
+             and local_poly(phi.den, a, V).evaluate(one) != zero)
     return predicted, exact
 
 

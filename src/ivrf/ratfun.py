@@ -31,6 +31,7 @@ from fractions import Fraction
 from math import gcd as _igcd
 
 from .errors import StructuralError
+from .parsing import parse_expression
 
 
 class _Pole:
@@ -772,15 +773,8 @@ class RationalFunction:
             n = int(n)
         if n < 0:
             return self.inverse() ** (-n)
-        result = RationalFunction.one(self.field, self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        # powers of coprime polynomials stay coprime, and of a monic one monic
+        return RationalFunction(self.num ** n, self.den ** n, _canonical=True)
 
     def _fractional_power(self, n):
         """A constant function raised to a non-integer power: the power of
@@ -895,7 +889,6 @@ def _compose_poly(p, other):
 def parse_ratfun(field, text, var="x"):
     """Parse a rational function in ``var`` with coefficients in the field's
     element grammar (field symbols become constant functions)."""
-    from .parsing import parse_expression
     env = {var: RationalFunction.gen(field, var)}
     for name, val in field.symbol_env().items():
         env[name] = RationalFunction.constant(field, val, var)

@@ -186,7 +186,7 @@ def predict(seed=0, samples=None, depth=None):
             _fail(report, f=str(f), a=str(a), reason="value below envelope")
             continue
         loc = local_poly(f, a, V)
-        exact = loc.poly.evaluate(V.residue_field.one()) != V.residue_field.zero()
+        exact = loc.evaluate(V.residue_field.one()) != V.residue_field.zero()
         if exact != (vfa == predicted):
             _fail(report, f=str(f), a=str(a),
                   reason="exactness flag disagrees with the local polynomial")

@@ -96,6 +96,15 @@ class TestIdeal:
                   "--power", "2")
         assert payload(res)["member"] is True
 
+    def test_m_power_on_listed_points(self):
+        config = '{"field": {"variant": "padic", "p": 5}, "E": ["5"]}'
+        res = run("ideal", "--config", config, "--phi", "5*x", "--kind", "m",
+                  "--power", "2")
+        assert payload(res)["member"] is True
+        res = run("ideal", "--config", config, "--phi", "x", "--kind", "m",
+                  "--power", "2")
+        assert payload(res)["member"] is False
+
 
 class TestDichotomy:
     def test_violation(self):
@@ -113,6 +122,7 @@ class TestLocpoly:
         data = payload(res)
         assert data["degree"] == 1
         assert data["support"] == [0, 1]
+        assert data["local_polynomial"] == "x + 1"
 
 
 class TestConstruct:

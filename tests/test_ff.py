@@ -153,6 +153,14 @@ def test_add_neg_tables_match_digit_arithmetic(p, k):
     assert a + 1 == 1 + a and a - 1 == -(1 - a)
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (5, 1)])
+def test_prime_field_elements_hash_like_ints(p, k):
+    F = FiniteField(p, k)
+    for n in range(p):
+        assert F.from_int(n) == n and hash(F.from_int(n)) == hash(n)
+        assert n in {F.from_int(n)}
+
+
 def test_mixed_field_operations_raise():
     F4, F8 = FiniteField(2, 2), FiniteField(2, 3)
     for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):

@@ -7,8 +7,7 @@ from ivrf.errors import PreconditionError
 from ivrf.ff import FiniteField, RatFuncField
 from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, HahnFinite,
                          LexRank2, PAdicQ, PrimePowerSubfield, PVDSpec,
-                         TAdicRat, field_from_config, ideal_member,
-                         pvd_from_config)
+                         TAdicRat, field_from_config, pvd_from_config)
 from ivrf.ordgroup import INFINITY
 
 ALL_FIELDS = [
@@ -156,19 +155,6 @@ class TestPVD:
         # an element of V with residue outside F fails in both directions
         assert not self.D.member(self.u)
         assert not self.D.member(self.V.one() / self.u)
-
-    def test_ideal_member(self):
-        assert ideal_member(self.t, "m", self.D)
-        assert not ideal_member(self.V.one(), "m", self.D)
-        Q5 = PAdicQ(5)
-        assert ideal_member(Fraction(10, 3), "m", Q5)
-        assert ideal_member(Fraction(50), ("m_power", 2), Q5)
-        assert not ideal_member(Fraction(5), ("m_power", 2), Q5)
-
-    def test_m_power_divisible_group(self):
-        H = HahnFinite(FiniteField(2))
-        x = H.monomial(Fraction(1, 4))
-        assert ideal_member(x, ("m_power", 3), H)
 
 
 class TestSubfields:

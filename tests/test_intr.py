@@ -179,6 +179,24 @@ class TestIdeals:
         assert ideal_member(f, ValueIdeal(1), D)
         assert not ideal_member(f, ValueIdeal(2), D)
 
+    def test_ideal_member(self):
+        # constant functions on a one-point E: the value ideal is m^power
+        F4 = FiniteField(2, 2)
+        V = TAdicRat(F4)
+        D = DomainSpec.pvd(PVDSpec(V, PrimePowerSubfield(F4, 1)), [V.one()])
+        assert ideal_member(RationalFunction.constant(V, V.gen()), ValueIdeal(1), D)
+        assert not ideal_member(RationalFunction.one(V), ValueIdeal(1), D)
+        D5 = DomainSpec.valuation_ring(Q5, [Fraction(1)])
+        assert ideal_member(RationalFunction(qp(Fraction(10, 3))), ValueIdeal(1), D5)
+        assert ideal_member(RationalFunction(qp(50)), ValueIdeal(2), D5)
+        assert not ideal_member(RationalFunction(qp(5)), ValueIdeal(2), D5)
+
+    def test_m_power_divisible_group(self):
+        H = HahnFinite(FiniteField(2))
+        D = DomainSpec.valuation_ring(H, [H.one()])
+        x = RationalFunction.constant(H, H.monomial(Fraction(1, 4)))
+        assert ideal_member(x, ValueIdeal(3), D)
+
     def test_characteristic_sets(self):
         D = DomainSpec.valuation_ring(Q5, WHOLE_FIELD)
         x = RationalFunction(qp(0, 1))

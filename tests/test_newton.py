@@ -99,19 +99,19 @@ class TestLocalPoly:
         loc = local_poly(qp(5, 1), Fraction(1), Q5)
         assert loc.degree == 1
         assert loc.support() == [1]
-        assert loc.is_monic()
+        assert loc.leading() == loc.field.one()
 
     def test_at_uniformizer(self):
         loc = local_poly(qp(5, 1), Fraction(5), Q5)
         assert loc.degree == 1
         assert loc.support() == [0, 1]
         # x + 1 vanishes at the residue of -1
-        assert loc.poly.evaluate(Q5.residue_field.from_int(-1)) == Q5.residue_field.zero()
+        assert loc.evaluate(Q5.residue_field.from_int(-1)) == Q5.residue_field.zero()
 
     def test_pure_power(self):
         loc = local_poly(qp(0, 0, 1), Fraction(7), Q5)
         assert loc.support() == [2]
-        assert loc.is_monic()
+        assert loc.leading() == loc.field.one()
 
     def test_support_matches_min(self):
         rng = random.Random(4)
@@ -174,8 +174,8 @@ def test_local_poly_matches_definition(V):
         if f.is_zero():
             continue
         loc = local_poly(f, t, V)
-        assert loc.poly == _definition_local_poly(f, t, V)
-        assert loc.is_monic()
+        assert loc == _definition_local_poly(f, t, V)
+        assert loc.leading() == loc.field.one()
         off_unit += V.valuation(t) != zero
         several += len(loc.support()) > 1
     assert off_unit and several

@@ -306,6 +306,38 @@ def test_gcd_hahn_fractional_exponents():
     assert Polynomial.gcd(f.scale(H.monomial(Fraction(-2, 3))), g) == c
 
 
+@pytest.mark.parametrize("name", ["Q", "GF4", "GF2(u)", "GF2(u)(t)", "hahn"])
+def test_power_matches_repeated_product(name):
+    F4 = FiniteField(2, 2)
+    V, draw = (F4, F4.random) if name == "GF4" else GCD_FIELDS[name]
+    rng = random.Random(f"pow:{name}")
+    for _ in range(3):
+        num = _random_poly(V, rng, 1, draw)
+        den = _random_poly(V, rng, 1, draw)
+        if num.is_zero() or den.is_zero():
+            continue
+        r = RationalFunction(num, den)
+        for n in range(-3, 6):
+            expected = RationalFunction.one(V)
+            for _ in range(abs(n)):
+                expected = expected * (r if n > 0 else r.inverse())
+            got = r ** n
+            assert got == expected and hash(got) == hash(expected)
+            assert got.den.leading() == V.one()
+            assert Polynomial.gcd(got.num, got.den).degree == 0
+
+
+def test_hahn_power_shrinks_the_lattice():
+    H = HahnFinite(GF2)
+    s = H.monomial(Fraction(1, 2))
+    for got, expected in (
+            (RationalFunction.constant(H, H.one() + s) ** 2,
+             RationalFunction.constant(H, H.one() + H.gen())),
+            (RationalFunction(Polynomial(H, [s, H.one()])) ** 2,
+             RationalFunction(Polynomial(H, [H.gen(), H.zero(), H.one()])))):
+        assert got == expected and hash(got) == hash(expected)
+
+
 def _assert_reduced(r, num, den):
     assert r.num * den == r.den * num
     assert r.den.leading() == r.num.field.one()

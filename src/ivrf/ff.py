@@ -5,12 +5,11 @@ encodes the base-p digits of the coefficient vector of the residue class
 modulo a lex-least monic irreducible.  Addition, negation, multiplication and
 inversion run off tables built once per field (q <= 64, so a two-operand
 table has at most 4096 entries); the digits are taken apart only while the
-tables are built and when an element is printed.  The modulus and the
-products come from ``Polynomial`` arithmetic over GF(p): trial division finds
-the modulus, and each product of two digit vectors is reduced by it with
-``%``.  Prime fields up to
-p = 2^16 use plain modular arithmetic.  GF(q)(u) is built from the generic
-polynomial core with variable ``u``; GF(2) sets ``poly_bits``, so its
+tables are built and when an element is printed.  The tables come from
+``Polynomial`` arithmetic over GF(p): trial division finds the modulus, and
+each product of two digit vectors is reduced by it with ``%``.  Prime fields
+up to p = 2^16 use plain modular arithmetic.  GF(q)(u) is built from the
+generic polynomial core with variable ``u``; GF(2) sets ``poly_bits``, so its
 polynomials are packed into ints (bit i the coefficient of u^i), and the
 polynomial arithmetic under the GF(2)(u) towers runs on ints.
 """

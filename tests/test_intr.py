@@ -394,7 +394,7 @@ def _out(witness, reason):
     return {"verdict": "CertifiedOut", "witness": witness, "reason": reason}
 
 
-def _in_clear(component, *pieces):
+def _in(component, *pieces):
     return {"verdict": "CertifiedIn", "depth_used": 1,
             "certificate": [{"component": component, "pieces": list(pieces)}]}
 
@@ -408,7 +408,7 @@ class TestResidueBranches:
         # ratio over a finite enumeration: a value outside F, or all inside
         "ratio finite out": (_TADIC_GF2U, _CONSTANTS, "x^2 + u",
                              _out("1", "residue u + 1 outside subfield")),
-        "ratio finite in": (_TADIC_GF4, _SUBGF2, "x^2 + x", _in_clear(
+        "ratio finite in": (_TADIC_GF4, _SUBGF2, "x^2 + x", _in(
             "GF(4)(t) t-adic",
             {"from": None, "to": "0", "slope": 2, "intercept": "0"},
             {"point": "0", "classes": [{"residue": "*", "case": "exact",
@@ -416,10 +416,14 @@ class TestResidueBranches:
             {"from": "0", "to": None, "slope": 1, "intercept": "0",
              "status": "clear"})),
         # a constant ratio: in F, outside F, and with every probe a root
-        "ratio constant in F": (_TADIC_GF2U, _FROBENIUS,
-                                "(x + 1 + t^2)/(x + 1 + t)",
-                                _out("(1/u)*t + 1",
-                                     "residue 1/(u + 1) outside subfield")),
+        "ratio constant in F": (
+            _TADIC_GF2U, _FROBENIUS, "(x^2 + x + u^2 + t^2)/(x^2 + x + u^2 + t)",
+            _in("GF(2)(u)(t) t-adic",
+                {"from": None, "to": "0", "slope": 0, "intercept": "0"},
+                {"point": "0", "classes": [{"residue": "*", "case": "exact",
+                                            "ratio": "1"}]},
+                {"from": "0", "to": None, "slope": 0, "intercept": "0",
+                 "status": "zero segment", "residue": "1"})),
         "ratio constant out": (_TADIC_GF2U, _FROBENIUS, "(u*x + u + t)/(x + 1)",
                                _out("(1/u^2)", "residue u outside subfield")),
         "ratio constant no probe": (
@@ -429,7 +433,7 @@ class TestResidueBranches:
                  "residue (u^9 + u^4 + u^3 + u^2 + u)/"
                  "(u^9 + u^8 + u^3 + u^2 + u + 1) outside subfield")),
         # a ratio that is a p-th power lands in the Frobenius subfield
-        "ratio pth power": (_TADIC_GF2U, _FROBENIUS, "x^4 + x^2", _in_clear(
+        "ratio pth power": (_TADIC_GF2U, _FROBENIUS, "x^4 + x^2", _in(
             "GF(2)(u)(t) t-adic",
             {"from": None, "to": "0", "slope": 4, "intercept": "0"},
             {"point": "0", "classes": [{"residue": "*", "case": "exact",
@@ -443,7 +447,7 @@ class TestResidueBranches:
             "verdict": "Unknown", "depth_exhausted": False,
             "reason": "residue ratio x^2 + x into subfield undecided at 0"}),
         # value 0 on E = ring: the residues are F's units
-        "powers allowed in": (_TADIC_GF4, _SUBGF2, "x", _in_clear(
+        "powers allowed in": (_TADIC_GF4, _SUBGF2, "x", _in(
             "GF(4)(t) t-adic",
             {"from": None, "to": None, "slope": 1, "intercept": "0",
              "status": "clear"})),
@@ -452,7 +456,7 @@ class TestResidueBranches:
         # zero crossings at values 1 and 2 around the breakpoint 3/2
         "powers finite out": (_TADIC_GF4, _SUBGF2, "t*x/(x^2 + t^3)",
                               _out("u*t", "residue u + 1 outside subfield")),
-        "powers finite in": (_TADIC_GF4, _SUBGF2, "t^3*x^3/(x^6 + t^9)", _in_clear(
+        "powers finite in": (_TADIC_GF4, _SUBGF2, "t^3*x^3/(x^6 + t^9)", _in(
             "GF(4)(t) t-adic",
             {"from": None, "to": "3/2", "slope": -3, "intercept": "3",
              "status": "clear"},
@@ -460,7 +464,7 @@ class TestResidueBranches:
             {"from": "3/2", "to": None, "slope": 3, "intercept": "-6",
              "status": "clear"})),
         "powers power_subset": (_TADIC_GF2U, _FROBENIUS, "t^2*x^2/(x^4 + t^6)",
-                                _in_clear(
+                                _in(
             "GF(2)(u)(t) t-adic",
             {"from": None, "to": "3/2", "slope": -2, "intercept": "2",
              "status": "clear"},

@@ -246,3 +246,63 @@ def test_hahn_canonical_equality():
             y = H.random_nonzero(rng) * third + H.random_element(rng)
             for z in ((x * y) / y, (x + y) - y):
                 assert z == x and hash(z) == hash(x)
+
+
+# The valued-field surface every variant shares: one case per field, with
+# the field's symbols and an element of negative value written as text.
+GF4 = FiniteField(2, 2)
+GF2_U = RatFuncField(FiniteField(2), "u")
+SURFACE_CASES = [
+    (PAdicQ(5), set(), "1/5"),
+    (TAdicRat(GF4), {"t", "u"}, "1/t"),
+    (TAdicRat(GF2_U), {"t", "u"}, "u/t"),
+    (LexRank2(GF4), {"t1", "t2", "u"}, "1/t2"),
+    (LexRank2(FiniteField(2)), {"t1", "t2"}, "t2/t1"),
+    (HahnFinite(GF4), {"t", "u"}, "t^{-1/2}"),
+    (HahnFinite(GF2_U), {"t", "u"}, "t^{-1/2}"),
+]
+
+
+@pytest.mark.parametrize("V, symbols, negative", SURFACE_CASES,
+                         ids=lambda c: c.describe() if hasattr(c, "describe") else "")
+class TestSharedSurface:
+    def test_symbol_env(self, V, symbols, negative):
+        env = V.symbol_env()
+        assert set(env) == symbols
+        for name, value in V.residue_field.symbol_env().items():
+            assert env[name] == V.lift(value)
+
+    def test_zero_and_one(self, V, symbols, negative):
+        zero, one = V.zero(), V.one()
+        assert V.valuation(zero) is INFINITY
+        assert V.valuation(one) == V.group.zero()
+        assert V.residue(one) == V.residue_field.one()
+        assert zero + one == one and one * one == one and zero * one == zero
+
+    def test_from_int(self, V, symbols, negative):
+        for n in range(-3, 6):
+            # n as a sum of |n| ones, negated when n < 0
+            total = V.zero()
+            for _ in range(abs(n)):
+                total = total + V.one()
+            if n < 0:
+                total = -total
+            assert V.from_int(n) == total
+            assert V.residue(V.from_int(n)) == V.residue_field.from_int(n)
+
+    def test_residue_zero_on_the_ideal(self, V, symbols, negative):
+        assert V.residue(V.zero()) == V.residue_field.zero()
+        positive = (V.group.element(0, 1) if V.group.rank == 2
+                    else V.group.element(Fraction(1, 2) if V.group.divisible[0] else 1))
+        rng = random.Random(f"surface:{V.describe()}")
+        for _ in range(10):
+            x = V.random_nonzero(rng)
+            x = x * V.element_of_value(positive - V.valuation(x))
+            assert V.valuation(x) == positive
+            assert V.residue(x) == V.residue_field.zero()
+
+    def test_residue_rejects_negative_value(self, V, symbols, negative):
+        x = V.parse(negative)
+        assert V.valuation(x) < V.group.zero()
+        with pytest.raises(PreconditionError):
+            V.residue(x)

@@ -10,7 +10,10 @@ The suites meet the GF(2)(u) towers only in ``witnesses`` and ``mstar``,
 so one more digest pins canonical forms and verdicts over the fields whose
 arithmetic rests on GF(2)[v] (see ``test_tower_digest``), and another over
 Hahn fields with a dense residue field, GF(4) and GF(3) (see
-``test_hahn_digest``).
+``test_hahn_digest``).  A third pins the full verdict JSON (witness, reason
+and certificate) over p-adic rings, an intersection and the pullbacks whose
+residue checks probe a restricted set of residues (see
+``test_verdict_digest``).
 """
 
 import hashlib
@@ -20,8 +23,8 @@ import random
 import pytest
 
 from ivrf.ff import FiniteField, RatFuncField
-from ivrf.fields import (ConstantSubfield, HahnFinite, LexRank2, PrimePowerSubfield,
-                         PVDSpec, TAdicRat)
+from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, HahnFinite, LexRank2,
+                         PAdicQ, PrimePowerSubfield, PVDSpec, TAdicRat)
 from ivrf.intr import DomainSpec, intr_member
 from ivrf.ratfun import Polynomial, RationalFunction
 from ivrf.suites import run_suite
@@ -70,10 +73,14 @@ def _nonzero_poly(V, rng):
             return p
 
 
-def _domain_digest(domains, seed_prefix):
+def _kind_and_witness(v):
+    return f"{v.kind}\t{getattr(v, 'witness', '')}"
+
+
+def _domain_digest(domains, seed_prefix, verdict_text=_kind_and_witness):
     # Per field, seeded pairs a, b of quotients of degree <= 2 polynomials;
-    # each line is a product or quotient as printed, and the kind and
-    # witness of intr_member(depth=3) on it.
+    # each line is a product or quotient as printed, and the verdict of
+    # intr_member(depth=3) on it (by default its kind and witness).
     lines = []
     for name, (D, pairs) in domains.items():
         V = D.field
@@ -83,7 +90,7 @@ def _domain_digest(domains, seed_prefix):
             b = RationalFunction(_nonzero_poly(V, rng), _nonzero_poly(V, rng))
             for phi in (a * b, a / b):
                 v = intr_member(phi, D, depth=3)
-                lines.append(f"{name}\t{phi}\t{v.kind}\t{getattr(v, 'witness', '')}")
+                lines.append(f"{name}\t{phi}\t{verdict_text(v)}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -103,3 +110,26 @@ HAHN_DIGEST = "db6bf9b2a4279f59298845f60af4a308a03cfba1f06b884abf772374b3fcb03b"
 
 def test_hahn_digest():
     assert _domain_digest(HAHN_DOMAINS, "hahn-golden") == HAHN_DIGEST
+
+
+GF2_U_FROBENIUS = FrobeniusSubfield(GF2_U, 1)
+# Two pairs over Hahn/GF(2)(u): normalizing the product and quotient of the
+# second pair takes about 6 s, and of the third, which mixes the lattices
+# t^(1/2) and t^(1/3), about 110 s (nested gcds over GF(2)(u)(t^(1/6)),
+# ROADMAP item 2).
+VERDICT_DOMAINS = {
+    "Q5": (DomainSpec.valuation_ring(PAdicQ(5)), 6),
+    "{2,3} on E=field": (DomainSpec.intersection([PAdicQ(2), PAdicQ(3)]), 6),
+    "tadic/GF4 over GF2": (DomainSpec.pvd(PVDSpec(TAdicRat(GF4), PrimePowerSubfield(GF4, 1))), 6),
+    "tadic/GF2(u) constants": (DomainSpec.pvd(PVDSpec(TAdicRat(GF2_U), ConstantSubfield(GF2_U))), 6),
+    "tadic/GF2(u) frobenius": (DomainSpec.pvd(PVDSpec(TAdicRat(GF2_U), GF2_U_FROBENIUS)), 6),
+    "hahn/GF2(u) frobenius": (DomainSpec.pvd(PVDSpec(HahnFinite(GF2_U), GF2_U_FROBENIUS)), 2),
+    "hahn/GF4 over GF2": (DomainSpec.pvd(PVDSpec(HAHN_GF4, PrimePowerSubfield(GF4, 1))), 6),
+}
+VERDICT_DIGEST = "350700960d17b04a277fc23e767961701bffeb7851b74abf852b04d092f84788"
+
+
+def test_verdict_digest():
+    digest = _domain_digest(VERDICT_DOMAINS, "verdict-golden",
+                            lambda v: json.dumps(v.to_json(), sort_keys=True, default=str))
+    assert digest == VERDICT_DIGEST

@@ -270,7 +270,7 @@ def notlocal_witness(D, depth=3, split_samples=None):
                 "integer-valued rational functions on the field is local and "
                 "no two-family witness exists")
         p = L.char
-        c = D.subfield.generator_outside()
+        c = L.gen()  # the variable u lies outside GF(q)(u^(p^e))
         pe = p ** e
         den = {0: -V.lift(c ** pe), p ** (2 * e): V.one()}
         w = RationalFunction(Polynomial.constant(V, V.one()),

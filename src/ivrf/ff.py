@@ -336,9 +336,6 @@ class RatFuncField:
     def constant(self, c):
         return RationalFunction.constant(self.base, c, self.var)
 
-    def poly(self, coeffs):
-        return RationalFunction(Polynomial(self.base, coeffs, self.var))
-
     @property
     def char(self):
         return self.base.p

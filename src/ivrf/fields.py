@@ -14,12 +14,20 @@ valuation onto an ordered group from :mod:`ivrf.ordgroup`:
 Residue fields are GF(q) or GF(q)(u).  A pseudovaluation pullback is a field
 plus a subfield predicate on its residue field: x belongs to the pullback iff
 v(x) > 0, or v(x) = 0 and the residue lies in the subfield.
+
+Each variant is a ``ValuedField``.  It supplies its valuation, residue, lift
+and generators; zero, one, integer literals, the parsing symbols and the
+residue's precondition v(x) >= 0 come from the base class.  The t-adic order
+and the residue of a unit, read off the lowest terms of a fraction of
+polynomials, are the module helpers ``_t_order`` and ``_unit_residue``: they
+serve kappa(t), the t1-adic coefficients of the rank-2 field and the Hahn
+elements in s = t^(1/m).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import (ConfigError, PreconditionError, ResourceError,
                      StructuralError, UnsupportedCaseError)
@@ -65,7 +73,17 @@ QQ = RationalsContext()
 # ---------------------------------------------------------------------------
 
 class ValuedField:
-    """Common surface of the four field variants."""
+    """Common surface of the four field variants.
+
+    A field supplies ``valuation``, ``residue``, ``lift``,
+    ``element_of_value``, ``random_element`` and ``describe``, sets
+    ``group``, ``residue_field`` and the shared constants ``_zero`` and
+    ``_one``, and lists its generators in ``_generators``.  The rest is said
+    once here: ``zero``, ``one``, ``from_int`` (an integer lifted from the
+    residue field), ``symbol_env`` (the generators plus every residue-field
+    symbol lifted) and ``_residue_is_zero``, the check that opens every
+    ``residue``.
+    """
 
     group = None          # GroupSpec
     residue_field = None  # FiniteField | RatFuncField
@@ -74,13 +92,13 @@ class ValuedField:
     # coefficient-field protocol ------------------------------------
 
     def zero(self):
-        raise NotImplementedError
+        return self._zero
 
     def one(self):
-        raise NotImplementedError
+        return self._one
 
     def from_int(self, n):
-        raise NotImplementedError
+        return self.lift(self.residue_field.from_int(n))
 
     # valuation data -------------------------------------------------
 
@@ -103,14 +121,17 @@ class ValuedField:
 
     # parsing / misc ---------------------------------------------------
 
-    def symbol_env(self):
+    def _generators(self):
         return {}
+
+    def symbol_env(self):
+        env = self._generators()
+        for name, value in self.residue_field.symbol_env().items():
+            env[name] = self.lift(value)
+        return env
 
     def parse(self, text):
         return parse_expression(text, self.symbol_env(), self.from_int)
-
-    def to_str(self, x):
-        return str(x)
 
     def describe(self):
         raise NotImplementedError
@@ -124,9 +145,16 @@ class ValuedField:
             if x != self.zero():
                 return x
 
-    def _check_nonneg(self, v):
-        if v is not INFINITY and v < self.group.zero():
+    def _residue_is_zero(self, x):
+        """Whether res(x) is 0, that is x = 0 or v(x) > 0; a
+        PreconditionError when v(x) < 0."""
+        v = self.valuation(x)
+        if v is INFINITY:
+            return True
+        zero = self.group.zero()
+        if v < zero:
             raise PreconditionError("residue needs valuation >= 0")
+        return v > zero
 
 
 class PAdicQ(ValuedField):
@@ -138,12 +166,8 @@ class PAdicQ(ValuedField):
         self.p = p
         self.group = GroupSpec.integers(1)
         self.residue_field = FiniteField(p)
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
+        self._zero = Fraction(0)
+        self._one = Fraction(1)
 
     def from_int(self, n):
         return Fraction(n)
@@ -163,9 +187,7 @@ class PAdicQ(ValuedField):
         return GroupElement(self.group, (self._vp(n) - self._vp(x.denominator),))
 
     def residue(self, x):
-        v = self.valuation(x)
-        self._check_nonneg(v)
-        if v is INFINITY or v > self.group.zero():
+        if self._residue_is_zero(x):
             return self.residue_field.zero()
         n = x.numerator % self.p
         d = x.denominator % self.p
@@ -196,47 +218,55 @@ def _ord(poly):
     return min(poly.support())
 
 
+def _t_order(f):
+    """The order at t = 0 of a nonzero fraction of polynomials in t."""
+    return _ord(f.num) - _ord(f.den)
+
+
+def _unit_residue(f):
+    """The residue of a fraction of order 0: the ratio of the lowest terms."""
+    m = _ord(f.num)
+    return f.num.coeff(m) / f.den.coeff(m)
+
+
+def _random_residue(kappa, rng):
+    """A random element of kappa, of degree at most 1 over GF(q)(u)."""
+    if getattr(kappa, "is_finite", False):
+        return kappa.random(rng)
+    return kappa.random(rng, degree=1)
+
+
 class TAdicRat(ValuedField):
     """kappa(t) with the t-adic valuation; elements are reduced fractions of
     polynomials in t over the residue field kappa."""
 
     is_discrete = True
 
-    def __init__(self, kappa, var="t"):
+    def __init__(self, kappa):
         self.kappa = kappa
-        self.var = var
         self.group = GroupSpec.integers(1)
         self.residue_field = kappa
-        self._zero = RationalFunction.zero(kappa, var)
-        self._one = RationalFunction.one(kappa, var)
-
-    def zero(self):
-        return self._zero
-
-    def one(self):
-        return self._one
-
-    def from_int(self, n):
-        return RationalFunction.constant(self.kappa, self.kappa.from_int(n), self.var)
+        self._zero = RationalFunction.zero(kappa, "t")
+        self._one = RationalFunction.one(kappa, "t")
 
     def gen(self):
-        return RationalFunction.gen(self.kappa, self.var)
+        return RationalFunction.gen(self.kappa, "t")
+
+    def _generators(self):
+        return {"t": self.gen()}
 
     def valuation(self, x):
         if x.is_zero():
             return INFINITY
-        return GroupElement(self.group, (_ord(x.num) - _ord(x.den),))
+        return GroupElement(self.group, (_t_order(x),))
 
     def residue(self, x):
-        v = self.valuation(x)
-        self._check_nonneg(v)
-        if v is INFINITY or v > self.group.zero():
+        if self._residue_is_zero(x):
             return self.kappa.zero()
-        m = _ord(x.num)
-        return x.num.coeff(m) / x.den.coeff(m)
+        return _unit_residue(x)
 
     def lift(self, r):
-        return RationalFunction.constant(self.kappa, r, self.var)
+        return RationalFunction.constant(self.kappa, r, "t")
 
     def element_of_value(self, gamma):
         if not gamma.in_lattice():
@@ -247,29 +277,17 @@ class TAdicRat(ValuedField):
         return self.gen()
 
     def random_element(self, rng):
-        deg = rng.randint(0, 2)
-        num = Polynomial(self.kappa,
-                         [self._rand_res(rng) for _ in range(deg + 1)], self.var)
-        den = Polynomial.zero(self.kappa, self.var)
+        def poly(terms):
+            return Polynomial(self.kappa, [_random_residue(self.kappa, rng)
+                                           for _ in range(terms)], "t")
+        num = poly(rng.randint(0, 2) + 1)
+        den = Polynomial.zero(self.kappa, "t")
         while den.is_zero():
-            den = Polynomial(self.kappa,
-                             [self._rand_res(rng) for _ in range(rng.randint(0, 1) + 1)],
-                             self.var)
+            den = poly(rng.randint(0, 1) + 1)
         return RationalFunction(num, den) * self.gen() ** rng.randint(-2, 2)
 
-    def _rand_res(self, rng):
-        if getattr(self.kappa, "is_finite", False):
-            return self.kappa.random(rng)
-        return self.kappa.random(rng, degree=1)
-
-    def symbol_env(self):
-        env = {self.var: self.gen()}
-        for name, val in self.kappa.symbol_env().items():
-            env[name] = RationalFunction.constant(self.kappa, val, self.var)
-        return env
-
     def describe(self):
-        return f"{self.kappa.describe()}({self.var}) t-adic"
+        return f"{self.kappa.describe()}(t) t-adic"
 
 
 class LexRank2(ValuedField):
@@ -278,42 +296,27 @@ class LexRank2(ValuedField):
 
     is_discrete = True
 
-    def __init__(self, kappa, vars=("t1", "t2")):
+    def __init__(self, kappa):
         self.kappa = kappa
-        self.inner = RatFuncField(kappa, vars[0])
-        self.var1, self.var2 = vars
+        self.inner = RatFuncField(kappa, "t1")
         self.group = GroupSpec.integers(2)
         self.residue_field = kappa
-        self._zero = RationalFunction.zero(self.inner, self.var2)
-        self._one = RationalFunction.one(self.inner, self.var2)
-
-    def zero(self):
-        return self._zero
-
-    def one(self):
-        return self._one
-
-    def from_int(self, n):
-        return RationalFunction.constant(self.inner, self.inner.from_int(n), self.var2)
+        self._zero = RationalFunction.zero(self.inner, "t2")
+        self._one = RationalFunction.one(self.inner, "t2")
 
     def gen1(self):
-        return RationalFunction.constant(self.inner, self.inner.gen(), self.var2)
+        return RationalFunction.constant(self.inner, self.inner.gen(), "t2")
 
     def gen2(self):
-        return RationalFunction.gen(self.inner, self.var2)
+        return RationalFunction.gen(self.inner, "t2")
+
+    def _generators(self):
+        return {"t1": self.gen1(), "t2": self.gen2()}
 
     @staticmethod
-    def _ord1(c):
-        # t1-adic valuation of an element of kappa(t1)
-        return min(c.num.support()) - min(c.den.support())
-
-    def _poly_val(self, poly):
-        best = None
-        for j in poly.support():
-            cand = (self._ord1(poly.coeff(j)), j)
-            if best is None or cand < best:
-                best = cand
-        return best
+    def _poly_val(poly):
+        # the least (t1-order, t2-exponent) over the terms of a polynomial in t2
+        return min((_t_order(poly.coeff(j)), j) for j in poly.support())
 
     def valuation(self, x):
         if x.is_zero():
@@ -323,19 +326,13 @@ class LexRank2(ValuedField):
         return GroupElement(self.group, (a1 - a2, j1 - j2))
 
     def residue(self, x):
-        v = self.valuation(x)
-        self._check_nonneg(v)
-        if v is INFINITY or v > self.group.zero():
+        if self._residue_is_zero(x):
             return self.kappa.zero()
-        a, j = self._poly_val(x.num)
-        cf = x.num.coeff(j)
-        cg = x.den.coeff(j)
-        ratio = cf / cg  # t1-adic unit in kappa(t1)
-        m = min(ratio.num.support())
-        return ratio.num.coeff(m) / ratio.den.coeff(m)
+        _, j = self._poly_val(x.num)
+        return _unit_residue(x.num.coeff(j) / x.den.coeff(j))  # a t1-adic unit
 
     def lift(self, r):
-        return RationalFunction.constant(self.inner, self.inner.constant(r), self.var2)
+        return RationalFunction.constant(self.inner, self.inner.constant(r), "t2")
 
     def element_of_value(self, gamma):
         if not gamma.in_lattice():
@@ -348,28 +345,18 @@ class LexRank2(ValuedField):
 
     def random_element(self, rng):
         coeff = self.inner.random(rng, degree=1)
-        x = RationalFunction.constant(self.inner, coeff, self.var2)
+        x = RationalFunction.constant(self.inner, coeff, "t2")
         return (x * self.gen1() ** rng.randint(-1, 1)
                 * self.gen2() ** rng.randint(-1, 1)
                 + self.from_int(rng.randint(0, 2)))
 
-    def symbol_env(self):
-        env = {self.var1: self.gen1(), self.var2: self.gen2()}
-        for name, val in self.kappa.symbol_env().items():
-            env[name] = self.lift(val)
-        return env
-
     def describe(self):
-        return f"{self.kappa.describe()}({self.var1},{self.var2}) lex rank 2"
+        return f"{self.kappa.describe()}(t1,t2) lex rank 2"
 
 
 # ---------------------------------------------------------------------------
 # Hahn-style field with divisible value group
 # ---------------------------------------------------------------------------
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
-
 
 def _rescale(p, k, d=1):
     """The polynomial with the coefficient of s^i in p at s^(i*k/d); d must
@@ -431,8 +418,8 @@ class HahnElement:
         m, n = self.m, o.m
         if m == n:
             return m, self.f, o.f
-        lcm = _lcm(m, n)
-        return lcm, _spread(self.f, lcm // m), _spread(o.f, lcm // n)
+        k = lcm(m, n)
+        return k, _spread(self.f, k // m), _spread(o.f, k // n)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -491,8 +478,6 @@ class HahnElement:
         return _hahn(self.field, self.m, self.f ** int(n))
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.from_int(other)
         if not isinstance(other, HahnElement):
             return NotImplemented
         return self.m == other.m and self.f == other.f
@@ -553,15 +538,6 @@ class HahnFinite(ValuedField):
         self._zero = HahnElement(self, 1, RationalFunction.zero(kappa, "s"))
         self._one = HahnElement(self, 1, RationalFunction.one(kappa, "s"))
 
-    def zero(self):
-        return self._zero
-
-    def one(self):
-        return self._one
-
-    def from_int(self, n):
-        return self.lift(self.kappa.from_int(n))
-
     def monomial(self, q, c=None):
         kappa = self.kappa
         c = kappa.one() if c is None else c
@@ -576,6 +552,9 @@ class HahnFinite(ValuedField):
     def gen(self):
         return self.monomial(1)
 
+    def _generators(self):
+        return {"t": self.gen()}
+
     def poly_gcd(self, a, b):
         """Monic gcd of two polynomials of positive degree over this field.
 
@@ -584,9 +563,7 @@ class HahnFinite(ValuedField):
         field extension, and over kappa(s) the fraction-free gcd of ratfun
         applies to the coefficients' (numerator, denominator) pairs.
         """
-        m = 1
-        for c in a.coeffs + b.coeffs:
-            m = _lcm(m, c.m)
+        m = lcm(*[c.m for c in a.coeffs + b.coeffs])
 
         def fractions(p):
             return [(f.num, f.den) for f in (_spread(c.f, m // c.m) for c in p.coeffs)]
@@ -598,15 +575,12 @@ class HahnFinite(ValuedField):
     def valuation(self, x):
         if x.is_zero():
             return INFINITY
-        return self.group.element(Fraction(_ord(x.f.num) - _ord(x.f.den), x.m))
+        return self.group.element(Fraction(_t_order(x.f), x.m))
 
     def residue(self, x):
-        v = self.valuation(x)
-        self._check_nonneg(v)
-        if v is INFINITY or v > self.group.zero():
+        if self._residue_is_zero(x):
             return self.kappa.zero()
-        k = _ord(x.f.num)
-        return x.f.num.coeff(k) / x.f.den.coeff(k)
+        return _unit_residue(x.f)
 
     def lift(self, r):
         return HahnElement(self, 1, RationalFunction.constant(self.kappa, r, "s"))
@@ -619,16 +593,11 @@ class HahnFinite(ValuedField):
                 Fraction(2), Fraction(-1, 2), Fraction(1, 3)]
         x = self.zero()
         for _ in range(rng.randint(1, 3)):
-            c = (self.kappa.random(rng) if getattr(self.kappa, "is_finite", False)
-                 else self.kappa.random(rng, degree=1))
+            # the coefficient is drawn before the exponent: seeded samples
+            # and the golden digests rest on this order
+            c = _random_residue(self.kappa, rng)
             x = x + self.monomial(rng.choice(pool), c)
         return x
-
-    def symbol_env(self):
-        env = {"t": self.gen()}
-        for name, val in self.kappa.symbol_env().items():
-            env[name] = self.lift(val)
-        return env
 
     def describe(self):
         return f"Hahn({self.kappa.describe()}, Q)"
@@ -717,9 +686,6 @@ class PrimePowerSubfield(SubfieldSpec):
     def power_subset(self, s):
         return all(self.contains(x ** s) for x in self.L.nonzero_elements())
 
-    def purely_inseparable_exponent(self):
-        return None  # finite fields are perfect; the finite-L case applies
-
     def describe(self):
         return f"GF({self.sub_order}) in GF({self.L.q})"
 
@@ -775,10 +741,6 @@ class FrobeniusSubfield(SubfieldSpec):
     def purely_inseparable_exponent(self):
         return self.e
 
-    def generator_outside(self):
-        """The configured element of L outside F (the variable u itself)."""
-        return self.L.gen()
-
     def describe(self):
         return f"GF({self.L.base.q})({self.L.var}^{self.step}) in {self.L.describe()}"
 
@@ -792,9 +754,6 @@ class PVDSpec:
 
     def member(self, x):
         return in_pullback(self.field, self.subfield, x)
-
-    def is_trivial(self):
-        return self.subfield.is_whole
 
     def describe(self):
         return f"pullback of {self.subfield.describe()} under {self.field.describe()}"

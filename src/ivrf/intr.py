@@ -24,6 +24,7 @@ a concrete witness that is re-verified by direct evaluation.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 from .errors import (ConfigError, PreconditionError, StructuralError,
                      UndecidedError)
@@ -37,7 +38,7 @@ from .ratfun import POLE, Polynomial, RationalFunction, clear_denominators
 WHOLE_RING = "ring"
 WHOLE_FIELD = "field"
 
-_SEARCH_LIMIT = 64  # residues tried before a search degrades to Unknown
+_SEARCH_LIMIT = 64  # GF(q)(u) residues tried before a search degrades to Unknown
 _ROOT_CAP = 4  # degree bound of an exhaustive root search over GF(q)(u)
 
 
@@ -109,7 +110,7 @@ class DomainSpec:
 
     @classmethod
     def pvd(cls, D, E=WHOLE_RING):
-        sub = None if D.is_trivial() else D.subfield
+        sub = None if D.subfield.is_whole else D.subfield
         return cls("pvd" if sub is not None else "valuation",
                    [(D.field, sub)], E)
 
@@ -224,13 +225,13 @@ class _Region:
 
 
 def _region(E, zero, fsub):
-    """The values of the nonzero points of E, and the residue restriction at
-    value ``zero`` (E = ring over a pullback: residues from ``fsub``)."""
+    """The values of the nonzero points of E, and the subfield the residues
+    at value ``zero`` are restricted to: ``fsub`` when E is the ring, else
+    None (no restriction)."""
     if E == WHOLE_FIELD:
         return _Region(None, True, None, True), None
     if E == WHOLE_RING:
-        return (_Region(zero, False, None, True),
-                (zero, fsub) if fsub is not None else None)
+        return _Region(zero, False, None, True), fsub
     raise ConfigError(f"unknown point set {E!r}")
 
 
@@ -302,29 +303,20 @@ def residue_roots(poly, L):
     return roots, complete
 
 
-def _small_residues(L, allowed, limit=_SEARCH_LIMIT):
-    """Nonzero residues to probe, restricted to ``allowed`` when given."""
+def _small_residues(L, allowed):
+    """Nonzero residues to probe, restricted to ``allowed`` when given.
+
+    A finite source (a finite ``allowed``, or L = GF(q)) is enumerated in
+    full; over GF(q)(u) the search stops after ``_SEARCH_LIMIT`` residues of
+    small height.
+    """
     if allowed is not None and allowed.is_finite():
-        count = 0
-        for c in allowed.elements():
-            if c != L.zero():
-                yield c
-                count += 1
-                if count >= limit:
-                    return
-        return
-    if isinstance(L, FiniteField):
-        for c in L.nonzero_elements():
-            if allowed is None or allowed.contains(c):
-                yield c
-        return
-    count = 0
-    for c in L.small_elements(max_degree=2):
-        if allowed is None or allowed.contains(c):
-            yield c
-            count += 1
-            if count >= limit:
-                return
+        zero = L.zero()
+        return (c for c in allowed.elements() if c != zero)
+    finite = isinstance(L, FiniteField)
+    source = L.nonzero_elements() if finite else L.small_elements(max_degree=2)
+    residues = (c for c in source if allowed is None or allowed.contains(c))
+    return residues if finite else islice(residues, _SEARCH_LIMIT)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +453,7 @@ def _check_interval(ctx, phi, seg, piece, restrict0, rec):
         if piece.contains(gstar) and gstar.in_lattice():
             t = V.element_of_value(gstar)
             const = V.residue((f_c * t ** fi) / (g_c * t ** gj))
-            allowed = _allowed_at(gstar, restrict0)
+            allowed = restrict0 if gstar == zero else None
             rec["status"] = "zero crossing"
             out = _residues_into_subfield_powers(ctx, const, s, allowed, t)
             if out is not None:
@@ -479,13 +471,14 @@ def _check_point(ctx, phi, plf, plg, delta, region, restrict0, depth, prec):
     locg = local_poly(phi.den, t, V)
     val = plf.eval(delta) - plg.eval(delta)
     ok_val = ctx.value_ok(val)
-    allowed = _allowed_at(delta, restrict0)
+    allowed = restrict0 if delta == zero else None
 
     roots_g, complete_g = residue_roots(locg, L)
     roots_f, complete_f = residue_roots(locf, L)
     if allowed is not None:
         roots_g = {c for c in roots_g if allowed.contains(c)}
         roots_f = {c for c in roots_f if allowed.contains(c)}
+    roots = roots_f | roots_g
     unknown_reason = None
     if not complete_g or (not ok_val and not complete_f):
         unknown_reason = (f"root search beyond degree cap {_ROOT_CAP} "
@@ -493,7 +486,7 @@ def _check_point(ctx, phi, plf, plg, delta, region, restrict0, depth, prec):
 
     # Exact classes.
     if not ok_val:
-        c = _first_nonroot(L, allowed, roots_f | roots_g)
+        c = next((c for c in _small_residues(L, allowed) if c not in roots), None)
         if c is not None:
             prec["classes"].append({"residue": str(c), "case": "exact",
                                     "action": "witness"})
@@ -501,7 +494,7 @@ def _check_point(ctx, phi, plf, plg, delta, region, restrict0, depth, prec):
                             reason=f"exact class value {val} at {delta}")
     elif val == zero and ctx.residue_condition_active():
         out = _point_residue_condition(ctx, phi, locf, locg, t, delta,
-                                       allowed, roots_f | roots_g, prec)
+                                       allowed, roots, prec)
         if out is not None:
             if out.status == "unknown":
                 unknown_reason = unknown_reason or out.reason
@@ -561,8 +554,7 @@ def _point_residue_condition(ctx, phi, locf, locg, t, delta, allowed, roots, pre
                             "ratio": str(h)})
 
     if (allowed is not None and allowed.is_finite()) or isinstance(L, FiniteField):
-        return _probe(ctx, t, _small_residues(L, allowed, limit=10 ** 6),
-                      h.evaluate, roots)
+        return _probe(ctx, t, _small_residues(L, allowed), h.evaluate, roots)
 
     if h.is_constant():
         const = h.as_constant()
@@ -596,8 +588,7 @@ def _residues_into_subfield_powers(ctx, const, s, allowed, t):
         return _Outcome("out", witness=t,
                         reason=f"residue {const} outside subfield")
     if isinstance(L, FiniteField):
-        return _probe(ctx, t, _small_residues(L, None, limit=10 ** 6),
-                      lambda c: const * c ** s)
+        return _probe(ctx, t, _small_residues(L, None), lambda c: const * c ** s)
     if ctx.fsub.contains(const) and ctx.fsub.power_subset(s):
         return None
     return (_probe(ctx, t, _small_residues(L, None), lambda c: const * c ** s)
@@ -618,13 +609,6 @@ def _probe(ctx, t, residues, value_of, skip=()):
     return None
 
 
-def _first_nonroot(L, allowed, roots):
-    for c in _small_residues(L, allowed):
-        if c not in roots:
-            return c
-    return None
-
-
 def _failing_subregion(piece, s, beta, tau, strict, group):
     """Sub-interval of ``piece`` where s*gamma + beta fails the threshold."""
     zero = group.zero()
@@ -636,13 +620,6 @@ def _failing_subregion(piece, s, beta, tau, strict, group):
         # fails on the left of gstar
         return piece.intersect(None, True, gstar, not strict)
     return piece.intersect(gstar, not strict, None, True)
-
-
-def _allowed_at(gamma, restrict0):
-    if restrict0 is None:
-        return None
-    g0, sub = restrict0
-    return sub if gamma == g0 else None
 
 
 def _fmt(g):
@@ -781,7 +758,7 @@ def dichotomy_check(phi, D):
         raise PreconditionError("dichotomy needs a divisible value group")
     if phi.is_zero():
         raise PreconditionError("dichotomy of the zero function")
-    pl = minval_rat(phi, V).merged()
+    pl = minval_rat(phi, V)
     zero = V.group.zero()
     segs = pl.segments
     if len(segs) == 1:

@@ -42,13 +42,6 @@ class Segment:
     def value_at(self, gamma):
         return gamma.scale(self.slope) + self.intercept
 
-    def contains(self, gamma):
-        if self.lo is not None and gamma < self.lo:
-            return False
-        if self.hi is not None and gamma > self.hi:
-            return False
-        return True
-
     def __repr__(self):
         lo = "-oo" if self.lo is None else str(self.lo)
         hi = "+oo" if self.hi is None else str(self.hi)
@@ -140,9 +133,6 @@ class PiecewiseLinear:
         diff = self.combine(other, lambda x, y: (x, y))
         return all(s.slope[0] == s.slope[1] and s.intercept[0] == s.intercept[1]
                    for s in diff.segments)
-
-    def __hash__(self):  # pragma: no cover - not used as a key
-        return hash(len(self.segments))
 
     def is_constant(self):
         m = self.merged()

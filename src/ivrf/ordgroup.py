@@ -133,17 +133,9 @@ class GroupElement:
         q = _canon(q)
         return GroupElement(self.group, _normed(tuple([a * q for a in self.coords])))
 
-    def __mul__(self, q):
-        return self.scale(q)
-
-    __rmul__ = __mul__
-
     def in_lattice(self):
         return all(d or type(c) is int
                    for c, d in zip(self.coords, self.group.divisible))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
 
     def __eq__(self, other):
         if isinstance(other, _Infinity):

@@ -7,9 +7,10 @@ arithmetic through operator overloading (exact, no floats).  Rational
 functions are always held in canonical form: numerator and denominator
 coprime, denominator monic.  Equality is therefore syntactic; two
 polynomials are equal when they have the same variable, the same field and
-equal coefficients.  Every fraction field in ivrf rests on this one form:
-an element of kappa(t) is a RationalFunction in t, and a Hahn field element
-is one in s = t^(1/m).
+equal coefficients.  A rational function equals only a rational function,
+never an int or a polynomial, so equal values hash equal.  Every fraction
+field in ivrf rests on this one form: an element of kappa(t) is a
+RationalFunction in t, and a Hahn field element is one in s = t^(1/m).
 
 A polynomial over GF(2) (a field with ``poly_bits`` set) is stored as one
 int, bit i the coefficient of var^i (``_GF2Polynomial``): addition is xor,
@@ -309,8 +310,6 @@ class Polynomial:
         for c in self.coeffs:
             num_gcd = _igcd(num_gcd, c.numerator)
             den_lcm = den_lcm * c.denominator // _igcd(den_lcm, c.denominator)
-        if num_gcd == 0:
-            return self
         return self.scale(Fraction(den_lcm, num_gcd))
 
     # -- evaluation and substitution ----------------------------------
@@ -669,11 +668,9 @@ class RationalFunction:
         return self.num.coeff(0)
 
     def __eq__(self, other):
-        if isinstance(other, RationalFunction):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (Polynomial, int)):
-            return self == self._coerce(other)
-        return NotImplemented
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash(("ratfun", self.num, self.den))
@@ -886,18 +883,17 @@ def _compose_poly(p, other):
 
 # -- parsing ----------------------------------------------------------------
 
-def parse_ratfun(field, text, var="x"):
-    """Parse a rational function in ``var`` with coefficients in the field's
-    element grammar (field symbols become constant functions)."""
-    env = {var: RationalFunction.gen(field, var)}
+def parse_ratfun(field, text):
+    """Parse a rational function in x over ``field``.
+
+    ``x`` is the generator, and integer literals and the field's symbols
+    (``field.symbol_env()``) are constant functions, so every value the
+    grammar of ``ivrf.parsing`` builds from them with the operators of
+    ``RationalFunction``, the result included, is a ``RationalFunction``.
+    """
+    env = {"x": RationalFunction.gen(field)}
     for name, val in field.symbol_env().items():
-        env[name] = RationalFunction.constant(field, val, var)
-    value = parse_expression(
-        text, env,
-        lambda n: RationalFunction.constant(field, field.from_int(n), var))
-    if isinstance(value, Polynomial):
-        return RationalFunction(value)
-    if not isinstance(value, RationalFunction):
-        return RationalFunction.constant(field, value, var)
-    return value
+        env[name] = RationalFunction.constant(field, val)
+    return parse_expression(
+        text, env, lambda n: RationalFunction.constant(field, field.from_int(n)))
 

@@ -76,11 +76,11 @@ def _rand_point_tadic(V, rng):
     kappa = V.kappa
     while True:
         num = Polynomial(kappa, [kappa.random(rng) for _ in range(rng.randint(1, 2))],
-                         V.var)
+                         "t")
         if num.is_zero():
             continue
         den = Polynomial(kappa, [kappa.random(rng) for _ in range(rng.randint(1, 2))],
-                         V.var)
+                         "t")
         if den.is_zero():
             continue
         return RationalFunction(num, den) * V.gen() ** rng.randint(-2, 2)

@@ -5,12 +5,12 @@ import pytest
 
 from ivrf.errors import PreconditionError
 from ivrf.ff import FiniteField, RatFuncField
-from ivrf.fields import (ConstantSubfield, HahnFinite, PAdicQ,
+from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, HahnFinite, PAdicQ,
                          PrimePowerSubfield, PVDSpec, TAdicRat)
 from ivrf.intr import (DomainSpec, MStar, Pointed, ValueIdeal, VIOLATION,
                        WHOLE_FIELD, WHOLE_RING, ZERO, STRICTLY_POSITIVE,
-                       characteristic_set, dichotomy_check, domain_from_config,
-                       ideal_member, intr_member, residue_roots)
+                       _small_residues, characteristic_set, dichotomy_check,
+                       domain_from_config, ideal_member, intr_member, residue_roots)
 from ivrf.newton import minval_rat
 from ivrf.ratfun import POLE, Polynomial, RationalFunction, parse_ratfun
 
@@ -253,6 +253,22 @@ class TestDichotomy:
         D = PVDSpec(TAdicRat(F4), PrimePowerSubfield(F4, 1))
         with pytest.raises(PreconditionError):
             dichotomy_check(RationalFunction.one(D.field), D)
+
+
+class TestSmallResidues:
+    def test_finite_sources_are_enumerated_in_full(self):
+        F = FiniteField(101)
+        every = list(_small_residues(F, PrimePowerSubfield(F, 1)))
+        assert len(every) == 100 and F.zero() not in every
+        assert len(list(_small_residues(F, None))) == 100
+
+    def test_ratfunc_field_search(self):
+        L = RatFuncField(FiniteField(2), "u")
+        assert len(list(_small_residues(L, None))) == 31
+        frobenius = list(_small_residues(L, FrobeniusSubfield(L, 1)))
+        assert len(frobenius) == 7
+        assert all(FrobeniusSubfield(L, 1).contains(c) for c in frobenius)
+        assert list(_small_residues(L, ConstantSubfield(L))) == [L.one()]
 
 
 class TestResidueRoots:

@@ -135,6 +135,18 @@ class TestIdentity:
     def test_distinct(self):
         assert x != x + 1
 
+    def test_equal_only_to_rational_functions(self):
+        # a rational function never equals an int or a polynomial, so
+        # equality agrees with hashing: 1 is not found in {1 as a function}
+        one = RationalFunction.one(QQ)
+        assert one != 1 and 1 not in {one}
+        t = Polynomial.gen(QQ)
+        assert RationalFunction(t) != t
+        assert HahnFinite(FiniteField(2)).one() != 1
+        # a finite-field element keeps its int equality and matching hash
+        F4 = FiniteField(2, 2)
+        assert F4.one() == 1 and hash(F4.one()) == hash(1)
+
 
 class TestParse:
     def test_padic_style(self):

@@ -264,7 +264,7 @@ SURFACE_CASES = [
 
 
 @pytest.mark.parametrize("V, symbols, negative", SURFACE_CASES,
-                         ids=lambda c: c.describe() if hasattr(c, "describe") else "")
+                         ids=[V.describe() for V, _, _ in SURFACE_CASES])
 class TestSharedSurface:
     def test_symbol_env(self, V, symbols, negative):
         env = V.symbol_env()

@@ -197,6 +197,22 @@ class TestIdeals:
         x = RationalFunction.constant(H, H.monomial(Fraction(1, 4)))
         assert ideal_member(x, ValueIdeal(3), D)
 
+    def test_value_ideal_certified_over_divisible_group(self):
+        # the certifier against the strict threshold v > 0 of the Hahn ring
+        H = HahnFinite(FiniteField(2))
+        ring = DomainSpec.valuation_ring(H, WHOLE_RING)
+        field = DomainSpec.valuation_ring(H, WHOLE_FIELD)
+
+        def fn(text):
+            return parse_ratfun(H, text)
+        assert ideal_member(fn("t*x"), ValueIdeal(1), ring)
+        assert ideal_member(fn("t*x"), ValueIdeal(3), ring)
+        assert not ideal_member(fn("x"), ValueIdeal(1), ring)
+        assert not ideal_member(fn("x"), ValueIdeal(1), field)
+        assert not ideal_member(fn("t*x"), ValueIdeal(1), field)
+        for D in (ring, field):
+            assert ideal_member(fn("t^{1/2}/(x^2 + x + 1)"), ValueIdeal(1), D)
+
     def test_characteristic_sets(self):
         D = DomainSpec.valuation_ring(Q5, WHOLE_FIELD)
         x = RationalFunction(qp(0, 1))
@@ -489,6 +505,18 @@ class TestResidueBranches:
              "status": "clear"})),
         "powers probe out": (_TADIC_GF2U, _CONSTANTS, "t*x/(x^2 + t^3)",
                              _out("(1/u)*t", "residue u outside subfield")),
+        # value 0 over GF(2)(u): const in F with s odd is In, because the
+        # residues are F's units; const outside F is Out at residue 1
+        "powers units x": (_TADIC_GF2U, _FROBENIUS, "x", _in(
+            "GF(2)(u)(t) t-adic",
+            {"from": None, "to": None, "slope": 1, "intercept": "0",
+             "status": "clear"})),
+        "powers units u^2*x": (_TADIC_GF2U, _FROBENIUS, "u^2*x", _in(
+            "GF(2)(u)(t) t-adic",
+            {"from": None, "to": None, "slope": 1, "intercept": "0",
+             "status": "clear"})),
+        "powers units out": (_TADIC_GF2U, _FROBENIUS, "u*x",
+                             _out("1", "residue u outside subfield")),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -154,7 +154,8 @@ def member(config, phi, depth, out):
               required=True)
 @click.option("--at", default=None, help="anchor point for pointed ideals")
 @click.option("--component", type=int, default=0)
-@click.option("--power", type=int, default=1, help="power of m for --kind m")
+@click.option("--power", type=click.IntRange(min=1), default=1,
+              help="power of m for --kind m")
 @click.option("--depth", type=click.IntRange(min=1), default=3)
 @click.option("--out", default=None)
 def ideal(config, phi, kind, at, component, power, depth, out):

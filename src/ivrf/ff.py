@@ -106,19 +106,22 @@ class FiniteField:
         self._add_tab = [[self._index([(a + b) % p for a, b in zip(di, dj)])
                           for dj in digits] for di in digits]
         self._neg_tab = [self._index([(-a) % p for a in di]) for di in digits]
+        # mul and inv are read off the powers of a primitive element g
         Fp = self.modulus.field
-        polys = [Polynomial(Fp, [Fp.element(d) for d in di]) for di in digits]
-        self._mul = mul = [
-            [self._index([c.idx for c in ((a * b) % self.modulus).coeffs])
-             for b in polys] for a in polys]
-        inv = [0] * q
-        for i in range(1, q):
-            row = mul[i]
-            for j in range(1, q):
-                if row[j] == 1:
-                    inv[i] = j
-                    break
-        self._inv = inv
+        for di in digits[p:]:
+            g = x = Polynomial(Fp, [Fp.element(d) for d in di])
+            powers = [1]  # g^0, g^1, ... until the cycle returns to 1
+            while (i := self._index([c.idx for c in x.coeffs])) != 1:
+                powers.append(i)
+                x = (x * g) % self.modulus
+            if len(powers) == q - 1:
+                break
+        n = q - 1
+        log = {i: e for e, i in enumerate(powers)}
+        self._mul = [[0] * q] + [
+            [0] + [powers[(log[a] + log[b]) % n] for b in range(1, q)]
+            for a in range(1, q)]
+        self._inv = [0] + [powers[-log[a] % n] for a in range(1, q)]
 
     # -- field protocol --------------------------------------------------
 

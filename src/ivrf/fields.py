@@ -624,10 +624,6 @@ class SubfieldSpec:
     def elements(self):
         raise UnsupportedCaseError("subfield is not enumerable")
 
-    def power_subset(self, s):
-        """Whether {c^s : c in L, c != 0} is contained in F; None if unknown."""
-        raise NotImplementedError
-
     def purely_inseparable_exponent(self):
         """e such that c^(p^e) in F for all c in L, or None."""
         return None
@@ -650,9 +646,6 @@ class FullResidueField(SubfieldSpec):
 
     def elements(self):
         return self.L.elements()
-
-    def power_subset(self, s):
-        return True
 
     def purely_inseparable_exponent(self):
         return 0
@@ -683,9 +676,6 @@ class PrimePowerSubfield(SubfieldSpec):
     def elements(self):
         return (x for x in self.L.elements() if self.contains(x))
 
-    def power_subset(self, s):
-        return all(self.contains(x ** s) for x in self.L.nonzero_elements())
-
     def describe(self):
         return f"GF({self.sub_order}) in GF({self.L.q})"
 
@@ -706,9 +696,6 @@ class ConstantSubfield(SubfieldSpec):
 
     def elements(self):
         return (self.L.constant(c) for c in self.L.base.elements())
-
-    def power_subset(self, s):
-        return s == 0
 
     def describe(self):
         return f"GF({self.L.base.q}) in {self.L.describe()}"
@@ -734,9 +721,6 @@ class FrobeniusSubfield(SubfieldSpec):
 
     def is_finite(self):
         return False
-
-    def power_subset(self, s):
-        return s % self.step == 0
 
     def purely_inseparable_exponent(self):
         return self.e

@@ -17,7 +17,8 @@ of the numerator and denominator envelopes:
 
 Certification is sound, never complete: ``Unknown`` is an honest outcome,
 produced when the depth budget runs out or a root/residue search over an
-infinite residue field cannot be exhausted.  ``CertifiedOut`` always carries
+infinite residue field cannot be exhausted; its ``depth_exhausted`` is True
+exactly when the refinement depth ran out.  ``CertifiedOut`` always carries
 a concrete witness that is re-verified by direct evaluation.
 """
 
@@ -28,7 +29,7 @@ from itertools import islice
 
 from .errors import (ConfigError, PreconditionError, StructuralError,
                      UndecidedError)
-from .fields import (FrobeniusSubfield, PVDSpec, _config_value, field_from_config,
+from .fields import (FrobeniusSubfield, _config_value, field_from_config,
                      in_pullback, pvd_from_config)
 from .ff import FiniteField, RatFuncField, polynomials, rf_pth_root
 from .newton import local_poly, minval_poly, minval_rat
@@ -63,6 +64,7 @@ class CertifiedIn:
 
 class CertifiedOut:
     kind = "out"
+    depth_used = 1
 
     def __init__(self, witness, reason=""):
         self.witness = witness
@@ -77,7 +79,10 @@ class CertifiedOut:
 
 
 class Unknown:
+    """No verdict; ``depth_exhausted`` is True exactly when the depth ran out."""
+
     kind = "unknown"
+    depth_used = 1
 
     def __init__(self, reason, depth_exhausted=False):
         self.reason = reason
@@ -324,6 +329,10 @@ def _small_residues(L, allowed):
 # ---------------------------------------------------------------------------
 
 class _Ctx:
+    """The target of one component: values v(y) at or above ``tau`` (above,
+    when ``strict``), and at value 0 residues in the subfield ``fsub`` when it
+    is not None.  Contexts with a subfield have tau = 0 and are not strict."""
+
     __slots__ = ("V", "fsub", "tau", "strict")
 
     def __init__(self, V, fsub, tau, strict):
@@ -337,55 +346,35 @@ class _Ctx:
             return True
         return v > self.tau if self.strict else v >= self.tau
 
-    def residue_condition_active(self):
-        return (self.fsub is not None and not self.strict
-                and self.tau == self.V.group.zero())
-
     def point_ok(self, y):
         """Full membership test of a field element against the target."""
         v = self.V.valuation(y)
         if not self.value_ok(v):
             return False
-        if (self.residue_condition_active() and v == self.V.group.zero()
+        if (self.fsub is not None and v == self.V.group.zero()
                 and not self.fsub.contains(self.V.residue(y))):
             return False
         return True
 
 
-class _Outcome:
-    __slots__ = ("status", "witness", "reason", "depth_used", "cert")
-
-    def __init__(self, status, witness=None, reason="", depth_used=1, cert=None):
-        self.status = status
-        self.witness = witness
-        self.reason = reason
-        self.depth_used = depth_used
-        self.cert = cert if cert is not None else []
-
-
 def _certify(ctx, phi, region, restrict0, depth):
+    """The verdict for one context, its pieces in ``certificate``."""
     V = ctx.V
-    group = V.group
-    zero = group.zero()
-    plf = minval_poly(phi.num, V)
-    plg = minval_poly(phi.den, V)
-    pld = plf.combine(plg, lambda a, b: a - b)
-    unknown_reason = None
+    unknown = None
     depth_used = 1
     cert = []
 
-    for seg in pld.segments:
+    for seg in (minval_poly(phi.num, V) - minval_poly(phi.den, V)).segments:
         piece = region.intersect(seg.lo, True, seg.hi, True)
         rec = {"from": _fmt(seg.lo), "to": _fmt(seg.hi),
                "slope": seg.slope, "intercept": str(seg.intercept)}
         if piece is not None:
             out = _check_interval(ctx, phi, seg, piece, restrict0, rec)
             if out is not None:
-                if out.status == "out":
-                    out.cert = cert + [rec]
+                if out.kind == "out":
+                    out.certificate = cert + [rec]
                     return out
-                if out.status == "unknown":
-                    unknown_reason = unknown_reason or out.reason
+                unknown = unknown or out
         cert.append(rec)
 
         # The breakpoint at the right end of this segment, if any.
@@ -396,20 +385,20 @@ def _certify(ctx, phi, region, restrict0, depth):
             cert.append({"point": _fmt(delta), "status": "not a value"})
             continue
         prec = {"point": _fmt(delta), "classes": []}
-        out = _check_point(ctx, phi, plf, plg, delta, region, restrict0,
+        out = _check_point(ctx, phi, delta, seg.value_at(delta), restrict0,
                            depth, prec)
         cert.append(prec)
         depth_used = max(depth_used, out.depth_used)
-        if out.status == "out":
-            out.cert = cert
+        if out.kind == "out":
+            out.certificate = cert
             return out
-        if out.status == "unknown":
-            unknown_reason = unknown_reason or out.reason
+        if out.kind == "unknown":
+            unknown = unknown or out
 
-    if unknown_reason is not None:
-        return _Outcome("unknown", reason=unknown_reason, depth_used=depth_used,
-                        cert=cert)
-    return _Outcome("in", depth_used=depth_used, cert=cert)
+    if unknown is None:
+        return CertifiedIn(cert, depth_used)
+    unknown.certificate, unknown.depth_used = cert, depth_used
+    return unknown
 
 
 def _check_interval(ctx, phi, seg, piece, restrict0, rec):
@@ -419,17 +408,17 @@ def _check_interval(ctx, phi, seg, piece, restrict0, rec):
     zero = group.zero()
     s, beta = seg.slope, seg.intercept
 
-    bad = _failing_subregion(piece, s, beta, ctx.tau, ctx.strict, group)
+    bad = _failing_subregion(piece, s, beta, ctx.tau, ctx.strict)
     if bad is not None:
         gv = bad.lattice_point(group)
         if gv is not None:
             # residue 1 is in every subfield, so a bare power of value gv is
             # an admissible point even under the residue restriction
             rec["status"] = "violated"
-            return _Outcome("out", witness=V.element_of_value(gv),
-                            reason=f"envelope value {seg.value_at(gv)} at {gv}")
+            return CertifiedOut(V.element_of_value(gv),
+                                f"envelope value {seg.value_at(gv)} at {gv}")
 
-    if not ctx.residue_condition_active():
+    if ctx.fsub is None:
         rec["status"] = "clear"
         return None
 
@@ -444,32 +433,37 @@ def _check_interval(ctx, phi, seg, piece, restrict0, rec):
         if not ctx.fsub.contains(const):
             gv = piece.lattice_point(group)
             if gv is not None:
-                return _Outcome("out", witness=V.element_of_value(gv),
-                                reason=f"residue {const} outside subfield")
+                return CertifiedOut(V.element_of_value(gv),
+                                    f"residue {const} outside subfield")
         return None
 
     if s != 0:
         gstar = (ctx.tau - beta).scale(Fraction(1, s))
         if piece.contains(gstar) and gstar.in_lattice():
+            # at value gstar the residue of phi is h(c) = const * c^s; when
+            # the residues are restricted to the subfield's units, c^s stays
+            # in F and h = const decides
             t = V.element_of_value(gstar)
             const = V.residue((f_c * t ** fi) / (g_c * t ** gj))
             allowed = restrict0 if gstar == zero else None
-            rec["status"] = "zero crossing"
-            out = _residues_into_subfield_powers(ctx, const, s, allowed, t)
+            h = RationalFunction.constant(V.residue_field, const)
+            if allowed is None:
+                h = h * RationalFunction.gen(h.field) ** s
+            out = _residue_condition(ctx, t, h, allowed, (), gstar)
             if out is not None:
                 return out
     rec["status"] = "clear"
     return None
 
 
-def _check_point(ctx, phi, plf, plg, delta, region, restrict0, depth, prec):
+def _check_point(ctx, phi, delta, val, restrict0, depth, prec):
+    """The residue classes at the breakpoint ``delta`` of envelope value ``val``."""
     V = ctx.V
     L = V.residue_field
     zero = V.group.zero()
     t = V.element_of_value(delta)
     locf = local_poly(phi.num, t, V)
     locg = local_poly(phi.den, t, V)
-    val = plf.eval(delta) - plg.eval(delta)
     ok_val = ctx.value_ok(val)
     allowed = restrict0 if delta == zero else None
 
@@ -479,9 +473,9 @@ def _check_point(ctx, phi, plf, plg, delta, region, restrict0, depth, prec):
         roots_g = {c for c in roots_g if allowed.contains(c)}
         roots_f = {c for c in roots_f if allowed.contains(c)}
     roots = roots_f | roots_g
-    unknown_reason = None
+    unknown = None
     if not complete_g or (not ok_val and not complete_f):
-        unknown_reason = (f"root search beyond degree cap {_ROOT_CAP} "
+        unknown = Unknown(f"root search beyond degree cap {_ROOT_CAP} "
                           f"at value {delta}")
 
     # Exact classes.
@@ -490,16 +484,20 @@ def _check_point(ctx, phi, plf, plg, delta, region, restrict0, depth, prec):
         if c is not None:
             prec["classes"].append({"residue": str(c), "case": "exact",
                                     "action": "witness"})
-            return _Outcome("out", witness=t * V.lift(c),
-                            reason=f"exact class value {val} at {delta}")
-    elif val == zero and ctx.residue_condition_active():
-        out = _point_residue_condition(ctx, phi, locf, locg, t, delta,
-                                       allowed, roots, prec)
+            return CertifiedOut(t * V.lift(c), f"exact class value {val} at {delta}")
+    elif val == zero and ctx.fsub is not None:
+        # exact classes have residue r0 * locf(c)/locg(c)
+        df, dg = locf.degree, locg.degree
+        r0 = V.residue((phi.num.coeffs[df] * t ** df) /
+                       (phi.den.coeffs[dg] * t ** dg))
+        h = RationalFunction(locf.scale(r0), locg)
+        prec["classes"].append({"residue": "*", "case": "exact",
+                                "ratio": str(h)})
+        out = _residue_condition(ctx, t, h, allowed, roots, delta)
         if out is not None:
-            if out.status == "unknown":
-                unknown_reason = unknown_reason or out.reason
-            else:
+            if out.kind == "out":
                 return out
+            unknown = unknown or out
 
     # Classes needing refinement.
     recurse = set(roots_g)
@@ -513,57 +511,48 @@ def _check_point(ctx, phi, plf, plg, delta, region, restrict0, depth, prec):
         ev = phi.evaluate(a0)
         if ev is POLE:
             crec["action"] = "pole"
-            return _Outcome("out", witness=a0, reason=f"pole at {a0}")
+            return CertifiedOut(a0, f"pole at {a0}")
         if not ctx.point_ok(ev):
             crec["action"] = "witness"
-            return _Outcome("out", witness=a0,
-                            reason=f"value {V.valuation(ev)} at {a0}")
+            return CertifiedOut(a0, f"value {V.valuation(ev)} at {a0}")
         if depth <= 1:
             crec["action"] = "depth exhausted"
-            unknown_reason = unknown_reason or (
-                f"refinement needed at {delta}, residue {c}; depth exhausted")
+            unknown = unknown or Unknown(
+                f"refinement needed at {delta}, residue {c}; depth exhausted", True)
             continue
         shifted = phi.compose(RationalFunction(
             Polynomial(V, [a0, t], phi.num.var)))
-        sub_region = _Region(zero, True, None, True)
-        out = _certify(ctx, shifted, sub_region, None, depth - 1)
+        out = _certify(ctx, shifted, _Region(zero, True, None, True), None, depth - 1)
         crec["action"] = "refined"
         crec["depth"] = out.depth_used
         depth_used = max(depth_used, 1 + out.depth_used)
-        if out.status == "out":
-            return _Outcome("out", witness=a0 + t * out.witness,
-                            reason=out.reason, depth_used=depth_used)
-        if out.status == "unknown":
-            unknown_reason = unknown_reason or out.reason
+        if out.kind == "out":
+            return CertifiedOut(a0 + t * out.witness, out.reason)
+        if out.kind == "unknown":
+            unknown = unknown or out
 
-    if unknown_reason:
-        return _Outcome("unknown", reason=unknown_reason, depth_used=depth_used)
-    return _Outcome("in", depth_used=depth_used)
+    if unknown is None:
+        return CertifiedIn(prec, depth_used)
+    unknown.depth_used = depth_used
+    return unknown
 
 
-def _point_residue_condition(ctx, phi, locf, locg, t, delta, allowed, roots, prec):
-    """At a breakpoint with envelope value 0, exact classes have residue
-    r0 * locf(c)/locg(c); every allowed non-root c must land in the subfield."""
-    V = ctx.V
-    L = V.residue_field
-    df, dg = locf.degree, locg.degree
-    r0 = V.residue((phi.num.coeffs[df] * t ** df) /
-                   (phi.den.coeffs[dg] * t ** dg))
-    h = RationalFunction(locf.scale(r0), locg)
-    prec["classes"].append({"residue": "*", "case": "exact",
-                            "ratio": str(h)})
-
+def _residue_condition(ctx, t, h, allowed, roots, delta):
+    """At value 0 the residues of phi are h(c), h a rational function over
+    the residue field; every allowed nonzero c outside ``roots`` must land
+    in the subfield."""
+    L = ctx.V.residue_field
+    residues = _small_residues(L, allowed)
     if (allowed is not None and allowed.is_finite()) or isinstance(L, FiniteField):
-        return _probe(ctx, t, _small_residues(L, allowed), h.evaluate, roots)
+        return _probe(ctx, t, residues, h, roots)
 
     if h.is_constant():
-        const = h.as_constant()
-        if ctx.fsub.contains(const):
+        if ctx.fsub.contains(h.as_constant()):
             return None
-        return (_probe(ctx, t, _small_residues(L, allowed), lambda c: const, roots)
-                or _Outcome("unknown", reason="no probe residue found"))
+        return (_probe(ctx, t, residues, h, roots)
+                or Unknown("no probe residue found"))
 
-    if isinstance(ctx.fsub, FrobeniusSubfield) and isinstance(L, RatFuncField):
+    if isinstance(ctx.fsub, FrobeniusSubfield):
         reduced = h
         for _ in range(ctx.fsub.e):
             reduced = rf_pth_root(reduced, L.base.p)
@@ -572,46 +561,26 @@ def _point_residue_condition(ctx, phi, locf, locg, t, delta, allowed, roots, pre
         else:
             return None
 
-    return (_probe(ctx, t, _small_residues(L, allowed), h.evaluate, roots)
-            or _Outcome("unknown",
-                        reason=f"residue ratio {h} into subfield undecided at {delta}"))
+    return (_probe(ctx, t, residues, h, roots)
+            or Unknown(f"residue ratio {h} into subfield undecided at {delta}"))
 
 
-def _residues_into_subfield_powers(ctx, const, s, allowed, t):
-    """Need const * c^s in the subfield for every allowed nonzero residue."""
-    L = ctx.V.residue_field
-    if allowed is not None:
-        # residues restricted to the subfield's units: c^s stays inside, so
-        # the condition is exactly const in F, and c = 1 witnesses failure
-        if ctx.fsub.contains(const):
-            return None
-        return _Outcome("out", witness=t,
-                        reason=f"residue {const} outside subfield")
-    if isinstance(L, FiniteField):
-        return _probe(ctx, t, _small_residues(L, None), lambda c: const * c ** s)
-    if ctx.fsub.contains(const) and ctx.fsub.power_subset(s):
-        return None
-    return (_probe(ctx, t, _small_residues(L, None), lambda c: const * c ** s)
-            or _Outcome("unknown", reason="power-residue condition undecided"))
-
-
-def _probe(ctx, t, residues, value_of, skip=()):
-    """The first residue c outside ``skip`` whose value (a pole is passed
-    over) lands outside the subfield, as an outcome with witness t * lift(c);
-    None when there is none."""
+def _probe(ctx, t, residues, h, skip):
+    """The first residue c outside ``skip`` whose value h(c) (a pole is
+    passed over) lands outside the subfield, as a ``CertifiedOut`` with
+    witness t * lift(c); None when there is none."""
     for c in residues:
         if c in skip:
             continue
-        value = value_of(c)
+        value = h.evaluate(c)
         if value is not POLE and not ctx.fsub.contains(value):
-            return _Outcome("out", witness=t * ctx.V.lift(c),
-                            reason=f"residue {value} outside subfield")
+            return CertifiedOut(t * ctx.V.lift(c),
+                                f"residue {value} outside subfield")
     return None
 
 
-def _failing_subregion(piece, s, beta, tau, strict, group):
+def _failing_subregion(piece, s, beta, tau, strict):
     """Sub-interval of ``piece`` where s*gamma + beta fails the threshold."""
-    zero = group.zero()
     if s == 0:
         fails = beta < tau or (strict and beta == tau)
         return piece if fails else None
@@ -653,7 +622,7 @@ def intr_member(phi, D, depth=3):
         ctx = _Ctx(V, fsub, zero, False)
         out = _certify(ctx, phi, region, restrict0, depth)
         depth_used = max(depth_used, out.depth_used)
-        if out.status == "out":
+        if out.kind == "out":
             w = out.witness
             ok = D.contains_point(w)
             if ok:
@@ -661,10 +630,10 @@ def intr_member(phi, D, depth=3):
                 ok = evw is POLE or not D.member(evw)
             if ok:
                 return CertifiedOut(w, out.reason)
-            unknown = unknown or "candidate witness failed re-verification"
-        elif out.status == "unknown":
-            unknown = unknown or out.reason
-        certificates.append({"component": V.describe(), "pieces": out.cert})
+            unknown = unknown or Unknown("candidate witness failed re-verification")
+        elif out.kind == "unknown":
+            unknown = unknown or out
+        certificates.append({"component": V.describe(), "pieces": out.certificate})
 
     # 0 belongs to both the whole field and the whole ring.
     ev0 = phi.evaluate(D.field.zero())
@@ -674,12 +643,16 @@ def intr_member(phi, D, depth=3):
         return CertifiedOut(D.field.zero(), "value at 0 outside the domain")
 
     if unknown is not None:
-        return Unknown(unknown, depth_exhausted="depth" in unknown)
+        return Unknown(unknown.reason, unknown.depth_exhausted)
     return CertifiedIn(certificates, depth_used)
 
 
 def ideal_member(phi, ideal, D, depth=3):
     """Membership of phi in a pointed ideal, in M*, or in a value ideal."""
+    if ideal.kind == "pointed" and ideal.component not in range(len(D.components)):
+        raise PreconditionError(f"no component {ideal.component} in {D.describe()}")
+    if ideal.kind == "value" and ideal.power < 1:
+        raise PreconditionError(f"the power of m must be at least 1, not {ideal.power}")
     if ideal.kind == "pointed":
         if not D.contains_point(ideal.a):
             raise PreconditionError("the anchor point must lie in E")
@@ -723,10 +696,10 @@ def ideal_member(phi, ideal, D, depth=3):
             ev0 = phi.evaluate(V.zero())
             if ev0 is POLE or not ctx.value_ok(V.valuation(ev0)):
                 return False
-            verdicts.append(_certify(ctx, phi, region, restrict0, depth).status)
-        if all(s == "in" for s in verdicts):
+            verdicts.append(_certify(ctx, phi, region, restrict0, depth).kind)
+        if all(k == "in" for k in verdicts):
             return True
-        if any(s == "out" for s in verdicts):
+        if any(k == "out" for k in verdicts):
             return False
         raise UndecidedError("value-ideal membership undecided")
 
@@ -750,10 +723,7 @@ def dichotomy_check(phi, D):
     not-local split: members must classify Zero or StrictlyPositive, and a
     Violation certifies non-membership.
     """
-    if isinstance(D, PVDSpec):
-        V = D.field
-    else:
-        V = D
+    V = D.field
     if not all(V.group.divisible):
         raise PreconditionError("dichotomy needs a divisible value group")
     if phi.is_zero():

@@ -75,6 +75,17 @@ class TestMember:
         data = payload(res)
         assert data["verdict"] == "Unknown"
 
+    def test_undecided_residue_is_not_depth_exhausted(self):
+        # a residue variable named "depth" does not mark the depth as run out
+        config = ('{"field": {"variant": "tadic", "residue": {"kind": "ratfunc",'
+                  ' "q": 2, "var": "depth"}}, "subfield": {"kind": "frobenius",'
+                  ' "e": 1}, "E": "ring"}')
+        res = run("member", "--config", config, "--phi", "depth^2*x^2 + depth^2*x")
+        assert res.exit_code == 0, res.output
+        data = payload(res)
+        assert data["verdict"] == "Unknown"
+        assert data["depth_exhausted"] is False
+
 
 class TestIdeal:
     def test_pointed(self):
@@ -226,6 +237,16 @@ class TestErrors:
     @pytest.mark.parametrize("depth", ["0", "-1"])
     def test_depth_below_one_exits_two(self, depth):
         res = run("member", "--config", RING5, "--phi", "x", "--depth", depth)
+        assert res.exit_code == 2, res.output
+
+    @pytest.mark.parametrize("args", [
+        ["--kind", "pointed", "--at", "5", "--component", "3"],
+        ["--kind", "pointed", "--at", "5", "--component", "-1"],
+        ["--kind", "m", "--power", "0"],
+        ["--kind", "m", "--power", "-2"],
+    ])
+    def test_ideal_index_or_power_out_of_range_exits_two(self, args):
+        res = run("ideal", "--config", RING5, "--phi", "1/5", *args)
         assert res.exit_code == 2, res.output
 
     def test_scan_order_beyond_cap_exits_two(self):

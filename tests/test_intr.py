@@ -57,6 +57,17 @@ class TestMembership:
         assert v.kind == "unknown"
         assert v.depth_exhausted
 
+    def test_undecided_residue_is_not_depth_exhausted(self):
+        # no refinement runs, though the residue variable is named "depth"
+        D = domain_from_config({
+            "field": {"variant": "tadic",
+                      "residue": {"kind": "ratfunc", "q": 2, "var": "depth"}},
+            "subfield": {"kind": "frobenius", "e": 1}, "E": "ring"})
+        v = intr_member(parse_ratfun(D.field, "depth^2*x^2 + depth^2*x"), D)
+        assert v.reason == ("residue ratio depth^2*x^2 + depth^2*x "
+                            "into subfield undecided at 0")
+        assert not v.depth_exhausted
+
     def test_over_refined_quotient_is_out(self):
         D = DomainSpec.valuation_ring(Q5, WHOLE_RING)
         phi = RationalFunction(qp(0, -1, 0, 0, 0, 1), qp(25))
@@ -432,9 +443,10 @@ def _in(component, *pieces):
 
 
 class TestResidueBranches:
-    """One pullback input, E = ring, per branch of the residue checks: the
-    breakpoint ratio r0 * locf/locg (``_point_residue_condition``) and the
-    zero crossing const * c^s (``_residues_into_subfield_powers``)."""
+    """One pullback input, E = ring, per branch of the residue check
+    (``_residue_condition``), which gets the breakpoint ratio r0 * locf/locg
+    ("ratio" cases) or the zero crossing const * c^s ("powers" cases; at
+    value 0 on E = ring just const)."""
 
     CASES = {
         # ratio over a finite enumeration: a value outside F, or all inside

@@ -446,9 +446,7 @@ def _check_interval(ctx, phi, seg, piece, restrict0, rec):
             t = V.element_of_value(gstar)
             const = V.residue((f_c * t ** fi) / (g_c * t ** gj))
             allowed = restrict0 if gstar == zero else None
-            h = RationalFunction.constant(V.residue_field, const)
-            if allowed is None:
-                h = h * RationalFunction.gen(h.field) ** s
+            h = const * RationalFunction.gen(V.residue_field) ** (s if allowed is None else 0)
             out = _residue_condition(ctx, t, h, allowed, (), gstar)
             if out is not None:
                 return out

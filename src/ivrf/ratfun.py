@@ -18,12 +18,21 @@ multiplication shift-xor, division and the gcd shifted xor.  The GF(2)(u)
 towers rest on this ring.  Every other field keeps the dense coefficient
 tuple; both print the same.
 
-The operations are methods: ``RationalFunction(f, g)`` normalizes f/g,
-``phi.evaluate(a)`` returns a value or ``POLE``, ``phi.compose(psi)``
-substitutes, and ``==`` is the exact identity check.  Over fraction-field
-coefficients F(v), ``clear_denominators`` turns a polynomial over F(v)
-into one over F[v], which the gcd (``fraction_free_gcd``) and the residue
-root search share; ``parse_ratfun`` reads the text form.
+The operations are methods: ``RationalFunction(f, g)`` normalizes f/g by
+one gcd, ``phi.evaluate(a)`` returns a value or ``POLE``,
+``phi.compose(psi)`` substitutes, and ``==`` is the exact identity check.
+Products, quotients, sums, inverses and compositions of reduced operands
+are reduced by construction: sums and products cancel across before they
+multiply (Henrici's rule, as ``fractions.Fraction`` does for ints), so only
+the denominator is made monic (``_monic``, which ``__init__`` shares).  An
+operand in the same variable is a function; anything else is tried as a
+constant of the coefficient field (over GF(q)(u), whose elements are
+rational functions in u, ``u * x`` is the constant u times x).
+
+Over fraction-field coefficients F(v), ``clear_denominators`` turns a
+polynomial over F(v) into one over F[v], which the gcd
+(``fraction_free_gcd``) and the residue root search share; ``parse_ratfun``
+reads the text form.
 """
 
 from __future__ import annotations
@@ -185,13 +194,16 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, RationalFunction):
-            return NotImplemented
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return self._new([])
+        # a constant factor scales the other one, and 1 leaves it as it is
+        p, q = (other, self) if len(self.coeffs) == 1 else (self, other)
+        if len(q.coeffs) == 1:
+            c = q.coeffs[0]
+            return p if c == self.field.one() else p.scale(c)
         zero = self.field.zero()
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         # the nonzero terms of the second factor, listed once: polynomials
@@ -332,14 +344,16 @@ class Polynomial:
         return acc
 
     def _coerce(self, other):
-        if isinstance(other, Polynomial):
-            return other
-        if isinstance(other, int):
-            return Polynomial.constant(self.field, self.field.from_int(other), self.var)
-        try:
-            return Polynomial.constant(self.field, self.field.zero() + other, self.var)
-        except TypeError:
+        """``other`` as a polynomial in this one's variable, or
+        NotImplemented: a polynomial in the same variable is taken as it is,
+        a rational function in it is left to its own operators, and anything
+        else is a constant (see ``_scalar``)."""
+        if isinstance(other, (Polynomial, RationalFunction)) and other.var == self.var:
+            return other if isinstance(other, Polynomial) else NotImplemented
+        c = _scalar(self.field, other)
+        if c is None:
             return NotImplemented
+        return Polynomial.constant(self.field, c, self.var)
 
     # -- printing ------------------------------------------------------
 
@@ -439,7 +453,7 @@ class _GF2Polynomial(Polynomial):
     # -- arithmetic --------------------------------------------------
 
     def __add__(self, other):
-        if type(other) is not _GF2Polynomial:
+        if type(other) is not _GF2Polynomial or other.var != self.var:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -451,9 +465,7 @@ class _GF2Polynomial(Polynomial):
         return self
 
     def __mul__(self, other):
-        if type(other) is not _GF2Polynomial:
-            if isinstance(other, RationalFunction):
-                return NotImplemented
+        if type(other) is not _GF2Polynomial or other.var != self.var:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
@@ -614,19 +626,8 @@ class RationalFunction:
         if den.is_zero():
             raise StructuralError("zero denominator")
         if not _canonical:
-            if num.is_zero():
-                den = Polynomial.constant(num.field, num.field.one(), num.var)
-            else:
-                if num.degree > 0 and den.degree > 0:
-                    g = Polynomial.gcd(num, den)
-                    if g.degree > 0:
-                        num = num // g
-                        den = den // g
-                lead = den.leading()
-                if lead != num.field.one():
-                    inv = num.field.one() / lead
-                    num = num.scale(inv)
-                    den = den.scale(inv)
+            num, den, _ = _cancel(num, den)
+            num, den = _monic(num, den)
         self.num = num
         self.den = den
 
@@ -681,33 +682,46 @@ class RationalFunction:
     # -- arithmetic ------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Polynomial):
-            return RationalFunction(other)
-        if isinstance(other, int):
-            return RationalFunction.constant(
-                self.field, self.field.from_int(other), self.var)
-        try:
-            c = self.field.zero() + other
-        except TypeError:
+        """``other`` as a function in this one's variable, or NotImplemented.
+
+        A polynomial or rational function in the same variable is a
+        function; anything else (an int, or an element of ``self.field``,
+        which over GF(q)(u) is itself a rational function in u) is a
+        constant, see ``_scalar``.
+        """
+        if isinstance(other, (RationalFunction, Polynomial)) and other.var == self.num.var:
+            return other if isinstance(other, RationalFunction) else RationalFunction(other)
+        c = _scalar(self.field, other)
+        if c is None:
             return NotImplemented
-        return RationalFunction.constant(self.field, c, self.var)
+        return RationalFunction.constant(self.field, c, self.num.var)
+
+    def _operands(self, other):
+        """Numerator and denominator of self and of other as functions in
+        one variable, or None.
+
+        Besides ``_coerce``, self is read as a constant when ``other`` is a
+        function in another variable over a field that holds it (u * x over
+        GF(q)(u)): Python runs no reflected operator for two operands of one
+        class.
+        """
+        o = self._coerce(other)
+        if o is not NotImplemented:
+            return self.num, self.den, o.num, o.den
+        if isinstance(other, RationalFunction):
+            c = _scalar(other.field, self)
+            if c is not None:
+                k = RationalFunction.constant(other.field, c, other.num.var)
+                return k.num, k.den, other.num, other.den
+        return None
+
+    # The operations below cancel before they multiply (Henrici, J. ACM 3(1),
+    # 1956; Knuth, TAOCP vol. 2, 4.5.1): on reduced operands their results
+    # are reduced by construction, and only the denominator is made monic.
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # gcd(num + c*den, den) = gcd(num, den), so adding a constant keeps
-        # the fraction reduced
-        if other.is_constant():
-            c = other.as_constant()
-            return RationalFunction(self.num + self.den.scale(c), self.den,
-                                    _canonical=True)
-        if self.is_constant():
-            return other + self
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+        ops = self._operands(other)
+        return NotImplemented if ops is None else _sum(*ops)
 
     __radd__ = __add__
 
@@ -715,42 +729,29 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den, _canonical=True)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        ops = self._operands(other)
+        if ops is None:
             return NotImplemented
-        return self + (-other)
+        a, b, c, d = ops
+        return _sum(a, b, -c, d)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        # scaling by a constant keeps the fraction reduced and the
-        # denominator monic
-        if other.is_constant():
-            c = other.as_constant()
-            if c == self.field.zero():
-                return RationalFunction.zero(self.field, self.var)
-            return RationalFunction(self.num.scale(c), self.den, _canonical=True)
-        if self.is_constant():
-            return other * self
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        ops = self._operands(other)
+        return NotImplemented if ops is None else _product(*ops)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        ops = self._operands(other)
+        if ops is None:
             return NotImplemented
-        if other.is_zero():
+        a, b, c, d = ops
+        if c.is_zero():
             raise StructuralError("division by the zero function")
-        if other.is_constant():
-            inv = self.field.one() / other.as_constant()
-            return RationalFunction(self.num.scale(inv), self.den,
-                                    _canonical=True)
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return _product(a, b, *_monic(d, c))
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -761,7 +762,7 @@ class RationalFunction:
     def inverse(self):
         if self.is_zero():
             raise StructuralError("zero has no inverse")
-        return RationalFunction(self.den, self.num)
+        return _reduced(self.den, self.num)
 
     def __pow__(self, n):
         if isinstance(n, Fraction):
@@ -813,19 +814,24 @@ class RationalFunction:
 
         Raises StructuralError when the substitution lands identically on a
         zero of the denominator (a constant filling a pole).
+
+        With p/q = self and r/s = other, both reduced, and d = max(deg p,
+        deg q), the result is s^d p(r/s) / s^d q(r/s), and these two are
+        coprime: a common root is a common root of p and q, or a zero of s,
+        where r does not vanish and the one of p, q of degree d does not.
         """
-        other = self._coerce(other)
-        if other is NotImplemented:
+        psi = self._coerce(other)
+        if psi is NotImplemented:
             raise StructuralError(f"cannot compose with {other!r}")
-        num = _compose_poly(self.num, other)
-        den = _compose_poly(self.den, other)
-        # num/den here are fractions with common denominator other.den^deg.
+        num = _compose_poly(self.num, psi)
+        den = _compose_poly(self.den, psi)
+        # num/den here are fractions with common denominator psi.den^deg.
         d = max(self.num.degree, self.den.degree)
-        nn = num * other.den ** (d - self.num.degree)
-        dd = den * other.den ** (d - self.den.degree)
+        nn = num * psi.den ** (d - self.num.degree)
+        dd = den * psi.den ** (d - self.den.degree)
         if dd.is_zero():
             raise StructuralError("composition hits a pole identically")
-        return RationalFunction(nn, dd)
+        return _reduced(nn, dd)
 
     def __repr__(self):
         return self.to_str()
@@ -840,6 +846,83 @@ class RationalFunction:
         if len(self.den.support()) > 1:
             ds = f"({ds})"
         return f"{ns}/{ds}"
+
+
+def _cancel(p, q):
+    """(p/g, q/g, g) for g = gcd(p, q), with g None when it is 1; no gcd is
+    taken when either polynomial is constant."""
+    if p.degree > 0 and q.degree > 0:
+        g = Polynomial.gcd(p, q)
+        if g.degree > 0:
+            return p // g, q // g, g
+    return p, q, None
+
+
+def _product(a, b, c, d):
+    """a/b * c/d for reduced fractions with monic denominators: gcd(a, d)
+    and gcd(c, b) are cancelled, and what is left is coprime."""
+    if b.degree == 0 and a.degree <= 0:
+        a, b, c, d = c, d, a, b
+    if d.degree == 0 and c.degree <= 0:  # times the constant c
+        return _reduced(a.scale(c.coeff(0)), b)
+    a, d, _ = _cancel(a, d)
+    c, b, _ = _cancel(c, b)
+    return _reduced(a * c, b * d)
+
+
+def _sum(a, b, c, d):
+    """a/b + c/d for reduced fractions with monic denominators.  With
+    g = gcd(b, d), t = a(d/g) + c(b/g) shares with the denominator
+    (b/g)(d/g)g only g2 = gcd(t, g)."""
+    if b.degree == 0:
+        a, b, c, d = c, d, a, b
+    if d.degree == 0:  # plus the polynomial c
+        return _reduced(a + c * b, b)
+    b1, d1, g = _cancel(b, d)
+    if g is None:
+        return _reduced(a * d + c * b, b * d)
+    t, _, g2 = _cancel(a * d1 + c * b1, g)
+    return _reduced(t, b1 * (d if g2 is None else d // g2))
+
+
+def _monic(num, den):
+    """num/den, num and den coprime, with the denominator made monic: the
+    canonical pair.  The zero function gets the denominator 1."""
+    one = num.field.one()
+    if num.is_zero():
+        return num, Polynomial.constant(num.field, one, num.var)
+    lead = den.leading()
+    if lead != one:
+        inv = one / lead
+        num, den = num.scale(inv), den.scale(inv)
+    return num, den
+
+
+def _reduced(num, den):
+    """The rational function num/den of coprime polynomials, den nonzero."""
+    num, den = _monic(num, den)
+    return RationalFunction(num, den, _canonical=True)
+
+
+def _scalar(field, other):
+    """``other`` as an element of ``field``, or None.
+
+    An int is lifted; anything else must add to the field's zero and give
+    an element of the zero's type and variable.  The check matters where
+    elements are themselves rational functions: ``zero + other`` may hand
+    ``other`` to its own reflected addition, which returns a function in
+    ``other``'s variable rather than a constant of ``field``.
+    """
+    if isinstance(other, int):
+        return field.from_int(other)
+    zero = field.zero()
+    try:
+        c = zero + other
+    except TypeError:
+        return None
+    if type(c) is not type(zero) or getattr(c, "var", None) != getattr(zero, "var", None):
+        return None
+    return c
 
 
 def _q_horner(coeffs, a):

@@ -54,9 +54,8 @@ def test_report_digest(suite):
 
 GF2 = FiniteField(2)
 GF2_U = RatFuncField(GF2, "u")
-# field name -> (domain, number of seeded pairs).  Two pairs over
-# Hahn/GF(2)(u): with polynomials over GF(2) held as coefficient lists the
-# third took more than 25 minutes to normalize.
+# field name -> (domain, number of seeded pairs).  The pair counts are those
+# the digest was first taken with; more pairs would change the digest.
 TOWER_DOMAINS = {
     "GF2(u)(t)": (DomainSpec.pvd(PVDSpec(TAdicRat(GF2_U), ConstantSubfield(GF2_U))), 6),
     "hahn/GF2(u)": (DomainSpec.pvd(PVDSpec(HahnFinite(GF2_U), ConstantSubfield(GF2_U))), 2),
@@ -80,7 +79,9 @@ def _kind_and_witness(v):
 def _domain_digest(domains, seed_prefix, verdict_text=_kind_and_witness):
     # Per field, seeded pairs a, b of quotients of degree <= 2 polynomials;
     # each line is a product or quotient as printed, and the verdict of
-    # intr_member(depth=3) on it (by default its kind and witness).
+    # intr_member(depth=3) on it (by default its kind and witness).  Each
+    # product and quotient is checked against the unreduced fraction by
+    # cross-multiplication, which needs no gcd.
     lines = []
     for name, (D, pairs) in domains.items():
         V = D.field
@@ -88,7 +89,10 @@ def _domain_digest(domains, seed_prefix, verdict_text=_kind_and_witness):
         for _ in range(pairs):
             a = RationalFunction(_nonzero_poly(V, rng), _nonzero_poly(V, rng))
             b = RationalFunction(_nonzero_poly(V, rng), _nonzero_poly(V, rng))
-            for phi in (a * b, a / b):
+            prod, quot = a * b, a / b
+            assert prod.num * (a.den * b.den) == prod.den * (a.num * b.num)
+            assert quot.num * (a.den * b.num) == quot.den * (a.num * b.den)
+            for phi in (prod, quot):
                 v = intr_member(phi, D, depth=3)
                 lines.append(f"{name}\t{phi}\t{verdict_text(v)}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -113,10 +117,8 @@ def test_hahn_digest():
 
 
 GF2_U_FROBENIUS = FrobeniusSubfield(GF2_U, 1)
-# Two pairs over Hahn/GF(2)(u): normalizing the product and quotient of the
-# second pair takes about 6 s, and of the third, which mixes the lattices
-# t^(1/2) and t^(1/3), about 110 s (nested gcds over GF(2)(u)(t^(1/6)),
-# ROADMAP item 2).
+# Two pairs over Hahn/GF(2)(u), as when the digest was taken; the third pair
+# is in test_mixed_lattice_digest.
 VERDICT_DOMAINS = {
     "Q5": (DomainSpec.valuation_ring(PAdicQ(5)), 6),
     "{2,3} on E=field": (DomainSpec.intersection([PAdicQ(2), PAdicQ(3)]), 6),
@@ -133,3 +135,18 @@ def test_verdict_digest():
     digest = _domain_digest(VERDICT_DOMAINS, "verdict-golden",
                             lambda v: json.dumps(v.to_json(), sort_keys=True, default=str))
     assert digest == VERDICT_DIGEST
+
+
+# Three pairs over Hahn/GF(2)(u) with the verdict digest's seed.  The third
+# mixes the lattices of t^(1/2), t^(5/6) and t^(-2/3), so its product and
+# quotient live on s = t^(1/6); normalizing them through one gcd of the full
+# product took about a minute each, and checking the reduced results
+# coprime takes as long, hence the cross-multiplication check.
+MIXED_DOMAINS = {"hahn/GF2(u) frobenius": (VERDICT_DOMAINS["hahn/GF2(u) frobenius"][0], 3)}
+MIXED_DIGEST = "eb769512b483276ba0f63c490805eeb56065d2c5d3b22efb7a33d5e6767510ac"
+
+
+def test_mixed_lattice_digest():
+    digest = _domain_digest(MIXED_DOMAINS, "verdict-golden",
+                            lambda v: json.dumps(v.to_json(), sort_keys=True, default=str))
+    assert digest == MIXED_DIGEST

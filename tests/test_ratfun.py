@@ -350,6 +350,93 @@ def test_hahn_power_shrinks_the_lattice():
         assert got == expected and hash(got) == hash(expected)
 
 
+# -- sums, products, quotients, inverses and compositions against the full
+# normalization: each result must equal RationalFunction(num, den) of the
+# unreduced numerator and denominator, which cancels by one gcd of the two.
+
+def _coprime_factors(V, rng, draw):
+    """Three pairwise coprime monic polynomials: x + k for distinct random
+    k, and over GF(2), where only two are distinct, x^2 + x + 1 third."""
+    ks = []
+    for _ in range(50):
+        k = draw(rng)
+        if k not in ks:
+            ks.append(k)
+        if len(ks) == 3:
+            break
+    fs = [Polynomial.gen(V) + k for k in ks]
+    if len(fs) < 3:
+        fs.append(fs[0] * fs[1] + 1)
+    return fs
+
+
+def _nonzero_constant(V, rng, draw):
+    while True:
+        k = draw(rng)
+        if k != V.zero():
+            return k
+
+
+def _homogenized(p, d, num, den):
+    """den^d * p(num/den) as a polynomial, term by term."""
+    acc = Polynomial.zero(p.field, num.var)
+    for i in p.support():
+        acc = acc + (num ** i * den ** (d - i)).scale(p.coeff(i))
+    return acc
+
+
+@pytest.mark.parametrize("name", sorted(GCD_FIELDS))
+@pytest.mark.parametrize("seed", range(2))
+def test_fast_paths_match_full_normalization(name, seed):
+    V, draw = GCD_FIELDS[name]
+    draw = draw or V.random_element
+    rng = random.Random(f"henrici:{name}:{seed}")
+    # f = a/b and g = c/d with r in a and d, s in b and d, w in a and c
+    r, s, w = _coprime_factors(V, rng, draw)
+    f = RationalFunction((r * w).scale(_nonzero_constant(V, rng, draw)), s)
+    g = RationalFunction(w.scale(_nonzero_constant(V, rng, draw)), r * s)
+    k = _nonzero_constant(V, rng, draw)
+    a, b, c, d = f.num, f.den, g.num, g.den
+    for got, num, den in ((f * g, a * c, b * d), (f / g, a * d, b * c),
+                          (f + g, a * d + c * b, b * d), (f - g, a * d - c * b, b * d),
+                          (f.inverse(), b, a), (g ** -2, d * d, c * c),
+                          (k * f, a.scale(k), b), (k / g, d.scale(k), c),
+                          (g - k, c - d.scale(k), d)):
+        assert got == RationalFunction(num, den)
+    zero = f - f
+    assert zero.is_zero() and zero.den == Polynomial.constant(V, V.one())
+    n = max(a.degree, b.degree)
+    assert f.compose(g) == RationalFunction(_homogenized(a, n, c, d), _homogenized(b, n, c, d))
+    # a constant landing on a root of the numerator gives zero over 1
+    root = RationalFunction.constant(V, -r.coeff(0))
+    assert f.compose(root) == RationalFunction.zero(V)
+    assert f.compose(root).den == Polynomial.constant(V, V.one())
+
+
+def test_scalar_of_a_function_field_is_a_constant():
+    # Over L = GF(2)(u) a scalar is itself a rational function in u: an
+    # operand in another variable is a constant of a function in x, on
+    # either side of the operator.
+    L = GF2_U
+    u = L.gen()
+    t = RationalFunction.gen(L)
+    c = RationalFunction.one(L) * u
+    assert c.is_constant() and c.field is L and c.as_constant() == u
+    ux = RationalFunction(Polynomial(L, [L.zero(), u]))
+    assert t * u == ux and t - u == t + u == RationalFunction(Polynomial(L, [u, L.one()]))
+    assert t / u == RationalFunction(Polynomial(L, [L.zero(), L.one() / u]))
+    assert u * t == ux and u + t == t + u and u - t == t - u
+    assert u / t == RationalFunction(Polynomial.constant(L, u), Polynomial.gen(L))
+    assert Polynomial.gen(L) * u == u * Polynomial.gen(L) == ux.num
+    # a polynomial and a function in one variable combine as functions
+    assert Polynomial.gen(QQ) + x == 2 * x and Polynomial.gen(QQ) * x == x ** 2
+    # neither a function in x nor a scalar: no silent answer
+    with pytest.raises(TypeError):
+        t * RationalFunction.gen(QQ, "v")
+    with pytest.raises(StructuralError):
+        t.compose(RationalFunction.gen(QQ, "v"))
+
+
 def _assert_reduced(r, num, den):
     assert r.num * den == r.den * num
     assert r.den.leading() == r.num.field.one()
@@ -511,7 +598,7 @@ def test_gf2_hot_paths_build_no_coefficient_tuple(name, monkeypatch):
     D, text = GF2_TOWERS[name]
     V = D.field
     rng = random.Random(f"packed:{name}")
-    polys = [_random_poly(V, rng, 1) for _ in range(6)]
+    polys = [_random_poly(V, rng, rng.randint(1, 2)) for _ in range(6)]
 
     def unpack(self):
         raise AssertionError("coefficient tuple of a packed polynomial built")

@@ -1,16 +1,21 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ivrf.errors import StructuralError
+from ivrf.errors import IvrfError, ParseError, StructuralError
 from ivrf.fields import (QQ, ConstantSubfield, HahnFinite, LexRank2, PAdicQ,
                          PVDSpec, TAdicRat)
 from ivrf.ff import FiniteField, RatFuncField
-from ivrf.intr import DomainSpec, intr_member
+from ivrf.intr import DomainSpec, domain_from_config, intr_member
+from ivrf.parsing import parse_expression
 from ivrf.ratfun import (POLE, Polynomial, RationalFunction, _GF2Polynomial,
                          parse_ratfun)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def qpoly(*cs):
@@ -613,3 +618,126 @@ def test_gf2_hot_paths_build_no_coefficient_tuple(name, monkeypatch):
         Polynomial.gcd(f.num * g.den, f.den * g.den)
     phi = parse_ratfun(V, text)
     assert intr_member(phi, D, depth=3).kind in ("in", "out")
+
+
+# -- parse_ratfun against the constant-function oracle ------------------------
+#
+# The oracle reads a text with the grammar of ivrf.parsing over an
+# environment of constant RationalFunctions (x the generator, every literal
+# and field symbol a constant function), so every operator of the text is an
+# operator of RationalFunction and every intermediate value is canonical.
+
+def _oracle_parse(field, text):
+    env = {"x": RationalFunction.gen(field)}
+    for name, val in field.symbol_env().items():
+        env[name] = RationalFunction.constant(field, val)
+    return parse_expression(
+        text, env, lambda n: RationalFunction.constant(field, field.from_int(n)))
+
+
+def _outcome(parse, field, text):
+    """The parsed function, or the type and message of the error."""
+    try:
+        return parse(field, text)
+    except IvrfError as e:
+        return type(e), str(e)
+
+
+def _assert_same_function(got, want):
+    assert got == want
+    assert got.to_str() == want.to_str()
+    assert got.num == want.num and got.den == want.den
+    assert ([type(c) for c in got.num.coeffs + got.den.coeffs]
+            == [type(c) for c in want.num.coeffs + want.den.coeffs])
+
+
+def _assert_parses_as_oracle(field, text):
+    got = _outcome(parse_ratfun, field, text)
+    want = _outcome(_oracle_parse, field, text)
+    if isinstance(want, RationalFunction):
+        assert isinstance(got, RationalFunction), (text, got)
+        _assert_same_function(got, want)
+    else:
+        assert got == want, text
+
+
+# exponents of constants: integers of either sign, and fractions, which only
+# a Hahn field has exactly (and only on its monomials)
+CONSTANT_EXPONENTS = [""] * 12 + ["^0", "^2", "^-1", "^-2", "**3", "^(-3)", "^{2/1}",
+                                  "^{1/2}", "^{-1/2}", "^(1/3)"]
+X_EXPONENTS = ["", "", "^0", "^2", "^4", "^-1", "^-2", "**3"]
+GROUP_EXPONENTS = ["0", "2", "3", "-1", "-2"]
+
+
+def _random_atom(rng, names):
+    k = rng.randrange(5)
+    if k == 0 or (k == 1 and not names):
+        return f"{rng.randint(0, 7)}{rng.choice(CONSTANT_EXPONENTS)}"
+    if k == 1:
+        return f"{rng.choice(names)}{rng.choice(CONSTANT_EXPONENTS)}"
+    if k == 2:
+        return f"{rng.randint(1, 9)}x{rng.choice(X_EXPONENTS)}"  # juxtaposition
+    return f"x{rng.choice(X_EXPONENTS)}"
+
+
+def _random_text(rng, names, depth):
+    """A seeded expression: sums, differences, products (written and
+    juxtaposed), quotients, unary minus and integer powers of groups."""
+    if depth == 0 or rng.random() < 0.25:
+        return _random_atom(rng, names)
+    a = _random_text(rng, names, depth - 1)
+    b = _random_text(rng, names, depth - 1)
+    return rng.choice([
+        f"{a} + {b}", f"{a} - ({b})", f"({a})*({b})", f"({a}) / ({b})",
+        f"{a}/({b})", f"({a})({b})", f"-({a}) + {b}", f"-{_random_atom(rng, names)}",
+        f"({a})^{rng.choice(GROUP_EXPONENTS)}",
+    ])
+
+
+@pytest.mark.parametrize("name", sorted(GCD_FIELDS))
+def test_parse_matches_constant_function_oracle(name):
+    V, _ = GCD_FIELDS[name]
+    names = sorted(V.symbol_env())
+    rng = random.Random(f"parse:{name}")
+    for _ in range(60):
+        _assert_parses_as_oracle(V, _random_text(rng, names, 3))
+
+
+@pytest.mark.parametrize("field, text, expected", [
+    (QQ, "1/0", (StructuralError, "division by the zero function")),
+    (QQ, "0^-1", (StructuralError, "zero has no inverse")),
+    (QQ, "(x-x)^-1", (StructuralError, "zero has no inverse")),
+    (QQ, "x/(x-x)", (StructuralError, "division by the zero function")),
+    (QQ, "0^0", "1"),
+    (QQ, "x^{1/2}", (StructuralError, "power 1/2 of a non-constant function")),
+    (QQ, "2^{1/2}", (StructuralError, "no exact power 1/2 of 2")),
+    (QQ, "(2-2)^{-1/2}", (ParseError, "division by zero in '(2-2)^{-1/2}'")),
+    (QQ, "(x^2-1)/(x-1)", "x + 1"),
+    (GF2, "(x+1)^2/(x^2+1)", "1"),
+    (GF2, "1/(1+1)", (StructuralError, "division by the zero function")),
+], ids=["1/0", "0^-1", "(x-x)^-1", "x/(x-x)", "0^0", "x^{1/2}", "2^{1/2}",
+        "(2-2)^{-1/2}", "(x^2-1)/(x-1)", "GF2:(x+1)^2/(x^2+1)", "GF2:1/(1+1)"])
+def test_parse_edge_cases(field, text, expected):
+    got = _outcome(parse_ratfun, field, text)
+    if isinstance(expected, str):
+        assert got.to_str() == expected
+        assert got.den == Polynomial.constant(field, field.one())
+        _assert_same_function(got, _oracle_parse(field, text))
+    else:
+        assert got == expected
+
+
+def test_parse_matches_oracle_on_benchmark_corpus(monkeypatch):
+    # The first 150 items of the certify and tower corpora of the benchmark,
+    # read from perfbench/corpus.py without changing it.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpus
+
+    for workload in ("certify", "tower"):
+        fields = {}
+        for item in corpus.build(workload, 2024)[:150]:
+            V = fields.get(item.domain)
+            if V is None:
+                V = fields[item.domain] = domain_from_config(
+                    corpus.DOMAINS[item.domain]["config"]).field
+            _assert_same_function(parse_ratfun(V, item.text), _oracle_parse(V, item.text))

@@ -44,6 +44,11 @@ def _tokenize(text):
     return out
 
 
+def _shown(kind, val):
+    """A token as an error message names it."""
+    return "end of input" if kind == "end" else repr(val)
+
+
 class _Parser:
     def __init__(self, tokens, env, make_int):
         self.toks = tokens
@@ -62,7 +67,7 @@ class _Parser:
     def expect(self, op):
         kind, val = self.take()
         if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}, found {val!r}")
+            raise ParseError(f"expected {op!r}, found {_shown(kind, val)}")
 
     def expr(self):
         value = self.term()
@@ -136,7 +141,7 @@ class _Parser:
             if kind3 != "op" or val3 != close:
                 raise ParseError(f"expected {close!r} closing the exponent")
             return Fraction(sign * num, den)
-        raise ParseError(f"malformed exponent near {val!r}")
+        raise ParseError(f"malformed exponent near {_shown(kind, val)}")
 
     def atom(self):
         kind, val = self.take()
@@ -150,6 +155,8 @@ class _Parser:
             value = self.expr()
             self.expect(")")
             return value
+        if kind == "end":
+            raise ParseError("unexpected end of input")
         raise ParseError(f"unexpected token {val!r}")
 
 

@@ -780,14 +780,7 @@ class RationalFunction:
         Hahn monomials t^q)."""
         if not self.is_constant():
             raise StructuralError(f"power {n} of a non-constant function")
-        c = self.as_constant()
-        try:
-            root = c ** n
-        except TypeError:
-            root = None
-        if type(root) is not type(c):  # e.g. a float from Fraction ** Fraction
-            raise StructuralError(f"no exact power {n} of {c}")
-        return RationalFunction.constant(self.field, root, self.var)
+        return RationalFunction.constant(self.field, _root(self.as_constant(), n), self.var)
 
     # -- evaluation, composition ------------------------------------------
 
@@ -964,19 +957,180 @@ def _compose_poly(p, other):
     return acc
 
 
+def _root(c, n):
+    """c^n for a coefficient c and a non-integer n, where the coefficient
+    field has it exactly.  A coefficient that is a non-constant function in
+    its own variable (t over kappa(t)) has none."""
+    root = None
+    if not (isinstance(c, RationalFunction) and not c.is_constant()):
+        try:
+            root = c ** n
+        except TypeError:
+            pass
+    if type(root) is not type(c):  # e.g. a float from Fraction ** Fraction
+        raise StructuralError(f"no exact power {n} of {c}")
+    return root
+
+
 # -- parsing ----------------------------------------------------------------
 
 def parse_ratfun(field, text):
     """Parse a rational function in x over ``field``.
 
-    ``x`` is the generator, and integer literals and the field's symbols
-    (``field.symbol_env()``) are constant functions, so every value the
-    grammar of ``ivrf.parsing`` builds from them with the operators of
-    ``RationalFunction``, the result included, is a ``RationalFunction``.
+    While the text is a polynomial in x, a value of the grammar of
+    ``ivrf.parsing`` is a sparse polynomial (``_Parsed``): a dict from
+    exponent to nonzero coefficient, each a plain element of ``field``.
+    Integer literals and the field's symbols (``field.symbol_env()``) are
+    constants, ``x`` is one term, ``x^k`` is one term and a constant's power
+    is its coefficient's own power.  At the first division by a non-constant
+    or negative power of one, both sides become ``RationalFunction``s once,
+    and from there on the operators of ``RationalFunction`` carry the value.
+    The result is one canonical ``RationalFunction``.
     """
-    env = {"x": RationalFunction.gen(field)}
+    one = field.one()
+    env = {"x": _Parsed(field, {1: one})}
     for name, val in field.symbol_env().items():
-        env[name] = RationalFunction.constant(field, val)
-    return parse_expression(
-        text, env, lambda n: RationalFunction.constant(field, field.from_int(n)))
+        env[name] = _Parsed(field, {0: val} if val else {})
+    ints = {}
 
+    def make_int(n):
+        value = ints.get(n)
+        if value is None:
+            c = field.from_int(n)
+            value = ints[n] = _Parsed(field, {0: c} if c else {})
+        return value
+
+    return parse_expression(text, env, make_int).function()
+
+
+class _Parsed:
+    """A value of ``parse_ratfun``: a sparse polynomial over ``field`` in
+    ``terms`` (exponent to nonzero coefficient), or, once the text has
+    divided by a non-constant, the ``RationalFunction`` ``rf`` with
+    ``terms`` None.  Values are not changed after they are built."""
+
+    __slots__ = ("field", "terms", "rf")
+
+    def __init__(self, field, terms, rf=None):
+        self.field = field
+        self.terms = terms
+        self.rf = rf
+
+    def function(self):
+        """The value as a canonical RationalFunction: a polynomial over 1."""
+        if self.terms is None:
+            return self.rf
+        field = self.field
+        return RationalFunction(Polynomial.from_dict(field, self.terms),
+                                Polynomial.constant(field, field.one()), _canonical=True)
+
+    def _of(self, rf):
+        return _Parsed(self.field, None, rf)
+
+    def __add__(self, other):
+        a, b = self.terms, other.terms
+        if a is None or b is None:
+            return self._of(self.function() + other.function())
+        return _Parsed(self.field, _sparse_add(a, b))
+
+    def __neg__(self):
+        if self.terms is None:
+            return self._of(-self.rf)
+        return _Parsed(self.field, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b = self.terms, other.terms
+        if a is None or b is None:
+            return self._of(self.function() * other.function())
+        return _Parsed(self.field, _sparse_mul(a, b, self.field.one()))
+
+    def __truediv__(self, other):
+        a, b = self.terms, other.terms
+        if a is not None and _is_constant(b):  # scale by the constant
+            if not b:
+                raise StructuralError("division by the zero function")
+            c = b[0]
+            return _Parsed(self.field, {e: d / c for e, d in a.items()})
+        return self._of(self.function() / other.function())
+
+    def __pow__(self, n):
+        terms = self.terms
+        if not _is_constant(terms):
+            if terms is not None and isinstance(n, int) and n >= 0:
+                return _Parsed(self.field, _sparse_pow(terms, n, self.field.one()))
+            return self._of(self.function() ** n)
+        # a constant: the coefficient's own power
+        if isinstance(n, Fraction):
+            c = _root(terms.get(0, self.field.zero()), n)
+        elif terms:
+            c = terms[0] ** n
+        elif n < 0:
+            raise StructuralError("zero has no inverse")
+        else:
+            c = self.field.zero() if n else self.field.one()
+        return _Parsed(self.field, {0: c} if c else {})
+
+
+def _is_constant(terms):
+    """Whether a sparse polynomial (or None, a function) is a constant."""
+    return terms is not None and (not terms or (len(terms) == 1 and 0 in terms))
+
+
+def _sparse_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = c
+        else:
+            s = s + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def _sparse_mul(a, b, one):
+    """The product of two sparse polynomials; a term with the coefficient
+    ``one`` (the object of x's term) shifts the other factor."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return {}
+    if len(a) == 1:
+        (i, c), = a.items()
+        if len(b) == 1:
+            (j, d), = b.items()
+            return {i + j: c if d is one else d if c is one else c * d}
+        if c is one:
+            return {i + j: d for j, d in b.items()}
+        return {i + j: c * d for j, d in b.items()}
+    out = {}
+    for i, c in a.items():
+        for j, d in b.items():
+            k = i + j
+            s = out.get(k)
+            out[k] = c * d if s is None else s + c * d
+    return {k: c for k, c in out.items() if c}
+
+
+def _sparse_pow(terms, n, one):
+    """terms^n, n >= 0: a single term is one term, anything else squares
+    and multiplies."""
+    if len(terms) == 1:
+        (e, c), = terms.items()
+        return {e * n: c if c is one else c ** n}
+    result = {0: one}
+    while True:
+        if n & 1:
+            result = _sparse_mul(result, terms, one)
+        n >>= 1
+        if not n:
+            return result
+        terms = _sparse_mul(terms, terms, one)

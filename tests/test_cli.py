@@ -203,6 +203,26 @@ class TestErrors:
         res = run("member", "--config", RING5, "--phi", "x +* 2")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("phi, message", [
+        ("(x+1", "expected ')', found end of input"),
+        ("x^", "malformed exponent near end of input"),
+        ("2*", "unexpected end of input"),
+        ("", "unexpected end of input"),
+    ])
+    def test_expression_ending_early_names_the_end(self, phi, message):
+        res = run("member", "--config", RING5, "--phi", phi)
+        assert res.exit_code == 2
+        assert f"Error: {message}" in res.output
+        assert "None" not in res.output
+
+    def test_fractional_power_of_a_tadic_constant(self):
+        res = run("member", "--config", TADIC_PVD, "--phi", "t^{1/2}*x")
+        assert res.exit_code == 2
+        assert "Error: no exact power 1/2 of t" in res.output
+        res = run("member", "--config", TADIC_PVD, "--phi", "x^{1/2}")
+        assert res.exit_code == 2
+        assert "Error: power 1/2 of a non-constant function" in res.output
+
     def test_unknown_suite_exits_two(self):
         res = run("verify", "nonsense")
         assert res.exit_code == 2

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ivrf import ratfun
 from ivrf.errors import IvrfError, ParseError, StructuralError
 from ivrf.fields import (QQ, ConstantSubfield, HahnFinite, LexRank2, PAdicQ,
                          PVDSpec, TAdicRat)
@@ -725,6 +726,75 @@ def test_parse_edge_cases(field, text, expected):
         _assert_same_function(got, _oracle_parse(field, text))
     else:
         assert got == expected
+
+
+def test_polynomial_texts_parse_without_gcd_or_dense_power(monkeypatch):
+    # A text that is a polynomial in x stays a sparse polynomial: x^k is one
+    # term and a division by a constant scales, so no gcd is taken and no
+    # dense polynomial is raised to a power.
+    texts = [(QQ, "(3/7)*x^4 + (1/5)*x^2 + 2"), (TAdicRat(GF2_U), "u*t*x^3 + (1/t)*x")]
+    wanted = [_oracle_parse(V, text) for V, text in texts]
+    calls = []
+    gcd, power = Polynomial.gcd, Polynomial.__pow__
+
+    def counted_gcd(a, b):
+        calls.append("gcd")
+        return gcd(a, b)
+
+    def counted_power(p, n):
+        calls.append("pow")
+        return power(p, n)
+
+    monkeypatch.setattr(Polynomial, "gcd", staticmethod(counted_gcd))
+    monkeypatch.setattr(Polynomial, "__pow__", counted_power)
+    got = [parse_ratfun(V, text) for V, text in texts]
+    assert calls == []
+    for g, w in zip(got, wanted):
+        _assert_same_function(g, w)
+
+
+def test_power_of_a_sum_squares_and_multiplies(monkeypatch):
+    products = []
+    sparse_mul = ratfun._sparse_mul
+
+    def counted(a, b, one):
+        products.append(len(a) * len(b))
+        return sparse_mul(a, b, one)
+
+    monkeypatch.setattr(ratfun, "_sparse_mul", counted)
+    got = parse_ratfun(QQ, "(x + 1)^200")
+    assert len(products) <= 2 * (200).bit_length()
+    monkeypatch.undo()
+    _assert_same_function(got, _oracle_parse(QQ, "(x + 1)^200"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(x+1", "expected ')', found end of input"),
+    ("x^", "malformed exponent near end of input"),
+    ("2*", "unexpected end of input"),
+    ("", "unexpected end of input"),
+    ("(x+1]", "bad character at position 4: ']'"),
+    ("(x+1}", "expected ')', found '}'"),
+])
+def test_parse_error_names_the_end_of_input(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_ratfun(QQ, text)
+    assert str(err.value) == message
+
+
+def test_fractional_power_of_a_tadic_coefficient():
+    # t is a constant coefficient over GF(4)(t): its missing square root is
+    # the coefficient's, while x^{1/2} is a power of a non-constant function
+    V = TAdicRat(FiniteField(2, 2))
+    for text, message in [("t^{1/2}*x", "no exact power 1/2 of t"),
+                          ("(t + 1)^{1/2}", "no exact power 1/2 of t + 1"),
+                          ("x^{1/2}", "power 1/2 of a non-constant function")]:
+        with pytest.raises(StructuralError) as err:
+            parse_ratfun(V, text)
+        assert str(err.value) == message
+    with pytest.raises(StructuralError) as err:
+        parse_ratfun(LexRank2(GF2), "t1^{1/2}")
+    assert str(err.value) == "no exact power 1/2 of t1"
 
 
 def test_parse_matches_oracle_on_benchmark_corpus(monkeypatch):

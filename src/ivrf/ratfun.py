@@ -31,8 +31,13 @@ rational functions in u, ``u * x`` is the constant u times x).
 
 Over fraction-field coefficients F(v), ``clear_denominators`` turns a
 polynomial over F(v) into one over F[v], which the gcd
-(``fraction_free_gcd``) and the residue root search share; ``parse_ratfun``
-reads the text form.
+(``fraction_free_gcd``) and the residue root search share.
+
+``parse_ratfun`` reads the text form.  While the text is a polynomial in x
+it holds a sparse polynomial, a dict from exponent to coefficient, so
+``x^k`` is one term and only a division by a non-constant (or a negative
+power of one) makes a ``RationalFunction``; from there on the operations
+above carry the value.
 """
 
 from __future__ import annotations
@@ -1057,21 +1062,20 @@ class _Parsed:
         return self._of(self.function() / other.function())
 
     def __pow__(self, n):
-        terms = self.terms
+        terms, field = self.terms, self.field
+        if terms is not None and isinstance(n, int) and n >= 0:
+            return _Parsed(field, _sparse_pow(terms, n, field.one()))
         if not _is_constant(terms):
-            if terms is not None and isinstance(n, int) and n >= 0:
-                return _Parsed(self.field, _sparse_pow(terms, n, self.field.one()))
             return self._of(self.function() ** n)
-        # a constant: the coefficient's own power
+        # a negative or fractional power of a constant is its coefficient's own
+        c = terms.get(0, field.zero())
         if isinstance(n, Fraction):
-            c = _root(terms.get(0, self.field.zero()), n)
-        elif terms:
-            c = terms[0] ** n
-        elif n < 0:
-            raise StructuralError("zero has no inverse")
+            c = _root(c, n)
+        elif c:
+            c = c ** n
         else:
-            c = self.field.zero() if n else self.field.one()
-        return _Parsed(self.field, {0: c} if c else {})
+            raise StructuralError("zero has no inverse")
+        return _Parsed(field, {0: c} if c else {})
 
 
 def _is_constant(terms):
@@ -1097,8 +1101,9 @@ def _sparse_add(a, b):
 
 
 def _sparse_mul(a, b, one):
-    """The product of two sparse polynomials; a term with the coefficient
-    ``one`` (the object of x's term) shifts the other factor."""
+    """The product of two sparse polynomials.  A coefficient that is the
+    object ``one`` (the field's ``one()``, as in x's term) multiplies as 1
+    without a field operation."""
     if len(a) > len(b):
         a, b = b, a
     if not a:

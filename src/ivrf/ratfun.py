@@ -966,12 +966,13 @@ def _root(c, n):
     """c^n for a coefficient c and a non-integer n, where the coefficient
     field has it exactly.  A coefficient that is a non-constant function in
     its own variable (t over kappa(t)) has none."""
-    root = None
-    if not (isinstance(c, RationalFunction) and not c.is_constant()):
+    if isinstance(c, RationalFunction) and not c.is_constant():
+        root = None
+    else:
         try:
             root = c ** n
         except TypeError:
-            pass
+            root = None
     if type(root) is not type(c):  # e.g. a float from Fraction ** Fraction
         raise StructuralError(f"no exact power {n} of {c}")
     return root
@@ -992,20 +993,11 @@ def parse_ratfun(field, text):
     and from there on the operators of ``RationalFunction`` carry the value.
     The result is one canonical ``RationalFunction``.
     """
-    one = field.one()
-    env = {"x": _Parsed(field, {1: one})}
+    env = {"x": _Parsed(field, {1: field.one()})}
     for name, val in field.symbol_env().items():
-        env[name] = _Parsed(field, {0: val} if val else {})
-    ints = {}
-
-    def make_int(n):
-        value = ints.get(n)
-        if value is None:
-            c = field.from_int(n)
-            value = ints[n] = _Parsed(field, {0: c} if c else {})
-        return value
-
-    return parse_expression(text, env, make_int).function()
+        env[name] = _Parsed.constant(field, val)
+    return parse_expression(
+        text, env, lambda n: _Parsed.constant(field, field.from_int(n))).function()
 
 
 class _Parsed:
@@ -1021,13 +1013,15 @@ class _Parsed:
         self.terms = terms
         self.rf = rf
 
+    @staticmethod
+    def constant(field, c):
+        return _Parsed(field, {0: c} if c else {})
+
     def function(self):
-        """The value as a canonical RationalFunction: a polynomial over 1."""
+        """The value as a canonical RationalFunction."""
         if self.terms is None:
             return self.rf
-        field = self.field
-        return RationalFunction(Polynomial.from_dict(field, self.terms),
-                                Polynomial.constant(field, field.one()), _canonical=True)
+        return RationalFunction(Polynomial.from_dict(self.field, self.terms))
 
     def _of(self, rf):
         return _Parsed(self.field, None, rf)
@@ -1075,7 +1069,7 @@ class _Parsed:
             c = c ** n
         else:
             raise StructuralError("zero has no inverse")
-        return _Parsed(field, {0: c} if c else {})
+        return _Parsed.constant(field, c)
 
 
 def _is_constant(terms):

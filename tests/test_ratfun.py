@@ -758,13 +758,12 @@ def test_power_of_a_sum_squares_and_multiplies(monkeypatch):
     sparse_mul = ratfun._sparse_mul
 
     def counted(a, b, one):
-        products.append(len(a) * len(b))
+        products.append(a)
         return sparse_mul(a, b, one)
 
     monkeypatch.setattr(ratfun, "_sparse_mul", counted)
     got = parse_ratfun(QQ, "(x + 1)^200")
     assert len(products) <= 2 * (200).bit_length()
-    monkeypatch.undo()
     _assert_same_function(got, _oracle_parse(QQ, "(x + 1)^200"))
 
 

@@ -1044,7 +1044,7 @@ class _Parsed:
         a, b = self.terms, other.terms
         if a is None or b is None:
             return self._of(self.function() * other.function())
-        return _Parsed(self.field, _sparse_mul(a, b, self.field.one()))
+        return _Parsed(self.field, _sparse_mul(a, b))
 
     def __truediv__(self, other):
         a, b = self.terms, other.terms
@@ -1058,7 +1058,9 @@ class _Parsed:
     def __pow__(self, n):
         terms, field = self.terms, self.field
         if terms is not None and isinstance(n, int) and n >= 0:
-            return _Parsed(field, _sparse_pow(terms, n, field.one()))
+            if n == 0:
+                return _Parsed.constant(field, field.one())
+            return _Parsed(field, _sparse_pow(terms, n))
         if not _is_constant(terms):
             return self._of(self.function() ** n)
         # a negative or fractional power of a constant is its coefficient's own
@@ -1094,22 +1096,8 @@ def _sparse_add(a, b):
     return out
 
 
-def _sparse_mul(a, b, one):
-    """The product of two sparse polynomials.  A coefficient that is the
-    object ``one`` (the field's ``one()``, as in x's term) multiplies as 1
-    without a field operation."""
-    if len(a) > len(b):
-        a, b = b, a
-    if not a:
-        return {}
-    if len(a) == 1:
-        (i, c), = a.items()
-        if len(b) == 1:
-            (j, d), = b.items()
-            return {i + j: c if d is one else d if c is one else c * d}
-        if c is one:
-            return {i + j: d for j, d in b.items()}
-        return {i + j: c * d for j, d in b.items()}
+def _sparse_mul(a, b):
+    """The product of two sparse polynomials."""
     out = {}
     for i, c in a.items():
         for j, d in b.items():
@@ -1119,17 +1107,17 @@ def _sparse_mul(a, b, one):
     return {k: c for k, c in out.items() if c}
 
 
-def _sparse_pow(terms, n, one):
-    """terms^n, n >= 0: a single term is one term, anything else squares
+def _sparse_pow(terms, n):
+    """terms^n, n >= 1: a single term is one term, anything else squares
     and multiplies."""
     if len(terms) == 1:
         (e, c), = terms.items()
-        return {e * n: c if c is one else c ** n}
-    result = {0: one}
+        return {e * n: c ** n}
+    result = None
     while True:
         if n & 1:
-            result = _sparse_mul(result, terms, one)
+            result = terms if result is None else _sparse_mul(result, terms)
         n >>= 1
         if not n:
             return result
-        terms = _sparse_mul(terms, terms, one)
+        terms = _sparse_mul(terms, terms)

@@ -1108,11 +1108,8 @@ def _sparse_mul(a, b):
 
 
 def _sparse_pow(terms, n):
-    """terms^n, n >= 1: a single term is one term, anything else squares
-    and multiplies."""
-    if len(terms) == 1:
-        (e, c), = terms.items()
-        return {e * n: c ** n}
+    """terms^n for n >= 1 by squaring and multiplying; a power of one term
+    (x^k) stays one term."""
     result = None
     while True:
         if n & 1:

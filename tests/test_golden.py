@@ -13,19 +13,23 @@ Hahn fields with a dense residue field, GF(4) and GF(3) (see
 ``test_hahn_digest``).  A third pins the full verdict JSON (witness, reason
 and certificate) over p-adic rings, an intersection and the pullbacks whose
 residue checks probe a restricted set of residues (see
-``test_verdict_digest``).
+``test_verdict_digest``).  A fourth pins the value-ideal answers of
+``ideal_member`` on the same functions (see ``test_value_ideal_digest``).
 """
 
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from ivrf.errors import UndecidedError
 from ivrf.ff import FiniteField, RatFuncField
 from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, HahnFinite, LexRank2,
                          PAdicQ, PrimePowerSubfield, PVDSpec, TAdicRat)
-from ivrf.intr import DomainSpec, intr_member
+from ivrf.intr import (WHOLE_FIELD, WHOLE_RING, DomainSpec, ValueIdeal, ideal_member,
+                       intr_member)
 from ivrf.ratfun import Polynomial, RationalFunction
 from ivrf.suites import run_suite
 
@@ -76,13 +80,11 @@ def _kind_and_witness(v):
     return f"{v.kind}\t{getattr(v, 'witness', '')}"
 
 
-def _domain_digest(domains, seed_prefix, verdict_text=_kind_and_witness):
-    # Per field, seeded pairs a, b of quotients of degree <= 2 polynomials;
-    # each line is a product or quotient as printed, and the verdict of
-    # intr_member(depth=3) on it (by default its kind and witness).  Each
-    # product and quotient is checked against the unreduced fraction by
-    # cross-multiplication, which needs no gcd.
-    lines = []
+def _seeded_functions(domains, seed_prefix):
+    # Per field, seeded pairs a, b of quotients of degree <= 2 polynomials,
+    # and their product and quotient.  Each product and quotient is checked
+    # against the unreduced fraction by cross-multiplication, which needs no
+    # gcd.
     for name, (D, pairs) in domains.items():
         V = D.field
         rng = random.Random(f"{seed_prefix}:{name}")
@@ -92,9 +94,15 @@ def _domain_digest(domains, seed_prefix, verdict_text=_kind_and_witness):
             prod, quot = a * b, a / b
             assert prod.num * (a.den * b.den) == prod.den * (a.num * b.num)
             assert quot.num * (a.den * b.num) == quot.den * (a.num * b.den)
-            for phi in (prod, quot):
-                v = intr_member(phi, D, depth=3)
-                lines.append(f"{name}\t{phi}\t{verdict_text(v)}")
+            yield name, D, prod
+            yield name, D, quot
+
+
+def _domain_digest(domains, seed_prefix, verdict_text=_kind_and_witness):
+    # Each line is a seeded function as printed, and the verdict of
+    # intr_member(depth=3) on it (by default its kind and witness).
+    lines = [f"{name}\t{phi}\t{verdict_text(intr_member(phi, D, depth=3))}"
+             for name, D, phi in _seeded_functions(domains, seed_prefix)]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -150,3 +158,25 @@ def test_mixed_lattice_digest():
     digest = _domain_digest(MIXED_DOMAINS, "verdict-golden",
                             lambda v: json.dumps(v.to_json(), sort_keys=True, default=str))
     assert digest == MIXED_DIGEST
+
+
+# The value ideals m and m^2 over the verdict digest's functions, with E the
+# whole ring and the whole field: each line is the answer of ideal_member
+# (depth 3), or UndecidedError.
+VALUE_IDEAL_DIGEST = "1a638cdb4876f2f2c0280e557682064b26949753b9e49e26807ab83aa7eb5870"
+
+
+def test_value_ideal_digest():
+    lines, answers = [], Counter()
+    for name, D, phi in _seeded_functions(VERDICT_DOMAINS, "verdict-golden"):
+        for E in (WHOLE_RING, WHOLE_FIELD):
+            on_E = DomainSpec(D.kind, D.components, E)
+            for power in (1, 2):
+                try:
+                    answer = str(ideal_member(phi, ValueIdeal(power), on_E, depth=3))
+                except UndecidedError:
+                    answer = "UndecidedError"
+                answers[answer] += 1
+                lines.append(f"{name}\tE={E}\tm^{power}\t{phi}\t{answer}")
+    assert answers == {"True": 25, "False": 263, "UndecidedError": 16}
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == VALUE_IDEAL_DIGEST

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ivrf.errors import PreconditionError
+from ivrf.errors import PreconditionError, UndecidedError
 from ivrf.ff import FiniteField, RatFuncField
 from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, HahnFinite, PAdicQ,
                          PrimePowerSubfield, PVDSpec, TAdicRat)
@@ -189,6 +189,9 @@ class TestIdeals:
         f = RationalFunction(qp(0, -1, 0, 0, 0, 1))
         assert ideal_member(f, ValueIdeal(1), D)
         assert not ideal_member(f, ValueIdeal(2), D)
+        # it takes one refinement per residue class
+        with pytest.raises(UndecidedError):
+            ideal_member(f, ValueIdeal(1), D, depth=1)
 
     def test_ideal_member(self):
         # constant functions on a one-point E: the value ideal is m^power
@@ -201,6 +204,9 @@ class TestIdeals:
         assert ideal_member(RationalFunction(qp(Fraction(10, 3))), ValueIdeal(1), D5)
         assert ideal_member(RationalFunction(qp(50)), ValueIdeal(2), D5)
         assert not ideal_member(RationalFunction(qp(5)), ValueIdeal(2), D5)
+        # E = {5} does not contain 0, so the pole of 25/x at 0 is no obstacle
+        E5 = DomainSpec.valuation_ring(Q5, [Fraction(5)])
+        assert ideal_member(parse_ratfun(Q5, "25/x"), ValueIdeal(1), E5)
 
     def test_m_power_divisible_group(self):
         H = HahnFinite(FiniteField(2))

@@ -34,7 +34,7 @@ from .errors import (ConfigError, PreconditionError, ResourceError,
 from .ff import _PRIME_CAP, FiniteField, RatFuncField
 from .ordgroup import INFINITY, GroupElement, GroupSpec
 from .parsing import parse_expression
-from .ratfun import Polynomial, RationalFunction, fraction_free_gcd
+from .ratfun import Polynomial, RationalFunction, _paren, fraction_free_gcd
 
 
 class RationalsContext:
@@ -506,12 +506,7 @@ class HahnElement:
                     parts.append(cs)
                 else:
                     ts = "t" if e == 1 else f"t^{_exp_str(e)}"
-                    if c == one:
-                        parts.append(ts)
-                    elif "+" in cs or "-" in cs[1:] or "/" in cs or " " in cs:
-                        parts.append(f"({cs})*{ts}")
-                    else:
-                        parts.append(f"{cs}*{ts}")
+                    parts.append(ts if c == one else f"{_paren(cs)}*{ts}")
             return " + ".join(parts) if parts else "0"
 
         if den.degree == low:

@@ -15,11 +15,16 @@ of the numerator and denominator envelopes:
   substitution a = t*(c + y) with v(y) > 0, one recursion level per depth
   unit.
 
+Membership in the ring (``intr_member``) and in a value ideal m^k
+(``ideal_member``) run one driver; they differ only in their targets, the
+thresholds that phi(a) must meet.
+
 Certification is sound, never complete: ``Unknown`` is an honest outcome,
 produced when the depth budget runs out or a root/residue search over an
 infinite residue field cannot be exhausted; its ``depth_exhausted`` is True
-exactly when the refinement depth ran out.  ``CertifiedOut`` always carries
-a concrete witness that is re-verified by direct evaluation.
+exactly when the refinement depth ran out.  Every non-membership answer,
+a value-ideal ``False`` included, rests on a concrete witness that is
+re-verified by direct evaluation.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ _ROOT_CAP = 4  # degree bound of an exhaustive root search over GF(q)(u)
 # ---------------------------------------------------------------------------
 
 class CertifiedIn:
+    __slots__ = ("certificate", "depth_used")
     kind = "in"
 
     def __init__(self, certificate, depth_used):
@@ -63,8 +69,8 @@ class CertifiedIn:
 
 
 class CertifiedOut:
+    __slots__ = ("witness", "reason")
     kind = "out"
-    depth_used = 1
 
     def __init__(self, witness, reason=""):
         self.witness = witness
@@ -81,8 +87,8 @@ class CertifiedOut:
 class Unknown:
     """No verdict; ``depth_exhausted`` is True exactly when the depth ran out."""
 
+    __slots__ = ("reason", "depth_exhausted")
     kind = "unknown"
-    depth_used = 1
 
     def __init__(self, reason, depth_exhausted=False):
         self.reason = reason
@@ -226,7 +232,7 @@ class _Region:
             return self.lo
         if self.hi is not None and not self.hi_open and self.hi.in_lattice():
             return self.hi
-        return lattice_point_in_interval(group, self.lo, self.hi, True, True)
+        return lattice_point_in_interval(group, self.lo, self.hi)
 
 
 def _region(E, zero, fsub):
@@ -358,7 +364,7 @@ class _Ctx:
 
 
 def _certify(ctx, phi, region, restrict0, depth):
-    """The verdict for one context, its pieces in ``certificate``."""
+    """The verdict for one context; a ``CertifiedIn`` carries its pieces."""
     V = ctx.V
     unknown = None
     depth_used = 1
@@ -372,7 +378,6 @@ def _certify(ctx, phi, region, restrict0, depth):
             out = _check_interval(ctx, phi, seg, piece, restrict0, rec)
             if out is not None:
                 if out.kind == "out":
-                    out.certificate = cert + [rec]
                     return out
                 unknown = unknown or out
         cert.append(rec)
@@ -388,17 +393,14 @@ def _certify(ctx, phi, region, restrict0, depth):
         out = _check_point(ctx, phi, delta, seg.value_at(delta), restrict0,
                            depth, prec)
         cert.append(prec)
-        depth_used = max(depth_used, out.depth_used)
         if out.kind == "out":
-            out.certificate = cert
             return out
         if out.kind == "unknown":
             unknown = unknown or out
+        else:
+            depth_used = max(depth_used, out.depth_used)
 
-    if unknown is None:
-        return CertifiedIn(cert, depth_used)
-    unknown.certificate, unknown.depth_used = cert, depth_used
-    return unknown
+    return unknown or CertifiedIn(cert, depth_used)
 
 
 def _check_interval(ctx, phi, seg, piece, restrict0, rec):
@@ -522,17 +524,15 @@ def _check_point(ctx, phi, delta, val, restrict0, depth, prec):
             Polynomial(V, [a0, t], phi.num.var)))
         out = _certify(ctx, shifted, _Region(zero, True, None, True), None, depth - 1)
         crec["action"] = "refined"
-        crec["depth"] = out.depth_used
-        depth_used = max(depth_used, 1 + out.depth_used)
         if out.kind == "out":
             return CertifiedOut(a0 + t * out.witness, out.reason)
         if out.kind == "unknown":
             unknown = unknown or out
+            continue
+        crec["depth"] = out.depth_used
+        depth_used = max(depth_used, 1 + out.depth_used)
 
-    if unknown is None:
-        return CertifiedIn(prec, depth_used)
-    unknown.depth_used = depth_used
-    return unknown
+    return unknown or CertifiedIn(prec, depth_used)
 
 
 def _residue_condition(ctx, t, h, allowed, roots, delta):
@@ -597,8 +597,19 @@ def _fmt(g):
 # public operations
 # ---------------------------------------------------------------------------
 
-def intr_member(phi, D, depth=3):
-    """Certify phi(a) in D for all a in E; sound, possibly Unknown."""
+def _meets(targets, ev):
+    """Whether the value ``ev`` (possibly ``POLE``) meets every target."""
+    return ev is not POLE and all(ctx.point_ok(ev) for ctx, _ in targets)
+
+
+def _certify_domain(phi, D, targets, depth):
+    """The verdict on phi(a) meeting every target for all a in E.
+
+    A target is a ``_Ctx`` and the subfield that restricts the points of E
+    at value 0 (None for no restriction).  A ``CertifiedOut`` of a component
+    is passed on only when its witness lies in E and phi fails a target
+    there; otherwise the verdict is ``Unknown``.
+    """
     if phi.is_zero():
         return CertifiedIn([{"trivial": "zero function"}], 0)
 
@@ -607,42 +618,39 @@ def intr_member(phi, D, depth=3):
             ev = phi.evaluate(a)
             if ev is POLE:
                 return CertifiedOut(a, "pole at a listed point")
-            if not D.member(ev):
+            if not _meets(targets, ev):
                 return CertifiedOut(a, "value outside the domain")
         return CertifiedIn([{"finite": len(D.E)}], 1)
 
     certificates = []
     depth_used = 1
     unknown = None
-    for V, fsub in D.components:
-        zero = V.group.zero()
-        region, restrict0 = _region(D.E, zero, fsub)
-        ctx = _Ctx(V, fsub, zero, False)
+    for ctx, fsub in targets:
+        region, restrict0 = _region(D.E, ctx.V.group.zero(), fsub)
         out = _certify(ctx, phi, region, restrict0, depth)
-        depth_used = max(depth_used, out.depth_used)
-        if out.kind == "out":
-            w = out.witness
-            ok = D.contains_point(w)
-            if ok:
-                evw = phi.evaluate(w)
-                ok = evw is POLE or not D.member(evw)
-            if ok:
-                return CertifiedOut(w, out.reason)
-            unknown = unknown or Unknown("candidate witness failed re-verification")
+        if out.kind == "in":
+            depth_used = max(depth_used, out.depth_used)
+            certificates.append({"component": ctx.V.describe(), "pieces": out.certificate})
         elif out.kind == "unknown":
             unknown = unknown or out
-        certificates.append({"component": V.describe(), "pieces": out.certificate})
+        elif D.contains_point(out.witness) and not _meets(targets, phi.evaluate(out.witness)):
+            return out
+        else:
+            unknown = unknown or Unknown("candidate witness failed re-verification")
 
     # 0 belongs to both the whole field and the whole ring.
     ev0 = phi.evaluate(D.field.zero())
     if ev0 is POLE:
         return CertifiedOut(D.field.zero(), "pole at 0")
-    if not D.member(ev0):
+    if not _meets(targets, ev0):
         return CertifiedOut(D.field.zero(), "value at 0 outside the domain")
+    return unknown or CertifiedIn(certificates, depth_used)
 
-    if unknown is not None:
-        return Unknown(unknown.reason, unknown.depth_exhausted)
-    return CertifiedIn(certificates, depth_used)
+
+def intr_member(phi, D, depth=3):
+    """Certify phi(a) in D for all a in E; sound, possibly Unknown."""
+    targets = [(_Ctx(V, fsub, V.group.zero(), False), fsub) for V, fsub in D.components]
+    return _certify_domain(phi, D, targets, depth)
 
 
 def ideal_member(phi, ideal, D, depth=3):
@@ -671,35 +679,21 @@ def ideal_member(phi, ideal, D, depth=3):
         return pl.eval(V.group.zero()) > V.group.zero()
 
     if ideal.kind == "value":
-        if phi.is_zero():
-            return True
-        ctxs = []  # one threshold of m^power per component
+        targets = []  # one threshold of m^power per component
         for V, fsub in D.components:
             if V.is_discrete:
                 tau = V.valuation(V.uniformizer()).scale(ideal.power)
-                ctxs.append((_Ctx(V, None, tau, False), fsub))
+                targets.append((_Ctx(V, None, tau, False), fsub))
             else:  # a divisible value group: every power of m is m
-                ctxs.append((_Ctx(V, None, V.group.zero(), True), fsub))
-        if isinstance(D.E, (list, tuple)):
-            for a in D.E:
-                ev = phi.evaluate(a)
-                if ev is POLE or not all(ctx.value_ok(ctx.V.valuation(ev))
-                                         for ctx, _ in ctxs):
-                    return False
-            return True
-        verdicts = []
-        for ctx, fsub in ctxs:
-            V = ctx.V
-            region, restrict0 = _region(D.E, V.group.zero(), fsub)
-            ev0 = phi.evaluate(V.zero())
-            if ev0 is POLE or not ctx.value_ok(V.valuation(ev0)):
-                return False
-            verdicts.append(_certify(ctx, phi, region, restrict0, depth).kind)
-        if all(k == "in" for k in verdicts):
-            return True
-        if any(k == "out" for k in verdicts):
+                targets.append((_Ctx(V, None, V.group.zero(), True), fsub))
+        # a cheap decision by phi(0), where 0 is in E
+        zero_in_E = D.E in (WHOLE_RING, WHOLE_FIELD)
+        if zero_in_E and not _meets(targets, phi.evaluate(D.field.zero())):
             return False
-        raise UndecidedError("value-ideal membership undecided")
+        verdict = _certify_domain(phi, D, targets, depth)
+        if verdict.kind == "unknown":
+            raise UndecidedError("value-ideal membership undecided")
+        return verdict.kind == "in"
 
     raise ConfigError(f"unknown ideal {ideal!r}")
 

@@ -233,93 +233,69 @@ def element_from_json(group, data):
     return group.element(*[Fraction(s) for s in data])
 
 
-def lattice_point_in_interval(group, lo, hi, lo_open=True, hi_open=True):
-    """A lattice point strictly (or weakly) between lo and hi, or None.
+def lattice_point_in_interval(group, lo, hi):
+    """A lattice point strictly between lo and hi, or None.
 
     ``lo``/``hi`` are group elements or None for the unbounded ends.  Only
     rank-1 groups and the rank-2 integral lattice are supported, which covers
     every shipped field.
     """
     if group.rank == 1:
-        return _rank1_point(group, lo, hi, lo_open, hi_open)
+        return _rank1_point(group, lo, hi)
     if group.rank == 2 and group.divisible == (False, False):
-        return _rank2_point(group, lo, hi, lo_open, hi_open)
+        return _rank2_point(group, lo, hi)
     raise UnsupportedCaseError(f"lattice search not implemented for {group!r}")
 
 
-def _rank1_point(group, lo, hi, lo_open, hi_open):
+def _rank1_point(group, lo, hi):
+    if lo is None and hi is None:
+        return group.zero()
     if group.divisible[0]:
         # Any rational in the interval will do.
-        if lo is None and hi is None:
-            return group.zero()
         if lo is None:
-            h = hi.coords[0]
-            return group.element(h - 1)
+            return group.element(hi.coords[0] - 1)
         if hi is None:
             return group.element(lo.coords[0] + 1)
         l, h = lo.coords[0], hi.coords[0]
-        if l > h or (l == h and (lo_open or hi_open)):
-            return None
-        if l == h:
-            return group.element(l)
-        return group.element(Fraction(l + h, 2))
-    if lo is None and hi is None:
-        return group.zero()
+        return group.element(Fraction(l + h, 2)) if l < h else None
     if lo is None:
-        h = hi.coords[0]
-        n = _int_below(h, hi_open)
-        return group.element(n)
-    if hi is None:
-        n = _int_above(lo.coords[0], lo_open)
-        return group.element(n)
-    n = _int_above(lo.coords[0], lo_open)
-    h = hi.coords[0]
-    if n < h or (n == h and not hi_open):
+        return group.element(_int_below(hi.coords[0]))
+    n = _int_above(lo.coords[0])
+    if hi is None or n < hi.coords[0]:
         return group.element(n)
     return None
 
 
-def _int_above(q, strict):
-    """Least integer > q (strict) or >= q."""
-    n = -((-q.numerator) // q.denominator)  # ceil
-    if strict and n == q:
-        n += 1
-    return n
+def _int_above(q):
+    """The least integer > q."""
+    return q.numerator // q.denominator + 1
 
 
-def _int_below(q, strict):
-    n = q.numerator // q.denominator  # floor
-    if strict and n == q:
-        n -= 1
-    return n
+def _int_below(q):
+    """The greatest integer < q."""
+    return -((-q.numerator) // q.denominator) - 1
 
 
-def _rank2_point(group, lo, hi, lo_open, hi_open):
+def _rank2_point(group, lo, hi):
     if lo is None and hi is None:
         return group.zero()
     if lo is None:
-        h1 = hi.coords[0]
-        return group.element(_int_below(h1, True) if h1.denominator == 1 else _int_below(h1, False), 0)
+        return group.element(_int_below(hi.coords[0]), 0)
     if hi is None:
-        l1 = lo.coords[0]
-        return group.element(_int_above(l1, True) if l1.denominator == 1 else _int_above(l1, False), 0)
+        return group.element(_int_above(lo.coords[0]), 0)
     l1, l2 = lo.coords
     h1, h2 = hi.coords
     # A first coordinate strictly between the endpoints frees the second.
-    a = _int_above(l1, True)
+    a = _int_above(l1)
     if a < h1:
         return group.element(a, 0)
     # Otherwise the candidates share a first coordinate with an endpoint.
     if l1.denominator == 1 and h1.denominator == 1 and l1 == h1:
-        b = _int_above(l2, lo_open)
-        if b < h2 or (b == h2 and not hi_open):
-            return group.element(l1, b)
-        return None
-    if l1.denominator == 1:
+        b = _int_above(l2)
+        return group.element(l1, b) if b < h2 else None
+    if l1.denominator == 1 and l1 < h1:
         # (l1, b) with b above l2; first coordinates differ so hi is no bar.
-        if l1 < h1:
-            return group.element(l1, _int_above(l2, lo_open))
-    if h1.denominator == 1:
-        if l1 < h1:
-            return group.element(h1, _int_below(h2, hi_open))
+        return group.element(l1, _int_above(l2))
+    if h1.denominator == 1 and l1 < h1:
+        return group.element(h1, _int_below(h2))
     return None

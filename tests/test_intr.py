@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from ivrf import intr
 from ivrf.errors import PreconditionError, UndecidedError
 from ivrf.ff import FiniteField, RatFuncField
 from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, HahnFinite, PAdicQ,
                          PrimePowerSubfield, PVDSpec, TAdicRat)
-from ivrf.intr import (DomainSpec, MStar, Pointed, ValueIdeal, VIOLATION,
+from ivrf.intr import (CertifiedIn, CertifiedOut, DomainSpec, MStar, Pointed,
+                       Unknown, ValueIdeal, VIOLATION,
                        WHOLE_FIELD, WHOLE_RING, ZERO, STRICTLY_POSITIVE,
                        _small_residues, characteristic_set, dichotomy_check,
                        domain_from_config, ideal_member, intr_member, residue_roots)
@@ -139,6 +141,33 @@ class TestMembership:
         v = intr_member(phi, dom)
         assert v.kind == "out"
         assert not D.member(phi.evaluate(v.witness))
+
+
+class TestDriver:
+    """Ring and value-ideal membership share one driver; these reach the
+    branches that the seeded corpora do not."""
+
+    def test_pole_at_a_listed_point(self):
+        D = domain_from_config({"field": {"variant": "padic", "p": 5}, "E": ["5"]})
+        phi = parse_ratfun(Q5, "1/(x - 5)")
+        v = intr_member(phi, D)
+        assert (v.kind, v.witness, v.reason) == ("out", Fraction(5), "pole at a listed point")
+        assert not ideal_member(phi, ValueIdeal(1), D)
+
+    def test_witness_failing_reverification_is_unknown(self, monkeypatch):
+        # a faulty component verdict whose witness 1 meets every target
+        monkeypatch.setattr(intr, "_certify",
+                            lambda *args: CertifiedOut(Fraction(1), "injected"))
+        D = DomainSpec.valuation_ring(Q5)
+        v = intr_member(parse_ratfun(Q5, "x"), D)
+        assert (v.kind, v.reason) == ("unknown", "candidate witness failed re-verification")
+        with pytest.raises(UndecidedError):
+            ideal_member(parse_ratfun(Q5, "5*x"), ValueIdeal(1), D)
+
+    def test_verdicts_take_no_undeclared_attribute(self):
+        for v in (CertifiedIn([], 1), CertifiedOut(Fraction(1)), Unknown("reason")):
+            with pytest.raises(AttributeError):
+                v.certificate_of_the_parent = []
 
 
 class TestIdeals:

@@ -567,6 +567,17 @@ def test_gf2_packed_matches_reference(a, b, n):
         assert g.is_zero()
 
 
+def test_gf2_packed_evaluates_at_a_function_field_element():
+    # a point other than 0 and 1 takes the packed Horner loop
+    pa = _gf2([1, 0, 1, 1])  # v^3 + v^2 + 1
+    u = GF2_U.gen()
+    a = u / (u + 1)
+    value = pa.evaluate(a)
+    assert value == Polynomial.evaluate(pa, a)  # generic Horner on the coefficients
+    assert value == (u ** 3 + u + 1) / (u ** 3 + u ** 2 + u + 1)
+    assert str(value) == "(u^3 + u + 1)/(u^3 + u^2 + u + 1)"
+
+
 def test_polynomial_equality_includes_variable():
     gf2_w = FiniteField(2, 1, "w")  # a second GF(2) object
     for F in (QQ, GF2, GF2_U):

@@ -632,6 +632,106 @@ def test_gf2_hot_paths_build_no_coefficient_tuple(name, monkeypatch):
     assert intr_member(phi, D, depth=3).kind in ("in", "out")
 
 
+# -- Q[x] against a per-Fraction reference -----------------------------------
+#
+# The reference works on lists of Fractions, constant term first, with no
+# trailing zeros, one Fraction operation per step, so it shares nothing with
+# the integer kernels of Polynomial over Q.
+
+def _q_trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _q_ref_mul(a, b):
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return _q_trim(out)
+
+
+def _q_ref_divmod(a, b):
+    r = list(a)
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    for i in range(len(r) - 1, len(b) - 2, -1):
+        f = r[i] / b[-1]
+        q[i - len(b) + 1] = f
+        for j, d in enumerate(b):
+            r[i - len(b) + 1 + j] -= f * d
+    return _q_trim(q), _q_trim(r)
+
+
+def _q_ref_gcd(a, b):
+    while b:
+        a, b = b, _q_ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def _q_random_coeffs(rng, p, degree):
+    """Coefficients of degree ``degree`` (the zero polynomial for -1): a fifth
+    zeros, the rest small fractions times p^-2 .. p^2, the leading one
+    nonzero and of either sign."""
+    out = [Fraction(0) if rng.random() < 0.2 else
+           Fraction(rng.randint(-9, 9), rng.randint(1, 6)) * Fraction(p) ** rng.randint(-2, 2)
+           for _ in range(degree + 1)]
+    if out:
+        out[-1] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                           rng.randint(1, 6)) * Fraction(p) ** rng.randint(-2, 2)
+    return out
+
+
+def _q_cases(V, seed, count):
+    """Seeded operand pairs over V as coefficient lists: degrees -1 (zero)
+    to 8, pairs with a common factor of degree 1-3, and the edge cases."""
+    p = getattr(V, "p", 3)
+    rng = random.Random(f"q-oracle:{V!r}:{seed}")
+    cases = [([], []), ([], [Fraction(-2, 25)]), ([Fraction(7, 5)], [Fraction(-3)]),
+             ([Fraction(1), Fraction(0), Fraction(-1, 25)], [Fraction(-25, 2)]),
+             ([Fraction(-5), Fraction(1, 5)], [Fraction(25), Fraction(0), Fraction(-1)])]
+    for _ in range(count):
+        a = _q_random_coeffs(rng, p, rng.randint(-1, 8))
+        b = _q_random_coeffs(rng, p, rng.randint(-1, 8))
+        if rng.random() < 0.5:
+            c = _q_random_coeffs(rng, p, rng.randint(1, 3))
+            a, b = _q_ref_mul(a, c), _q_ref_mul(b, c)
+        cases.append((a, b))
+    return cases
+
+
+def _assert_q_poly(got, want):
+    assert all(type(c) is Fraction for c in got.coeffs), got.coeffs
+    assert list(got.coeffs) == want
+
+
+@pytest.mark.parametrize("V", [QQ, PAdicQ(5)], ids=["QQ", "Q5"])
+@pytest.mark.parametrize("seed", range(3))
+def test_q_arithmetic_matches_fraction_reference(V, seed):
+    for a, b in _q_cases(V, seed, 40):
+        pa, pb = Polynomial(V, a), Polynomial(V, b)
+        _assert_q_poly(pa * pb, _q_ref_mul(a, b))
+        _assert_q_poly(pb * pa, _q_ref_mul(a, b))
+        g = Polynomial.gcd(pa, pb)
+        if a or b:
+            _assert_q_poly(g, _q_ref_gcd(a, b))
+            assert g.leading() == 1
+            assert (pa % g).is_zero() and (pb % g).is_zero()
+        else:
+            assert g.is_zero()
+        if not b:
+            with pytest.raises(StructuralError):
+                divmod(pa, pb)
+            continue
+        q, r = divmod(pa, pb)
+        want_q, want_r = _q_ref_divmod(a, b)
+        _assert_q_poly(q, want_q)
+        _assert_q_poly(r, want_r)
+        assert pa // pb == q and pa % pb == r
+        assert q * pb + r == pa and r.degree < pb.degree
+
+
 # -- parse_ratfun against the constant-function oracle ------------------------
 #
 # The oracle reads a text with the grammar of ivrf.parsing over an

@@ -40,13 +40,14 @@ from .ratfun import Polynomial, RationalFunction, _paren, fraction_free_gcd
 class RationalsContext:
     """The plain rationals as a coefficient-field context."""
 
-    @staticmethod
-    def zero():
-        return Fraction(0)
+    _zero = Fraction(0)
+    _one = Fraction(1)
 
-    @staticmethod
-    def one():
-        return Fraction(1)
+    def zero(self):
+        return self._zero
+
+    def one(self):
+        return self._one
 
     @staticmethod
     def from_int(n):

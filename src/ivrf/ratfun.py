@@ -16,7 +16,10 @@ A polynomial over GF(2) (a field with ``poly_bits`` set) is stored as one
 int, bit i the coefficient of var^i (``_GF2Polynomial``): addition is xor,
 multiplication shift-xor, division and the gcd shifted xor.  The GF(2)(u)
 towers rest on this ring.  Every other field keeps the dense coefficient
-tuple; both print the same.
+tuple; both print the same.  Over Q (``Fraction`` coefficients) products,
+divisions, gcds and evaluation run on plain ints: ``_q_ints`` puts a
+polynomial on one denominator, and each coefficient of a result is built
+once as a reduced ``Fraction``.
 
 The operations are methods: ``RationalFunction(f, g)`` normalizes f/g by
 one gcd, ``phi.evaluate(a)`` returns a value or ``POLE``,
@@ -209,17 +212,11 @@ class Polynomial:
         if len(q.coeffs) == 1:
             c = q.coeffs[0]
             return p if c == self.field.one() else p.scale(c)
-        zero = self.field.zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        # the nonzero terms of the second factor, listed once: polynomials
-        # spread onto a finer lattice (Hahn fields) are mostly zeros
-        terms = [(j, b) for j, b in enumerate(other.coeffs) if b != zero]
-        for i, a in enumerate(self.coeffs):
-            if a == zero:
-                continue
-            for j, b in terms:
-                out[i + j] = out[i + j] + a * b
-        return self._new(out)
+        if isinstance(self.coeffs[-1], Fraction) and isinstance(other.coeffs[-1], Fraction):
+            (a, la), (b, lb) = _q_ints(self.coeffs), _q_ints(other.coeffs)
+            den = la * lb
+            return self._new([Fraction(n, den) for n in _convolve(a, b, 0)])
+        return self._new(_convolve(self.coeffs, other.coeffs, self.field.zero()))
 
     __rmul__ = __mul__
 
@@ -243,20 +240,18 @@ class Polynomial:
             return NotImplemented
         if other.is_zero():
             raise StructuralError("polynomial division by zero")
-        zero = self.field.zero()
-        rem = list(self.coeffs)
-        q = [zero] * max(0, len(rem) - len(other.coeffs) + 1)
+        if len(self.coeffs) < len(other.coeffs):
+            return self._new([]), self
+        if isinstance(other.coeffs[-1], Fraction):
+            # s a = q b + r for the integer multiples a = la * self, b = lb * other
+            (a, la), (b, lb) = _q_ints(self.coeffs), _q_ints(other.coeffs)
+            q, r, s = _z_pseudo_divmod(a, b)
+            den = la * s
+            return (self._new([Fraction(c * lb, den) for c in q]),
+                    self._new([Fraction(c, den) for c in r]))
         inv_lead = self.field.one() / other.leading()
-        dn = other.degree
-        for i in range(len(rem) - 1, dn - 1, -1):
-            c = rem[i]
-            if c == zero:
-                continue
-            factor = c * inv_lead
-            q[i - dn] = factor
-            for j, b in enumerate(other.coeffs):
-                rem[i - dn + j] = rem[i - dn + j] - factor * b
-        return self._new(q), self._new(rem)
+        q, r = _long_division(list(self.coeffs), other.coeffs, lambda c: c * inv_lead)
+        return self._new(q), self._new(r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -289,9 +284,11 @@ class Polynomial:
           coefficients are rational functions in t^(1/k) for various k,
           spread them onto one lattice s = t^(1/m) and run
           ``fraction_free_gcd`` over kappa[s].
-        * Otherwise: the Euclidean algorithm, each remainder rescaled to
-          primitive form (integer content over the rationals); without that
-          the coefficient sizes explode on inputs of moderate degree.
+        * Over Q (``Fraction`` coefficients) the same primitive remainder
+          sequence runs in Z[x] on plain ints: each operand is put on one
+          denominator (``_q_ints``), each pseudo-remainder divided by its
+          integer content, and only the final gcd is made monic over Q.
+        * Otherwise (GF(q), q > 2): the Euclidean algorithm.
 
         The monic gcd is unique, so all of them give the same result.
         """
@@ -309,25 +306,17 @@ class Polynomial:
         field_gcd = getattr(a.field, "poly_gcd", None)
         if field_gcd is not None:
             return field_gcd(a, b)
-        if isinstance(a.leading(), RationalFunction):
+        lead = a.leading()
+        if isinstance(lead, Fraction):
+            g = _z_gcd(_q_ints(a.coeffs)[0], _q_ints(b.coeffs)[0])
+            return a._new([Fraction(c, g[-1]) for c in g[:-1]] + [a.field.one()])
+        if isinstance(lead, RationalFunction):
             g = fraction_free_gcd([(c.num, c.den) for c in a.coeffs],
                                   [(c.num, c.den) for c in b.coeffs])
-            lead = g[-1]
-            return Polynomial(a.field, [RationalFunction(c, lead) for c in g[:-1]]
-                              + [a.field.one()], a.var)
+            return a._new([RationalFunction(c, g[-1]) for c in g[:-1]] + [a.field.one()])
         while not b.is_zero():
-            a, b = b, (a % b)._primitive()
+            a, b = b, a % b
         return a.monic()
-
-    def _primitive(self):
-        if not self.coeffs or not isinstance(self.coeffs[0], Fraction):
-            return self
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.coeffs:
-            num_gcd = _igcd(num_gcd, c.numerator)
-            den_lcm = den_lcm * c.denominator // _igcd(den_lcm, c.denominator)
-        return self.scale(Fraction(den_lcm, num_gcd))
 
     # -- evaluation and substitution ----------------------------------
 
@@ -935,18 +924,86 @@ def _q_horner(coeffs, a):
     """
     if not coeffs:
         return 0, 1
+    ints, lcm = _q_ints(coeffs)
+    r, s = a.as_integer_ratio()
+    acc = 0
+    spow = 1  # s^(n-i) at index i
+    for n in reversed(ints):
+        acc = acc * r + n * spow
+        spow *= s
+    return acc, lcm * spow // s
+
+
+def _q_ints(coeffs):
+    """A polynomial over Q on one denominator: (ints, l), l the lcm of the
+    denominators of the Fraction (or int) ``coeffs`` and ints[i] = l *
+    coeffs[i], plain ints.  The zero polynomial gives ([], 1)."""
     ratios = [c.as_integer_ratio() for c in coeffs]
     lcm = 1
     for _, d in ratios:
         if lcm % d:
             lcm = lcm * d // _igcd(lcm, d)
-    r, s = a.as_integer_ratio()
-    acc = 0
-    spow = 1  # s^(n-i) at index i
-    for n, d in reversed(ratios):
-        acc = acc * r + n * (lcm // d) * spow
-        spow *= s
-    return acc, lcm * spow // s
+    return [n * (lcm // d) for n, d in ratios], lcm
+
+
+def _convolve(a, b, zero):
+    """The coefficients of the product of two nonzero coefficient lists."""
+    out = [zero] * (len(a) + len(b) - 1)
+    # the nonzero terms of the second factor, listed once: polynomials
+    # spread onto a finer lattice (Hahn fields) are mostly zeros
+    terms = [(j, d) for j, d in enumerate(b) if d != zero]
+    for i, c in enumerate(a):
+        if c == zero:
+            continue
+        for j, d in terms:
+            out[i + j] = out[i + j] + c * d
+    return out
+
+
+def _long_division(r, b, quotient):
+    """Long division of the coefficient list ``r`` (consumed) by ``b``: the
+    quotient and the trimmed remainder as lists.  ``quotient(c)`` is the
+    quotient coefficient for a nonzero leading coefficient c."""
+    db = len(b) - 1
+    q = [None] * (len(r) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = r.pop()
+        if c:
+            c = quotient(c)
+            for j in range(db):
+                r[k + j] = r[k + j] - c * b[j]
+        q[k] = c
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _z_pseudo_divmod(a, b):
+    """Pseudo-division in Z[x] of int coefficient lists, deg a >= deg b:
+    (q, r, s) with s a = q b + r and s = lc(b)^(deg a - deg b + 1), so that
+    every step of the long division of s a by b is exact on ints."""
+    lc = b[-1]
+    s = lc ** (len(a) - len(b) + 1)
+    q, r = _long_division([c * s for c in a], b, lambda c: c // lc)
+    return q, r, s
+
+
+def _z_gcd(a, b):
+    """A gcd in Z[x] of two int coefficient lists of positive degree, by the
+    primitive remainder sequence (Collins 1967; Brown 1971): each
+    pseudo-remainder is divided by its content."""
+    if len(a) < len(b):
+        a, b = b, a
+    a = _z_primitive(a)
+    while b:
+        b = _z_primitive(b)
+        a, b = b, _z_pseudo_divmod(a, b)[1]
+    return a
+
+
+def _z_primitive(a):
+    g = _igcd(*a)
+    return a if g == 1 else [c // g for c in a]
 
 
 def _compose_poly(p, other):

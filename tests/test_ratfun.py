@@ -732,6 +732,39 @@ def test_q_arithmetic_matches_fraction_reference(V, seed):
         assert q * pb + r == pa and r.degree < pb.degree
 
 
+@pytest.mark.parametrize("V", [QQ, PAdicQ(5)], ids=["QQ", "Q5"])
+def test_q_kernels_build_one_fraction_per_coefficient(V, monkeypatch):
+    # Products, divisions and gcds over Q run on plain ints and build each
+    # output coefficient once; a Fraction per term operation costs a gcd
+    # each, so here more of them fail.
+    rng = random.Random("q-fractions")
+    c = Polynomial(V, _q_random_coeffs(rng, 5, 3))
+    a = c * Polynomial(V, _q_random_coeffs(rng, 5, 5))
+    b = c * Polynomial(V, _q_random_coeffs(rng, 5, 5))
+    assert a.degree == b.degree == 8
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    def count(op, *args):
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", staticmethod(counted))
+            out = op(*args)
+        return out, len(built)
+
+    p, n = count(Polynomial.__mul__, a, b)
+    assert n <= len(p.coeffs)
+    for u, v in ((a, b), (p, b), (a, c)):
+        (q, r), n = count(divmod, u, v)
+        assert n <= len(q.coeffs) + len(r.coeffs)
+    g, n = count(Polynomial.gcd, a, b)
+    assert g == c.monic() and n <= len(g.coeffs) + 1
+
+
 # -- parse_ratfun against the constant-function oracle ------------------------
 #
 # The oracle reads a text with the grammar of ivrf.parsing over an

@@ -1048,11 +1048,16 @@ def parse_ratfun(field, text):
     is its coefficient's own power.  At the first division by a non-constant
     or negative power of one, both sides become ``RationalFunction``s once,
     and from there on the operators of ``RationalFunction`` carry the value.
-    The result is one canonical ``RationalFunction``.
+    The result is one canonical ``RationalFunction``.  The environment of
+    ``x`` and the symbols is built on a field's first parse and kept on the
+    field object: its values are never changed.
     """
-    env = {"x": _Parsed(field, {1: field.one()})}
-    for name, val in field.symbol_env().items():
-        env[name] = _Parsed.constant(field, val)
+    env = getattr(field, "_parse_env", None)
+    if env is None:
+        env = {"x": _Parsed(field, {1: field.one()})}
+        for name, val in field.symbol_env().items():
+            env[name] = _Parsed.constant(field, val)
+        field._parse_env = env
     return parse_expression(
         text, env, lambda n: _Parsed.constant(field, field.from_int(n))).function()
 

@@ -897,6 +897,25 @@ def test_polynomial_texts_parse_without_gcd_or_dense_power(monkeypatch):
         _assert_same_function(g, w)
 
 
+def test_parses_over_one_field_share_one_environment(monkeypatch):
+    # the environment of x and the field's symbols is built once per field
+    # object, on its first parse
+    envs = []
+    parse = ratfun.parse_expression
+
+    def recorded(text, env, make_int):
+        envs.append(env)
+        return parse(text, env, make_int)
+
+    monkeypatch.setattr(ratfun, "parse_expression", recorded)
+    V, W = TAdicRat(FiniteField(2, 2)), TAdicRat(FiniteField(2, 2))
+    for text in ("1", "t*x + u", "1/(x + t)"):
+        _assert_same_function(parse_ratfun(V, text), _oracle_parse(V, text))
+    parse_ratfun(W, "1")
+    assert envs[0] is envs[1] is envs[2] and envs[3] is not envs[0]
+    assert sorted(envs[0]) == ["t", "u", "x"]
+
+
 def test_power_of_a_sum_squares_and_multiplies(monkeypatch):
     products = []
     sparse_mul = ratfun._sparse_mul

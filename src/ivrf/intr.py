@@ -69,12 +69,21 @@ class CertifiedIn:
 
 
 class CertifiedOut:
-    __slots__ = ("witness", "reason")
+    """A witness where phi fails, and the reason.  A reason that names the
+    witness is given by its head alone (``pole``, ``value V``) and reads
+    "<head> at <witness>"; ``moved`` keeps it naming the witness."""
+
+    __slots__ = ("witness", "reason", "head")
     kind = "out"
 
-    def __init__(self, witness, reason=""):
+    def __init__(self, witness, reason="", head=None):
         self.witness = witness
-        self.reason = reason
+        self.reason = reason if head is None else f"{head} at {witness}"
+        self.head = head
+
+    def moved(self, witness):
+        """The same failure found at another point, ``witness``."""
+        return CertifiedOut(witness, self.reason, self.head)
 
     def __repr__(self):
         return f"CertifiedOut(witness={self.witness!r})"
@@ -511,10 +520,10 @@ def _check_point(ctx, phi, delta, val, restrict0, depth, prec):
         ev = phi.evaluate(a0)
         if ev is POLE:
             crec["action"] = "pole"
-            return CertifiedOut(a0, f"pole at {a0}")
+            return CertifiedOut(a0, head="pole")
         if not ctx.point_ok(ev):
             crec["action"] = "witness"
-            return CertifiedOut(a0, f"value {V.valuation(ev)} at {a0}")
+            return CertifiedOut(a0, head=f"value {V.valuation(ev)}")
         if depth <= 1:
             crec["action"] = "depth exhausted"
             unknown = unknown or Unknown(
@@ -525,7 +534,7 @@ def _check_point(ctx, phi, delta, val, restrict0, depth, prec):
         out = _certify(ctx, shifted, _Region(zero, True, None, True), None, depth - 1)
         crec["action"] = "refined"
         if out.kind == "out":
-            return CertifiedOut(a0 + t * out.witness, out.reason)
+            return out.moved(a0 + t * out.witness)
         if out.kind == "unknown":
             unknown = unknown or out
             continue

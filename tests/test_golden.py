@@ -136,7 +136,7 @@ VERDICT_DOMAINS = {
     "hahn/GF2(u) frobenius": (DomainSpec.pvd(PVDSpec(HahnFinite(GF2_U), GF2_U_FROBENIUS)), 2),
     "hahn/GF4 over GF2": (DomainSpec.pvd(PVDSpec(HAHN_GF4, PrimePowerSubfield(GF4, 1))), 6),
 }
-VERDICT_DIGEST = "350700960d17b04a277fc23e767961701bffeb7851b74abf852b04d092f84788"
+VERDICT_DIGEST = "06cfab04f08276d9eaa9bc8ef7e59fbe311fd6c5f86237fc7ed0df69358f2851"
 
 
 def test_verdict_digest():

@@ -164,6 +164,17 @@ class TestDriver:
         with pytest.raises(UndecidedError):
             ideal_member(parse_ratfun(Q5, "5*x"), ValueIdeal(1), D)
 
+    def test_refined_witness_reason_names_the_witness(self):
+        # The witness 80 = 5 + 5 * 15 comes out of the refinement at the
+        # residue class of 5, where the shifted function has value -1 at 15;
+        # the reason names 80, the point where phi has value -1.
+        D = DomainSpec.valuation_ring(Q5)
+        phi = parse_ratfun(Q5, "((1/5)*x^4 + (5) + (7/2)*x^3)"
+                               "/((-3)*x^3 + (-3) + (-3)*x^1 + (3/25)*x^2)")
+        v = intr_member(phi, D)
+        assert (v.kind, v.witness, v.reason) == ("out", Fraction(80), "value -1 at 80")
+        assert str(Q5.valuation(phi.evaluate(v.witness))) == "-1"
+
     def test_verdicts_take_no_undeclared_attribute(self):
         for v in (CertifiedIn([], 1), CertifiedOut(Fraction(1)), Unknown("reason")):
             with pytest.raises(AttributeError):

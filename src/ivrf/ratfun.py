@@ -994,16 +994,11 @@ def _z_gcd(a, b):
     pseudo-remainder is divided by its content."""
     if len(a) < len(b):
         a, b = b, a
-    a = _z_primitive(a)
     while b:
-        b = _z_primitive(b)
+        content = _igcd(*b)
+        b = [c // content for c in b]
         a, b = b, _z_pseudo_divmod(a, b)[1]
     return a
-
-
-def _z_primitive(a):
-    g = _igcd(*a)
-    return a if g == 1 else [c // g for c in a]
 
 
 def _compose_poly(p, other):

@@ -164,6 +164,15 @@ class TestDriver:
         with pytest.raises(UndecidedError):
             ideal_member(parse_ratfun(Q5, "5*x"), ValueIdeal(1), D)
 
+    def test_value_ideal_with_undecided_components(self, monkeypatch):
+        # with every component undecided, phi(0) still decides a value ideal
+        # when it falls outside m; otherwise the answer stays undecided
+        monkeypatch.setattr(intr, "_certify", lambda *args: Unknown("injected"))
+        D = DomainSpec.valuation_ring(Q5)
+        assert not ideal_member(parse_ratfun(Q5, "x + 1"), ValueIdeal(1), D)
+        with pytest.raises(UndecidedError):
+            ideal_member(parse_ratfun(Q5, "x + 5"), ValueIdeal(1), D)
+
     def test_refined_witness_reason_names_the_witness(self):
         # The witness 80 = 5 + 5 * 15 comes out of the refinement at the
         # residue class of 5, where the shifted function has value -1 at 15;
@@ -187,6 +196,11 @@ class TestIdeals:
         x = RationalFunction(qp(0, 1))
         assert ideal_member(x, Pointed(Fraction(5)), D)
         assert not ideal_member(x, Pointed(Fraction(1)), D)
+
+    def test_pointed_zero_value_is_in(self):
+        # phi(5) = 0, whose valuation INFINITY lies above every value of m
+        D = DomainSpec.valuation_ring(Q5)
+        assert ideal_member(parse_ratfun(Q5, "x - 5"), Pointed(Fraction(5)), D)
 
     def test_pointed_pole_precondition(self):
         D = DomainSpec.valuation_ring(Q5, WHOLE_FIELD)

@@ -1,0 +1,62 @@
+"""Digests of ivrf's deterministic outputs, for checking that a refactor
+leaves every one of them byte-identical.
+
+    python tools/identity.py [--suite-seed 7] [--corpus-seeds 7 2024]
+
+prints two sha256 digests: ``suites`` over the ten ``run_suite`` reports at
+the suite seed (default sample counts, without ``elapsed``), and ``corpus``
+over ``str(phi)`` and the verdict JSON of ``intr_member(phi, D, depth=3)``
+for every ``certify`` and ``tower`` item of ``perfbench/corpus.py`` at each
+corpus seed.  It reads the package and the corpus of the checkout that
+holds it, so compare its lines from two checkouts.  It writes no files.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+
+sys.dont_write_bytecode = True
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import corpus  # noqa: E402
+import ivrf  # noqa: E402
+from ivrf.suites import SUITES, run_suite  # noqa: E402
+
+
+def _dump(obj):
+    return json.dumps(obj, sort_keys=True, default=str)
+
+
+def suites_digest(seed):
+    h = hashlib.sha256()
+    for name in sorted(SUITES):
+        report = run_suite(name, seed=seed)
+        report.pop("elapsed")
+        h.update(f"{name}\t{_dump(report)}\n".encode())
+    return h.hexdigest()
+
+
+def corpus_digest(seeds):
+    h = hashlib.sha256()
+    for seed in seeds:
+        for workload, names in sorted(corpus.WORKLOAD_DOMAINS.items()):
+            domains = {n: ivrf.domain_from_config(corpus.DOMAINS[n]["config"])
+                       for n in names}
+            for item in corpus.build(workload, seed):
+                D = domains[item.domain]
+                phi = ivrf.parse_ratfun(D.field, item.text)
+                verdict = ivrf.intr_member(phi, D, depth=3)
+                h.update(f"{seed}\t{item.id}\t{phi}\t{_dump(verdict.to_json())}\n".encode())
+    return h.hexdigest()
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--suite-seed", type=int, default=7)
+    ap.add_argument("--corpus-seeds", type=int, nargs="+", default=[7, 2024])
+    args = ap.parse_args()
+    print("suites", suites_digest(args.suite_seed))
+    print("corpus", corpus_digest(args.corpus_seeds))

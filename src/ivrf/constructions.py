@@ -253,7 +253,7 @@ def notlocal_witness(D, depth=3, split_samples=None):
     L = V.residue_field
     record = {}
 
-    if getattr(L, "is_finite", False):
+    if L.is_finite:
         q = L.order
         den = {0: V.one(), 1: V.from_int(-1), q: V.one()}
         w = RationalFunction(Polynomial.constant(V, V.one()),

@@ -150,8 +150,6 @@ class ValuedField:
         """Whether res(x) is 0, that is x = 0 or v(x) > 0; a
         PreconditionError when v(x) < 0."""
         v = self.valuation(x)
-        if v is INFINITY:
-            return True
         zero = self.group.zero()
         if v < zero:
             raise PreconditionError("residue needs valuation >= 0")
@@ -232,7 +230,7 @@ def _unit_residue(f):
 
 def _random_residue(kappa, rng):
     """A random element of kappa, of degree at most 1 over GF(q)(u)."""
-    if getattr(kappa, "is_finite", False):
+    if kappa.is_finite:
         return kappa.random(rng)
     return kappa.random(rng, degree=1)
 
@@ -604,7 +602,8 @@ class HahnFinite(ValuedField):
 # ---------------------------------------------------------------------------
 
 class SubfieldSpec:
-    """A subfield F of a residue field L, given by a decision procedure."""
+    """A subfield F of a residue field L, given by a decision procedure; like
+    a residue field, it says in the attribute ``is_finite`` whether it is finite."""
 
     def __init__(self, residue_field):
         self.L = residue_field
@@ -612,9 +611,6 @@ class SubfieldSpec:
     is_whole = False
 
     def contains(self, r):
-        raise NotImplementedError
-
-    def is_finite(self):
         raise NotImplementedError
 
     def elements(self):
@@ -637,8 +633,9 @@ class FullResidueField(SubfieldSpec):
     def contains(self, r):
         return True
 
+    @property
     def is_finite(self):
-        return getattr(self.L, "is_finite", False)
+        return self.L.is_finite
 
     def elements(self):
         return self.L.elements()
@@ -654,6 +651,8 @@ class PrimePowerSubfield(SubfieldSpec):
     """GF(p^d) inside GF(p^k), d | k; membership is the Frobenius fixed-point
     test x^(p^d) = x."""
 
+    is_finite = True
+
     def __init__(self, L, d):
         super().__init__(L)
         if not isinstance(L, FiniteField):
@@ -666,9 +665,6 @@ class PrimePowerSubfield(SubfieldSpec):
     def contains(self, r):
         return r ** self.sub_order == r
 
-    def is_finite(self):
-        return True
-
     def elements(self):
         return (x for x in self.L.elements() if self.contains(x))
 
@@ -679,6 +675,8 @@ class PrimePowerSubfield(SubfieldSpec):
 class ConstantSubfield(SubfieldSpec):
     """GF(q) inside GF(q)(u): the constants."""
 
+    is_finite = True
+
     def __init__(self, L):
         super().__init__(L)
         if not isinstance(L, RatFuncField):
@@ -686,9 +684,6 @@ class ConstantSubfield(SubfieldSpec):
 
     def contains(self, r):
         return r.is_constant()
-
-    def is_finite(self):
-        return True
 
     def elements(self):
         return (self.L.constant(c) for c in self.L.base.elements())
@@ -702,6 +697,8 @@ class FrobeniusSubfield(SubfieldSpec):
     lies in the subfield iff every exponent of u is divisible by p^e, and the
     extension is purely inseparable of exponent e."""
 
+    is_finite = False
+
     def __init__(self, L, e=1):
         super().__init__(L)
         if not isinstance(L, RatFuncField):
@@ -714,9 +711,6 @@ class FrobeniusSubfield(SubfieldSpec):
     def contains(self, r):
         return (all(i % self.step == 0 for i in r.num.support())
                 and all(i % self.step == 0 for i in r.den.support()))
-
-    def is_finite(self):
-        return False
 
     def purely_inseparable_exponent(self):
         return self.e
@@ -745,10 +739,8 @@ class PVDSpec:
 def in_pullback(V, sub, x):
     """x in the pullback of the residue subfield ``sub`` under V: v(x) > 0,
     or v(x) = 0 and res(x) in sub.  ``sub=None`` is the whole valuation
-    ring."""
+    ring.  The one pullback test, for domains and the certifier's targets."""
     v = V.valuation(x)
-    if v is INFINITY:
-        return True
     zero = V.group.zero()
     if v < zero:
         return False

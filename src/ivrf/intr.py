@@ -38,7 +38,7 @@ from .fields import (FrobeniusSubfield, _config_value, field_from_config,
                      in_pullback, pvd_from_config)
 from .ff import FiniteField, RatFuncField, polynomials, rf_pth_root
 from .newton import local_poly, minval_poly, minval_rat
-from .ordgroup import INFINITY, lattice_point_in_interval
+from .ordgroup import lattice_point_in_interval
 from .ratfun import POLE, Polynomial, RationalFunction, clear_denominators
 
 WHOLE_RING = "ring"
@@ -330,13 +330,12 @@ def _small_residues(L, allowed):
     full; over GF(q)(u) the search stops after ``_SEARCH_LIMIT`` residues of
     small height.
     """
-    if allowed is not None and allowed.is_finite():
+    if allowed is not None and allowed.is_finite:
         zero = L.zero()
         return (c for c in allowed.elements() if c != zero)
-    finite = isinstance(L, FiniteField)
-    source = L.nonzero_elements() if finite else L.small_elements(max_degree=2)
+    source = L.nonzero_elements() if L.is_finite else L.small_elements(max_degree=2)
     residues = (c for c in source if allowed is None or allowed.contains(c))
-    return residues if finite else islice(residues, _SEARCH_LIMIT)
+    return residues if L.is_finite else islice(residues, _SEARCH_LIMIT)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +345,8 @@ def _small_residues(L, allowed):
 class _Ctx:
     """The target of one component: values v(y) at or above ``tau`` (above,
     when ``strict``), and at value 0 residues in the subfield ``fsub`` when it
-    is not None.  Contexts with a subfield have tau = 0 and are not strict."""
+    is not None.  Contexts with a subfield have tau = 0 and are not strict, so
+    they are the pullbacks that ``in_pullback`` tests."""
 
     __slots__ = ("V", "fsub", "tau", "strict")
 
@@ -357,19 +357,13 @@ class _Ctx:
         self.strict = strict
 
     def value_ok(self, v):
-        if v is INFINITY:
-            return True
         return v > self.tau if self.strict else v >= self.tau
 
     def point_ok(self, y):
         """Full membership test of a field element against the target."""
-        v = self.V.valuation(y)
-        if not self.value_ok(v):
-            return False
-        if (self.fsub is not None and v == self.V.group.zero()
-                and not self.fsub.contains(self.V.residue(y))):
-            return False
-        return True
+        if self.fsub is None:
+            return self.value_ok(self.V.valuation(y))
+        return in_pullback(self.V, self.fsub, y)
 
 
 def _certify(ctx, phi, region, restrict0, depth):
@@ -548,14 +542,14 @@ def _residue_condition(ctx, t, h, allowed, roots, delta):
     """At value 0 the residues of phi are h(c), h a rational function over
     the residue field; every allowed nonzero c outside ``roots`` must land
     in the subfield."""
+    if h.is_constant() and ctx.fsub.contains(h.as_constant()):
+        return None
     L = ctx.V.residue_field
     residues = _small_residues(L, allowed)
-    if (allowed is not None and allowed.is_finite()) or isinstance(L, FiniteField):
+    if L.is_finite or (allowed is not None and allowed.is_finite):
         return _probe(ctx, t, residues, h, roots)
 
     if h.is_constant():
-        if ctx.fsub.contains(h.as_constant()):
-            return None
         return (_probe(ctx, t, residues, h, roots)
                 or Unknown("no probe residue found"))
 
@@ -608,16 +602,16 @@ def _fmt(g):
 
 def _meets(targets, ev):
     """Whether the value ``ev`` (possibly ``POLE``) meets every target."""
-    return ev is not POLE and all(ctx.point_ok(ev) for ctx, _ in targets)
+    return ev is not POLE and all(ctx.point_ok(ev) for ctx in targets)
 
 
 def _certify_domain(phi, D, targets, depth):
     """The verdict on phi(a) meeting every target for all a in E.
 
-    A target is a ``_Ctx`` and the subfield that restricts the points of E
-    at value 0 (None for no restriction).  A ``CertifiedOut`` of a component
-    is passed on only when its witness lies in E and phi fails a target
-    there; otherwise the verdict is ``Unknown``.
+    A target is one ``_Ctx`` per component of D, in order; on the ring E,
+    points of value 0 have residues in their component's subfield.  A
+    ``CertifiedOut`` of a component is passed on only when its witness lies
+    in E and phi fails a target there; otherwise the verdict is ``Unknown``.
     """
     if phi.is_zero():
         return CertifiedIn([{"trivial": "zero function"}], 0)
@@ -634,7 +628,7 @@ def _certify_domain(phi, D, targets, depth):
     certificates = []
     depth_used = 1
     unknown = None
-    for ctx, fsub in targets:
+    for ctx, (_, fsub) in zip(targets, D.components):
         region, restrict0 = _region(D.E, ctx.V.group.zero(), fsub)
         out = _certify(ctx, phi, region, restrict0, depth)
         if out.kind == "in":
@@ -658,7 +652,7 @@ def _certify_domain(phi, D, targets, depth):
 
 def intr_member(phi, D, depth=3):
     """Certify phi(a) in D for all a in E; sound, possibly Unknown."""
-    targets = [(_Ctx(V, fsub, V.group.zero(), False), fsub) for V, fsub in D.components]
+    targets = [_Ctx(V, fsub, V.group.zero(), False) for V, fsub in D.components]
     return _certify_domain(phi, D, targets, depth)
 
 
@@ -675,8 +669,7 @@ def ideal_member(phi, ideal, D, depth=3):
         if ev is POLE:
             raise PreconditionError(f"pole at the anchor point {ideal.a}")
         V, _ = D.components[ideal.component]
-        v = V.valuation(ev)
-        return v is INFINITY or v > V.group.zero()
+        return V.valuation(ev) > V.group.zero()
 
     if ideal.kind == "mstar":
         if D.kind == "intersection":
@@ -688,17 +681,11 @@ def ideal_member(phi, ideal, D, depth=3):
         return pl.eval(V.group.zero()) > V.group.zero()
 
     if ideal.kind == "value":
-        targets = []  # one threshold of m^power per component
-        for V, fsub in D.components:
-            if V.is_discrete:
-                tau = V.valuation(V.uniformizer()).scale(ideal.power)
-                targets.append((_Ctx(V, None, tau, False), fsub))
-            else:  # a divisible value group: every power of m is m
-                targets.append((_Ctx(V, None, V.group.zero(), True), fsub))
-        # a cheap decision by phi(0), where 0 is in E
-        zero_in_E = D.E in (WHOLE_RING, WHOLE_FIELD)
-        if zero_in_E and not _meets(targets, phi.evaluate(D.field.zero())):
-            return False
+        # one threshold of m^power per component; over a divisible value
+        # group every power of m is m
+        targets = [_Ctx(V, None, V.valuation(V.uniformizer()).scale(ideal.power), False)
+                   if V.is_discrete else _Ctx(V, None, V.group.zero(), True)
+                   for V, _ in D.components]
         verdict = _certify_domain(phi, D, targets, depth)
         if verdict.kind == "unknown":
             raise UndecidedError("value-ideal membership undecided")

@@ -199,7 +199,7 @@ def _preset_opt(fn):
 
 @construct.command("theta")
 @_preset_opt
-@click.option("--samples", type=int, default=50, help="grid bound for checks")
+@click.option("--samples", type=click.IntRange(min=1), default=50, help="grid bound for checks")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--out", default=None)
 def construct_theta(preset, samples, fmt, out):
@@ -226,7 +226,7 @@ def construct_theta(preset, samples, fmt, out):
 @construct.command("psi")
 @_preset_opt
 @click.option("--phi", default="x")
-@click.option("--samples", type=int, default=30)
+@click.option("--samples", type=click.IntRange(min=1), default=30)
 @click.option("--out", default=None)
 def construct_psi(preset, phi, samples, out):
     S = cons.preset(preset)
@@ -242,7 +242,7 @@ def construct_psi(preset, phi, samples, out):
 @_preset_opt
 @click.option("--phi", required=True)
 @click.option("--phi2", required=True)
-@click.option("--samples", type=int, default=30)
+@click.option("--samples", type=click.IntRange(min=1), default=30)
 @click.option("--out", default=None)
 def construct_rho(preset, phi, phi2, samples, out):
     S = cons.preset(preset)
@@ -258,7 +258,7 @@ def construct_rho(preset, phi, phi2, samples, out):
 @construct.command("separator")
 @_preset_opt
 @click.option("--phi", default="x")
-@click.option("--samples", type=int, default=30)
+@click.option("--samples", type=click.IntRange(min=1), default=30)
 @click.option("--out", default=None)
 def construct_separator(preset, phi, samples, out):
     S = cons.preset(preset)
@@ -273,7 +273,7 @@ def construct_separator(preset, phi, samples, out):
 @construct.command("witness")
 @click.option("--config", required=True, help="pullback domain spec")
 @click.option("--depth", type=click.IntRange(min=1), default=3)
-@click.option("--samples", type=int, default=200)
+@click.option("--samples", type=click.IntRange(min=1), default=200)
 @click.option("--seed", type=int, default=0)
 @click.option("--out", default=None)
 def construct_witness(config, depth, samples, seed, out):
@@ -317,7 +317,7 @@ def scan_fieldmaps(order, sub_order, degree_bound, exceptions, out):
 @main.command()
 @click.argument("suite", type=click.Choice(sorted(SUITES)))
 @click.option("--seed", type=int, default=0)
-@click.option("--samples", type=int, default=None)
+@click.option("--samples", type=click.IntRange(min=1), default=None)
 @click.option("--depth", type=click.IntRange(min=1), default=3)
 @click.option("--out", default=None)
 def verify(suite, seed, samples, depth, out):

@@ -259,6 +259,20 @@ class TestErrors:
         res = run("member", "--config", RING5, "--phi", "x", "--depth", depth)
         assert res.exit_code == 2, res.output
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["verify", "gauss"],
+        ["construct", "theta"],
+        ["construct", "psi"],
+        ["construct", "rho", "--phi", "x+2", "--phi2", "x^2-3"],
+        ["construct", "separator"],
+        ["construct", "witness", "--config", TADIC_PVD],
+    ], ids=["verify", "theta", "psi", "rho", "separator", "witness"])
+    def test_samples_below_one_exits_two(self, command, samples):
+        # a non-positive count would check nothing and pass vacuously
+        res = run(*command, "--samples", samples)
+        assert res.exit_code == 2, res.output
+
     @pytest.mark.parametrize("args", [
         ["--kind", "pointed", "--at", "5", "--component", "3"],
         ["--kind", "pointed", "--at", "5", "--component", "-1"],

@@ -681,11 +681,13 @@ def ideal_member(phi, ideal, D, depth=3):
         return pl.eval(V.group.zero()) > V.group.zero()
 
     if ideal.kind == "value":
-        # one threshold of m^power per component; over a divisible value
-        # group every power of m is m
-        targets = [_Ctx(V, None, V.valuation(V.uniformizer()).scale(ideal.power), False)
-                   if V.is_discrete else _Ctx(V, None, V.group.zero(), True)
-                   for V, _ in D.components]
+        targets = []  # one threshold of m^power per component
+        for V, _ in D.components:
+            if V.is_discrete:
+                tau = V.valuation(V.uniformizer()).scale(ideal.power)
+                targets.append(_Ctx(V, None, tau, False))
+            else:  # a divisible value group: every power of m is m
+                targets.append(_Ctx(V, None, V.group.zero(), True))
         verdict = _certify_domain(phi, D, targets, depth)
         if verdict.kind == "unknown":
             raise UndecidedError("value-ideal membership undecided")

@@ -3,12 +3,15 @@ leaves every one of them byte-identical.
 
     python tools/identity.py [--suite-seed 7] [--corpus-seeds 7 2024]
 
-prints two sha256 digests: ``suites`` over the ten ``run_suite`` reports at
-the suite seed (default sample counts, without ``elapsed``), and ``corpus``
+prints three sha256 digests: ``suites`` over the ten ``run_suite`` reports
+at the suite seed (default sample counts, without ``elapsed``); ``corpus``
 over ``str(phi)`` and the verdict JSON of ``intr_member(phi, D, depth=3)``
 for every ``certify`` and ``tower`` item of ``perfbench/corpus.py`` at each
-corpus seed.  It reads the package and the corpus of the checkout that
-holds it, so compare its lines from two checkouts.  It writes no files.
+corpus seed; and ``kinds`` over the seed, the item id and the verdict kind
+(in, out or unknown) of the same items.  A change that rewrites witnesses or
+reasons on purpose moves ``corpus`` but must keep ``kinds``: that shows no
+verdict changed kind.  It reads the package and the corpus of the checkout
+that holds it, so compare its lines from two checkouts.  It writes no files.
 """
 
 import argparse
@@ -39,8 +42,10 @@ def suites_digest(seed):
     return h.hexdigest()
 
 
-def corpus_digest(seeds):
+def corpus_digests(seeds):
+    """The ``corpus`` and ``kinds`` digests, from one pass over the items."""
     h = hashlib.sha256()
+    kinds = hashlib.sha256()
     for seed in seeds:
         for workload, names in sorted(corpus.WORKLOAD_DOMAINS.items()):
             domains = {n: ivrf.domain_from_config(corpus.DOMAINS[n]["config"])
@@ -50,7 +55,8 @@ def corpus_digest(seeds):
                 phi = ivrf.parse_ratfun(D.field, item.text)
                 verdict = ivrf.intr_member(phi, D, depth=3)
                 h.update(f"{seed}\t{item.id}\t{phi}\t{_dump(verdict.to_json())}\n".encode())
-    return h.hexdigest()
+                kinds.update(f"{seed}\t{item.id}\t{verdict.kind}\n".encode())
+    return h.hexdigest(), kinds.hexdigest()
 
 
 if __name__ == "__main__":
@@ -59,4 +65,6 @@ if __name__ == "__main__":
     ap.add_argument("--corpus-seeds", type=int, nargs="+", default=[7, 2024])
     args = ap.parse_args()
     print("suites", suites_digest(args.suite_seed))
-    print("corpus", corpus_digest(args.corpus_seeds))
+    corpus_hex, kinds_hex = corpus_digests(args.corpus_seeds)
+    print("corpus", corpus_hex)
+    print("kinds", kinds_hex)

@@ -19,9 +19,9 @@ from .ordgroup import GroupElement, GroupSpec, INFINITY, cmp
 from .ratfun import POLE, Polynomial, RationalFunction, parse_ratfun
 from .ff import FFElement, FiniteField, RatFuncField
 from .fields import (ConstantSubfield, FrobeniusSubfield, FullResidueField,
-                     HahnElement, HahnFinite, LexRank2, PAdicQ, PVDSpec,
+                     HahnElement, HahnFinite, LexRank2, PAdicQ,
                      PrimePowerSubfield, QQ, SubfieldSpec, TAdicRat,
-                     ValuedField, field_from_config, pvd_from_config)
+                     ValuedField, field_from_config)
 from .newton import (PiecewiseLinear, Segment, local_poly, minval_poly,
                      minval_rat, predict, slopes_check)
 from .intr import (CertifiedIn, CertifiedOut, DomainSpec, MStar, Pointed,

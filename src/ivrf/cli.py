@@ -20,9 +20,10 @@ from . import constructions as cons
 from .errors import ConfigError, IvrfError
 from .ff import FiniteField
 from .fields import (FullResidueField, PrimePowerSubfield, _split_prime_power,
-                     field_from_config, pvd_from_config)
-from .intr import (MStar, Pointed, ValueIdeal, dichotomy_check,
-                   domain_from_config, ideal_member, intr_member)
+                     field_from_config)
+from .intr import (WHOLE_FIELD, DomainSpec, MStar, Pointed, ValueIdeal,
+                   dichotomy_check, domain_from_config, ideal_member,
+                   intr_member)
 from .newton import local_poly, minval_rat, predict
 from .ratfun import POLE, parse_ratfun
 from .suites import SUITES, run_suite
@@ -180,8 +181,7 @@ def ideal(config, phi, kind, at, component, power, depth, out):
 @click.option("--out", default=None)
 def dichotomy(config, phi, out):
     """Classify the envelope sign pattern: Zero, StrictlyPositive, Violation."""
-    cfg = _load_config(config)
-    D = pvd_from_config(cfg)
+    D = _domain(config)
     fn = parse_ratfun(D.field, phi)
     _emit(_report("dichotomy", phi=str(fn),
                   classification=dichotomy_check(fn, D)), out)
@@ -277,13 +277,13 @@ def construct_separator(preset, phi, samples, out):
 @click.option("--seed", type=int, default=0)
 @click.option("--out", default=None)
 def construct_witness(config, depth, samples, seed, out):
-    cfg = _load_config(config)
-    D = pvd_from_config(cfg)
+    D = _domain(config)
     rng = random.Random(seed)
     pts = [D.field.random_nonzero(rng) for _ in range(samples)]
     w, record = cons.notlocal_witness(D, depth=depth, split_samples=pts)
-    _emit(_report("construct witness", domain=D.describe(), witness=str(w),
-                  record=record), out)
+    certified_on = DomainSpec(D.components, WHOLE_FIELD)
+    _emit(_report("construct witness", domain=certified_on.describe(),
+                  witness=str(w), record=record), out)
     sys.exit(0 if record["ok"] else 1)
 
 

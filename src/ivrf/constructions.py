@@ -240,7 +240,8 @@ def verify_separator(phi, S, samples):
 # ---------------------------------------------------------------------------
 
 def notlocal_witness(D, depth=3, split_samples=None):
-    """The two-family witness for a pullback domain, with verification.
+    """The two-family witness for a one-component domain (a valuation ring
+    or a pullback), with verification.
 
     Finite residue field L of order q: w = 1/(x^q - x + 1), which maps L to
     {1}.  Purely inseparable residue extension of exponent e with generator
@@ -249,7 +250,10 @@ def notlocal_witness(D, depth=3, split_samples=None):
     pointed ideal at a exactly when v(a) < 0, giving the two families of
     maximal ideals.
     """
-    V = D.field
+    if len(D.components) > 1:
+        raise PreconditionError("the not-local witness needs a single valuation "
+                                "or pullback")
+    V, sub = D.components[0]
     L = V.residue_field
     record = {}
 
@@ -262,7 +266,7 @@ def notlocal_witness(D, depth=3, split_samples=None):
         record["maps_to_one"] = all(
             d ** q - d + 1 == L.one() for d in L.elements())
     else:
-        e = D.subfield.purely_inseparable_exponent()
+        e = None if sub is None else sub.purely_inseparable_exponent()
         if not e:
             raise UnsupportedCaseError(
                 "the residue field is infinite and the residue extension is "
@@ -280,7 +284,7 @@ def notlocal_witness(D, depth=3, split_samples=None):
         roots, complete = residue_roots(denom_residue, L)
         record["denominator_rootless"] = complete and not roots
 
-    dom = DomainSpec.pvd(D, WHOLE_FIELD)
+    dom = DomainSpec(D.components, WHOLE_FIELD)
     verdict = intr_member(w, dom, depth=depth)
     record["membership"] = verdict.to_json()
     record["certified"] = verdict.kind == "in"

@@ -11,9 +11,11 @@ valuation onto an ordered group from :mod:`ivrf.ordgroup`:
                          maximal ideal is not principal), held as reduced
                          rational functions in s = t^(1/m)
 
-Residue fields are GF(q) or GF(q)(u).  A pseudovaluation pullback is a field
-plus a subfield predicate on its residue field: x belongs to the pullback iff
-v(x) > 0, or v(x) = 0 and the residue lies in the subfield.
+Residue fields are GF(q) or GF(q)(u).  A residue subfield is a
+``SubfieldSpec``, a decision procedure on the residue field.  The
+pseudovaluation pullback of a subfield F under a field V holds x iff v(x) > 0,
+or v(x) = 0 and the residue lies in F; ``in_pullback`` is that test, and
+``intr.DomainSpec.pvd(V, F, E)`` is the pullback as a domain.
 
 Each variant is a ``ValuedField``.  It supplies its valuation, residue, lift
 and generators; zero, one, integer literals, the parsing symbols and the
@@ -719,23 +721,6 @@ class FrobeniusSubfield(SubfieldSpec):
         return f"GF({self.L.base.q})({self.L.var}^{self.step}) in {self.L.describe()}"
 
 
-class PVDSpec:
-    """A valued field together with a residue subfield pullback."""
-
-    def __init__(self, field, subfield):
-        self.field = field
-        self.subfield = subfield
-
-    def member(self, x):
-        return in_pullback(self.field, self.subfield, x)
-
-    def describe(self):
-        return f"pullback of {self.subfield.describe()} under {self.field.describe()}"
-
-    def __repr__(self):
-        return self.describe()
-
-
 def in_pullback(V, sub, x):
     """x in the pullback of the residue subfield ``sub`` under V: v(x) > 0,
     or v(x) = 0 and res(x) in sub.  ``sub=None`` is the whole valuation
@@ -838,10 +823,3 @@ def subfield_from_config(field, cfg):
     if kind == "frobenius":
         return FrobeniusSubfield(L, _config_value(cfg, "e", int, 1))
     raise ConfigError(f"unknown subfield kind {kind!r}")
-
-
-def pvd_from_config(cfg):
-    field = field_from_config(_config_value(cfg, "field", dict))
-    sub = subfield_from_config(field, _config_value(cfg, "subfield", dict,
-                                                    {"kind": "full"}))
-    return PVDSpec(field, sub)

@@ -35,7 +35,7 @@ from itertools import islice
 from .errors import (ConfigError, PreconditionError, StructuralError,
                      UndecidedError)
 from .fields import (FrobeniusSubfield, _config_value, field_from_config,
-                     in_pullback, pvd_from_config)
+                     in_pullback, subfield_from_config)
 from .ff import FiniteField, RatFuncField, polynomials, rf_pth_root
 from .newton import local_poly, minval_poly, minval_rat
 from .ordgroup import lattice_point_in_interval
@@ -116,23 +116,24 @@ class Unknown:
 # ---------------------------------------------------------------------------
 
 class DomainSpec:
-    """A target domain (valuation ring, pullback, or finite intersection)
-    together with the point set E."""
+    """A target domain together with the point set E: the intersection of
+    its components, each a valued field V with a residue subfield, or None
+    for the whole valuation ring of V.  One component is a valuation ring
+    or a pseudovaluation pullback; more are a finite intersection."""
 
-    def __init__(self, kind, components, E):
-        self.kind = kind
+    def __init__(self, components, E):
         self.components = components  # list of (ValuedField, subfield-or-None)
         self.E = E
 
     @classmethod
     def valuation_ring(cls, V, E=WHOLE_RING):
-        return cls("valuation", [(V, None)], E)
+        return cls([(V, None)], E)
 
     @classmethod
-    def pvd(cls, D, E=WHOLE_RING):
-        sub = None if D.subfield.is_whole else D.subfield
-        return cls("pvd" if sub is not None else "valuation",
-                   [(D.field, sub)], E)
+    def pvd(cls, V, sub, E=WHOLE_RING):
+        """The pullback of the residue subfield ``sub`` under V; a whole
+        residue field gives the valuation ring."""
+        return cls([(V, None if sub.is_whole else sub)], E)
 
     @classmethod
     def intersection(cls, fields, E=WHOLE_FIELD):
@@ -140,7 +141,7 @@ class DomainSpec:
             raise ConfigError("intersection needs at least one valuation")
         if not all(type(V) is type(fields[0]) for V in fields):
             raise ConfigError("intersection components must share one field")
-        return cls("intersection", [(V, None) for V in fields], E)
+        return cls([(V, None) for V in fields], E)
 
     @property
     def field(self):
@@ -672,7 +673,7 @@ def ideal_member(phi, ideal, D, depth=3):
         return V.valuation(ev) > V.group.zero()
 
     if ideal.kind == "mstar":
-        if D.kind == "intersection":
+        if len(D.components) > 1:
             raise PreconditionError("M* needs a single valuation or pullback")
         if phi.is_zero():
             return True
@@ -713,6 +714,8 @@ def dichotomy_check(phi, D):
     not-local split: members must classify Zero or StrictlyPositive, and a
     Violation certifies non-membership.
     """
+    if len(D.components) > 1:
+        raise PreconditionError("dichotomy needs a single valuation or pullback")
     V = D.field
     if not all(V.group.divisible):
         raise PreconditionError("dichotomy needs a divisible value group")
@@ -751,11 +754,11 @@ def domain_from_config(cfg):
         fields = [field_from_config(c)
                   for c in _config_value(cfg, "components", list)]
         dom = DomainSpec.intersection(fields, E)
-    elif "subfield" in cfg:
-        dom = DomainSpec.pvd(pvd_from_config(cfg), E)
-    else:
-        dom = DomainSpec.valuation_ring(
-            field_from_config(_config_value(cfg, "field", dict)), E)
+    else:  # a config without a subfield is the whole valuation ring
+        V = field_from_config(_config_value(cfg, "field", dict))
+        sub = subfield_from_config(V, _config_value(cfg, "subfield", dict,
+                                                    {"kind": "full"}))
+        dom = DomainSpec.pvd(V, sub, E)
     if isinstance(E, list):
         dom.E = [dom.field.parse(s) for s in E]
     return dom

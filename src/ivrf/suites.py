@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import constructions as cons
 from .errors import StructuralError
 from .fields import (ConstantSubfield, FrobeniusSubfield, HahnFinite, PAdicQ,
-                     PrimePowerSubfield, PVDSpec, TAdicRat)
+                     PrimePowerSubfield, TAdicRat)
 from .ff import FiniteField, RatFuncField
 from .intr import (DomainSpec, MStar, Pointed, WHOLE_FIELD, VIOLATION,
                    characteristic_set, dichotomy_check, ideal_member,
@@ -345,7 +345,7 @@ def rho(seed=0, samples=None, depth=None):
 def _hahn_pvd_constants():
     GFU = RatFuncField(FiniteField(2), "u")
     H = HahnFinite(GFU)
-    return H, PVDSpec(H, ConstantSubfield(GFU))
+    return H, DomainSpec.pvd(H, ConstantSubfield(GFU), WHOLE_FIELD)
 
 
 def _intrv_pool(H):
@@ -398,8 +398,7 @@ def mstar(seed=0, samples=None, depth=None):
     piecewise-linear arithmetic."""
     combos = samples or 500
     rng = random.Random(seed)
-    H, D = _hahn_pvd_constants()
-    dom = DomainSpec.pvd(D, WHOLE_FIELD)
+    H, dom = _hahn_pvd_constants()
     zero = H.group.zero()
     report = _report("mstar", seed=seed, combos=combos)
 
@@ -469,7 +468,7 @@ def witnesses(seed=0, samples=None, depth=3):
 
     F4 = FiniteField(2, 2)
     T = TAdicRat(F4)
-    D1 = PVDSpec(T, PrimePowerSubfield(F4, 1))
+    D1 = DomainSpec.pvd(T, PrimePowerSubfield(F4, 1))
     pts = [T.random_nonzero(rng) for _ in range(count)]
     w1, rec1 = cons.notlocal_witness(D1, depth=depth, split_samples=pts)
     report["finite_case"] = {"witness": str(w1), "ok": rec1["ok"]}
@@ -481,7 +480,7 @@ def witnesses(seed=0, samples=None, depth=3):
 
     GFU = RatFuncField(FiniteField(2), "u")
     H = HahnFinite(GFU)
-    D2 = PVDSpec(H, FrobeniusSubfield(GFU, 1))
+    D2 = DomainSpec.pvd(H, FrobeniusSubfield(GFU, 1))
     pts2 = [H.random_nonzero(rng) for _ in range(count)]
     w2, rec2 = cons.notlocal_witness(D2, depth=depth, split_samples=pts2)
     report["inseparable_case"] = {"witness": str(w2), "ok": rec2["ok"]}
@@ -497,8 +496,7 @@ def dichotomy(seed=0, samples=None, depth=3):
     StrictlyPositive; the known non-member classifies Violation."""
     size = samples or 200
     rng = random.Random(seed)
-    H, D = _hahn_pvd_constants()
-    dom = DomainSpec.pvd(D, WHOLE_FIELD)
+    H, dom = _hahn_pvd_constants()
     report = _report("dichotomy", seed=seed, members=size, depth=depth)
 
     corpus = _member_corpus(H, rng, size)
@@ -507,7 +505,7 @@ def dichotomy(seed=0, samples=None, depth=3):
         if verdict.kind != "in":
             _fail(report, phi=str(phi), reason=f"corpus member not certified: {verdict!r}")
             continue
-        cls = dichotomy_check(phi, D)
+        cls = dichotomy_check(phi, dom)
         if cls == VIOLATION:
             _fail(report, phi=str(phi), reason="certified member classified Violation")
         report["checked"] += 1
@@ -515,7 +513,7 @@ def dichotomy(seed=0, samples=None, depth=3):
     P = lambda *cs: Polynomial(H, list(cs))
     bad = RationalFunction(P(H.zero(), H.zero(), H.one()),
                            P(H.gen(), H.zero(), H.one()))
-    if dichotomy_check(bad, D) != VIOLATION:
+    if dichotomy_check(bad, dom) != VIOLATION:
         _fail(report, reason="x^2/(x^2+t) must classify Violation")
     if intr_member(bad, dom, depth=depth).kind != "out":
         _fail(report, reason="x^2/(x^2+t) must be certified out")

@@ -14,6 +14,8 @@ HAHN_PVD = ('{"field": {"variant": "hahn", "residue": {"kind": "ratfunc", "q": 2
             ' "subfield": {"kind": "constants"}}')
 TADIC_PVD = ('{"field": {"variant": "tadic", "residue": {"kind": "gf", "q": 4}},'
              ' "subfield": {"kind": "subgf", "order": 2}, "E": "field"}')
+INTERSECTION = ('{"components": [{"variant": "padic", "p": 2},'
+                ' {"variant": "padic", "p": 3}]}')
 
 
 def run(*args):
@@ -163,6 +165,13 @@ class TestConstruct:
         data = payload(res)
         assert res.exit_code == 0
         assert data["record"]["ok"]
+        # the domain the witness is certified on, E = field
+        assert data["domain"] == "GF(4)(t) t-adic|GF(2) in GF(4) on E=field"
+
+    def test_witness_domain_is_on_the_field_even_for_a_ring_config(self):
+        ring = json.dumps({**json.loads(TADIC_PVD), "E": "ring"})
+        res = run("construct", "witness", "--config", ring, "--samples", "5")
+        assert payload(res)["domain"] == "GF(4)(t) t-adic|GF(2) in GF(4) on E=field"
 
 
 class TestScan:
@@ -248,6 +257,30 @@ class TestErrors:
         res = run("member", "--config", config, "--phi", "x")
         assert res.exit_code == 2, res.output
         assert res.exception is None or isinstance(res.exception, SystemExit)
+
+    @pytest.mark.parametrize("command", [
+        ["dichotomy", "--phi", "x"],
+        ["construct", "witness"],
+    ], ids=["dichotomy", "witness"])
+    def test_single_component_commands_reject_an_intersection(self, command):
+        res = run(*command, "--config", INTERSECTION)
+        assert res.exit_code == 2, res.output
+        assert "needs a single valuation or pullback" in res.output
+
+    @pytest.mark.parametrize("command", [
+        ["dichotomy", "--phi", "x"],
+        ["construct", "witness"],
+    ], ids=["dichotomy", "witness"])
+    def test_single_component_commands_check_the_point_set(self, command):
+        config = json.dumps({**json.loads(HAHN_PVD), "E": "bogus"})
+        res = run(*command, "--config", config)
+        assert res.exit_code == 2, res.output
+        assert "unknown point set 'bogus'" in res.output
+
+    def test_mstar_on_an_intersection_exits_two(self):
+        res = run("ideal", "--config", INTERSECTION, "--phi", "x", "--kind", "mstar")
+        assert res.exit_code == 2, res.output
+        assert "M* needs a single valuation or pullback" in res.output
 
     def test_missing_config_file_exits_two(self, tmp_path):
         res = run("member", "--config", str(tmp_path / "missing.json"), "--phi", "x")

@@ -12,7 +12,8 @@ from ivrf.errors import (PreconditionError, ResourceError, StructuralError,
                          UnsupportedCaseError)
 from ivrf.ff import FiniteField, RatFuncField
 from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, FullResidueField,
-                         HahnFinite, PrimePowerSubfield, PVDSpec, TAdicRat)
+                         HahnFinite, PrimePowerSubfield, TAdicRat)
+from ivrf.intr import DomainSpec
 from ivrf.ratfun import POLE, Polynomial, RationalFunction
 
 S = preset("t6n2")
@@ -151,7 +152,7 @@ class TestSeparator:
 class TestWitnesses:
     def test_finite_case(self):
         F4 = FiniteField(2, 2)
-        D = PVDSpec(TAdicRat(F4), PrimePowerSubfield(F4, 1))
+        D = DomainSpec.pvd(TAdicRat(F4), PrimePowerSubfield(F4, 1))
         rng = random.Random(1)
         pts = [D.field.random_nonzero(rng) for _ in range(120)]
         w, rec = notlocal_witness(D, split_samples=pts)
@@ -160,16 +161,21 @@ class TestWitnesses:
 
     def test_inseparable_case(self):
         GFU = RatFuncField(FiniteField(2), "u")
-        D = PVDSpec(HahnFinite(GFU), FrobeniusSubfield(GFU, 1))
+        D = DomainSpec.pvd(HahnFinite(GFU), FrobeniusSubfield(GFU, 1))
         rng = random.Random(2)
         pts = [D.field.random_nonzero(rng) for _ in range(80)]
         w, rec = notlocal_witness(D, split_samples=pts)
         assert rec["ok"] and rec["denominator_rootless"] and rec["certified"]
         assert w.den.degree == 4
 
+    def test_intersection_rejected(self):
+        D = DomainSpec.intersection([TAdicRat(FiniteField(2))] * 2)
+        with pytest.raises(PreconditionError):
+            notlocal_witness(D)
+
     def test_unsupported_case(self):
         GFU = RatFuncField(FiniteField(2), "u")
-        D = PVDSpec(HahnFinite(GFU), ConstantSubfield(GFU))
+        D = DomainSpec.pvd(HahnFinite(GFU), ConstantSubfield(GFU))
         with pytest.raises(UnsupportedCaseError):
             notlocal_witness(D)
 

@@ -6,8 +6,9 @@ import pytest
 from ivrf.errors import PreconditionError
 from ivrf.ff import FiniteField, RatFuncField
 from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, HahnFinite,
-                         LexRank2, PAdicQ, PrimePowerSubfield, PVDSpec,
-                         TAdicRat, field_from_config, pvd_from_config)
+                         LexRank2, PAdicQ, PrimePowerSubfield, TAdicRat,
+                         field_from_config)
+from ivrf.intr import DomainSpec, domain_from_config
 from ivrf.ordgroup import INFINITY
 
 ALL_FIELDS = [
@@ -128,7 +129,7 @@ class TestPVD:
     def setup_method(self):
         self.F4 = FiniteField(2, 2)
         self.V = TAdicRat(self.F4)
-        self.D = PVDSpec(self.V, PrimePowerSubfield(self.F4, 1))
+        self.D = DomainSpec.pvd(self.V, PrimePowerSubfield(self.F4, 1))
         self.u = self.V.lift(self.F4.gen())
         self.t = self.V.gen()
 
@@ -215,7 +216,7 @@ class TestParsing:
     def test_config_round_trip(self):
         V = field_from_config({"variant": "hahn", "residue": {"kind": "ratfunc", "q": 2}})
         assert V.describe().startswith("Hahn")
-        D = pvd_from_config({
+        D = domain_from_config({
             "field": {"variant": "tadic", "residue": {"kind": "gf", "q": 4}},
             "subfield": {"kind": "subgf", "order": 2}})
         assert not D.member(D.field.lift(FiniteField(2, 2).gen()))

@@ -27,7 +27,7 @@ import pytest
 from ivrf.errors import UndecidedError
 from ivrf.ff import FiniteField, RatFuncField
 from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, HahnFinite, LexRank2,
-                         PAdicQ, PrimePowerSubfield, PVDSpec, TAdicRat)
+                         PAdicQ, PrimePowerSubfield, TAdicRat)
 from ivrf.intr import (WHOLE_FIELD, WHOLE_RING, DomainSpec, ValueIdeal, ideal_member,
                        intr_member)
 from ivrf.ratfun import Polynomial, RationalFunction
@@ -61,8 +61,8 @@ GF2_U = RatFuncField(GF2, "u")
 # field name -> (domain, number of seeded pairs).  The pair counts are those
 # the digest was first taken with; more pairs would change the digest.
 TOWER_DOMAINS = {
-    "GF2(u)(t)": (DomainSpec.pvd(PVDSpec(TAdicRat(GF2_U), ConstantSubfield(GF2_U))), 6),
-    "hahn/GF2(u)": (DomainSpec.pvd(PVDSpec(HahnFinite(GF2_U), ConstantSubfield(GF2_U))), 2),
+    "GF2(u)(t)": (DomainSpec.pvd(TAdicRat(GF2_U), ConstantSubfield(GF2_U)), 6),
+    "hahn/GF2(u)": (DomainSpec.pvd(HahnFinite(GF2_U), ConstantSubfield(GF2_U)), 2),
     "lex2": (DomainSpec.valuation_ring(LexRank2(GF2)), 6),
     "hahn/GF2": (DomainSpec.valuation_ring(HahnFinite(GF2)), 6),
 }
@@ -114,7 +114,7 @@ GF4 = FiniteField(2, 2)
 HAHN_GF4 = HahnFinite(GF4)
 HAHN_DOMAINS = {
     "hahn/GF4": (DomainSpec.valuation_ring(HAHN_GF4), 6),
-    "hahn/GF4 over GF2": (DomainSpec.pvd(PVDSpec(HAHN_GF4, PrimePowerSubfield(GF4, 1))), 6),
+    "hahn/GF4 over GF2": (DomainSpec.pvd(HAHN_GF4, PrimePowerSubfield(GF4, 1)), 6),
     "hahn/GF3": (DomainSpec.valuation_ring(HahnFinite(FiniteField(3))), 6),
 }
 HAHN_DIGEST = "db6bf9b2a4279f59298845f60af4a308a03cfba1f06b884abf772374b3fcb03b"
@@ -130,11 +130,11 @@ GF2_U_FROBENIUS = FrobeniusSubfield(GF2_U, 1)
 VERDICT_DOMAINS = {
     "Q5": (DomainSpec.valuation_ring(PAdicQ(5)), 6),
     "{2,3} on E=field": (DomainSpec.intersection([PAdicQ(2), PAdicQ(3)]), 6),
-    "tadic/GF4 over GF2": (DomainSpec.pvd(PVDSpec(TAdicRat(GF4), PrimePowerSubfield(GF4, 1))), 6),
-    "tadic/GF2(u) constants": (DomainSpec.pvd(PVDSpec(TAdicRat(GF2_U), ConstantSubfield(GF2_U))), 6),
-    "tadic/GF2(u) frobenius": (DomainSpec.pvd(PVDSpec(TAdicRat(GF2_U), GF2_U_FROBENIUS)), 6),
-    "hahn/GF2(u) frobenius": (DomainSpec.pvd(PVDSpec(HahnFinite(GF2_U), GF2_U_FROBENIUS)), 2),
-    "hahn/GF4 over GF2": (DomainSpec.pvd(PVDSpec(HAHN_GF4, PrimePowerSubfield(GF4, 1))), 6),
+    "tadic/GF4 over GF2": (DomainSpec.pvd(TAdicRat(GF4), PrimePowerSubfield(GF4, 1)), 6),
+    "tadic/GF2(u) constants": (DomainSpec.pvd(TAdicRat(GF2_U), ConstantSubfield(GF2_U)), 6),
+    "tadic/GF2(u) frobenius": (DomainSpec.pvd(TAdicRat(GF2_U), GF2_U_FROBENIUS), 6),
+    "hahn/GF2(u) frobenius": (DomainSpec.pvd(HahnFinite(GF2_U), GF2_U_FROBENIUS), 2),
+    "hahn/GF4 over GF2": (DomainSpec.pvd(HAHN_GF4, PrimePowerSubfield(GF4, 1)), 6),
 }
 VERDICT_DIGEST = "06cfab04f08276d9eaa9bc8ef7e59fbe311fd6c5f86237fc7ed0df69358f2851"
 
@@ -170,7 +170,7 @@ def test_value_ideal_digest():
     lines, answers = [], Counter()
     for name, D, phi in _seeded_functions(VERDICT_DOMAINS, "verdict-golden"):
         for E in (WHOLE_RING, WHOLE_FIELD):
-            on_E = DomainSpec(D.kind, D.components, E)
+            on_E = DomainSpec(D.components, E)
             for power in (1, 2):
                 try:
                     answer = str(ideal_member(phi, ValueIdeal(power), on_E, depth=3))

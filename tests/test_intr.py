@@ -7,7 +7,7 @@ from ivrf import intr
 from ivrf.errors import PreconditionError, UndecidedError
 from ivrf.ff import FiniteField, RatFuncField
 from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, HahnFinite, PAdicQ,
-                         PrimePowerSubfield, PVDSpec, TAdicRat)
+                         PrimePowerSubfield, TAdicRat)
 from ivrf.intr import (CertifiedIn, CertifiedOut, DomainSpec, MStar, Pointed,
                        Unknown, ValueIdeal, VIOLATION,
                        WHOLE_FIELD, WHOLE_RING, ZERO, STRICTLY_POSITIVE,
@@ -26,7 +26,7 @@ def qp(*cs):
 def hahn_pvd():
     GFU = RatFuncField(FiniteField(2), "u")
     H = HahnFinite(GFU)
-    return H, PVDSpec(H, ConstantSubfield(GFU))
+    return H, DomainSpec.pvd(H, ConstantSubfield(GFU))
 
 
 class TestMembership:
@@ -101,11 +101,11 @@ class TestMembership:
                 assert D.member(val)
 
     def test_finite_point_set(self):
-        D = DomainSpec("valuation", [(Q5, None)], [Fraction(1), Fraction(5)])
+        D = DomainSpec([(Q5, None)], [Fraction(1), Fraction(5)])
         phi = RationalFunction(qp(1), qp(0, 1))  # 1/x
         v = intr_member(phi, D)
         assert v.kind == "out" and v.witness == Fraction(5)
-        D2 = DomainSpec("valuation", [(Q5, None)], [Fraction(1), Fraction(2)])
+        D2 = DomainSpec([(Q5, None)], [Fraction(1), Fraction(2)])
         assert intr_member(phi, D2).kind == "in"
 
     def test_zero_function_trivially_in(self):
@@ -114,7 +114,7 @@ class TestMembership:
 
     def test_certified_in_soundness_sampled(self):
         H, D = hahn_pvd()
-        dom = DomainSpec.pvd(D, WHOLE_FIELD)
+        dom = DomainSpec(D.components, WHOLE_FIELD)
         P = lambda *cs: Polynomial(H, list(cs))
         u = H.lift(H.kappa.gen())
         members = [
@@ -133,7 +133,7 @@ class TestMembership:
 
     def test_certified_out_witness_reverifies(self):
         H, D = hahn_pvd()
-        dom = DomainSpec.pvd(D, WHOLE_FIELD)
+        dom = DomainSpec(D.components, WHOLE_FIELD)
         P = lambda *cs: Polynomial(H, list(cs))
         u = H.lift(H.kappa.gen())
         # residue of the constant is u, outside GF(2)
@@ -216,7 +216,7 @@ class TestIdeals:
 
     def test_mstar_examples(self):
         H, D = hahn_pvd()
-        dom = DomainSpec.pvd(D, WHOLE_FIELD)
+        dom = DomainSpec(D.components, WHOLE_FIELD)
         x = RationalFunction.gen(H)
         assert not ideal_member(x, MStar(), dom)
         t_const = RationalFunction.constant(H, H.gen())
@@ -233,6 +233,12 @@ class TestIdeals:
         D = DomainSpec.intersection([PAdicQ(2), PAdicQ(3)], WHOLE_FIELD)
         with pytest.raises(PreconditionError):
             ideal_member(RationalFunction.one(PAdicQ(2)), MStar(), D)
+
+    def test_mstar_on_a_one_component_intersection(self):
+        Q2 = PAdicQ(2)
+        D = DomainSpec.intersection([Q2], WHOLE_FIELD)
+        assert ideal_member(RationalFunction.constant(Q2, Fraction(2)), MStar(), D)
+        assert not ideal_member(RationalFunction.one(Q2), MStar(), D)
 
     def test_value_ideal(self):
         D = DomainSpec.valuation_ring(Q5, WHOLE_RING)
@@ -251,7 +257,7 @@ class TestIdeals:
         # constant functions on a one-point E: the value ideal is m^power
         F4 = FiniteField(2, 2)
         V = TAdicRat(F4)
-        D = DomainSpec.pvd(PVDSpec(V, PrimePowerSubfield(F4, 1)), [V.one()])
+        D = DomainSpec.pvd(V, PrimePowerSubfield(F4, 1), [V.one()])
         assert ideal_member(RationalFunction.constant(V, V.gen()), ValueIdeal(1), D)
         assert not ideal_member(RationalFunction.one(V), ValueIdeal(1), D)
         D5 = DomainSpec.valuation_ring(Q5, [Fraction(1)])
@@ -294,7 +300,7 @@ class TestIdeals:
 
     def test_x_in_pointed_family_but_not_mstar(self):
         H, D = hahn_pvd()
-        dom = DomainSpec.pvd(D, WHOLE_FIELD)
+        dom = DomainSpec(D.components, WHOLE_FIELD)
         x = RationalFunction.gen(H)
         assert minval_rat(x, H).eval(H.group.zero()) == H.group.zero()
         assert not ideal_member(x, MStar(), dom)
@@ -325,7 +331,7 @@ class TestDichotomy:
         phi = RationalFunction(P(u + H.gen(), H.one(), H.one()),
                                P(u, H.one(), H.one()))
         assert dichotomy_check(phi, D) == ZERO
-        assert intr_member(phi, DomainSpec.pvd(D, WHOLE_FIELD)).kind == "in"
+        assert intr_member(phi, DomainSpec(D.components, WHOLE_FIELD)).kind == "in"
 
     def test_violation(self):
         H, D = hahn_pvd()
@@ -333,11 +339,17 @@ class TestDichotomy:
         phi = RationalFunction(P(H.zero(), H.zero(), H.one()),
                                P(H.gen(), H.zero(), H.one()))
         assert dichotomy_check(phi, D) == VIOLATION
-        assert intr_member(phi, DomainSpec.pvd(D, WHOLE_FIELD)).kind == "out"
+        assert intr_member(phi, DomainSpec(D.components, WHOLE_FIELD)).kind == "out"
+
+    def test_rejects_intersections(self):
+        H = HahnFinite(FiniteField(2))
+        D = DomainSpec.intersection([H, H], WHOLE_FIELD)
+        with pytest.raises(PreconditionError):
+            dichotomy_check(RationalFunction.gen(H), D)
 
     def test_needs_divisible_group(self):
         F4 = FiniteField(2, 2)
-        D = PVDSpec(TAdicRat(F4), PrimePowerSubfield(F4, 1))
+        D = DomainSpec.pvd(TAdicRat(F4), PrimePowerSubfield(F4, 1))
         with pytest.raises(PreconditionError):
             dichotomy_check(RationalFunction.one(D.field), D)
 
@@ -391,7 +403,7 @@ class TestResidueRoots:
     def test_m_star_strictness_within_pullback(self):
         # membership in every pointed ideal does not force the envelope prime
         H, D = hahn_pvd()
-        dom = DomainSpec.pvd(D, WHOLE_FIELD)
+        dom = DomainSpec(D.components, WHOLE_FIELD)
         x = RationalFunction.gen(H)
         in_pointed = all(ideal_member(x, Pointed(H.monomial(Fraction(k, 2))), dom)
                          for k in range(1, 6))
@@ -405,13 +417,13 @@ class TestRestrictedResidues:
     def setup_method(self):
         F4 = FiniteField(2, 2)
         self.V = TAdicRat(F4)
-        self.D = PVDSpec(self.V, PrimePowerSubfield(F4, 1))
+        self.D = DomainSpec.pvd(self.V, PrimePowerSubfield(F4, 1))
         self.u = self.V.lift(F4.gen())
 
     def test_identity_in_over_ring_but_not_field(self):
         x = RationalFunction.gen(self.V)
-        ring = DomainSpec.pvd(self.D, WHOLE_RING)
-        field = DomainSpec.pvd(self.D, WHOLE_FIELD)
+        ring = DomainSpec(self.D.components, WHOLE_RING)
+        field = DomainSpec(self.D.components, WHOLE_FIELD)
         assert intr_member(x, ring).kind == "in"
         out = intr_member(x, field)
         assert out.kind == "out"
@@ -419,7 +431,7 @@ class TestRestrictedResidues:
 
     def test_unit_twist_is_out_even_over_ring(self):
         phi = RationalFunction.constant(self.V, self.u) * RationalFunction.gen(self.V)
-        ring = DomainSpec.pvd(self.D, WHOLE_RING)
+        ring = DomainSpec(self.D.components, WHOLE_RING)
         out = intr_member(phi, ring)
         assert out.kind == "out"
         w = out.witness
@@ -463,14 +475,14 @@ class TestRankTwo:
 class TestDomainConfig:
     def test_valuation_config(self):
         D = domain_from_config({"field": {"variant": "padic", "p": 5}, "E": "ring"})
-        assert D.kind == "valuation"
+        assert [sub for _, sub in D.components] == [None]
         assert D.member(Fraction(5)) and not D.member(Fraction(1, 5))
 
     def test_intersection_config(self):
         D = domain_from_config({"components": [{"variant": "padic", "p": 2},
                                                {"variant": "padic", "p": 3}],
                                 "E": "field"})
-        assert D.kind == "intersection"
+        assert [sub for _, sub in D.components] == [None, None]
         assert D.member(Fraction(1, 5)) and not D.member(Fraction(1, 2))
 
     def test_pvd_config_with_point_list(self):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from ivrf import ratfun
 from ivrf.errors import IvrfError, ParseError, StructuralError
 from ivrf.fields import (QQ, ConstantSubfield, HahnFinite, LexRank2, PAdicQ,
-                         PVDSpec, TAdicRat)
+                         TAdicRat)
 from ivrf.ff import FiniteField, RatFuncField
 from ivrf.intr import DomainSpec, domain_from_config, intr_member
 from ivrf.parsing import parse_expression
@@ -598,9 +598,9 @@ def test_polynomial_equality_includes_variable():
 # The fields whose arithmetic rests on GF(2)[v], with a domain for
 # intr_member and one function over each.
 GF2_TOWERS = {
-    "GF2(u)(t)": (DomainSpec.pvd(PVDSpec(TAdicRat(GF2_U), ConstantSubfield(GF2_U))),
+    "GF2(u)(t)": (DomainSpec.pvd(TAdicRat(GF2_U), ConstantSubfield(GF2_U)),
                   "t*x/(x^2 + x + u)"),
-    "hahn/GF2(u)": (DomainSpec.pvd(PVDSpec(HahnFinite(GF2_U), ConstantSubfield(GF2_U))),
+    "hahn/GF2(u)": (DomainSpec.pvd(HahnFinite(GF2_U), ConstantSubfield(GF2_U)),
                     "t*(x^2 + x)/(x^2 + x + u)"),
     "lex2": (DomainSpec.valuation_ring(LexRank2(GF2)), "t2*x^2/(x^2 + x + 1)"),
     "hahn/GF2": (DomainSpec.valuation_ring(HahnFinite(GF2)), "(x^2 + x)/(x^2 + x + 1)"),

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from ivrf.ff import FiniteField, RatFuncField
 from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, HahnFinite, LexRank2,
-                         PAdicQ, PrimePowerSubfield, PVDSpec, TAdicRat)
+                         PAdicQ, PrimePowerSubfield, TAdicRat)
 from ivrf.intr import WHOLE_FIELD, WHOLE_RING, DomainSpec, intr_member
 from ivrf.ratfun import POLE, Polynomial, RationalFunction
 
@@ -49,23 +49,23 @@ DOMAINS = {
               ["0", "1", "2", "3", "6", "1/2", "1/3", "1/6", "5"],
               ["0", "1", "2", "3", "5", "6", "7", "12", "1/2", "1/3", "1/5"]),
     "tadic/GF2(u) constants": (
-        DomainSpec.pvd(PVDSpec(TADIC_U, ConstantSubfield(GF2_U))),
+        DomainSpec.pvd(TADIC_U, ConstantSubfield(GF2_U)),
         TADIC_COEFFS, TADIC_POINTS),
     "tadic/GF2(u) frobenius": (
-        DomainSpec.pvd(PVDSpec(TADIC_U, FrobeniusSubfield(GF2_U, 1))),
+        DomainSpec.pvd(TADIC_U, FrobeniusSubfield(GF2_U, 1)),
         TADIC_COEFFS, TADIC_POINTS),
     "hahn/GF2(u) constants": (
-        DomainSpec.pvd(PVDSpec(HAHN_U, ConstantSubfield(GF2_U))),
+        DomainSpec.pvd(HAHN_U, ConstantSubfield(GF2_U)),
         HAHN_COEFFS, HAHN_POINTS),
     "hahn/GF2(u) frobenius": (
-        DomainSpec.pvd(PVDSpec(HAHN_U, FrobeniusSubfield(GF2_U, 1))),
+        DomainSpec.pvd(HAHN_U, FrobeniusSubfield(GF2_U, 1)),
         HAHN_COEFFS, HAHN_POINTS),
     "lex2/GF2": (DomainSpec.valuation_ring(LexRank2(GF2)),
                  ["0", "1", "t1", "t2", "1/t1", "t1*t2", "1/t2", "t2/t1"],
                  ["0", "1", "t1", "t2", "1/t1", "t1/t2", "t2/t1", "1 + t1",
                   "1 + t2", "t1 + t2"]),
     "hahn/GF4 over GF2": (
-        DomainSpec.pvd(PVDSpec(HAHN_GF4, PrimePowerSubfield(GF4, 1))),
+        DomainSpec.pvd(HAHN_GF4, PrimePowerSubfield(GF4, 1)),
         ["0", "1", "u", "u + 1", "t", "t^(1/2)", "u*t^(1/2)", "1/t"],
         ["0", "1", "u", "u + 1", "t^(1/2)", "u*t", "1/t^(1/2)", "1 + t",
          "u + t^(1/2)"]),
@@ -73,7 +73,7 @@ DOMAINS = {
 
 
 def _on(D, E):
-    return DomainSpec(D.kind, D.components, E)
+    return DomainSpec(D.components, E)
 
 
 def _verdict_json(v):

@@ -266,7 +266,7 @@ def notlocal_witness(D, depth=3, split_samples=None):
         record["maps_to_one"] = all(
             d ** q - d + 1 == L.one() for d in L.elements())
     else:
-        e = None if sub is None else sub.purely_inseparable_exponent()
+        e = None if sub is None else sub.purely_inseparable_exponent
         if not e:
             raise UnsupportedCaseError(
                 "the residue field is infinite and the residue extension is "

@@ -605,22 +605,21 @@ class HahnFinite(ValuedField):
 
 class SubfieldSpec:
     """A subfield F of a residue field L, given by a decision procedure; like
-    a residue field, it says in the attribute ``is_finite`` whether it is finite."""
+    a residue field, it says in the attribute ``is_finite`` whether it is
+    finite.  The attribute ``purely_inseparable_exponent`` is an e with
+    c^(p^e) in F for all c in L, or None."""
 
     def __init__(self, residue_field):
         self.L = residue_field
 
     is_whole = False
+    purely_inseparable_exponent = None
 
     def contains(self, r):
         raise NotImplementedError
 
     def elements(self):
         raise UnsupportedCaseError("subfield is not enumerable")
-
-    def purely_inseparable_exponent(self):
-        """e such that c^(p^e) in F for all c in L, or None."""
-        return None
 
     def describe(self):
         raise NotImplementedError
@@ -631,6 +630,7 @@ class SubfieldSpec:
 
 class FullResidueField(SubfieldSpec):
     is_whole = True
+    purely_inseparable_exponent = 0
 
     def contains(self, r):
         return True
@@ -641,9 +641,6 @@ class FullResidueField(SubfieldSpec):
 
     def elements(self):
         return self.L.elements()
-
-    def purely_inseparable_exponent(self):
-        return 0
 
     def describe(self):
         return f"{self.L.describe()} (whole)"
@@ -707,15 +704,12 @@ class FrobeniusSubfield(SubfieldSpec):
             raise ConfigError("Frobenius subfield needs a rational function field")
         if e < 1:
             raise ConfigError("exponent must be at least 1")
-        self.e = e
+        self.e = self.purely_inseparable_exponent = e
         self.step = L.base.p ** e
 
     def contains(self, r):
         return (all(i % self.step == 0 for i in r.num.support())
                 and all(i % self.step == 0 for i in r.den.support()))
-
-    def purely_inseparable_exponent(self):
-        return self.e
 
     def describe(self):
         return f"GF({self.L.base.q})({self.L.var}^{self.step}) in {self.L.describe()}"

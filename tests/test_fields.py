@@ -5,9 +5,9 @@ import pytest
 
 from ivrf.errors import PreconditionError
 from ivrf.ff import FiniteField, RatFuncField
-from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, HahnFinite,
-                         LexRank2, PAdicQ, PrimePowerSubfield, TAdicRat,
-                         field_from_config)
+from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, FullResidueField,
+                         HahnFinite, LexRank2, PAdicQ, PrimePowerSubfield,
+                         TAdicRat, field_from_config)
 from ivrf.intr import DomainSpec, domain_from_config
 from ivrf.ordgroup import INFINITY
 
@@ -180,7 +180,15 @@ class TestSubfields:
         assert sub.contains((1 + u ** 2) / u ** 4)
         assert not sub.contains(u)
         assert not sub.contains((1 + u) / u ** 2)
-        assert sub.purely_inseparable_exponent() == 1
+        assert sub.purely_inseparable_exponent == 1
+
+    def test_purely_inseparable_exponents(self):
+        L = RatFuncField(FiniteField(2), "u")
+        F4 = FiniteField(2, 2)
+        assert FrobeniusSubfield(L, 2).purely_inseparable_exponent == 2
+        assert FullResidueField(L).purely_inseparable_exponent == 0
+        assert ConstantSubfield(L).purely_inseparable_exponent is None
+        assert PrimePowerSubfield(F4, 1).purely_inseparable_exponent is None
 
     def test_frobenius_closed_under_ops(self):
         L = RatFuncField(FiniteField(2), "u")

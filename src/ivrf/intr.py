@@ -610,7 +610,9 @@ def _certify_domain(phi, D, targets, depth):
     """The verdict on phi(a) meeting every target for all a in E.
 
     A target is one ``_Ctx`` per component of D, in order; on the ring E,
-    points of value 0 have residues in their component's subfield.  A
+    points of value 0 have residues in their component's subfield.  The
+    point 0, which lies in both the whole ring and the whole field, is
+    checked before any component, as the cheapest disproof.  A
     ``CertifiedOut`` of a component is passed on only when its witness lies
     in E and phi fails a target there; otherwise the verdict is ``Unknown``.
     """
@@ -625,6 +627,12 @@ def _certify_domain(phi, D, targets, depth):
             if not _meets(targets, ev):
                 return CertifiedOut(a, "value outside the domain")
         return CertifiedIn([{"finite": len(D.E)}], 1)
+
+    ev0 = phi.evaluate(D.field.zero())
+    if ev0 is POLE:
+        return CertifiedOut(D.field.zero(), "pole at 0")
+    if not _meets(targets, ev0):
+        return CertifiedOut(D.field.zero(), "value at 0 outside the domain")
 
     certificates = []
     depth_used = 1
@@ -641,13 +649,6 @@ def _certify_domain(phi, D, targets, depth):
             return out
         else:
             unknown = unknown or Unknown("candidate witness failed re-verification")
-
-    # 0 belongs to both the whole field and the whole ring.
-    ev0 = phi.evaluate(D.field.zero())
-    if ev0 is POLE:
-        return CertifiedOut(D.field.zero(), "pole at 0")
-    if not _meets(targets, ev0):
-        return CertifiedOut(D.field.zero(), "value at 0 outside the domain")
     return unknown or CertifiedIn(certificates, depth_used)
 
 

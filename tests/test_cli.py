@@ -47,11 +47,16 @@ class TestMinval:
 
 class TestMember:
     def test_certified_out_with_witness_five(self):
-        res = run("member", "--config", RING5, "--phi", "1/x")
+        # 1/x in value for 0 < v(a) < 3/2, and 1 at the point 0
+        res = run("member", "--config", RING5, "--phi", "(x+125)/(x^2+125)")
         data = payload(res)
         assert res.exit_code == 0
         assert data["verdict"] == "CertifiedOut"
         assert data["witness"] == "5"
+
+    def test_pole_at_zero_is_the_first_witness(self):
+        data = payload(run("member", "--config", RING5, "--phi", "1/x"))
+        assert (data["witness"], data["reason"]) == ("0", "pole at 0")
 
     def test_certified_in(self):
         res = run("member", "--config", RING5, "--phi", "(x^5-x)/5")

@@ -66,7 +66,7 @@ TOWER_DOMAINS = {
     "lex2": (DomainSpec.valuation_ring(LexRank2(GF2)), 6),
     "hahn/GF2": (DomainSpec.valuation_ring(HahnFinite(GF2)), 6),
 }
-TOWER_DIGEST = "cc87de195bf12a1d350aef5748c4ba23e3862f12a5de5d0a78e3c290c1487c45"
+TOWER_DIGEST = "de7e04ee54f0459a526a1a9c596ca71bc1582b12c750dfb85660ff65956f2860"
 
 
 def _nonzero_poly(V, rng):
@@ -117,7 +117,7 @@ HAHN_DOMAINS = {
     "hahn/GF4 over GF2": (DomainSpec.pvd(HAHN_GF4, PrimePowerSubfield(GF4, 1)), 6),
     "hahn/GF3": (DomainSpec.valuation_ring(HahnFinite(FiniteField(3))), 6),
 }
-HAHN_DIGEST = "db6bf9b2a4279f59298845f60af4a308a03cfba1f06b884abf772374b3fcb03b"
+HAHN_DIGEST = "49f0ec9832381a44ab651aeffadae8b6f80de0bdd44f07348cad8b83b7c07d47"
 
 
 def test_hahn_digest():
@@ -136,7 +136,7 @@ VERDICT_DOMAINS = {
     "hahn/GF2(u) frobenius": (DomainSpec.pvd(HahnFinite(GF2_U), GF2_U_FROBENIUS), 2),
     "hahn/GF4 over GF2": (DomainSpec.pvd(HAHN_GF4, PrimePowerSubfield(GF4, 1)), 6),
 }
-VERDICT_DIGEST = "06cfab04f08276d9eaa9bc8ef7e59fbe311fd6c5f86237fc7ed0df69358f2851"
+VERDICT_DIGEST = "4919a4425472787f6c5c05911c956d4ad6f76c453c884879cfcd4a4219cc22ea"
 
 
 def test_verdict_digest():
@@ -151,7 +151,7 @@ def test_verdict_digest():
 # product took about a minute each, and checking the reduced results
 # coprime takes as long, hence the cross-multiplication check.
 MIXED_DOMAINS = {"hahn/GF2(u) frobenius": (VERDICT_DOMAINS["hahn/GF2(u) frobenius"][0], 3)}
-MIXED_DIGEST = "eb769512b483276ba0f63c490805eeb56065d2c5d3b22efb7a33d5e6767510ac"
+MIXED_DIGEST = "079307f8753408d215804c1fcfdf4b6259a4fde8354c49ab775db4add166d8e0"
 
 
 def test_mixed_lattice_digest():

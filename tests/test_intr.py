@@ -31,11 +31,19 @@ def hahn_pvd():
 
 class TestMembership:
     def test_inverse_of_x_is_out(self):
+        # (x + 125)/(x^2 + 125) is 1/x in value for 0 < v(a) < 3/2 and 1 at
+        # a = 0, so the envelope, not the point 0, gives the witness
         D = DomainSpec.valuation_ring(Q5, WHOLE_RING)
-        v = intr_member(RationalFunction(qp(1), qp(0, 1)), D)
+        phi = RationalFunction(qp(125, 1), qp(125, 0, 1))
+        v = intr_member(phi, D)
         assert v.kind == "out"
         assert v.witness == Fraction(5)
-        assert Q5.valuation(Fraction(1) / v.witness) < Q5.group.zero()
+        assert Q5.valuation(phi.evaluate(v.witness)) < Q5.group.zero()
+
+    def test_zero_is_checked_before_the_components(self):
+        D = DomainSpec.valuation_ring(Q5, WHOLE_RING)
+        v = intr_member(RationalFunction(qp(1), qp(0, 1)), D)  # 1/x
+        assert (v.kind, v.witness, v.reason) == ("out", Fraction(0), "pole at 0")
 
     def test_fermat_quotient_in_at_depth_two(self):
         D = DomainSpec.valuation_ring(Q5, WHOLE_RING)
@@ -518,11 +526,12 @@ class TestResidueBranches:
     """One pullback input, E = ring, per branch of the residue check
     (``_residue_condition``), which gets the breakpoint ratio r0 * locf/locg
     ("ratio" cases) or the zero crossing const * c^s ("powers" cases; at
-    value 0 on E = ring just const)."""
+    value 0 on E = ring just const).  Each input but the last has phi(0) in
+    D, since the point 0 is checked before any branch."""
 
     CASES = {
         # ratio over a finite enumeration: a value outside F, or all inside
-        "ratio finite out": (_TADIC_GF2U, _CONSTANTS, "x^2 + u",
+        "ratio finite out": (_TADIC_GF2U, _CONSTANTS, "x^2 + (u + 1)*x + 1",
                              _out("1", "residue u + 1 outside subfield")),
         "ratio finite in": (_TADIC_GF4, _SUBGF2, "x^2 + x", _in(
             "GF(4)(t) t-adic",
@@ -540,14 +549,15 @@ class TestResidueBranches:
                                             "ratio": "1"}]},
                 {"from": "0", "to": None, "slope": 0, "intercept": "0",
                  "status": "zero segment", "residue": "1"})),
-        "ratio constant out": (_TADIC_GF2U, _FROBENIUS, "(u*x + u + t)/(x + 1)",
+        "ratio constant out": (_TADIC_GF2U, _FROBENIUS,
+                               "(u*x^2 + u*x + t^2)/(x^2 + x + t^2)",
                                _out("(1/u^2)", "residue u outside subfield")),
         "ratio constant no probe": (
             _TADIC_GF2U, _FROBENIUS,
-            f"(u*{_SQUARES_PRODUCT} + t)/({_SQUARES_PRODUCT} + t)",
+            f"(u*x*{_SQUARES_PRODUCT} + t)/(x*{_SQUARES_PRODUCT} + t)",
             _out("t + ((u^2 + 1)/u^2)",
-                 "residue (u^9 + u^4 + u^3 + u^2 + u)/"
-                 "(u^9 + u^8 + u^3 + u^2 + u + 1) outside subfield")),
+                 "residue (u^12 + u^11 + u^9 + u^7 + u^5 + u^3 + u)/"
+                 "(u^12 + u^10 + u^8 + u^6 + u^4 + u^2 + 1) outside subfield")),
         # a ratio that is a p-th power lands in the Frobenius subfield
         "ratio pth power": (_TADIC_GF2U, _FROBENIUS, "x^4 + x^2", _in(
             "GF(2)(u)(t) t-adic",
@@ -601,6 +611,9 @@ class TestResidueBranches:
              "status": "clear"})),
         "powers units out": (_TADIC_GF2U, _FROBENIUS, "u*x",
                              _out("1", "residue u outside subfield")),
+        # phi(0) = u lies outside F: the point 0 answers before any branch
+        "value at 0 first": (_TADIC_GF2U, _CONSTANTS, "x^2 + u",
+                             _out("0", "value at 0 outside the domain")),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

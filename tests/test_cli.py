@@ -54,10 +54,6 @@ class TestMember:
         assert data["verdict"] == "CertifiedOut"
         assert data["witness"] == "5"
 
-    def test_pole_at_zero_is_the_first_witness(self):
-        data = payload(run("member", "--config", RING5, "--phi", "1/x"))
-        assert (data["witness"], data["reason"]) == ("0", "pole at 0")
-
     def test_certified_in(self):
         res = run("member", "--config", RING5, "--phi", "(x^5-x)/5")
         data = payload(res)

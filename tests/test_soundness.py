@@ -72,10 +72,6 @@ DOMAINS = {
 }
 
 
-def _on(D, E):
-    return DomainSpec(D.components, E)
-
-
 def _verdict_json(v):
     return json.dumps(v.to_json(), sort_keys=True, default=str)
 
@@ -89,7 +85,7 @@ def _fails(D, phi, a):
 @pytest.mark.parametrize("name", sorted(DOMAINS))
 def test_verdicts_are_sound(name, E):
     ring, coeffs, points = DOMAINS[name]
-    D = _on(ring, E)
+    D = DomainSpec(ring.components, E)
     V = D.field
     pool = [V.parse(c) for c in coeffs]
     sample = [a for a in (V.parse(p) for p in points) if D.contains_point(a)]

@@ -5,7 +5,7 @@ import pytest
 
 from ivrf import intr
 from ivrf.errors import PreconditionError, UndecidedError
-from ivrf.ff import FiniteField, RatFuncField
+from ivrf.ff import FiniteField, RatFuncField, polynomials
 from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, HahnFinite, PAdicQ,
                          PrimePowerSubfield, TAdicRat)
 from ivrf.intr import (CertifiedIn, CertifiedOut, DomainSpec, MStar, Pointed,
@@ -14,7 +14,8 @@ from ivrf.intr import (CertifiedIn, CertifiedOut, DomainSpec, MStar, Pointed,
                        _small_residues, characteristic_set, dichotomy_check,
                        domain_from_config, ideal_member, intr_member, residue_roots)
 from ivrf.newton import minval_rat
-from ivrf.ratfun import POLE, Polynomial, RationalFunction, parse_ratfun
+from ivrf.ratfun import (POLE, Polynomial, RationalFunction, clear_denominators,
+                         parse_ratfun)
 
 Q5 = PAdicQ(5)
 
@@ -416,6 +417,94 @@ class TestResidueRoots:
         in_pointed = all(ideal_member(x, Pointed(H.monomial(Fraction(k, 2))), dom)
                          for k in range(1, 6))
         assert in_pointed and not ideal_member(x, MStar(), dom)
+
+
+def _enumerated_roots(poly, L, cap=4, limit=100_000):
+    """The reference root search over GF(q)(u): every n and every monic d of
+    degree at most ``cap`` (fewer while the candidate count passes
+    ``limit``), screened by sum_i P_i n^i d^(deg-i) = 0 on the cleared
+    coefficients P_i.  Complete exactly when both end coefficients have
+    degree at most ``cap`` and no cut was needed.  Returns (roots, complete)
+    like ``residue_roots``."""
+    shift = poly.support()[0]
+    q = Polynomial(L, poly.coeffs[shift:], poly.var)
+    if q.degree == 0:
+        return set(), True
+    cleared = clear_denominators([(c.num, c.den) for c in q.coeffs])
+    bound_n, bound_d = cleared[0].degree, cleared[-1].degree
+    complete = bound_n <= cap and bound_d <= cap
+    bn, bd = min(bound_n, cap), min(bound_d, cap)
+    while bn + bd > 0 and L.base.q ** (bn + bd + 2) > limit:
+        complete = False
+        if bn >= bd:
+            bn -= 1
+        else:
+            bd -= 1
+    deg = q.degree
+    one = Polynomial.constant(L.base, L.base.one(), L.var)
+    roots = set()
+    for d in polynomials(L.base, bd, monic=True, var=L.var):
+        dpow = [one]
+        for _ in range(deg):
+            dpow.append(dpow[-1] * d)
+        for n in polynomials(L.base, bn, var=L.var):
+            if n.is_zero():
+                continue
+            acc = Polynomial.zero(L.base, L.var)
+            npow = one
+            for i, c in enumerate(cleared):
+                if c:
+                    acc = acc + c * npow * dpow[deg - i]
+                npow = npow * n
+            if acc.is_zero() and Polynomial.gcd(n, d).degree == 0:
+                roots.add(RationalFunction(n, d))
+    return roots, complete
+
+
+def _u_poly(L, rng, degree, monic=False):
+    """A random polynomial in u of exactly ``degree``, as an element of L."""
+    base = L.base
+    lead = base.one() if monic else rng.choice(list(base.nonzero_elements()))
+    coeffs = [base.random(rng) for _ in range(degree)] + [lead]
+    return RationalFunction(Polynomial(base, coeffs, L.var))
+
+
+def _planted_poly(L, rng, roots, extra, height):
+    """The product of x - r over ``roots`` and a cofactor of x-degree
+    ``extra`` whose coefficients have u-degree at most ``height``."""
+    x = Polynomial.gen(L)
+    p = Polynomial.constant(L, L.one())
+    for r in roots:
+        p = p * (x - r)
+    cofactor = Polynomial(L, [_u_poly(L, rng, rng.randint(0, height)) for _ in range(extra)]
+                          + [L.one()])
+    return p * cofactor
+
+
+_ROOT_FIELDS = [(RatFuncField(FiniteField(2), "u"), 2), (RatFuncField(FiniteField(3), "u"), 1),
+                (RatFuncField(FiniteField(2, 2, "w"), "u"), 1)]
+
+
+@pytest.mark.parametrize("L, height", _ROOT_FIELDS, ids=lambda a: str(a))
+def test_root_search_matches_the_enumeration(L, height):
+    # x-degree 1-3 with 0-2 planted roots, numerator and denominator of
+    # u-degree at most ``height``; wherever the enumeration is complete, the
+    # search is complete with the same roots
+    rng = random.Random(f"residue roots:{L}")
+    compared = 0
+    for _ in range(30):
+        degree = rng.randint(1, 3)
+        planted = [_u_poly(L, rng, rng.randint(0, height))
+                   / _u_poly(L, rng, rng.randint(0, height), True)
+                   for _ in range(rng.randint(0, min(degree, 2)))]
+        p = _planted_poly(L, rng, planted, degree - len(planted), height)
+        want, want_complete = _enumerated_roots(p, L)
+        if not want_complete:
+            continue
+        compared += 1
+        assert set(planted) <= want
+        assert residue_roots(p, L) == (want, True), p
+    assert compared >= 20
 
 
 class TestRestrictedResidues:

@@ -39,13 +39,13 @@ from .fields import (FrobeniusSubfield, _config_value, field_from_config,
 from .ff import FiniteField, RatFuncField, polynomials, rf_pth_root
 from .newton import local_poly, minval_poly, minval_rat
 from .ordgroup import lattice_point_in_interval
-from .ratfun import POLE, Polynomial, RationalFunction, clear_denominators
+from .ratfun import POLE, Polynomial, RationalFunction, clear_denominators, horner
 
 WHOLE_RING = "ring"
 WHOLE_FIELD = "field"
 
 _SEARCH_LIMIT = 64  # GF(q)(u) residues tried before a search degrades to Unknown
-_ROOT_CAP = 4  # degree bound of an exhaustive root search over GF(q)(u)
+_ROOT_BUDGET = 2 ** 12  # divisor trials and candidates per GF(q)(u) root search
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +264,15 @@ def residue_roots(poly, L):
     """Nonzero roots of a polynomial over GF(q) or GF(q)(u).
 
     Returns (roots, complete).  Over GF(q) enumeration is exhaustive.  Over
-    GF(q)(u) candidates come from the rational root bound: a reduced root
-    n/d has n dividing the lowest cleared coefficient and d dividing the
-    highest, so the search is complete whenever both degree bounds stay at
-    or below ``_ROOT_CAP``; otherwise the bounded search may miss roots and
-    ``complete`` is False.
+    GF(q)(u) the rational root theorem names the candidates: with the
+    coefficients P_i cleared to GF(q)[u], a reduced root n/d (d monic) has
+    n dividing the lowest P_i and d the highest, so n is a unit times a
+    monic divisor of the one and d a monic divisor of the other.  A
+    candidate is a root exactly when sum_i P_i n^i d^(deg-i) vanishes
+    (``horner``), which needs no fraction arithmetic.  A search tries at
+    most ``_ROOT_BUDGET`` trial divisors per end coefficient and screens at
+    most ``_ROOT_BUDGET`` candidates; ``complete`` is True exactly when
+    neither runs out, and then every root is found.
     """
     zero = L.zero()
     if isinstance(L, FiniteField):
@@ -280,48 +284,32 @@ def residue_roots(poly, L):
     if not support:
         raise StructuralError("root search on the zero polynomial")
     shift = support[0]
-    q = Polynomial(L, poly.coeffs[shift:], poly.var)
-    if q.degree == 0:
+    if shift == poly.degree:
         return (set(), True)
-    # Clear denominators to polynomials in GF(q)[u], keeping the content.
-    cleared = clear_denominators([(c.num, c.den) for c in q.coeffs])
-    bound_n = cleared[0].degree
-    bound_d = cleared[-1].degree
-    complete = bound_n <= _ROOT_CAP and bound_d <= _ROOT_CAP
-    bn, bd = min(bound_n, _ROOT_CAP), min(bound_d, _ROOT_CAP)
-    # keep the candidate count at desk scale even for larger base fields
-    qsize = L.base.q
-    while bn + bd > 0 and qsize ** (bn + 1) * qsize ** (bd + 1) > 100_000:
-        complete = False
-        if bn >= bd:
-            bn -= 1
-        else:
-            bd -= 1
-    # Candidates are screened homogeneously: n/d is a root exactly when
-    # sum_i P_i n^i d^(deg-i) vanishes, which needs no fraction arithmetic.
-    deg = q.degree
-    roots = set()
-    zero_poly = Polynomial.zero(L.base, L.var)
-    for d in polynomials(L.base, bd, monic=True, var=L.var):
-        dpow = [Polynomial.constant(L.base, L.base.one(), L.var)]
-        for _ in range(deg):
-            dpow.append(dpow[-1] * d)
-        for n in polynomials(L.base, bn, var=L.var):
-            if n.is_zero():
-                continue
-            acc = zero_poly
-            npow = Polynomial.constant(L.base, L.base.one(), L.var)
-            for i, c in enumerate(cleared):
-                if c:
-                    acc = acc + c * npow * dpow[deg - i]
-                if i < deg:
-                    npow = npow * n
-            if not acc.is_zero():
-                continue
-            if Polynomial.gcd(n, d).degree > 0:
-                continue
-            roots.add(RationalFunction(n, d))
-    return roots, complete
+    cleared = clear_denominators([(c.num, c.den) for c in poly.coeffs[shift:]])
+    nums, nums_complete = _monic_divisors(cleared[0])
+    dens, dens_complete = _monic_divisors(cleared[-1])
+    one = Polynomial.constant(L.base, L.base.one(), L.var)
+    candidates = ((n.scale(c), d) for d in dens for n in nums
+                  if Polynomial.gcd(n, d).degree == 0 for c in L.base.nonzero_elements())
+    roots = {RationalFunction(n, d, _canonical=True)
+             for n, d in islice(candidates, _ROOT_BUDGET)
+             if horner(cleared, n, d, one)[0].is_zero()}
+    return roots, nums_complete and dens_complete and next(candidates, None) is None
+
+
+def _monic_divisors(a):
+    """The monic divisors of a nonzero polynomial over GF(q), by degree, and
+    whether that list is complete.  A divisor or its cofactor has at most
+    half the degree of a, so trial division by the monic polynomials of that
+    degree finds both; at most ``_ROOT_BUDGET`` of them are tried."""
+    divisors = {}
+    trials = polynomials(a.field, a.degree // 2, monic=True, var=a.var)
+    for m in islice(trials, _ROOT_BUDGET):
+        cofactor, rem = divmod(a, m)
+        if rem.is_zero():
+            divisors[m] = divisors[cofactor.monic()] = None
+    return sorted(divisors, key=lambda m: m.degree), next(trials, None) is None
 
 
 def _small_residues(L, allowed):
@@ -479,7 +467,7 @@ def _check_point(ctx, phi, delta, val, restrict0, depth, prec):
     roots = roots_f | roots_g
     unknown = None
     if not complete_g or (not ok_val and not complete_f):
-        unknown = Unknown(f"root search beyond degree cap {_ROOT_CAP} "
+        unknown = Unknown(f"root search beyond budget {_ROOT_BUDGET} "
                           f"at value {delta}")
 
     # Exact classes.

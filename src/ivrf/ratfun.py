@@ -912,26 +912,34 @@ def _scalar(field, other):
     return c
 
 
+def horner(coeffs, r, s, one):
+    """(sum_i c_i r^i s^(n-i), s^n) for the coefficients c_0..c_n of a
+    nonzero polynomial p, constant term first: s^n p(r/s) and its
+    denominator, by Horner's rule with no division.  ``r``, ``s`` and
+    ``one`` lie in one ring (ints, or polynomials), and a coefficient is
+    taken into it by a product with a power of s."""
+    acc, spow = one * coeffs[-1], one
+    for c in reversed(coeffs[:-1]):
+        spow = spow * s
+        acc = acc * r + spow * c
+    return acc, spow
+
+
 def _q_horner(coeffs, a):
     """p(a) over Q as an unreduced pair of ints (numerator, denominator).
 
     ``coeffs`` are the Fraction (or int) coefficients of p, constant term
     first, and ``a = r/s`` a Fraction.  With l the lcm of the coefficient
-    denominators and n = deg p, the pair is (l * s^n * p(a), l * s^n), and
-    its numerator sum_i (l c_i) r^i s^(n-i) is taken by Horner's rule, one
-    multiply-add on plain ints per coefficient: no gcd beyond the lcm and no
-    Fraction is built.  The zero polynomial gives (0, 1).
+    denominators and n = deg p, the pair is (l * s^n * p(a), l * s^n): the
+    numerator is ``horner`` on the ints l * c_i, one multiply-add on plain
+    ints per coefficient, so no gcd beyond the lcm and no Fraction is built.
+    The zero polynomial gives (0, 1).
     """
     if not coeffs:
         return 0, 1
     ints, lcm = _q_ints(coeffs)
-    r, s = a.as_integer_ratio()
-    acc = 0
-    spow = 1  # s^(n-i) at index i
-    for n in reversed(ints):
-        acc = acc * r + n * spow
-        spow *= s
-    return acc, lcm * spow // s
+    num, spow = horner(ints, *a.as_integer_ratio(), 1)
+    return num, lcm * spow
 
 
 def _q_ints(coeffs):
@@ -1006,12 +1014,8 @@ def _compose_poly(p, other):
     other.den**deg(p); the caller supplies the denominator power."""
     if p.is_zero():
         return Polynomial.zero(p.field, other.var)
-    acc = Polynomial.constant(p.field, p.leading(), other.var)
-    power = Polynomial.constant(p.field, p.field.one(), other.var)
-    for i in range(p.degree - 1, -1, -1):
-        power = power * other.den
-        acc = acc * other.num + power.scale(p.coeff(i))
-    return acc
+    one = Polynomial.constant(p.field, p.field.one(), other.var)
+    return horner(p.coeffs, other.num, other.den, one)[0]
 
 
 def _root(c, n):

@@ -403,8 +403,10 @@ class TestResidueRoots:
         assert complete and not roots
 
     def test_cap_degrades(self):
+        # u^25 needs the monic trial divisors of degree at most 12: 2^13 - 1
+        # of them, past the budget
         L = RatFuncField(FiniteField(2), "u")
-        big = L.gen() ** 9
+        big = L.gen() ** 25
         p = Polynomial(L, [big, L.one()])
         roots, complete = residue_roots(p, L)
         assert not complete
@@ -505,6 +507,22 @@ def test_root_search_matches_the_enumeration(L, height):
         assert set(planted) <= want
         assert residue_roots(p, L) == (want, True), p
     assert compared >= 20
+
+
+@pytest.mark.parametrize("L, most", [(RatFuncField(FiniteField(2), "u"), 2),
+                                     (RatFuncField(FiniteField(3), "u"), 1)], ids=str)
+def test_root_search_finds_planted_roots_past_degree_four(L, most):
+    # up to ``most`` planted roots n/d with n and d of u-degree 5-8, times a
+    # cofactor: the divisor search finds every one, and each root it
+    # returns is a root
+    rng = random.Random(f"planted roots:{L}")
+    for _ in range(12):
+        planted = {_u_poly(L, rng, rng.randint(5, 8)) / _u_poly(L, rng, rng.randint(5, 8), True)
+                   for _ in range(rng.randint(1, most))}
+        p = _planted_poly(L, rng, planted, rng.randint(0, 1), 1)
+        roots, complete = residue_roots(p, L)
+        assert complete and planted <= roots, p
+        assert all(p.evaluate(r) == L.zero() for r in roots)
 
 
 class TestRestrictedResidues:

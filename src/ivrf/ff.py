@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import StructuralError, ResourceError
-from .ratfun import Polynomial, RationalFunction
+from .ratfun import Polynomial, RationalFunction, power
 
 _TABLE_CAP = 64  # largest q for table-backed extension fields
 _PRIME_CAP = 2 ** 16  # largest p; GF(p) keeps all p elements
@@ -267,15 +267,7 @@ class FFElement:
     def __pow__(self, n):
         if n < 0:
             return (self.field._els[self.field._inv_idx(self.idx)]) ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n) if n else self.field.one()
 
     def __eq__(self, other):
         if isinstance(other, FFElement):

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _igcd
+from operator import mul as _mul
 
 from .errors import StructuralError
 from .parsing import parse_expression
@@ -223,14 +224,9 @@ class Polynomial:
     def __pow__(self, n):
         if n < 0:
             raise StructuralError("negative power of a polynomial")
-        result = Polynomial.constant(self.field, self.field.one(), self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if n == 0:
+            return Polynomial.constant(self.field, self.field.one(), self.var)
+        return power(self, n)
 
     def scale(self, c):
         return self._new([a * c for a in self.coeffs])
@@ -912,6 +908,20 @@ def _scalar(field, other):
     return c
 
 
+def power(x, n, mul=_mul):
+    """x^n for an int n >= 1 by squaring and multiplying, with ``mul`` the
+    product: a power of one term of a sparse polynomial (x^k) stays one
+    term."""
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else mul(result, x)
+        n >>= 1
+        if not n:
+            return result
+        x = mul(x, x)
+
+
 def horner(coeffs, r, s, one):
     """(sum_i c_i r^i s^(n-i), s^n) for the coefficients c_0..c_n of a
     nonzero polynomial p, constant term first: s^n p(r/s) and its
@@ -1121,7 +1131,7 @@ class _Parsed:
         if terms is not None and isinstance(n, int) and n >= 0:
             if n == 0:
                 return _Parsed.constant(field, field.one())
-            return _Parsed(field, _sparse_pow(terms, n))
+            return _Parsed(field, power(terms, n, _sparse_mul))
         if not _is_constant(terms):
             return self._of(self.function() ** n)
         # a negative or fractional power of a constant is its coefficient's own
@@ -1166,16 +1176,3 @@ def _sparse_mul(a, b):
             s = out.get(k)
             out[k] = c * d if s is None else s + c * d
     return {k: c for k, c in out.items() if c}
-
-
-def _sparse_pow(terms, n):
-    """terms^n for n >= 1 by squaring and multiplying; a power of one term
-    (x^k) stays one term."""
-    result = None
-    while True:
-        if n & 1:
-            result = terms if result is None else _sparse_mul(result, terms)
-        n >>= 1
-        if not n:
-            return result
-        terms = _sparse_mul(terms, terms)

@@ -35,7 +35,7 @@ from .errors import (ConfigError, PreconditionError, ResourceError,
                      StructuralError, UnsupportedCaseError)
 from .ff import _PRIME_CAP, FiniteField, RatFuncField
 from .ordgroup import INFINITY, GroupElement, GroupSpec
-from .parsing import parse_expression
+from .parsing import EXPONENT_BOUND, parse_expression
 from .ratfun import Polynomial, RationalFunction, _paren, fraction_free_gcd
 
 
@@ -387,6 +387,16 @@ def _hahn(field, m, f):
         _rescale(f.num, 1, k), _rescale(f.den, 1, k), _canonical=True))
 
 
+def _lattice_lcm(*ms):
+    """The least common lattice t^(1/m) of lattices t^(1/m_i), for m at most
+    ``EXPONENT_BOUND``: an element spread onto it has m times as many
+    exponents."""
+    m = lcm(*ms)
+    if m > EXPONENT_BOUND:
+        raise ResourceError(f"lattice t^(1/{m}) beyond the bound {EXPONENT_BOUND}")
+    return m
+
+
 def _exp_str(e):
     return str(e) if e.denominator == 1 else f"{{{e}}}"
 
@@ -419,7 +429,7 @@ class HahnElement:
         m, n = self.m, o.m
         if m == n:
             return m, self.f, o.f
-        k = lcm(m, n)
+        k = _lattice_lcm(m, n)
         return k, _spread(self.f, k // m), _spread(o.f, k // n)
 
     def __add__(self, other):
@@ -543,7 +553,8 @@ class HahnFinite(ValuedField):
         a = q.numerator
         num = Polynomial.from_dict(kappa, {max(a, 0): c}, "s")
         den = Polynomial.from_dict(kappa, {max(-a, 0): kappa.one()}, "s")
-        return HahnElement(self, q.denominator, RationalFunction(num, den, _canonical=True))
+        return HahnElement(self, _lattice_lcm(q.denominator),
+                           RationalFunction(num, den, _canonical=True))
 
     def gen(self):
         return self.monomial(1)
@@ -559,7 +570,7 @@ class HahnFinite(ValuedField):
         field extension, and over kappa(s) the fraction-free gcd of ratfun
         applies to the coefficients' (numerator, denominator) pairs.
         """
-        m = lcm(*[c.m for c in a.coeffs + b.coeffs])
+        m = _lattice_lcm(*[c.m for c in a.coeffs + b.coeffs])
 
         def fractions(p):
             return [(f.num, f.den) for f in (_spread(c.f, m // c.m) for c in p.coeffs)]
@@ -752,23 +763,19 @@ def _config_value(cfg, key, kind, default=_REQUIRED):
 
 
 def residue_field_from_config(cfg):
+    """GF(q) (kind ``gf``, generator ``gen``) or GF(q)(var) (kind
+    ``ratfunc``, the generator of GF(q) named w); either reads its order as
+    ``q``, or as ``p`` and ``k`` (default 1)."""
     kind = _config_value(cfg, "kind", str, "gf")
+    if kind not in ("gf", "ratfunc"):
+        raise ConfigError(f"unknown residue field kind {kind!r}")
+    if "q" in cfg:
+        p, k = _split_prime_power(_config_value(cfg, "q", int))
+    else:
+        p, k = _config_value(cfg, "p", int), _config_value(cfg, "k", int, 1)
     if kind == "gf":
-        if "q" in cfg:
-            p, k = _split_prime_power(_config_value(cfg, "q", int))
-        else:
-            p, k = _config_value(cfg, "p", int), _config_value(cfg, "k", int, 1)
         return FiniteField(p, k, _config_value(cfg, "gen", str, "u"))
-    if kind == "ratfunc":
-        base_cfg = dict(_config_value(cfg, "base", dict, {}))
-        if "q" in cfg and "base" not in cfg:
-            base_cfg = {"q": cfg["q"]}
-        var = _config_value(cfg, "var", str, "u")
-        if "gen" not in base_cfg:
-            base_cfg["gen"] = "w"
-        base = residue_field_from_config({"kind": "gf", **base_cfg})
-        return RatFuncField(base, var)
-    raise ConfigError(f"unknown residue field kind {kind!r}")
+    return RatFuncField(FiniteField(p, k, "w"), _config_value(cfg, "var", str, "u"))
 
 
 def _split_prime_power(q):

@@ -18,7 +18,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, ResourceError
+
+EXPONENT_BOUND = 2 ** 16  # largest numerator or denominator of an exponent
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([a-zA-Z][a-zA-Z0-9]*)|(\*\*|[-+*/^(){}]))")
 
@@ -106,6 +108,8 @@ class _Parser:
         if kind == "op" and val == "^":
             self.take()
             e = self.exponent()
+            if abs(e.numerator) > EXPONENT_BOUND or e.denominator > EXPONENT_BOUND:
+                raise ResourceError(f"exponent {e} beyond the bound {EXPONENT_BOUND}")
             if e.denominator == 1:
                 return base ** int(e)
             return base ** e

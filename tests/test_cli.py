@@ -259,6 +259,35 @@ class TestErrors:
         assert res.exit_code == 2, res.output
         assert res.exception is None or isinstance(res.exception, SystemExit)
 
+    @pytest.mark.parametrize("residue, field", [
+        ('{"kind": "ratfunc", "p": 3}', "GF(3)(u)"),
+        ('{"kind": "ratfunc", "p": 2, "k": 2}', "GF(4)(u)"),
+        ('{"kind": "ratfunc", "q": 3}', "GF(3)(u)"),
+    ], ids=["p", "p-and-k", "q"])
+    def test_ratfunc_residue_reads_q_or_p_and_k(self, residue, field):
+        config = f'{{"field": {{"variant": "tadic", "residue": {residue}}}, "E": "ring"}}'
+        data = payload(run("member", "--config", config, "--phi", "u*x"))
+        assert data["domain"] == f"{field}(t) t-adic on E=ring"
+        assert data["verdict"] == "CertifiedIn"
+
+    def test_ratfunc_residue_without_an_order_names_its_config(self):
+        config = '{"field": {"variant": "tadic", "residue": {"kind": "ratfunc"}}}'
+        res = run("member", "--config", config, "--phi", "x")
+        assert res.exit_code == 2, res.output
+        assert "config {'kind': 'ratfunc'} is missing the key 'p'" in res.output
+
+    @pytest.mark.parametrize("config, phi, message", [
+        (RING5, "x^1000000000", "exponent 1000000000 beyond the bound 65536"),
+        ('{"field": {"variant": "hahn", "residue": {"q": 2}}, "E": "field"}',
+         "t^{1/1000000007}*x + t", "exponent 1/1000000007 beyond the bound 65536"),
+        ('{"field": {"variant": "hahn", "residue": {"q": 2}}, "E": "field"}',
+         "(t^{1/65521} + t^{1/65519})*x", "lattice t^(1/4292870399) beyond the bound 65536"),
+    ], ids=["power-of-x", "hahn-exponent", "hahn-lattice"])
+    def test_exponent_beyond_the_bound_exits_two(self, config, phi, message):
+        res = run("member", "--config", config, "--phi", phi)
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+
     @pytest.mark.parametrize("command", [
         ["dichotomy", "--phi", "x"],
         ["construct", "witness"],

@@ -1,8 +1,8 @@
 """Soundness of ``intr_member`` on random functions of degree at most 3.
 
-For each domain, on E = ring and on E = field, Hypothesis draws a numerator
-and a denominator from a small pool of coefficients and checks the three
-promises of the certifier:
+For each domain, on E = ring and on E = field, Hypothesis draws the four
+coefficients of a numerator and of a denominator from a small pool and
+checks the three promises of the certifier:
 
 * a ``CertifiedIn`` holds at every sampled point of E: phi has no pole
   there and its value lies in D;
@@ -60,6 +60,12 @@ DOMAINS = {
     "hahn/GF2(u) frobenius": (
         DomainSpec.pvd(HAHN_U, FrobeniusSubfield(GF2_U, 1)),
         HAHN_COEFFS, HAHN_POINTS),
+    "tadic/GF2(u) constants, u-degree 5-8": (
+        DomainSpec.pvd(TADIC_U, ConstantSubfield(GF2_U)),
+        ["0", "1", "t", "(u^5 + u^2 + 1)*t", "(u^7 + u + 1)/(u^3 + u)",
+         "(u^6 + u^5 + 1)/t", "(u^8 + u^4 + u^3 + 1)*t^2/(u^2 + 1)",
+         "(u^5 + u^3 + u^2 + u + 1)/(u^4 + u^2)", "u^6/(u^8 + u + 1)"],
+        TADIC_POINTS),
     "lex2/GF2": (DomainSpec.valuation_ring(LexRank2(GF2)),
                  ["0", "1", "t1", "t2", "1/t1", "t1*t2", "1/t2", "t2/t1"],
                  ["0", "1", "t1", "t2", "1/t1", "t1/t2", "t2/t1", "1 + t1",
@@ -90,7 +96,7 @@ def test_verdicts_are_sound(name, E):
     pool = [V.parse(c) for c in coeffs]
     sample = [a for a in (V.parse(p) for p in points) if D.contains_point(a)]
 
-    coefficients = st.lists(st.sampled_from(pool), min_size=1, max_size=4)
+    coefficients = st.lists(st.sampled_from(pool), min_size=4, max_size=4)
 
     @given(coefficients, coefficients)
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)

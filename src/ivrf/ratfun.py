@@ -922,16 +922,17 @@ def power(x, n, mul=_mul):
         x = mul(x, x)
 
 
-def horner(coeffs, r, s, one):
+def horner(coeffs, r, s, one, scale=_mul):
     """(sum_i c_i r^i s^(n-i), s^n) for the coefficients c_0..c_n of a
     nonzero polynomial p, constant term first: s^n p(r/s) and its
     denominator, by Horner's rule with no division.  ``r``, ``s`` and
-    ``one`` lie in one ring (ints, or polynomials), and a coefficient is
-    taken into it by a product with a power of s."""
-    acc, spow = one * coeffs[-1], one
-    for c in reversed(coeffs[:-1]):
+    ``one`` lie in one ring (ints, or polynomials), and ``scale(q, c)``
+    multiplies an element q of it by a coefficient c."""
+    rest = reversed(coeffs)
+    acc, spow = scale(one, next(rest)), one
+    for c in rest:
         spow = spow * s
-        acc = acc * r + spow * c
+        acc = acc * r + scale(spow, c)
     return acc, spow
 
 
@@ -948,7 +949,8 @@ def _q_horner(coeffs, a):
     if not coeffs:
         return 0, 1
     ints, lcm = _q_ints(coeffs)
-    num, spow = horner(ints, *a.as_integer_ratio(), 1)
+    r, s = a.as_integer_ratio()
+    num, spow = horner(ints, r, s, 1)
     return num, lcm * spow
 
 
@@ -1025,7 +1027,7 @@ def _compose_poly(p, other):
     if p.is_zero():
         return Polynomial.zero(p.field, other.var)
     one = Polynomial.constant(p.field, p.field.one(), other.var)
-    return horner(p.coeffs, other.num, other.den, one)[0]
+    return horner(p.coeffs, other.num, other.den, one, lambda q, c: q.scale(c))[0]
 
 
 def _root(c, n):

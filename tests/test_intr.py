@@ -411,6 +411,17 @@ class TestResidueRoots:
         roots, complete = residue_roots(p, L)
         assert not complete
 
+    @pytest.mark.parametrize("E", [WHOLE_RING, WHOLE_FIELD])
+    def test_cap_at_a_breakpoint_gives_unknown(self, E):
+        # the denominator's local polynomial at value 0 is x^2 + x + u^25,
+        # whose root search runs past the budget; the depth is not the cause
+        T = TAdicRat(RatFuncField(FiniteField(2), "u"))
+        phi = parse_ratfun(T, "1/(x^2 + x + u^25)")
+        v = intr_member(phi, DomainSpec.valuation_ring(T, E))
+        assert v.kind == "unknown"
+        assert v.reason == "root search beyond budget 4096 at value 0"
+        assert not v.depth_exhausted
+
     def test_m_star_strictness_within_pullback(self):
         # membership in every pointed ideal does not force the envelope prime
         H, D = hahn_pvd()

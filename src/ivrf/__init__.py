@@ -18,10 +18,9 @@ from .errors import (ConfigError, IvrfError, ParseError, PreconditionError,
 from .ordgroup import GroupElement, GroupSpec, INFINITY, cmp
 from .ratfun import POLE, Polynomial, RationalFunction, parse_ratfun
 from .ff import FFElement, FiniteField, RatFuncField
-from .fields import (ConstantSubfield, FrobeniusSubfield, FullResidueField,
-                     HahnElement, HahnFinite, LexRank2, PAdicQ,
-                     PrimePowerSubfield, QQ, SubfieldSpec, TAdicRat,
-                     ValuedField, field_from_config)
+from .fields import (ConstantSubfield, FrobeniusSubfield, HahnElement,
+                     HahnFinite, LexRank2, PAdicQ, PrimePowerSubfield, QQ,
+                     SubfieldSpec, TAdicRat, ValuedField, field_from_config)
 from .newton import (PiecewiseLinear, Segment, local_poly, minval_poly,
                      minval_rat, predict, slopes_check)
 from .intr import (CertifiedIn, CertifiedOut, DomainSpec, MStar, Pointed,

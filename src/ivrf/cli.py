@@ -18,9 +18,8 @@ import click
 
 from . import constructions as cons
 from .errors import ConfigError, IvrfError
-from .ff import FiniteField
-from .fields import (FullResidueField, PrimePowerSubfield, _split_prime_power,
-                     field_from_config)
+from .fields import (field_from_config, residue_field_from_config,
+                     subfield_from_config)
 from .intr import (WHOLE_FIELD, DomainSpec, MStar, Pointed, ValueIdeal,
                    dichotomy_check, domain_from_config, ideal_member,
                    intr_member)
@@ -301,15 +300,9 @@ def scan():
 @click.option("--out", default=None)
 def scan_fieldmaps(order, sub_order, degree_bound, exceptions, out):
     """All rational functions mapping a small field into a subfield."""
-    p, kk = _split_prime_power(order)
-    L = FiniteField(p, kk)
-    if sub_order is None:
-        M = FullResidueField(L)
-    else:
-        sp, sd = _split_prime_power(sub_order)
-        if sp != p:
-            raise click.UsageError("subfield characteristic mismatch")
-        M = PrimePowerSubfield(L, sd)
+    L = residue_field_from_config({"kind": "gf", "q": order})
+    M = None if sub_order is None else subfield_from_config(
+        L, {"kind": "subgf", "order": sub_order})
     report = cons.field_map_scan(L, M, degree_bound, exceptions)
     _emit(_report("scan fieldmaps", **report.to_json()), out)
 

@@ -32,6 +32,7 @@ from .fields import PAdicQ
 from .intr import (DomainSpec, Pointed, WHOLE_FIELD, ideal_member,
                    intr_member, residue_roots)
 from .ordgroup import INFINITY
+from .parsing import EXPONENT_BOUND
 from .ratfun import POLE, Polynomial, RationalFunction
 
 
@@ -248,7 +249,8 @@ def notlocal_witness(D, depth=3, split_samples=None):
     c outside the subfield: w = 1/(x^(p^(2e)) - c_lift^(p^e)).  In both cases
     w is certified integer-valued on the whole field, and w lies in the
     pointed ideal at a exactly when v(a) < 0, giving the two families of
-    maximal ideals.
+    maximal ideals.  A degree p^(2e) above ``EXPONENT_BOUND`` is a
+    ResourceError.
     """
     if len(D.components) > 1:
         raise PreconditionError("the not-local witness needs a single valuation "
@@ -258,7 +260,7 @@ def notlocal_witness(D, depth=3, split_samples=None):
     record = {}
 
     if L.is_finite:
-        q = L.order
+        q = L.q
         den = {0: V.one(), 1: V.from_int(-1), q: V.one()}
         w = RationalFunction(Polynomial.constant(V, V.one()),
                              Polynomial.from_dict(V, den))
@@ -273,9 +275,12 @@ def notlocal_witness(D, depth=3, split_samples=None):
                 "not purely inseparable of finite exponent; the ring of "
                 "integer-valued rational functions on the field is local and "
                 "no two-family witness exists")
-        p = L.char
-        c = L.gen()  # the variable u lies outside GF(q)(u^(p^e))
+        p = L.base.p
         pe = p ** e
+        if pe * pe > EXPONENT_BOUND:
+            raise ResourceError(f"the witness degree {p}^{2 * e} is beyond the "
+                                f"bound {EXPONENT_BOUND}")
+        c = L.gen()  # the variable u lies outside GF(q)(u^(p^e))
         den = {0: -V.lift(c ** pe), p ** (2 * e): V.one()}
         w = RationalFunction(Polynomial.constant(V, V.one()),
                              Polynomial.from_dict(V, den))
@@ -310,7 +315,8 @@ def notlocal_witness(D, depth=3, split_samples=None):
 # ---------------------------------------------------------------------------
 
 class FieldMapReport:
-    """Outcome of an exhaustive scan for rational maps L -> M."""
+    """Outcome of an exhaustive scan for rational maps L -> M (M None: all
+    of L)."""
 
     def __init__(self, L, M, degree_bound, exception_bound):
         self.L = L
@@ -329,7 +335,8 @@ class FieldMapReport:
     def to_json(self):
         return {
             "source": self.L.describe(),
-            "target": self.M.describe(),
+            "target": (f"{self.L.describe()} (whole)" if self.M is None
+                       else self.M.describe()),
             "degree_bound": self.degree_bound,
             "exception_bound": self.exception_bound,
             "scanned": self.scanned,
@@ -349,16 +356,17 @@ def field_map_scan(L, M, degree_bound, exception_bound=0):
     """All rational functions over L (canonical forms, degrees <= bound)
     mapping all but at most ``exception_bound`` elements of L into M.
 
-    M is a SubfieldSpec on L.  Poles count as exceptions.  Exhaustive within
+    M is a SubfieldSpec on L, or None for L itself.  Poles count as
+    exceptions.  Exhaustive within
     the stated bounds; resource-guarded beyond them.
     """
     if not getattr(L, "is_finite", False):
         raise PreconditionError("the scan needs a finite source field")
-    if L.order > 64:
+    if L.q > 64:
         raise ResourceError("source field order beyond 64")
     if degree_bound > 4:
         raise ResourceError("degree bound beyond 4")
-    q = L.order
+    q = L.q
     num_count = q ** (degree_bound + 1)
     den_count = sum(q ** d for d in range(degree_bound + 1))
     if num_count * den_count > _SCAN_PAIR_BUDGET:
@@ -380,7 +388,7 @@ def field_map_scan(L, M, degree_bound, exception_bound=0):
             for d in elements:
                 v = phi.evaluate(d)
                 values[d] = v
-                if v is POLE or not M.contains(v):
+                if v is POLE or (M is not None and not M.contains(v)):
                     exceptions.append(d)
             if len(exceptions) <= exception_bound:
                 good = [v for v in values.values() if v is not POLE]

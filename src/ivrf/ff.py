@@ -143,14 +143,6 @@ class FiniteField:
     def element(self, idx):
         return self._els[idx % self.q]
 
-    @property
-    def order(self):
-        return self.q
-
-    @property
-    def char(self):
-        return self.p
-
     is_finite = True
 
     def elements(self):
@@ -331,10 +323,6 @@ class RatFuncField:
     def constant(self, c):
         return RationalFunction.constant(self.base, c, self.var)
 
-    @property
-    def char(self):
-        return self.base.p
-
     is_finite = False
 
     def random(self, rng, degree=2):
@@ -348,19 +336,14 @@ class RatFuncField:
                              self.var)
         return RationalFunction(num, den)
 
-    def small_elements(self, max_degree=2):
-        """Nonzero elements of slowly growing height, for bounded searches."""
-        for d in range(max_degree + 1):
-            for num in polynomials(self.base, d, var=self.var):
-                if num.degree != d:
-                    continue
-                for dd in range(max_degree + 1):
-                    for den in polynomials(self.base, dd, monic=True, var=self.var):
-                        if den.degree != dd:
-                            continue
-                        if Polynomial.gcd(num, den).degree > 0:
-                            continue
-                        yield RationalFunction(num, den, _canonical=True)
+    def small_elements(self):
+        """Nonzero elements of numerator and denominator degree at most 2,
+        by numerator, then denominator, in ``polynomials`` order, for bounded
+        searches."""
+        return (RationalFunction(num, den, _canonical=True)
+                for num in polynomials(self.base, 2, var=self.var) if num
+                for den in polynomials(self.base, 2, monic=True, var=self.var)
+                if Polynomial.gcd(num, den).degree == 0)
 
     def pth_root(self, x):
         """The y with y^p = x, or None when x is not a p-th power."""

@@ -12,10 +12,11 @@ valuation onto an ordered group from :mod:`ivrf.ordgroup`:
                          rational functions in s = t^(1/m)
 
 Residue fields are GF(q) or GF(q)(u).  A residue subfield is a
-``SubfieldSpec``, a decision procedure on the residue field.  The
-pseudovaluation pullback of a subfield F under a field V holds x iff v(x) > 0,
-or v(x) = 0 and the residue lies in F; ``in_pullback`` is that test, and
-``intr.DomainSpec.pvd(V, F, E)`` is the pullback as a domain.
+``SubfieldSpec``, a decision procedure on the residue field, and the whole
+residue field is None.  The pseudovaluation pullback of a subfield F under a
+field V holds x iff v(x) > 0, or v(x) = 0 and the residue lies in F;
+``in_pullback`` is that test, and ``intr.DomainSpec.pvd(V, F, E)`` is the
+pullback as a domain (for F = None, the valuation ring).
 
 Each variant is a ``ValuedField``.  It supplies its valuation, residue, lift
 and generators; zero, one, integer literals, the parsing symbols and the
@@ -56,7 +57,6 @@ class RationalsContext:
         return Fraction(n)
 
     is_finite = False
-    char = 0
 
     def symbol_env(self):
         return {}
@@ -90,7 +90,6 @@ class ValuedField:
 
     group = None          # GroupSpec
     residue_field = None  # FiniteField | RatFuncField
-    is_discrete = False   # True when the value group is Z^k (lex)
 
     # coefficient-field protocol ------------------------------------
 
@@ -160,8 +159,6 @@ class ValuedField:
 
 class PAdicQ(ValuedField):
     """Q with the p-adic valuation; elements are Fractions."""
-
-    is_discrete = True
 
     def __init__(self, p):
         self.p = p
@@ -241,8 +238,6 @@ class TAdicRat(ValuedField):
     """kappa(t) with the t-adic valuation; elements are reduced fractions of
     polynomials in t over the residue field kappa."""
 
-    is_discrete = True
-
     def __init__(self, kappa):
         self.kappa = kappa
         self.group = GroupSpec.integers(1)
@@ -294,8 +289,6 @@ class TAdicRat(ValuedField):
 class LexRank2(ValuedField):
     """kappa(t1, t2) with the rank-2 lexicographic valuation, v(t1) = (1,0)
     and v(t2) = (0,1).  Elements are fractions in t2 over kappa(t1)."""
-
-    is_discrete = True
 
     def __init__(self, kappa):
         self.kappa = kappa
@@ -534,8 +527,6 @@ class HahnFinite(ValuedField):
     like ``TAdicRat`` on the lattice (1/m)Z.
     """
 
-    is_discrete = False
-
     def __init__(self, kappa):
         self.kappa = kappa
         self.group = GroupSpec.rationals()
@@ -615,15 +606,15 @@ class HahnFinite(ValuedField):
 # ---------------------------------------------------------------------------
 
 class SubfieldSpec:
-    """A subfield F of a residue field L, given by a decision procedure; like
-    a residue field, it says in the attribute ``is_finite`` whether it is
-    finite.  The attribute ``purely_inseparable_exponent`` is an e with
-    c^(p^e) in F for all c in L, or None."""
+    """A proper subfield F of a residue field L, given by a decision
+    procedure; like a residue field, it says in the attribute ``is_finite``
+    whether it is finite.  The attribute ``purely_inseparable_exponent`` is
+    an e with c^(p^e) in F for all c in L, or None.  The whole residue field
+    is no SubfieldSpec: wherever a subfield is read, it is None."""
 
     def __init__(self, residue_field):
         self.L = residue_field
 
-    is_whole = False
     purely_inseparable_exponent = None
 
     def contains(self, r):
@@ -639,24 +630,6 @@ class SubfieldSpec:
         return self.describe()
 
 
-class FullResidueField(SubfieldSpec):
-    is_whole = True
-    purely_inseparable_exponent = 0
-
-    def contains(self, r):
-        return True
-
-    @property
-    def is_finite(self):
-        return self.L.is_finite
-
-    def elements(self):
-        return self.L.elements()
-
-    def describe(self):
-        return f"{self.L.describe()} (whole)"
-
-
 class PrimePowerSubfield(SubfieldSpec):
     """GF(p^d) inside GF(p^k), d | k; membership is the Frobenius fixed-point
     test x^(p^d) = x."""
@@ -667,6 +640,8 @@ class PrimePowerSubfield(SubfieldSpec):
         super().__init__(L)
         if not isinstance(L, FiniteField):
             raise ConfigError("subfield-by-order needs a finite residue field")
+        if d < 1:
+            raise ConfigError(f"subfield degree d must be at least 1, not {d}")
         if L.k % d != 0:
             raise ConfigError(f"GF({L.p}^{d}) is not a subfield of GF({L.q})")
         self.d = d
@@ -715,8 +690,14 @@ class FrobeniusSubfield(SubfieldSpec):
             raise ConfigError("Frobenius subfield needs a rational function field")
         if e < 1:
             raise ConfigError("exponent must be at least 1")
-        self.e = self.purely_inseparable_exponent = e
-        self.step = L.base.p ** e
+        # p^e > 2^16 exactly when p^min(e, 17) > 2^16, so a huge e builds no p^e
+        step = L.base.p ** min(e, EXPONENT_BOUND.bit_length())
+        if step > EXPONENT_BOUND:
+            raise ResourceError(f"the Frobenius subfield of exponent {e} needs "
+                                f"{L.var}^({L.base.p}^{e}), beyond the bound "
+                                f"{EXPONENT_BOUND}")
+        self.purely_inseparable_exponent = e
+        self.step = step
 
     def contains(self, r):
         return (all(i % self.step == 0 for i in r.num.support())
@@ -806,18 +787,20 @@ def field_from_config(cfg):
     raise ConfigError(f"unknown field variant {variant!r}")
 
 
-def subfield_from_config(field, cfg):
-    L = field.residue_field
+def subfield_from_config(L, cfg):
+    """The subfield of the residue field L that ``cfg`` names: None for the
+    whole of L (kind ``full``, the default), GF(p^d) in GF(p^k) (kind
+    ``subgf``, by ``order`` or ``d``), the constants or a Frobenius subfield
+    (kinds ``constants`` and ``frobenius``) in GF(q)(u)."""
     kind = _config_value(cfg, "kind", str, "full")
     if kind == "full":
-        return FullResidueField(L)
+        return None
     if kind == "subgf":
-        if "order" in cfg:
-            p, d = _split_prime_power(_config_value(cfg, "order", int))
-            if p != L.p:
-                raise ConfigError("subfield characteristic mismatch")
-        else:
-            d = _config_value(cfg, "d", int)
+        if "order" not in cfg:
+            return PrimePowerSubfield(L, _config_value(cfg, "d", int))
+        p, d = _split_prime_power(_config_value(cfg, "order", int))
+        if isinstance(L, FiniteField) and p != L.p:
+            raise ConfigError("subfield characteristic mismatch")
         return PrimePowerSubfield(L, d)
     if kind == "constants":
         return ConstantSubfield(L)

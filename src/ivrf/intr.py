@@ -131,9 +131,9 @@ class DomainSpec:
 
     @classmethod
     def pvd(cls, V, sub, E=WHOLE_RING):
-        """The pullback of the residue subfield ``sub`` under V; a whole
-        residue field gives the valuation ring."""
-        return cls([(V, None if sub.is_whole else sub)], E)
+        """The pullback of the residue subfield ``sub`` under V; ``sub=None``,
+        the whole residue field, gives the valuation ring."""
+        return cls([(V, sub)], E)
 
     @classmethod
     def intersection(cls, fields, E=WHOLE_FIELD):
@@ -322,7 +322,7 @@ def _small_residues(L, allowed):
     if allowed is not None and allowed.is_finite:
         zero = L.zero()
         return (c for c in allowed.elements() if c != zero)
-    source = L.nonzero_elements() if L.is_finite else L.small_elements(max_degree=2)
+    source = L.nonzero_elements() if L.is_finite else L.small_elements()
     residues = (c for c in source if allowed is None or allowed.contains(c))
     return residues if L.is_finite else islice(residues, _SEARCH_LIMIT)
 
@@ -544,7 +544,7 @@ def _residue_condition(ctx, t, h, allowed, roots, delta):
 
     if isinstance(ctx.fsub, FrobeniusSubfield):
         reduced = h
-        for _ in range(ctx.fsub.e):
+        for _ in range(ctx.fsub.purely_inseparable_exponent):
             reduced = rf_pth_root(reduced, L.base.p)
             if reduced is None:
                 break
@@ -673,7 +673,7 @@ def ideal_member(phi, ideal, D, depth=3):
     if ideal.kind == "value":
         targets = []  # one threshold of m^power per component
         for V, _ in D.components:
-            if V.is_discrete:
+            if not any(V.group.divisible):
                 tau = V.valuation(V.uniformizer()).scale(ideal.power)
                 targets.append(_Ctx(V, None, tau, False))
             else:  # a divisible value group: every power of m is m
@@ -745,8 +745,8 @@ def domain_from_config(cfg):
         dom = DomainSpec.intersection(fields, E)
     else:  # a config without a subfield is the whole valuation ring
         V = field_from_config(_config_value(cfg, "field", dict))
-        sub = subfield_from_config(V, _config_value(cfg, "subfield", dict,
-                                                    {"kind": "full"}))
+        sub = subfield_from_config(V.residue_field,
+                                   _config_value(cfg, "subfield", dict, {}))
         dom = DomainSpec.pvd(V, sub, E)
     if isinstance(E, list):
         dom.E = [dom.field.parse(s) for s in E]

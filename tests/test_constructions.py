@@ -11,8 +11,8 @@ from ivrf.constructions import (SingularData, build_psi,
 from ivrf.errors import (PreconditionError, ResourceError, StructuralError,
                          UnsupportedCaseError)
 from ivrf.ff import FiniteField, RatFuncField
-from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, FullResidueField,
-                         HahnFinite, PrimePowerSubfield, TAdicRat)
+from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, HahnFinite,
+                         PrimePowerSubfield, TAdicRat)
 from ivrf.intr import DomainSpec
 from ivrf.ratfun import POLE, Polynomial, RationalFunction
 
@@ -205,7 +205,7 @@ class TestFieldMapScan:
 
     def test_whole_field_everything_qualifies(self):
         F2 = FiniteField(2)
-        scan = field_map_scan(F2, FullResidueField(F2), 1, 1)
+        scan = field_map_scan(F2, None, 1, 1)
         assert len(scan.maps) == scan.scanned
 
     def test_every_entry_reverifies(self):
@@ -221,17 +221,17 @@ class TestFieldMapScan:
     def test_resource_guards(self):
         F64 = FiniteField(2, 6)
         with pytest.raises(ResourceError):
-            field_map_scan(F64, FullResidueField(F64), 2, 0)
+            field_map_scan(F64, None, 2, 0)
         F4 = FiniteField(2, 2)
         with pytest.raises(ResourceError):
-            field_map_scan(F4, FullResidueField(F4), 5, 0)
+            field_map_scan(F4, None, 5, 0)
         GFU = RatFuncField(FiniteField(2), "u")
         with pytest.raises(PreconditionError):
             field_map_scan(GFU, ConstantSubfield(GFU), 2, 0)
 
     def test_json_shape(self):
         F2 = FiniteField(2)
-        scan = field_map_scan(F2, FullResidueField(F2), 1, 0)
+        scan = field_map_scan(F2, None, 1, 0)
         data = scan.to_json()
         assert data["source"] == "GF(2)"
         assert data["scanned"] == scan.scanned

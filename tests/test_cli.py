@@ -350,3 +350,36 @@ class TestErrors:
         res = run("scan", "fieldmaps", "--order", "1000003")
         assert res.exit_code == 2, res.output
         assert "exceeds the cap" in res.output
+
+    def test_scan_characteristic_mismatch_exits_two(self):
+        res = run("scan", "fieldmaps", "--order", "4", "--sub-order", "3")
+        assert res.exit_code == 2, res.output
+        assert "subfield characteristic mismatch" in res.output
+
+    @pytest.mark.parametrize("residue, subfield, message", [
+        ('{"kind": "ratfunc", "q": 2}', '{"kind": "subgf", "order": 2}',
+         "subfield-by-order needs a finite residue field"),
+        ('{"kind": "gf", "q": 4}', '{"kind": "subgf", "d": 0}',
+         "subfield degree d must be at least 1, not 0"),
+        ('{"kind": "gf", "q": 4}', '{"kind": "subgf", "d": -1}',
+         "subfield degree d must be at least 1, not -1"),
+    ], ids=["order-over-ratfunc", "d-zero", "d-negative"])
+    def test_subgf_config_errors_exit_two(self, residue, subfield, message):
+        config = (f'{{"field": {{"variant": "tadic", "residue": {residue}}}, '
+                  f'"subfield": {subfield}}}')
+        res = run("member", "--config", config, "--phi", "x")
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert message in res.output
+
+    @pytest.mark.parametrize("e, message", [
+        (40, "the Frobenius subfield of exponent 40 needs u^(2^40), beyond the "
+             "bound 65536"),
+        (9, "the witness degree 2^18 is beyond the bound 65536"),
+    ], ids=["subfield", "witness-degree"])
+    def test_frobenius_exponent_beyond_the_bound_exits_two(self, e, message):
+        config = ('{"field": {"variant": "hahn", "residue": {"kind": "ratfunc", "q": 2}}, '
+                  f'"subfield": {{"kind": "frobenius", "e": {e}}}}}')
+        res = run("construct", "witness", "--config", config, "--samples", "5")
+        assert res.exit_code == 2, res.output
+        assert message in res.output

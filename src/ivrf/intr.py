@@ -39,7 +39,8 @@ from .fields import (FrobeniusSubfield, _config_value, field_from_config,
 from .ff import FiniteField, RatFuncField, polynomials, rf_pth_root
 from .newton import local_poly, minval_poly, minval_rat
 from .ordgroup import lattice_point_in_interval
-from .ratfun import POLE, Polynomial, RationalFunction, clear_denominators, horner
+from .ratfun import (POLE, Polynomial, RationalFunction, _primitive_part,
+                     clear_denominators, horner)
 
 WHOLE_RING = "ring"
 WHOLE_FIELD = "field"
@@ -265,9 +266,10 @@ def residue_roots(poly, L):
 
     Returns (roots, complete).  Over GF(q) enumeration is exhaustive.  Over
     GF(q)(u) the rational root theorem names the candidates: with the
-    coefficients P_i cleared to GF(q)[u], a reduced root n/d (d monic) has
-    n dividing the lowest P_i and d the highest, so n is a unit times a
-    monic divisor of the one and d a monic divisor of the other.  A
+    coefficients P_i cleared to GF(q)[u] and divided by their content, a
+    reduced root n/d (d monic) has n dividing the lowest P_i and d the
+    highest, so n is a unit times a monic divisor of the one and d a monic
+    divisor of the other.  A
     candidate is a root exactly when sum_i P_i n^i d^(deg-i) vanishes
     (``horner``), which needs no fraction arithmetic.  A search tries at
     most ``_ROOT_BUDGET`` trial divisors per end coefficient and screens at
@@ -286,7 +288,8 @@ def residue_roots(poly, L):
     shift = support[0]
     if shift == poly.degree:
         return (set(), True)
-    cleared = clear_denominators([(c.num, c.den) for c in poly.coeffs[shift:]])
+    cleared = _primitive_part(clear_denominators(
+        [(c.num, c.den) for c in poly.coeffs[shift:]]))
     nums, nums_complete = _monic_divisors(cleared[0])
     dens, dens_complete = _monic_divisors(cleared[-1])
     one = Polynomial.constant(L.base, L.base.one(), L.var)

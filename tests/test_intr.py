@@ -411,6 +411,15 @@ class TestResidueRoots:
         roots, complete = residue_roots(p, L)
         assert not complete
 
+    def test_content_is_divided_out(self):
+        # c is the product of the irreducibles of degree at most 4 over GF(2),
+        # of degree 22 with 256 divisors; c*x + c has the one root of x + 1
+        L = RatFuncField(FiniteField(2), "u")
+        u = L.gen()
+        c = (u ** 16 + u) * (u ** 8 + u) / (u ** 2 + u)
+        assert c.num.degree == 22
+        assert residue_roots(Polynomial(L, [c, c]), L) == ({L.one()}, True)
+
     @pytest.mark.parametrize("E", [WHOLE_RING, WHOLE_FIELD])
     def test_cap_at_a_breakpoint_gives_unknown(self, E):
         # the denominator's local polynomial at value 0 is x^2 + x + u^25,

@@ -452,24 +452,32 @@ def _check_interval(ctx, phi, seg, piece, restrict0, rec):
 
 
 def _check_point(ctx, phi, delta, val, restrict0, depth, prec):
-    """The residue classes at the breakpoint ``delta`` of envelope value ``val``."""
+    """The residue classes at the breakpoint ``delta`` of envelope value ``val``.
+
+    The numerator's local polynomial is built only where a verdict reads it:
+    for its roots when the value fails (they are refined, and no exact class
+    may take them), and for the ratio h at value 0 of a pullback.  There a
+    numerator root c has h(c) = 0, which every subfield contains, so the
+    ratio check skips the denominator's roots alone."""
     V = ctx.V
     L = V.residue_field
     zero = V.group.zero()
     t = V.element_of_value(delta)
-    locf = local_poly(phi.num, t, V)
     locg = local_poly(phi.den, t, V)
     ok_val = ctx.value_ok(val)
     allowed = restrict0 if delta == zero else None
 
-    roots_g, complete_g = residue_roots(locg, L)
-    roots_f, complete_f = residue_roots(locf, L)
+    roots_g, complete = residue_roots(locg, L)
+    roots_f = set()
+    if not ok_val:
+        roots_f, complete_f = residue_roots(local_poly(phi.num, t, V), L)
+        complete = complete and complete_f
     if allowed is not None:
         roots_g = {c for c in roots_g if allowed.contains(c)}
         roots_f = {c for c in roots_f if allowed.contains(c)}
     roots = roots_f | roots_g
     unknown = None
-    if not complete_g or (not ok_val and not complete_f):
+    if not complete:
         unknown = Unknown(f"root search beyond budget {_ROOT_BUDGET} "
                           f"at value {delta}")
 
@@ -482,6 +490,7 @@ def _check_point(ctx, phi, delta, val, restrict0, depth, prec):
             return CertifiedOut(t * V.lift(c), f"exact class value {val} at {delta}")
     elif val == zero and ctx.fsub is not None:
         # exact classes have residue r0 * locf(c)/locg(c)
+        locf = local_poly(phi.num, t, V)
         df, dg = locf.degree, locg.degree
         r0 = V.residue((phi.num.coeffs[df] * t ** df) /
                        (phi.den.coeffs[dg] * t ** dg))
@@ -495,11 +504,8 @@ def _check_point(ctx, phi, delta, val, restrict0, depth, prec):
             unknown = unknown or out
 
     # Classes needing refinement.
-    recurse = set(roots_g)
-    if not ok_val:
-        recurse |= roots_f
     depth_used = 1
-    for c in sorted(recurse, key=str):
+    for c in sorted(roots, key=str):
         crec = {"residue": str(c), "case": "g-root" if c in roots_g else "f-root"}
         prec["classes"].append(crec)
         a0 = t * V.lift(c)

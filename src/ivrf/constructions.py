@@ -277,15 +277,16 @@ def notlocal_witness(D, depth=3, split_samples=None):
                 "no two-family witness exists")
         p = L.base.p
         pe = p ** e
-        if pe * pe > EXPONENT_BOUND:
-            raise ResourceError(f"the witness degree {p}^{2 * e} is beyond the "
-                                f"bound {EXPONENT_BOUND}")
+        degree = pe * pe
+        if degree > EXPONENT_BOUND:
+            raise ResourceError(f"witness degree {p}^{2 * e} beyond the bound "
+                                f"{EXPONENT_BOUND}")
         c = L.gen()  # the variable u lies outside GF(q)(u^(p^e))
-        den = {0: -V.lift(c ** pe), p ** (2 * e): V.one()}
+        den = {0: -V.lift(c ** pe), degree: V.one()}
         w = RationalFunction(Polynomial.constant(V, V.one()),
                              Polynomial.from_dict(V, den))
         record["case"] = f"purely inseparable of exponent {e}"
-        denom_residue = Polynomial.from_dict(L, {0: -(c ** pe), p ** (2 * e): L.one()})
+        denom_residue = Polynomial.from_dict(L, {0: -(c ** pe), degree: L.one()})
         roots, complete = residue_roots(denom_residue, L)
         record["denominator_rootless"] = complete and not roots
 
@@ -357,8 +358,8 @@ def field_map_scan(L, M, degree_bound, exception_bound=0):
     mapping all but at most ``exception_bound`` elements of L into M.
 
     M is a SubfieldSpec on L, or None for L itself.  Poles count as
-    exceptions.  Exhaustive within
-    the stated bounds; resource-guarded beyond them.
+    exceptions.  Exhaustive within the stated bounds; resource-guarded
+    beyond them.
     """
     if not getattr(L, "is_finite", False):
         raise PreconditionError("the scan needs a finite source field")

@@ -691,13 +691,11 @@ class FrobeniusSubfield(SubfieldSpec):
         if e < 1:
             raise ConfigError("exponent must be at least 1")
         # p^e > 2^16 exactly when p^min(e, 17) > 2^16, so a huge e builds no p^e
-        step = L.base.p ** min(e, EXPONENT_BOUND.bit_length())
-        if step > EXPONENT_BOUND:
-            raise ResourceError(f"the Frobenius subfield of exponent {e} needs "
-                                f"{L.var}^({L.base.p}^{e}), beyond the bound "
-                                f"{EXPONENT_BOUND}")
+        self.step = L.base.p ** min(e, EXPONENT_BOUND.bit_length())
+        if self.step > EXPONENT_BOUND:
+            raise ResourceError(f"Frobenius subfield {L.var}^({L.base.p}^{e}) beyond "
+                                f"the bound {EXPONENT_BOUND}")
         self.purely_inseparable_exponent = e
-        self.step = step
 
     def contains(self, r):
         return (all(i % self.step == 0 for i in r.num.support())

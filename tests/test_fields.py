@@ -7,7 +7,7 @@ from ivrf.errors import PreconditionError
 from ivrf.ff import FiniteField, RatFuncField
 from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, HahnFinite,
                          LexRank2, PAdicQ, PrimePowerSubfield, TAdicRat,
-                         field_from_config)
+                         field_from_config, subfield_from_config)
 from ivrf.intr import DomainSpec, domain_from_config
 from ivrf.ordgroup import INFINITY
 
@@ -227,6 +227,11 @@ class TestParsing:
             "field": {"variant": "tadic", "residue": {"kind": "gf", "q": 4}},
             "subfield": {"kind": "subgf", "order": 2}})
         assert not D.member(D.field.lift(FiniteField(2, 2).gen()))
+
+    def test_whole_residue_field_config_is_none(self):
+        L = RatFuncField(FiniteField(2), "u")
+        assert subfield_from_config(L, {"kind": "full"}) is None
+        assert subfield_from_config(L, {}) is None
 
 
 def test_hahn_canonical_equality():

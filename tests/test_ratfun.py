@@ -324,6 +324,68 @@ def test_gcd_hahn_fractional_exponents():
     assert Polynomial.gcd(f.scale(H.monomial(Fraction(-2, 3))), g) == c
 
 
+# -- gcds over the GF(2)(u) towers and lex2, whose coefficients are fractions
+# in an inner variable v over an infinite field F: t over GF(2)(u), s =
+# t^(1/6) over GF(2)(u) once t^(1/2) and t^(1/3) meet, t2 over GF(2)(t1).
+# Each case is (V, v, w) with w the generator of F.
+
+def _tower_gcd_cases():
+    H = HahnFinite(GF2_U)
+    L = LexRank2(GF2)
+    return {
+        "tadic/GF2(u)": (TAdicRat(GF2_U), TAdicRat(GF2_U).gen(),
+                         TAdicRat(GF2_U).lift(GF2_U.gen())),
+        "hahn/GF2(u)": (H, H.monomial(Fraction(1, 6)), H.lift(GF2_U.gen())),
+        "lex2": (L, L.gen2(), L.gen1()),
+    }
+
+
+def _coprime_pair(a, q, k):
+    """a and a*q + k: coprime for a nonzero constant k, since gcd(a, aq + k)
+    = gcd(a, k)."""
+    return a, a * q + k
+
+
+def _awkward_pairs(V, v, w):
+    """Coprime pairs whose coefficients vanish at the cheap points of F:
+    denominators v and v + 1 (no image at v = 0 or 1), a leading numerator
+    v + 1, and denominators v + w and v + w + 1 as well."""
+    one = V.one()
+    x = Polynomial.gen(V)
+    a = (x ** 3).scale(v + one) + (x ** 2).scale(one / v) + x.scale(one / (v + one)) + w
+    lead = (x ** 3).scale(v + one) + x + w
+    q = x.scale(one / (v + w)) + one / (v + w + one)
+    return [_coprime_pair(a, x + one, one),        # first image at v = w
+            _coprime_pair(lead, x, one),            # first image at v = 0
+            _coprime_pair(a, q, one)]               # no image: 0, 1, w, w + 1 fail
+
+
+@pytest.mark.parametrize("name", ["tadic/GF2(u)", "hahn/GF2(u)", "lex2"])
+def test_tower_gcd_agrees_with_a_planted_factor(name):
+    V, v, w = _tower_gcd_cases()[name]
+    one = Polynomial.constant(V, V.one())
+    x = Polynomial.gen(V)
+    rng = random.Random(f"tower-gcd:{name}")
+    mixed = [x + V.one(), x + w]
+    if name.startswith("hahn"):
+        mixed = [x + V.monomial(Fraction(1, 2)), x + V.monomial(Fraction(1, 3))]
+
+    def poly(degree):
+        while True:
+            p = _random_poly(V, rng, degree)
+            if p.degree == degree:
+                return p
+
+    pairs = _awkward_pairs(V, v, w)
+    for _ in range(4):
+        pairs.append(_coprime_pair(poly(rng.randint(1, 2)), poly(1),
+                                   _nonzero_constant(V, rng, V.random_element)))
+    for i, (a, b) in enumerate(pairs):
+        assert Polynomial.gcd(a, b) == one
+        for h in (mixed[i % 2], poly(1)):
+            assert Polynomial.gcd(a * h, b * h) == h.monic()
+
+
 @pytest.mark.parametrize("name", ["Q", "GF4", "GF2(u)", "GF2(u)(t)", "hahn"])
 def test_power_matches_repeated_product(name):
     F4 = FiniteField(2, 2)

@@ -317,20 +317,40 @@ class Polynomial:
     # -- evaluation and substitution ----------------------------------
 
     def evaluate(self, a):
-        """Horner evaluation at a field element (or anything with the ops).
+        """The value at a field element (or anything with the ops).
 
         Over Q (a ``Fraction`` point and ``Fraction`` coefficients) the sum
         is taken on plain integers by ``_q_horner`` and reduced once at the
-        end; every other coefficient field runs the generic Horner loop.
+        end.  Over every other field the value at 0 is the constant
+        coefficient and at 1 the sum of the coefficients, with no product;
+        elsewhere Horner's rule runs over the nonzero terms, multiplying by
+        a^g for the gap g to the next one (``power``).  On a dense
+        polynomial every gap is 1, which is the plain Horner loop; a sparse
+        one such as x^256 + c costs about 2 log2(256) products, not 256.
         """
-        if not self.coeffs:
-            return self.field.zero()
-        if isinstance(a, Fraction) and isinstance(self.coeffs[-1], Fraction):
-            num, den = _q_horner(self.coeffs, a)
+        coeffs = self.coeffs
+        if len(coeffs) <= 1:
+            return coeffs[0] if coeffs else self.field.zero()
+        if isinstance(a, Fraction) and isinstance(coeffs[-1], Fraction):
+            num, den = _q_horner(coeffs, a)
             return Fraction(num, den)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * a + c
+        zero = self.field.zero()
+        if a == zero:
+            return coeffs[0]
+        if a == self.field.one():
+            return sum(coeffs[1:], coeffs[0])
+        powers = {1: a}
+        top = len(coeffs) - 1
+        acc = coeffs[top]
+        for i in range(top - 1, -1, -1):
+            c = coeffs[i]
+            if i and c == zero:
+                continue
+            gap = top - i
+            if gap not in powers:
+                powers[gap] = power(a, gap)
+            acc = acc * powers[gap] + c
+            top = i
         return acc
 
     def _coerce(self, other):

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from ivrf import ratfun
 from ivrf.errors import IvrfError, ParseError, StructuralError
-from ivrf.fields import (QQ, ConstantSubfield, HahnFinite, LexRank2, PAdicQ,
-                         TAdicRat)
+from ivrf.fields import (QQ, ConstantSubfield, HahnElement, HahnFinite, LexRank2,
+                         PAdicQ, TAdicRat)
 from ivrf.ff import FiniteField, RatFuncField
 from ivrf.intr import DomainSpec, domain_from_config, intr_member
 from ivrf.parsing import parse_expression
@@ -638,6 +638,46 @@ def test_gf2_packed_evaluates_at_a_function_field_element():
     assert value == Polynomial.evaluate(pa, a)  # generic Horner on the coefficients
     assert value == (u ** 3 + u + 1) / (u ** 3 + u ** 2 + u + 1)
     assert str(value) == "(u^3 + u + 1)/(u^3 + u^2 + u + 1)"
+
+
+def test_sparse_polynomial_evaluates_by_powers(monkeypatch):
+    # x^256 + c at a Hahn point: 8 squarings for the power, not 256 products
+    H = HahnFinite(GF2_U)
+    u = H.lift(GF2_U.gen())
+    a = H.monomial(Fraction(1, 2), GF2_U.gen()) + H.one()
+    p = Polynomial.from_dict(H, {0: u, 256: H.one()})
+    want = a
+    for _ in range(8):
+        want = want * want
+    want = want + u
+    products = []
+    mul = HahnElement.__mul__
+
+    def counted(x, y):
+        products.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(HahnElement, "__mul__", counted)
+    monkeypatch.setattr(HahnElement, "__rmul__", counted)
+    assert p.evaluate(a) == want
+    assert len(products) <= 2 * 8 + 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_evaluate_matches_the_sum_of_terms(seed):
+    # gaps of every size, a zero constant term, and the points 0 and 1
+    F = FiniteField(5)
+    rng = random.Random(f"sparse-eval:{seed}")
+    terms = {i: F.random(rng) for i in rng.sample(range(40), rng.randint(1, 6))}
+    p = Polynomial.from_dict(F, terms)
+    for a in [F.zero(), F.one()] + [F.random(rng) for _ in range(4)]:
+        want = F.zero()
+        for i in p.support():
+            term = p.coeff(i)
+            for _ in range(i):
+                term = term * a
+            want = want + term
+        assert p.evaluate(a) == want
 
 
 def test_polynomial_equality_includes_variable():

@@ -274,7 +274,11 @@ class Polynomial:
           each pseudo-remainder is divided by its content, a gcd in F[v],
           and only the final gcd is made monic over F(v).  Towers such as
           GF(q)(u)(t) thus reduce to gcds in GF(q)[u] instead of
-          normalizing a fraction at every coefficient operation.
+          normalizing a fraction at every coefficient operation.  Over an
+          infinite F (the GF(q)(u) towers: t-adic, Hahn and lex2) the
+          images at one point v = sigma are tried first: a constant gcd in
+          F[x] proves the gcd is 1 without the sequence, whose content steps
+          each run a second one in F[v] (see ``fraction_free_gcd``).
         * A field with a gcd of its own (``field.poly_gcd``) gets the two
           operands once both have positive degree: the Hahn fields, whose
           coefficients are rational functions in t^(1/k) for various k,
@@ -557,7 +561,21 @@ def fraction_free_gcd(a, b):
 
     Returns the gcd over F[v], primitive; the monic gcd over F(v) is this
     list divided by its last entry.
+
+    Over an infinite F a one-level image is tried first (Brown, J. ACM
+    18(4), 1971): a and b are mapped to F[x] by v -> sigma for the first
+    point sigma of 1, 0, w, w + 1 (w the generator of F) at which no
+    coefficient denominator and not the numerator of a's leading
+    coefficient vanishes.  A constant gcd of the images proves the gcd is 1
+    (Gauss's lemma): the primitive gcd G in F[v][x] divides a times the lcm
+    L of its denominators, so lc(G) divides lc(L a), which does not vanish
+    at sigma; G(sigma) then has the degree of G and divides both images.
+    A non-constant image gcd proves nothing, and the primitive remainder
+    sequence below decides, as it does where no point qualifies.
     """
+    if _coprime_image(a, b):
+        v = a[-1][0]
+        return [Polynomial.constant(v.field, v.field.one(), v.var)]
     a = _primitive_part(clear_denominators(a))
     b = _primitive_part(clear_denominators(b))
     if len(a) < len(b):
@@ -567,6 +585,52 @@ def fraction_free_gcd(a, b):
         if not r:
             return b
         a, b = b, _primitive_part(r)
+
+
+def _coprime_image(a, b):
+    """Whether the images of a and b at the first qualifying point of F
+    (see ``fraction_free_gcd``) have a constant gcd in F[x]."""
+    lead = a[-1][0]
+    F = lead.field
+    if F.is_finite:
+        return False
+    zero = F.zero()
+    for sigma in _cheap_points(F):
+        if lead.evaluate(sigma) == zero:
+            continue
+        values = _image(a + b, sigma, zero)
+        if values is not None:
+            image_a, image_b = Polynomial(F, values[:len(a)]), Polynomial(F, values[len(a):])
+            return Polynomial.gcd(image_a, image_b).degree == 0
+    return False
+
+
+def _image(fracs, sigma, zero):
+    """The values n(sigma)/d(sigma) of the (numerator, monic denominator)
+    pairs, or None where a denominator vanishes at sigma."""
+    values = []
+    for n, d in fracs:
+        if d.degree == 0:
+            values.append(n.evaluate(sigma))
+            continue
+        dv = d.evaluate(sigma)
+        if dv == zero:
+            return None
+        values.append(n.evaluate(sigma) / dv)
+    return values
+
+
+def _cheap_points(F):
+    """1 and 0, which evaluate with no product, then the generator w of F
+    and w + 1 where F has one (u over GF(q)(u); Q has none)."""
+    one = F.one()
+    yield one
+    yield F.zero()
+    gen = getattr(F, "gen", None)
+    if gen is not None:
+        w = gen()
+        yield w
+        yield w + one
 
 
 def clear_denominators(fracs):

@@ -386,6 +386,30 @@ def test_tower_gcd_agrees_with_a_planted_factor(name):
             assert Polynomial.gcd(a * h, b * h) == h.monic()
 
 
+def test_coprime_hahn_gcd_skips_the_tower_remainder_sequence(monkeypatch):
+    # the nested remainder sequence over GF(2)(u)[s][x] runs only where the
+    # image at a point of GF(2)(u) does not already show a gcd of 1
+    H = HahnFinite(GF2_U)
+    x = Polynomial.gen(H)
+    u = H.lift(GF2_U.gen())
+    a = x ** 4 + x.scale(H.monomial(Fraction(1, 2))) + u
+    b = a + x + H.one()                       # coprime: a(1) = 1 + t^(1/2) + u
+    h = x + H.monomial(Fraction(1, 3))
+    calls = []
+    remainder = ratfun._pseudo_remainder
+
+    def counted(p, q):
+        if q[-1].field is GF2_U:
+            calls.append(len(p))
+        return remainder(p, q)
+
+    monkeypatch.setattr(ratfun, "_pseudo_remainder", counted)
+    assert Polynomial.gcd(a, b) == Polynomial.constant(H, H.one())
+    assert calls == []
+    assert Polynomial.gcd(a * h, b * h) == h
+    assert calls
+
+
 @pytest.mark.parametrize("name", ["Q", "GF4", "GF2(u)", "GF2(u)(t)", "hahn"])
 def test_power_matches_repeated_product(name):
     F4 = FiniteField(2, 2)

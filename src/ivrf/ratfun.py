@@ -343,17 +343,13 @@ class Polynomial:
             return coeffs[0]
         if a == self.field.one():
             return sum(coeffs[1:], coeffs[0])
-        powers = {1: a}
         top = len(coeffs) - 1
         acc = coeffs[top]
         for i in range(top - 1, -1, -1):
             c = coeffs[i]
             if i and c == zero:
                 continue
-            gap = top - i
-            if gap not in powers:
-                powers[gap] = power(a, gap)
-            acc = acc * powers[gap] + c
+            acc = acc * power(a, top - i) + c
             top = i
         return acc
 

@@ -563,11 +563,13 @@ def fraction_free_gcd(a, b):
     point sigma of 1, 0, w, w + 1 (w the generator of F) at which no
     coefficient denominator and not the numerator of a's leading
     coefficient vanishes.  A constant gcd of the images proves the gcd is 1
-    (Gauss's lemma): the primitive gcd G in F[v][x] divides a times the lcm
-    L of its denominators, so lc(G) divides lc(L a), which does not vanish
-    at sigma; G(sigma) then has the degree of G and divides both images.
-    A non-constant image gcd proves nothing, and the primitive remainder
-    sequence below decides, as it does where no point qualifies.
+    (Gauss's lemma): the primitive gcd G in F[v][x] divides L a, L the lcm
+    of a's denominators, so lc(G) divides lc(L a) = (L/d) n for a's leading
+    coefficient n/d, which does not vanish at sigma.  So G(sigma) has the
+    degree of G, and it divides both images, since L(sigma) != 0 and
+    likewise for b.  A non-constant image gcd proves nothing, and the
+    primitive remainder sequence below decides, as it does where no point
+    qualifies.
     """
     if _coprime_image(a, b):
         v = a[-1][0]

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from ivrf import ratfun
 from ivrf.errors import IvrfError, ParseError, StructuralError
 from ivrf.fields import (QQ, ConstantSubfield, HahnElement, HahnFinite, LexRank2,
-                         PAdicQ, TAdicRat)
+                         PAdicQ, TAdicRat, _spread)
 from ivrf.ff import FiniteField, RatFuncField
 from ivrf.intr import DomainSpec, domain_from_config, intr_member
 from ivrf.parsing import parse_expression
@@ -502,6 +502,125 @@ def test_fast_paths_match_full_normalization(name, seed):
     root = RationalFunction.constant(V, -r.coeff(0))
     assert f.compose(root) == RationalFunction.zero(V)
     assert f.compose(root).den == Polynomial.constant(V, V.one())
+
+
+# -- products, quotients and sums whose cancellation needs no gcd: an operand
+# of one term c*v^k, two equal denominators, and the constants 0 and 1, at
+# every level of each tower.  The oracle reduces the unreduced numerator and
+# denominator by Polynomial.gcd, exact division and a monic denominator; it
+# builds no RationalFunction but the canonical pair itself.
+
+GF4 = FiniteField(2, 2)
+
+
+def _oracle(num, den):
+    g = Polynomial.gcd(num, den)
+    num, den = num // g, den // g
+    inv = den.field.one() / den.leading()
+    return RationalFunction(num.scale(inv), den.scale(inv), _canonical=True)
+
+
+def _cancel_levels():
+    """name -> (F, v, draw, k): fractions in the variable v over F, draw(rng)
+    an element of F and k a nonzero element of F that is not 1."""
+    T4, TU, H, L = TAdicRat(GF4), TAdicRat(GF2_U), HahnFinite(GF2_U), LexRank2(GF2)
+    u = GF2_U.gen()
+    lattice = [H.monomial(Fraction(1, 2)), H.monomial(Fraction(1, 3))]
+    return {
+        "Q5/x": (PAdicQ(5), "x", GCD_FIELDS["Q"][1], Fraction(-3, 5)),
+        "tadic/GF4/x": (T4, "x", T4.random_element, T4.gen()),
+        "tadic/GF4/t": (GF4, "t", GF4.random, GF4.gen()),
+        "tadic/GF2(u)/x": (TU, "x", TU.random_element, TU.lift(u) / TU.gen()),
+        "tadic/GF2(u)/t": (GF2_U, "t", GCD_FIELDS["GF2(u)"][1], u + 1),
+        "tadic/GF2(u)/u": (GF2, "u", GF2.random, None),
+        "hahn/GF2(u)/x": (H, "x", lambda rng: H.random_element(rng) * rng.choice(lattice),
+                          lattice[1]),
+        "hahn/GF2(u)/s": (GF2_U, "s", GCD_FIELDS["GF2(u)"][1], u),
+        "lex2/x": (L, "x", L.random_element, L.gen1()),
+        "lex2/t2": (L.inner, "t2", lambda rng: L.inner.random(rng, degree=1),
+                    L.inner.gen()),
+        "lex2/t1": (GF2, "t1", GF2.random, None),
+    }
+
+
+def _term(F, v, c, k):
+    """c*v^k, canonical: one term over 1, or c over v^-k."""
+    return RationalFunction(Polynomial.from_dict(F, {max(k, 0): c}, v),
+                            Polynomial.from_dict(F, {max(-k, 0): F.one()}, v), _canonical=True)
+
+
+def _check_against_oracle(got, num, den):
+    want = _oracle(num, den)
+    assert got.num == want.num and got.den == want.den
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("name", sorted(_cancel_levels()))
+def test_cancellation_without_gcd_matches_the_oracle(name):
+    F, v, draw, k = _cancel_levels()[name]
+    rng = random.Random(f"cancel:{name}")
+    vv = Polynomial.from_dict(F, {1: F.one()}, v)
+
+    def poly(degree):
+        return Polynomial(F, [draw(rng) for _ in range(degree + 1)], v)
+
+    def fraction():
+        # a reduced fraction whose numerator or denominator has a power of v
+        num, den = poly(rng.randint(0, 2)), poly(rng.randint(1, 2))
+        while den.is_zero():
+            den = poly(1)
+        return _oracle(num * vv ** rng.randint(0, 2), den * vv ** rng.randint(0, 2))
+
+    one, zero = RationalFunction.one(F, v), RationalFunction.zero(F, v)
+    units = [F.one()] + ([k] if k is not None else [])
+    for _ in range(4):
+        f = fraction()
+        a, b = f.num, f.den
+        terms = [_term(F, v, rng.choice(units), e) for e in range(-2, 4)]
+        same = _oracle(poly(rng.randint(0, 2)), b)       # over b, or a factor of it
+        for g in terms + [same, f]:
+            c, d = g.num, g.den
+            cases = [(f * g, a * c, b * d), (g * f, a * c, b * d),
+                     (f + g, a * d + c * b, b * d), (f - g, a * d - c * b, b * d),
+                     (g - f, c * b - a * d, b * d),
+                     (RationalFunction(a * c, b * d), a * c, b * d)]
+            if not c.is_zero():
+                cases.append((f / g, a * d, b * c))
+            if not a.is_zero():
+                cases.append((g / f, c * b, d * a))
+            if not (a * c).is_zero():
+                cases.append((RationalFunction(b * d, a * c), b * d, a * c))
+            for got, num, den in cases:
+                _check_against_oracle(got, num, den)
+        for got, num, den in ((f * one, a, b), (one * f, a, b), (f * 1, a, b), (1 * f, a, b),
+                              (f / one, a, b), (f / 1, a, b), (f - f, a - a, b),
+                              (zero * f, a - a, b), (f * 0, a - a, b),
+                              (RationalFunction(b, b), b, b)):
+            _check_against_oracle(got, num, den)
+        assert (f - f).den == (zero * f).den == Polynomial.constant(F, F.one(), v)
+
+
+def test_hahn_element_cancellation_matches_the_oracle():
+    # Hahn elements with the lattices t^(1/2) and t^(1/3) meet on s = t^(1/6):
+    # each result, spread onto s, is the oracle's reduction of the spread
+    # operands.
+    H = HahnFinite(GF2_U)
+    rng = random.Random("cancel:hahn-elements")
+    u = H.lift(GF2_U.gen())
+
+    def on6(e):
+        return _spread(e.f, 6 // e.m)
+
+    monomials = [H.monomial(q) for q in (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 3),
+                                         Fraction(2))]
+    for _ in range(6):
+        f = H.random_element(rng)
+        for g in monomials + [u * monomials[0], f + monomials[1], f]:
+            (a, b), (c, d) = (on6(f).num, on6(f).den), (on6(g).num, on6(g).den)
+            cases = [(f * g, a * c, b * d), (f + g, a * d + c * b, b * d),
+                     (f - g, a * d - c * b, b * d), (f / g, a * d, b * c)]
+            for got, num, den in cases:
+                _check_against_oracle(on6(got), num, den)
 
 
 def test_scalar_of_a_function_field_is_a_constant():

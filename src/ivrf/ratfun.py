@@ -26,9 +26,11 @@ one gcd, ``phi.evaluate(a)`` returns a value or ``POLE``,
 ``phi.compose(psi)`` substitutes, and ``==`` is the exact identity check.
 Products, quotients, sums, inverses and compositions of reduced operands
 are reduced by construction: sums and products cancel across before they
-multiply (Henrici's rule, as ``fractions.Fraction`` does for ints), so only
-the denominator is made monic (``_monic``, which ``__init__`` shares).  An
-operand in the same variable is a function; anything else is tried as a
+multiply (Henrici's rule, as ``fractions.Fraction`` does for ints), and
+their denominators, products and exact quotients of monic ones, are monic
+as built; only a quotient, an inverse or a composition makes its
+denominator monic (``_monic``, which ``__init__`` shares).  An operand in
+the same variable is a function; anything else is tried as a
 constant of the coefficient field (over GF(q)(u), whose elements are
 rational functions in u, ``u * x`` is the constant u times x).
 
@@ -211,8 +213,7 @@ class Polynomial:
         # a constant factor scales the other one, and 1 leaves it as it is
         p, q = (other, self) if len(self.coeffs) == 1 else (self, other)
         if len(q.coeffs) == 1:
-            c = q.coeffs[0]
-            return p if c == self.field.one() else p.scale(c)
+            return p.scale(q.coeffs[0])
         if isinstance(self.coeffs[-1], Fraction) and isinstance(other.coeffs[-1], Fraction):
             (a, la), (b, lb) = _q_ints(self.coeffs), _q_ints(other.coeffs)
             den = la * lb
@@ -229,6 +230,9 @@ class Polynomial:
         return power(self, n)
 
     def scale(self, c):
+        """The polynomial times a constant c; times 1 it is itself."""
+        if c == self.field.one():
+            return self
         return self._new([a * c for a in self.coeffs])
 
     def __divmod__(self, other):
@@ -789,7 +793,8 @@ class RationalFunction:
 
     # The operations below cancel before they multiply (Henrici, J. ACM 3(1),
     # 1956; Knuth, TAOCP vol. 2, 4.5.1): on reduced operands their results
-    # are reduced by construction, and only the denominator is made monic.
+    # are reduced by construction, and a denominator is made monic only where
+    # it was a numerator (a divisor, an inverse) or comes from a composition.
 
     def __add__(self, other):
         ops = self._operands(other)
@@ -834,7 +839,7 @@ class RationalFunction:
     def inverse(self):
         if self.is_zero():
             raise StructuralError("zero has no inverse")
-        return _reduced(self.den, self.num)
+        return RationalFunction(*_monic(self.den, self.num), _canonical=True)
 
     def __pow__(self, n):
         if isinstance(n, Fraction):
@@ -896,7 +901,7 @@ class RationalFunction:
         dd = den * psi.den ** (d - self.den.degree)
         if dd.is_zero():
             raise StructuralError("composition hits a pole identically")
-        return _reduced(nn, dd)
+        return RationalFunction(*_monic(nn, dd), _canonical=True)
 
     def __repr__(self):
         return self.to_str()
@@ -914,18 +919,43 @@ class RationalFunction:
 
 
 def _cancel(p, q):
-    """(p/g, q/g, g) for g = gcd(p, q), with g None when it is 1; no gcd is
-    taken when either polynomial is constant."""
-    if p.degree > 0 and q.degree > 0:
-        g = Polynomial.gcd(p, q)
-        if g.degree > 0:
-            return p // g, q // g, g
+    """(p/g, q/g, g) for g = gcd(p, q), with g None when it is 1.
+
+    Three cases take no gcd.  Where either polynomial is constant, g = 1.
+    Where p == q, g = monic(p) and both cofactors are the constant lc(p).
+    Where either has one term c v^k, g = v^m with m the lesser of the two
+    least exponents (ord): c is a unit of the field, so gcd(c v^k, q) =
+    v^min(k, ord q), and dividing by v^m drops the m lowest coefficients (a
+    shift of the bits when packed).  Every other pair goes to
+    ``Polynomial.gcd``.  The monic gcd is unique, so all give one result.
+    """
+    if p.degree <= 0 or q.degree <= 0:
+        return p, q, None
+    if p == q:
+        lead = Polynomial.constant(p.field, p.leading(), p.var)
+        return lead, lead, p.monic()
+    sp, sq = p.support(), q.support()
+    if len(sp) == 1 or len(sq) == 1:
+        m = min(sp[0], sq[0])
+        if m == 0:
+            return p, q, None
+        if type(p) is _GF2Polynomial:
+            return p._new(p.bits >> m), q._new(q.bits >> m), p._new(1 << m)
+        field = p.field
+        return (p._new(list(p.coeffs[m:])), q._new(list(q.coeffs[m:])),
+                p._new([field.zero()] * m + [field.one()]))
+    g = Polynomial.gcd(p, q)
+    if g.degree > 0:
+        return p // g, q // g, g
     return p, q, None
 
 
 def _product(a, b, c, d):
     """a/b * c/d for reduced fractions with monic denominators: gcd(a, d)
-    and gcd(c, b) are cancelled, and what is left is coprime."""
+    and gcd(c, b) are cancelled (``_cancel``), and what is left is coprime.
+    The denominator is a product of exact quotients of monic polynomials,
+    so it is monic as built.  A product by the constant 1 is the other
+    operand (``Polynomial.scale``)."""
     if b.degree == 0 and a.degree <= 0:
         a, b, c, d = c, d, a, b
     if d.degree == 0 and c.degree <= 0:  # times the constant c
@@ -938,7 +968,9 @@ def _product(a, b, c, d):
 def _sum(a, b, c, d):
     """a/b + c/d for reduced fractions with monic denominators.  With
     g = gcd(b, d), t = a(d/g) + c(b/g) shares with the denominator
-    (b/g)(d/g)g only g2 = gcd(t, g)."""
+    (b/g)(d/g)g only g2 = gcd(t, g).  Over one denominator (b == d) g is b
+    itself and only gcd(a + c, b) is taken.  The denominator is monic as
+    built, as in ``_product``."""
     if b.degree == 0:
         a, b, c, d = c, d, a, b
     if d.degree == 0:  # plus the polynomial c
@@ -964,8 +996,11 @@ def _monic(num, den):
 
 
 def _reduced(num, den):
-    """The rational function num/den of coprime polynomials, den nonzero."""
-    num, den = _monic(num, den)
+    """The rational function num/den of coprime polynomials with den monic,
+    which is canonical as it stands but for the zero function: that gets
+    the denominator 1."""
+    if num.is_zero():
+        den = Polynomial.constant(num.field, num.field.one(), num.var)
     return RationalFunction(num, den, _canonical=True)
 
 

@@ -623,6 +623,32 @@ def test_hahn_element_cancellation_matches_the_oracle():
                 _check_against_oracle(on6(got), num, den)
 
 
+def test_single_term_and_equal_operands_take_no_gcd(monkeypatch):
+    # a one-term operand c*v^k shares only a power of v with the other one,
+    # and a sum over one denominator shares only a factor of it with the
+    # numerator: no Polynomial.gcd at any level of the tower, while a planted
+    # factor 1 + t takes one at the level of t
+    T = TAdicRat(GF2_U)
+    t, u, one = T.gen(), T.lift(GF2_U.gen()), T.one()
+    X = RationalFunction.gen(PAdicQ(5))
+    f, g, h, k = u / t, t ** 2 / (one + t), one / t, X ** 2 + X
+    planted = (t ** 2 + t) / (t + u)
+    calls = []
+    gcd = Polynomial.gcd
+
+    def counted(a, b):
+        calls.append(a.field)
+        return gcd(a, b)
+
+    monkeypatch.setattr(Polynomial, "gcd", staticmethod(counted))
+    got = [f * g, h + f, X ** 3 * (1 / k)]
+    assert calls == []
+    assert planted * (u / (one + t)) == u * t / (t + u)
+    assert calls.count(GF2_U) == 1
+    monkeypatch.undo()
+    assert got == [u * t / (one + t), (one + u) / t, X ** 2 / (X + 1)]
+
+
 def test_scalar_of_a_function_field_is_a_constant():
     # Over L = GF(2)(u) a scalar is itself a rational function in u: an
     # operand in another variable is a constant of a function in x, on

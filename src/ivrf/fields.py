@@ -37,7 +37,8 @@ from .errors import (ConfigError, PreconditionError, ResourceError,
 from .ff import _PRIME_CAP, FiniteField, RatFuncField
 from .ordgroup import INFINITY, GroupElement, GroupSpec
 from .parsing import EXPONENT_BOUND, parse_expression
-from .ratfun import Polynomial, RationalFunction, _paren, fraction_free_gcd
+from .ratfun import (Polynomial, RationalFunction, _GF2Polynomial, _paren,
+                     fraction_free_gcd)
 
 
 class RationalsContext:
@@ -212,8 +213,14 @@ class PAdicQ(ValuedField):
 
 
 def _ord(poly):
-    """The least exponent of a nonzero polynomial."""
-    return min(poly.support())
+    """The least exponent of a nonzero polynomial: its first nonzero
+    coefficient, or its low bit when packed over GF(2)."""
+    if type(poly) is _GF2Polynomial:
+        bits = poly.bits
+        return (bits & -bits).bit_length() - 1
+    for i, c in enumerate(poly.coeffs):
+        if c:
+            return i
 
 
 def _t_order(f):

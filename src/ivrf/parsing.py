@@ -8,6 +8,10 @@ Grammar (whitespace ignored)::
     atom   := INT | NAME | '(' expr ')'          # then optional '^' exponent
     exp    := INT | '-' INT | '{' INT ('/' INT)? '}' | '(' INT ('/' INT)? ')'
 
+INT is a run of decimal digits (Unicode ones included), NAME an ASCII letter
+then letters and digits, and ``**`` is read as ``^``; any other character but
+whitespace is a parse error that names its position.
+
 Names resolve through a caller-supplied environment; integers go through a
 ``make_int`` callback, so the same grammar parses p-adic rationals, finite
 field expressions, Hahn sums and rational functions in x.
@@ -22,146 +26,154 @@ from .errors import ParseError, ResourceError
 
 EXPONENT_BOUND = 2 ** 16  # largest numerator or denominator of an exponent
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([a-zA-Z][a-zA-Z0-9]*)|(\*\*|[-+*/^(){}]))")
+_TOKEN = re.compile(r"\s*(\d+|[a-zA-Z][a-zA-Z0-9]*|\*\*|[-+*/^(){}])")
+_END = "$"  # ends every token list; a bad character, so never a token
 
 
 def _tokenize(text):
+    """The tokens of ``text`` as strings, ``**`` read as ``^``, then ``_END``.
+
+    One ``findall`` reads them.  The tokens cover every character but
+    whitespace exactly when none is bad; only where the lengths disagree (a
+    bad character, or whitespace other than spaces) is the text scanned
+    again, token by token, for the position of the first bad character.
+    """
+    toks = _TOKEN.findall(text)
+    if sum(map(len, toks)) != len(text) - text.count(" "):
+        _check_characters(text)
+    if "**" in text:
+        toks = ["^" if t == "**" else t for t in toks]
+    toks.append(_END)
+    return toks
+
+
+def _check_characters(text):
+    """Raise for the first character that starts no token; its position is
+    where the token before it ended, whitespace in between included."""
     pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"bad character at position {pos}: {text[pos:]!r}")
-        num, name, op = m.groups()
-        if num is not None:
-            out.append(("int", int(num)))
-        elif name is not None:
-            out.append(("name", name))
-        else:
-            out.append(("op", "^" if op == "**" else op))
+    while m := _TOKEN.match(text, pos):
         pos = m.end()
-    out.append(("end", None))
-    return out
+    if text[pos:].strip():
+        raise ParseError(f"bad character at position {pos}: {text[pos:]!r}")
 
 
-def _shown(kind, val):
+def _shown(tok):
     """A token as an error message names it."""
-    return "end of input" if kind == "end" else repr(val)
+    return "end of input" if tok == _END else repr(tok)
 
 
 class _Parser:
+    """Recursive descent over the token strings of ``_tokenize``: a token
+    is an integer when it starts with a digit and a name when it starts with
+    a letter; the descent reads ``toks[i]`` and advances ``i`` itself."""
+
     def __init__(self, tokens, env, make_int):
         self.toks = tokens
         self.i = 0
         self.env = env
         self.make_int = make_int
 
-    def peek(self):
-        return self.toks[self.i]
-
     def take(self):
-        t = self.toks[self.i]
+        tok = self.toks[self.i]
         self.i += 1
-        return t
-
-    def expect(self, op):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}, found {_shown(kind, val)}")
+        return tok
 
     def expr(self):
         value = self.term()
+        toks = self.toks
         while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                value = value + rhs if val == "+" else value - rhs
+            op = toks[self.i]
+            if op == "+":
+                self.i += 1
+                value = value + self.term()
+            elif op == "-":
+                self.i += 1
+                value = value - self.term()
             else:
                 return value
 
     def term(self):
         value = self.unary()
+        toks = self.toks
         while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                rhs = self.unary()
-                value = value * rhs if val == "*" else value / rhs
-            elif kind in ("int", "name") or (kind == "op" and val == "("):
+            tok = toks[self.i]
+            if tok == "*":
+                self.i += 1
+                value = value * self.unary()
+            elif tok == "/":
+                self.i += 1
+                value = value / self.unary()
+            elif tok[0].isalnum() or tok == "(":
                 value = value * self.unary()  # juxtaposition
             else:
                 return value
 
     def unary(self):
-        kind, val = self.peek()
-        if kind == "op" and val == "-":
-            self.take()
+        if self.toks[self.i] == "-":
+            self.i += 1
             return -self.unary()
-        return self.power()
-
-    def power(self):
         base = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            e = self.exponent()
-            if abs(e.numerator) > EXPONENT_BOUND or e.denominator > EXPONENT_BOUND:
-                raise ResourceError(f"exponent {e} beyond the bound {EXPONENT_BOUND}")
-            if e.denominator == 1:
-                return base ** int(e)
-            return base ** e
-        return base
+        if self.toks[self.i] != "^":
+            return base
+        self.i += 1
+        e = self.exponent()
+        if abs(e.numerator) > EXPONENT_BOUND or e.denominator > EXPONENT_BOUND:
+            raise ResourceError(f"exponent {e} beyond the bound {EXPONENT_BOUND}")
+        if e.denominator == 1:
+            return base ** int(e)
+        return base ** e
 
     def exponent(self):
-        kind, val = self.take()
-        if kind == "int":
-            return Fraction(val)
-        if kind == "op" and val == "-":
-            kind2, val2 = self.take()
-            if kind2 != "int":
+        tok = self.take()
+        if tok[0].isdigit():
+            return Fraction(int(tok))
+        if tok == "-":
+            tok = self.take()
+            if not tok[0].isdigit():
                 raise ParseError("expected integer exponent after '-'")
-            return Fraction(-val2)
-        if kind == "op" and val in "{(":
-            close = "}" if val == "{" else ")"
+            return Fraction(-int(tok))
+        if tok == "{" or tok == "(":
+            close = "}" if tok == "{" else ")"
             sign = 1
-            kind2, val2 = self.take()
-            if kind2 == "op" and val2 == "-":
+            tok = self.take()
+            if tok == "-":
                 sign = -1
-                kind2, val2 = self.take()
-            if kind2 != "int":
+                tok = self.take()
+            if not tok[0].isdigit():
                 raise ParseError("expected integer in exponent")
-            num = val2
+            num = int(tok)
             den = 1
-            kind3, val3 = self.take()
-            if kind3 == "op" and val3 == "/":
-                kind4, val4 = self.take()
-                if kind4 != "int":
+            tok = self.take()
+            if tok == "/":
+                tok = self.take()
+                if not tok[0].isdigit():
                     raise ParseError("expected integer denominator in exponent")
-                den = val4
-                kind3, val3 = self.take()
-            if kind3 != "op" or val3 != close:
+                den = int(tok)
+                tok = self.take()
+            if tok != close:
                 raise ParseError(f"expected {close!r} closing the exponent")
             return Fraction(sign * num, den)
-        raise ParseError(f"malformed exponent near {_shown(kind, val)}")
+        raise ParseError(f"malformed exponent near {_shown(tok)}")
 
     def atom(self):
-        kind, val = self.take()
-        if kind == "int":
-            return self.make_int(val)
-        if kind == "name":
-            if val not in self.env:
-                raise ParseError(f"unknown symbol {val!r}")
-            return self.env[val]
-        if kind == "op" and val == "(":
-            value = self.expr()
-            self.expect(")")
+        tok = self.toks[self.i]
+        self.i += 1
+        if tok[0].isdigit():
+            return self.make_int(int(tok))
+        if tok[0].isalpha():
+            value = self.env.get(tok)
+            if value is None:
+                raise ParseError(f"unknown symbol {tok!r}")
             return value
-        if kind == "end":
+        if tok == "(":
+            value = self.expr()
+            tok = self.take()
+            if tok != ")":
+                raise ParseError(f"expected ')', found {_shown(tok)}")
+            return value
+        if tok == _END:
             raise ParseError("unexpected end of input")
-        raise ParseError(f"unexpected token {val!r}")
+        raise ParseError(f"unexpected token {tok!r}")
 
 
 def parse_expression(text, env, make_int):
@@ -175,7 +187,6 @@ def parse_expression(text, env, make_int):
         value = p.expr()
     except ZeroDivisionError:  # 1/0 or 0^-1 over Q, or t^{1/0}
         raise ParseError(f"division by zero in {text!r}") from None
-    kind, _ = p.peek()
-    if kind != "end":
+    if p.toks[p.i] != _END:
         raise ParseError(f"trailing input after position {p.i}")
     return value

@@ -3,7 +3,10 @@
 The code is generic over a small coefficient-field protocol: the field
 object provides ``zero()``, ``one()`` and ``from_int(n)`` (and, optionally,
 ``poly_gcd(a, b)``: see ``Polynomial.gcd``), and its elements carry
-arithmetic through operator overloading (exact, no floats).  Rational
+arithmetic through operator overloading (exact, no floats).  An element is
+false exactly when it is zero: trimming, supports, evaluation and products
+test coefficients by truth value, never by ``==`` against ``zero()``, which
+over the towers would compare whole rational functions.  Rational
 functions are always held in canonical form: numerator and denominator
 coprime, denominator monic.  Equality is therefore syntactic; two
 polynomials are equal when they have the same variable, the same field and
@@ -40,9 +43,10 @@ polynomial over F(v) into one over F[v], which the gcd
 
 ``parse_ratfun`` reads the text form.  While the text is a polynomial in x
 it holds a sparse polynomial, a dict from exponent to coefficient, so
-``x^k`` is one term and only a division by a non-constant (or a negative
-power of one) makes a ``RationalFunction``; from there on the operations
-above carry the value.
+``x^k`` is one term, built with no product of coefficients, and only a
+division by a non-constant (or a negative power of one) makes a
+``RationalFunction``; from there on the operations above carry the value.
+``RationalFunction(p)`` of a polynomial is p/1, canonical as it stands.
 """
 
 from __future__ import annotations
@@ -91,9 +95,8 @@ class Polynomial:
         return object.__new__(cls)
 
     def __init__(self, field, coeffs, var="x"):
-        zero = field.zero()
         coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == zero:
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.field = field
         self.coeffs = tuple(coeffs)
@@ -103,8 +106,7 @@ class Polynomial:
         """A polynomial in this one's field and variable from a coefficient
         list, which is trimmed in place; arithmetic results skip the class
         dispatch of the constructor."""
-        zero = self.field.zero()
-        while coeffs and coeffs[-1] == zero:
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         p = object.__new__(Polynomial)
         p.field = self.field
@@ -158,8 +160,7 @@ class Polynomial:
         return self.field.zero()
 
     def support(self):
-        zero = self.field.zero()
-        return [i for i, c in enumerate(self.coeffs) if c != zero]
+        return [i for i, c in enumerate(self.coeffs) if c]
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -342,8 +343,7 @@ class Polynomial:
         if isinstance(a, Fraction) and isinstance(coeffs[-1], Fraction):
             num, den = _q_horner(coeffs, a)
             return Fraction(num, den)
-        zero = self.field.zero()
-        if a == zero:
+        if not a:
             return coeffs[0]
         if a == self.field.one():
             return sum(coeffs[1:], coeffs[0])
@@ -351,7 +351,7 @@ class Polynomial:
         acc = coeffs[top]
         for i in range(top - 1, -1, -1):
             c = coeffs[i]
-            if i and c == zero:
+            if i and not c:
                 continue
             acc = acc * power(a, top - i) + c
             top = i
@@ -505,7 +505,7 @@ class _GF2Polynomial(Polynomial):
         """The value at a point: bit 0 at 0, the parity of the bits at 1,
         and Horner on the bits at any other point."""
         field = self.field
-        if a == field.zero():
+        if not a:
             return self.coeff(0)
         if a == field.one():
             return field.from_int(self.bits.bit_count())
@@ -596,18 +596,17 @@ def _coprime_image(a, b):
     F = lead.field
     if F.is_finite:
         return False
-    zero = F.zero()
     for sigma in _cheap_points(F):
-        if lead.evaluate(sigma) == zero:
+        if not lead.evaluate(sigma):
             continue
-        values = _image(a + b, sigma, zero)
+        values = _image(a + b, sigma)
         if values is not None:
             image_a, image_b = Polynomial(F, values[:len(a)]), Polynomial(F, values[len(a):])
             return Polynomial.gcd(image_a, image_b).degree == 0
     return False
 
 
-def _image(fracs, sigma, zero):
+def _image(fracs, sigma):
     """The values n(sigma)/d(sigma) of the (numerator, monic denominator)
     pairs, or None where a denominator vanishes at sigma."""
     values = []
@@ -616,7 +615,7 @@ def _image(fracs, sigma, zero):
             values.append(n.evaluate(sigma))
             continue
         dv = d.evaluate(sigma)
-        if dv == zero:
+        if not dv:
             return None
         values.append(n.evaluate(sigma) / dv)
     return values
@@ -697,11 +696,11 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None, _canonical=False):
-        if den is None:
+        if den is None:  # num/1 is canonical as it stands
             den = Polynomial.constant(num.field, num.field.one(), num.var)
-        if den.is_zero():
+        elif den.is_zero():
             raise StructuralError("zero denominator")
-        if not _canonical:
+        elif not _canonical:
             num, den, _ = _cancel(num, den)
             num, den = _monic(num, den)
         self.num = num
@@ -875,7 +874,7 @@ class RationalFunction:
             nn, nd = _q_horner(self.num.coeffs, a)
             return Fraction(nn * dd, nd * dn)
         d = self.den.evaluate(a)
-        if d == self.field.zero():
+        if not d:
             return POLE
         return self.num.evaluate(a) / d
 
@@ -1088,9 +1087,9 @@ def _convolve(a, b, zero):
     out = [zero] * (len(a) + len(b) - 1)
     # the nonzero terms of the second factor, listed once: polynomials
     # spread onto a finer lattice (Hahn fields) are mostly zeros
-    terms = [(j, d) for j, d in enumerate(b) if d != zero]
+    terms = [(j, d) for j, d in enumerate(b) if d]
     for i, c in enumerate(a):
-        if c == zero:
+        if not c:
             continue
         for j, d in terms:
             out[i + j] = out[i + j] + c * d
@@ -1172,8 +1171,10 @@ def parse_ratfun(field, text):
     ``ivrf.parsing`` is a sparse polynomial (``_Parsed``): a dict from
     exponent to nonzero coefficient, each a plain element of ``field``.
     Integer literals and the field's symbols (``field.symbol_env()``) are
-    constants, ``x`` is one term, ``x^k`` is one term and a constant's power
-    is its coefficient's own power.  At the first division by a non-constant
+    constants and ``x`` is one term.  The power of one term c*x^k is the one
+    term c^n*x^(kn), and a product with one term shifts the exponents and
+    multiplies each coefficient once; where a coefficient is the field's
+    ``one()`` itself, as in ``x^k`` and ``c*x^k``, no product is taken.  At the first division by a non-constant
     or negative power of one, both sides become ``RationalFunction``s once,
     and from there on the operators of ``RationalFunction`` carry the value.
     The result is one canonical ``RationalFunction``.  The environment of
@@ -1234,7 +1235,17 @@ class _Parsed:
         a, b = self.terms, other.terms
         if a is None or b is None:
             return self._of(self.function() * other.function())
-        return _Parsed(self.field, _sparse_mul(a, b))
+        one = self.field.one()
+        if len(a) == 1 and (len(b) != 1 or next(iter(a.values())) is one):
+            a, b = b, a
+        if len(b) != 1:
+            return _Parsed(self.field, _sparse_mul(a, b))
+        # times one term d*x^k: each term is shifted by k, and multiplied by
+        # d unless d is the field's one itself, which x and x^k hold
+        (k, d), = b.items()
+        if d is one:
+            return _Parsed(self.field, {i + k: c for i, c in a.items()})
+        return _Parsed(self.field, {i + k: c * d for i, c in a.items()})
 
     def __truediv__(self, other):
         a, b = self.terms, other.terms
@@ -1250,7 +1261,10 @@ class _Parsed:
         if terms is not None and isinstance(n, int) and n >= 0:
             if n == 0:
                 return _Parsed.constant(field, field.one())
-            return _Parsed(field, power(terms, n, _sparse_mul))
+            if len(terms) != 1:
+                return _Parsed(field, power(terms, n, _sparse_mul))
+            (k, c), = terms.items()  # (c*x^k)^n = c^n*x^(kn), and 1^n is 1
+            return _Parsed(field, {k * n: c if c is field.one() else c ** n})
         if not _is_constant(terms):
             return self._of(self.function() ** n)
         # a negative or fractional power of a constant is its coefficient's own

@@ -1200,6 +1200,76 @@ def test_power_of_a_sum_squares_and_multiplies(monkeypatch):
     _assert_same_function(got, _oracle_parse(QQ, "(x + 1)^200"))
 
 
+@pytest.mark.parametrize("V, text", [
+    (TAdicRat(GF2_U), "x^7 + (u/t)*x^3 + 1"),
+    (HahnFinite(GF2_U), "(1/t)*x^4 + x"),
+    (TAdicRat(GF2_U), "(u*t)^3*x^2 + x^12*t"),
+], ids=["tadic", "hahn", "tadic-powers"])
+def test_monomials_parse_without_coefficient_products(monkeypatch, V, text):
+    # x^k and c*x^k take no product of coefficients (elements of V): the
+    # power of one term powers its coefficient, which x holds as the field's
+    # one, and a product with x^k shifts the exponents.  u/t takes products
+    # in GF(2)(u), a level below, and (u*t)^3 is one product and one power.
+    want = _oracle_parse(V, text)
+    zero = V.zero()
+    products = []
+
+    def counting(cls, name):
+        mul = getattr(cls, name)
+
+        def counted(a, b):
+            if type(a) is type(zero) and getattr(a, "var", None) == getattr(zero, "var", None):
+                products.append((str(a), str(b)))
+            return mul(a, b)
+        monkeypatch.setattr(cls, name, counted)
+
+    for cls in (RationalFunction, HahnElement):
+        counting(cls, "__mul__")
+        counting(cls, "__rmul__")
+    got = parse_ratfun(V, text)
+    monkeypatch.undo()
+    assert products == ([("u", "t")] if "u*t" in text else [])
+    _assert_same_function(got, want)
+
+
+@pytest.mark.parametrize("V", [QQ, GF4, GF2_U, TAdicRat(GF2_U), LexRank2(GF2),
+                               HahnFinite(GF2_U)], ids=str)
+def test_a_bare_polynomial_is_canonical_without_cancelling(monkeypatch, V):
+    # RationalFunction(p) is p/1, canonical as built: no _cancel, no _monic
+    rng = random.Random(f"bare:{V}")
+    polys = [Polynomial.zero(V), Polynomial.constant(V, V.from_int(3)),
+             Polynomial(V, [V.one(), V.zero(), V.from_int(2)])]
+    if hasattr(V, "random_element"):
+        polys.append(_random_poly(V, rng, 3))
+    calls = []
+    for name in ("_cancel", "_monic"):
+        fn = getattr(ratfun, name)
+        monkeypatch.setattr(ratfun, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    got = [RationalFunction(p) for p in polys]
+    assert calls == []
+    one = Polynomial.constant(V, V.one())
+    for p, r in zip(polys, got):
+        assert r.num == p and r.den == one
+        assert r == RationalFunction(p, one)
+
+
+@pytest.mark.parametrize("V", [QQ, GF4, GF2_U, TAdicRat(GF4), TAdicRat(GF2_U),
+                               LexRank2(GF2), HahnFinite(GF2), HahnFinite(GF2_U)],
+                         ids=str)
+def test_coefficients_are_zero_exactly_when_false(V):
+    # the coefficient protocol of ratfun: zero tests are truth values
+    rng = random.Random(f"truth:{V}")
+    if V is QQ:
+        draws = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(20)]
+    else:
+        draws = [(getattr(V, "random_element", None) or V.random)(rng) for _ in range(20)]
+    zero = V.zero()
+    nonzero = [c for c in draws if c != zero]
+    assert nonzero and all(nonzero)
+    assert not any(c for c in draws if c == zero)
+    assert not zero and not (V.one() - V.one()) and V.one()
+
+
 def test_sparse_product_drops_cancelled_terms():
     # (x + 1)(x - 1) = x^2 - 1 has no x term, so a sum that leaves only its
     # constant is read as a constant

@@ -787,8 +787,11 @@ def field_from_config(cfg):
         return PAdicQ(_config_value(cfg, "p", int))
     over_residue = {"tadic": TAdicRat, "lex2": LexRank2, "hahn": HahnFinite}
     if variant in over_residue:
-        residue = _config_value(cfg, "residue", dict, {"q": 2})
-        return over_residue[variant](residue_field_from_config(residue))
+        residue = residue_field_from_config(_config_value(cfg, "residue", dict, {"q": 2}))
+        if variant == "lex2" and not residue.is_finite:
+            raise ConfigError("the lex2 variant needs a gf residue field, not "
+                              f"{residue.describe()}")
+        return over_residue[variant](residue)
     raise ConfigError(f"unknown field variant {variant!r}")
 
 

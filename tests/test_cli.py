@@ -276,6 +276,18 @@ class TestErrors:
         assert res.exit_code == 2, res.output
         assert "config {'kind': 'ratfunc'} is missing the key 'p'" in res.output
 
+    @pytest.mark.parametrize("command", [
+        ["member", "--phi", "x"],
+        ["dichotomy", "--phi", "x"],
+        ["construct", "witness"],
+    ], ids=["member", "dichotomy", "witness"])
+    def test_lex2_over_a_ratfunc_residue_exits_two(self, command):
+        config = '{"field": {"variant": "lex2", "residue": {"kind": "ratfunc", "p": 2}}}'
+        res = run(*command, "--config", config)
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert "the lex2 variant needs a gf residue field, not GF(2)(u)" in res.output
+
     @pytest.mark.parametrize("config, phi, message", [
         (RING5, "x^1000000000", "exponent 1000000000 beyond the bound 65536"),
         ('{"field": {"variant": "hahn", "residue": {"q": 2}}, "E": "field"}',

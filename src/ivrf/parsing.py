@@ -63,9 +63,9 @@ def _shown(tok):
 
 
 class _Parser:
-    """Recursive descent over the token strings of ``_tokenize``: a token
-    is an integer when it starts with a digit and a name when it starts with
-    a letter; the descent reads ``toks[i]`` and advances ``i`` itself."""
+    """Recursive descent over the tokens of ``_tokenize``, read in place as
+    ``toks[i]``: a token is an integer when it starts with a digit and a
+    name when it starts with a letter."""
 
     def __init__(self, tokens, env, make_int):
         self.toks = tokens
@@ -80,30 +80,21 @@ class _Parser:
 
     def expr(self):
         value = self.term()
-        toks = self.toks
-        while True:
-            op = toks[self.i]
-            if op == "+":
-                self.i += 1
-                value = value + self.term()
-            elif op == "-":
-                self.i += 1
-                value = value - self.term()
-            else:
-                return value
+        while (op := self.toks[self.i]) == "+" or op == "-":
+            self.i += 1
+            rhs = self.term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
 
     def term(self):
         value = self.unary()
-        toks = self.toks
         while True:
-            tok = toks[self.i]
-            if tok == "*":
+            op = self.toks[self.i]
+            if op == "*" or op == "/":
                 self.i += 1
-                value = value * self.unary()
-            elif tok == "/":
-                self.i += 1
-                value = value / self.unary()
-            elif tok[0].isalnum() or tok == "(":
+                rhs = self.unary()
+                value = value * rhs if op == "*" else value / rhs
+            elif op[0].isalnum() or op == "(":
                 value = value * self.unary()  # juxtaposition
             else:
                 return value

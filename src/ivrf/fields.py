@@ -37,8 +37,7 @@ from .errors import (ConfigError, PreconditionError, ResourceError,
 from .ff import _PRIME_CAP, FiniteField, RatFuncField
 from .ordgroup import INFINITY, GroupElement, GroupSpec
 from .parsing import EXPONENT_BOUND, parse_expression
-from .ratfun import (Polynomial, RationalFunction, _GF2Polynomial, _paren,
-                     fraction_free_gcd)
+from .ratfun import Polynomial, RationalFunction, _paren, fraction_free_gcd
 
 
 class RationalsContext:
@@ -212,25 +211,14 @@ class PAdicQ(ValuedField):
         return f"Q(v_{self.p})"
 
 
-def _ord(poly):
-    """The least exponent of a nonzero polynomial: its first nonzero
-    coefficient, or its low bit when packed over GF(2)."""
-    if type(poly) is _GF2Polynomial:
-        bits = poly.bits
-        return (bits & -bits).bit_length() - 1
-    for i, c in enumerate(poly.coeffs):
-        if c:
-            return i
-
-
 def _t_order(f):
     """The order at t = 0 of a nonzero fraction of polynomials in t."""
-    return _ord(f.num) - _ord(f.den)
+    return f.num.low_degree() - f.den.low_degree()
 
 
 def _unit_residue(f):
     """The residue of a fraction of order 0: the ratio of the lowest terms."""
-    m = _ord(f.num)
+    m = f.num.low_degree()
     return f.num.coeff(m) / f.den.coeff(m)
 
 
@@ -481,8 +469,8 @@ class HahnElement:
         if isinstance(n, Fraction) and n.denominator != 1:
             # Fractional powers only for bare monomials t^q with coefficient 1.
             num, den = self.f.num, self.f.den
-            if (len(num.support()) == 1 and num.leading() == self.field.kappa.one()
-                    and len(den.support()) == 1):
+            if (num.low_degree() == num.degree and num.leading() == self.field.kappa.one()
+                    and den.low_degree() == den.degree):
                 return self.field.monomial(Fraction(num.degree - den.degree, self.m) * n)
             raise StructuralError("fractional power of a non-monomial")
         # in characteristic p a power can shrink the lattice: (1 + s)^p = 1 + s^p
@@ -503,7 +491,7 @@ class HahnElement:
         # Printed as a fraction of sums of c*t^q whose denominator has least
         # term 1; the denominator is left out when it is 1.
         num, den = self.f.num, self.f.den
-        low = _ord(den)
+        low = den.low_degree()
         c0 = den.coeff(low)
         one = self.field.kappa.one()
 

@@ -282,10 +282,9 @@ def residue_roots(poly, L):
                 True)
     if not isinstance(L, RatFuncField):
         raise PreconditionError(f"no root search over {L!r}")
-    support = poly.support()
-    if not support:
+    shift = poly.low_degree()
+    if shift is None:
         raise StructuralError("root search on the zero polynomial")
-    shift = support[0]
     if shift == poly.degree:
         return (set(), True)
     cleared = _primitive_part(clear_denominators(

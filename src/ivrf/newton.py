@@ -242,8 +242,4 @@ def slopes_check(phi, t, V):
         raise PreconditionError("slopes need phi and t nonzero")
     locf = local_poly(phi.num, t, V)
     locg = local_poly(phi.den, t, V)
-    fs = locf.support()
-    gs = locg.support()
-    c = fs[-1] - gs[-1]
-    cprime = fs[0] - gs[0]
-    return c, cprime
+    return locf.degree - locg.degree, locf.low_degree() - locg.low_degree()

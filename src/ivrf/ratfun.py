@@ -162,6 +162,15 @@ class Polynomial:
     def support(self):
         return [i for i, c in enumerate(self.coeffs) if c]
 
+    def low_degree(self):
+        """The least exponent with a nonzero coefficient, None for the zero
+        polynomial: ``p.low_degree() == p.degree`` exactly when p has one
+        term."""
+        for i, c in enumerate(self.coeffs):
+            if c:
+                return i
+        return None
+
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -451,6 +460,10 @@ class _GF2Polynomial(Polynomial):
             out.append(low.bit_length() - 1)
             bits ^= low
         return out
+
+    def low_degree(self):
+        bits = self.bits
+        return (bits & -bits).bit_length() - 1 if bits else None
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -910,9 +923,9 @@ class RationalFunction:
             return self.num.to_str()
         ns = self.num.to_str()
         ds = self.den.to_str()
-        if len(self.num.support()) > 1:
+        if self.num.low_degree() < self.num.degree:
             ns = f"({ns})"
-        if len(self.den.support()) > 1:
+        if self.den.low_degree() < self.den.degree:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
@@ -923,8 +936,8 @@ def _cancel(p, q):
     Three cases take no gcd.  Where either polynomial is constant, g = 1.
     Where p == q, g = monic(p) and both cofactors are the constant lc(p).
     Where either has one term c v^k, g = v^m with m the lesser of the two
-    least exponents (ord): c is a unit of the field, so gcd(c v^k, q) =
-    v^min(k, ord q), and dividing by v^m drops the m lowest coefficients (a
+    least exponents (``low_degree``): c is a unit of the field, so
+    gcd(c v^k, q) = v^min(k, ord q), and dividing by v^m drops the m lowest coefficients (a
     shift of the bits when packed).  Every other pair goes to
     ``Polynomial.gcd``.  The monic gcd is unique, so all give one result.
     """
@@ -933,9 +946,9 @@ def _cancel(p, q):
     if p == q:
         lead = Polynomial.constant(p.field, p.leading(), p.var)
         return lead, lead, p.monic()
-    sp, sq = p.support(), q.support()
-    if len(sp) == 1 or len(sq) == 1:
-        m = min(sp[0], sq[0])
+    lp, lq = p.low_degree(), q.low_degree()
+    if lp == p.degree or lq == q.degree:
+        m = min(lp, lq)
         if m == 0:
             return p, q, None
         if type(p) is _GF2Polynomial:

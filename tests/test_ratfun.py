@@ -1270,6 +1270,37 @@ def test_coefficients_are_zero_exactly_when_false(V):
     assert not zero and not (V.one() - V.one()) and V.one()
 
 
+@pytest.mark.parametrize("V", [QQ, GF2, GF4, GF2_U, TAdicRat(GF4), TAdicRat(GF2_U),
+                               LexRank2(GF2), HahnFinite(GF2), HahnFinite(GF2_U)],
+                         ids=str)
+def test_low_degree_is_the_least_exponent_of_the_support(V):
+    # dense polynomials, and packed ones over GF(2), with and without gaps
+    rng = random.Random(f"low-degree:{V}")
+    draw = (lambda r: Fraction(r.randint(-3, 3), r.randint(1, 4))) if V is QQ else (
+        getattr(V, "random_element", None) or V.random)
+    polys = [Polynomial.zero(V), Polynomial.constant(V, V.one()),
+             Polynomial(V, [V.zero()] * 3 + [V.one()])]
+    for _ in range(40):
+        polys.append(Polynomial(V, [V.zero() if rng.random() < 0.5 else draw(rng)
+                                    for _ in range(rng.randint(0, 6))]))
+    assert {type(p) is _GF2Polynomial for p in polys} == {V is GF2}
+    for p in polys:
+        support = p.support()
+        assert p.low_degree() == (support[0] if support else None)
+        # the one-term test, False for the zero polynomial
+        assert (p.low_degree() == p.degree) == (len(support) == 1)
+    assert sum(len(p.support()) == 1 for p in polys) > 1
+
+
+def test_fractional_power_of_zero_is_of_a_non_monomial():
+    # a packed zero has no least exponent, so it is no one-term polynomial
+    H = HahnFinite(GF2)
+    for parse in (H.parse, lambda text: parse_ratfun(H, text)):
+        with pytest.raises(StructuralError) as err:
+            parse("0^{1/2}")
+        assert str(err.value) == "fractional power of a non-monomial"
+
+
 def test_sparse_product_drops_cancelled_terms():
     # (x + 1)(x - 1) = x^2 - 1 has no x term, so a sum that leaves only its
     # constant is read as a constant

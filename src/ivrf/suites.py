@@ -141,18 +141,6 @@ def gauss(seed=0, samples=None, depth=None):
     return report
 
 
-def _tadic_pair_valuation(f, a, V):
-    """v(f(a)) by fraction-free Horner: order of numerator minus order of
-    denominator, no normalization needed."""
-    accN, accD = f.coeffs[-1].num, f.coeffs[-1].den
-    for c in reversed(f.coeffs[:-1]):
-        accN = accN * a.num * c.den + c.num * (accD * a.den)
-        accD = accD * a.den * c.den
-    if accN.is_zero():
-        return INFINITY
-    return V.group.element(min(accN.support()) - min(accD.support()))
-
-
 def predict(seed=0, samples=None, depth=None):
     """v(f(a)) never undercuts the envelope; equality holds exactly when the
     local polynomial does not vanish at the residue of a/a = 1."""
@@ -167,20 +155,13 @@ def predict(seed=0, samples=None, depth=None):
             V = T4
             f = _rand_poly_tadic(V, rng, max_degree=6)
             a = _rand_point_tadic(V, rng)
-            vfa = _tadic_pair_valuation(f, a, V)
-            if k % 100 == 0:
-                ev = f.evaluate(a)
-                direct = V.valuation(ev)
-                if direct != vfa:
-                    _fail(report, f=str(f), a=str(a),
-                          reason="pair valuation disagrees with evaluation")
         else:
             V = Q5
             f = _rand_poly_padic(V, rng, max_degree=8)
             a = V.random_element(rng)
             if a == 0:
                 a = Fraction(1)
-            vfa = V.valuation(f.evaluate(a))
+        vfa = V.valuation(f.evaluate(a))
         predicted = minval_poly(f, V).eval(V.valuation(a))
         if not (vfa is INFINITY or vfa >= predicted):
             _fail(report, f=str(f), a=str(a), reason="value below envelope")

@@ -299,7 +299,7 @@ def notlocal_witness(D, depth=3, split_samples=None):
         zero = V.group.zero()
         bad = []
         for a in split_samples:
-            if a == V.zero():
+            if not a:
                 continue
             pointed = ideal_member(w, Pointed(a), dom)
             expect = V.valuation(a) < zero

@@ -144,7 +144,7 @@ class ValuedField:
     def random_nonzero(self, rng):
         while True:
             x = self.random_element(rng)
-            if x != self.zero():
+            if x:
                 return x
 
     def _residue_is_zero(self, x):
@@ -533,7 +533,7 @@ class HahnFinite(ValuedField):
     def monomial(self, q, c=None):
         kappa = self.kappa
         c = kappa.one() if c is None else c
-        if c == kappa.zero():
+        if not c:
             return self.zero()
         q = Fraction(q)
         a = q.numerator

@@ -276,10 +276,8 @@ def residue_roots(poly, L):
     ``complete`` is True exactly when neither runs out, and then every root
     is found.
     """
-    zero = L.zero()
     if isinstance(L, FiniteField):
-        return ({c for c in L.nonzero_elements() if poly.evaluate(c) == zero},
-                True)
+        return {c for c in L.nonzero_elements() if not poly.evaluate(c)}, True
     if not isinstance(L, RatFuncField):
         raise PreconditionError(f"no root search over {L!r}")
     shift = poly.low_degree()
@@ -322,8 +320,7 @@ def _small_residues(L, allowed):
     small height.
     """
     if allowed is not None and allowed.is_finite:
-        zero = L.zero()
-        return (c for c in allowed.elements() if c != zero)
+        return (c for c in allowed.elements() if c)
     source = L.nonzero_elements() if L.is_finite else L.small_elements()
     residues = (c for c in source if allowed is None or allowed.contains(c))
     return residues if L.is_finite else islice(residues, _SEARCH_LIMIT)

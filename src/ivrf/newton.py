@@ -198,7 +198,7 @@ def local_poly(f, t, V):
     minimum.  So only the attaining indices i < d take field arithmetic, the
     residue of a_i / (a_d t^(d-i)); every other coefficient is 0.
     """
-    if f.is_zero() or t == V.zero():
+    if f.is_zero() or not t:
         raise PreconditionError("local polynomial needs f and t nonzero")
     vt = V.valuation(t)
     vals = [(i, V.valuation(f.coeffs[i]) + vt.scale(i)) for i in f.support()]
@@ -220,14 +220,13 @@ def predict(phi, a, V):
     residue 1 = res(a/a) is a root of neither local polynomial at t = a;
     v(f(a)) can only exceed the envelope, never undercut it.
     """
-    if a == V.zero():
+    if not a:
         raise PreconditionError("predict needs a nonzero point")
     va = V.valuation(a)
     predicted = minval_poly(phi.num, V).eval(va) - minval_poly(phi.den, V).eval(va)
     one = V.residue_field.one()
-    zero = V.residue_field.zero()
-    exact = (local_poly(phi.num, a, V).evaluate(one) != zero
-             and local_poly(phi.den, a, V).evaluate(one) != zero)
+    exact = bool(local_poly(phi.num, a, V).evaluate(one)
+                 and local_poly(phi.den, a, V).evaluate(one))
     return predicted, exact
 
 
@@ -238,7 +237,7 @@ def slopes_check(phi, t, V):
     c' the piece immediately right: c is the difference of the top support
     indices, c' of the bottom support indices.
     """
-    if phi.is_zero() or t == V.zero():
+    if phi.is_zero() or not t:
         raise PreconditionError("slopes need phi and t nonzero")
     locf = local_poly(phi.num, t, V)
     locg = local_poly(phi.den, t, V)

@@ -63,7 +63,7 @@ def _rand_poly_tadic(V, rng, max_degree=8):
         coeffs = []
         for _ in range(deg + 1):
             c = kappa.random(rng)
-            if c == kappa.zero():
+            if not c:
                 coeffs.append(V.zero())
             else:
                 coeffs.append(V.lift(c) * t ** rng.randint(-2, 3))
@@ -167,7 +167,7 @@ def predict(seed=0, samples=None, depth=None):
             _fail(report, f=str(f), a=str(a), reason="value below envelope")
             continue
         loc = local_poly(f, a, V)
-        exact = loc.evaluate(V.residue_field.one()) != V.residue_field.zero()
+        exact = bool(loc.evaluate(V.residue_field.one()))
         if exact != (vfa == predicted):
             _fail(report, f=str(f), a=str(a),
                   reason="exactness flag disagrees with the local polynomial")

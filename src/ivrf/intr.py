@@ -355,7 +355,9 @@ class _Ctx:
 
 
 def _certify(ctx, phi, region, restrict0, depth):
-    """The verdict for one context; a ``CertifiedIn`` carries its pieces."""
+    """The verdict for one context; a ``CertifiedIn`` carries its pieces.
+    ``CertifiedOut`` and ``Unknown`` carry none, so a record is written
+    only on a path that can still end in ``CertifiedIn``."""
     V = ctx.V
     unknown = None
     depth_used = 1
@@ -407,7 +409,6 @@ def _check_interval(ctx, phi, seg, piece, restrict0, rec):
         if gv is not None:
             # residue 1 is in every subfield, so a bare power of value gv is
             # an admissible point even under the residue restriction
-            rec["status"] = "violated"
             return CertifiedOut(V.element_of_value(gv),
                                 f"envelope value {seg.value_at(gv)} at {gv}")
 
@@ -481,8 +482,6 @@ def _check_point(ctx, phi, delta, val, restrict0, depth, prec):
     if not ok_val:
         c = next((c for c in _small_residues(L, allowed) if c not in roots), None)
         if c is not None:
-            prec["classes"].append({"residue": str(c), "case": "exact",
-                                    "action": "witness"})
             return CertifiedOut(t * V.lift(c), f"exact class value {val} at {delta}")
     elif val == zero and ctx.fsub is not None:
         # exact classes have residue r0 * locf(c)/locg(c)
@@ -491,42 +490,38 @@ def _check_point(ctx, phi, delta, val, restrict0, depth, prec):
         r0 = V.residue((phi.num.coeffs[df] * t ** df) /
                        (phi.den.coeffs[dg] * t ** dg))
         h = RationalFunction(locf.scale(r0), locg)
-        prec["classes"].append({"residue": "*", "case": "exact",
-                                "ratio": str(h)})
         out = _residue_condition(ctx, t, h, allowed, roots, delta)
         if out is not None:
             if out.kind == "out":
                 return out
             unknown = unknown or out
+        else:
+            prec["classes"].append({"residue": "*", "case": "exact", "ratio": str(h)})
 
     # Classes needing refinement.
     depth_used = 1
     for c in sorted(roots, key=str):
-        crec = {"residue": str(c), "case": "g-root" if c in roots_g else "f-root"}
-        prec["classes"].append(crec)
         a0 = t * V.lift(c)
         ev = phi.evaluate(a0)
         if ev is POLE:
-            crec["action"] = "pole"
             return CertifiedOut(a0, head="pole")
         if not ctx.point_ok(ev):
-            crec["action"] = "witness"
             return CertifiedOut(a0, head=f"value {V.valuation(ev)}")
         if depth <= 1:
-            crec["action"] = "depth exhausted"
             unknown = unknown or Unknown(
                 f"refinement needed at {delta}, residue {c}; depth exhausted", True)
             continue
         shifted = phi.compose(RationalFunction(
             Polynomial(V, [a0, t], phi.num.var)))
         out = _certify(ctx, shifted, _Region(zero, True, None, True), None, depth - 1)
-        crec["action"] = "refined"
         if out.kind == "out":
             return out.moved(a0 + t * out.witness)
         if out.kind == "unknown":
             unknown = unknown or out
             continue
-        crec["depth"] = out.depth_used
+        prec["classes"].append({"residue": str(c),
+                                "case": "g-root" if c in roots_g else "f-root",
+                                "action": "refined", "depth": out.depth_used})
         depth_used = max(depth_used, 1 + out.depth_used)
 
     return unknown or CertifiedIn(prec, depth_used)

@@ -36,8 +36,9 @@ from .errors import (ConfigError, PreconditionError, ResourceError,
                      StructuralError, UnsupportedCaseError)
 from .ff import _PRIME_CAP, FiniteField, RatFuncField
 from .ordgroup import INFINITY, GroupElement, GroupSpec
-from .parsing import EXPONENT_BOUND, parse_expression
-from .ratfun import Polynomial, RationalFunction, _paren, fraction_free_gcd
+from .parsing import EXPONENT_BOUND
+from .ratfun import (Polynomial, RationalFunction, _paren, fraction_free_gcd,
+                     parse_element)
 
 
 class RationalsContext:
@@ -133,7 +134,7 @@ class ValuedField:
         return env
 
     def parse(self, text):
-        return parse_expression(text, self.symbol_env(), self.from_int)
+        return parse_element(self, text)
 
     def describe(self):
         raise NotImplementedError

@@ -41,7 +41,8 @@ Over fraction-field coefficients F(v), ``clear_denominators`` turns a
 polynomial over F(v) into one over F[v], which the gcd
 (``fraction_free_gcd``) and the residue root search share.
 
-``parse_ratfun`` reads the text form.  While the text is a polynomial in x
+``parse_ratfun`` reads the text form, and ``parse_element`` the text of a
+coefficient by the same rules.  While the text is a polynomial in x
 it holds a sparse polynomial, a dict from exponent to coefficient, so
 ``x^k`` is one term, built with no product of coefficients, and only a
 division by a non-constant (or a negative power of one) makes a
@@ -1187,21 +1188,38 @@ def parse_ratfun(field, text):
     constants and ``x`` is one term.  The power of one term c*x^k is the one
     term c^n*x^(kn), and a product with one term shifts the exponents and
     multiplies each coefficient once; where a coefficient is the field's
-    ``one()`` itself, as in ``x^k`` and ``c*x^k``, no product is taken.  At the first division by a non-constant
-    or negative power of one, both sides become ``RationalFunction``s once,
-    and from there on the operators of ``RationalFunction`` carry the value.
-    The result is one canonical ``RationalFunction``.  The environment of
-    ``x`` and the symbols is built on a field's first parse and kept on the
-    field object: its values are never changed.
+    ``one()`` itself, as in ``x^k`` and ``c*x^k``, no product is taken.  At
+    the first division by a non-constant or negative power of one, both
+    sides become ``RationalFunction``s once, and from there on the operators
+    of ``RationalFunction`` carry the value.  The result is one canonical
+    ``RationalFunction``.
     """
-    env = getattr(field, "_parse_env", None)
-    if env is None:
-        env = {"x": _Parsed(field, {1: field.one()})}
-        for name, val in field.symbol_env().items():
-            env[name] = _Parsed.constant(field, val)
-        field._parse_env = env
-    return parse_expression(
-        text, env, lambda n: _Parsed.constant(field, field.from_int(n))).function()
+    return _parse(field, text, _environments(field)[1]).function()
+
+
+def parse_element(field, text):
+    """Parse an element of ``field``: the grammar of ``parse_ratfun`` without
+    x.  A power of a constant follows the same rule (``_root``), so a power
+    the field does not hold exactly, such as ``2^{1/2}`` over Q, is a
+    ``StructuralError``."""
+    return _parse(field, text, _environments(field)[0]).terms.get(0, field.zero())
+
+
+def _parse(field, text, env):
+    return parse_expression(text, env, lambda n: _Parsed.constant(field, field.from_int(n)))
+
+
+def _environments(field):
+    """The parse environments of ``field``: its symbols (``symbol_env()``),
+    and those with ``x``, as constants and one term.  They are built on the
+    field's first parse and kept on the field object; their values are
+    never changed."""
+    envs = getattr(field, "_parse_envs", None)
+    if envs is None:
+        symbols = {name: _Parsed.constant(field, val)
+                   for name, val in field.symbol_env().items()}
+        envs = field._parse_envs = symbols, {"x": _Parsed(field, {1: field.one()}), **symbols}
+    return envs
 
 
 class _Parsed:

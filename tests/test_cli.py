@@ -233,6 +233,19 @@ class TestErrors:
         assert res.exit_code == 2
         assert "Error: power 1/2 of a non-constant function" in res.output
 
+    @pytest.mark.parametrize("args", [
+        ("ideal", "--config", RING5, "--phi", "x", "--kind", "pointed", "--at", "2^{1/2}"),
+        ("locpoly", "--config", PADIC5, "-f", "x + 1", "-t", "2^{1/2}"),
+        ("member", "--config", '{"field": {"variant": "padic", "p": 5}, "E": ["3^{1/2}"]}',
+         "--phi", "x"),
+    ], ids=["ideal-at", "locpoly-t", "point-set"])
+    def test_inexact_power_in_an_element_exits_two(self, args):
+        res = run(*args)
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        root = "3" if args[0] == "member" else "2"
+        assert f"Error: no exact power 1/2 of {root}" in res.output
+
     def test_unknown_suite_exits_two(self):
         res = run("verify", "nonsense")
         assert res.exit_code == 2

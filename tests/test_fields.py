@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ivrf.errors import PreconditionError
+from ivrf.errors import ParseError, PreconditionError, StructuralError
 from ivrf.ff import FiniteField, RatFuncField
 from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, HahnFinite,
                          LexRank2, PAdicQ, PrimePowerSubfield, TAdicRat,
@@ -201,6 +201,32 @@ class TestSubfields:
 
 
 class TestParsing:
+    @pytest.mark.parametrize("V, text, expected", [
+        (PAdicQ(5), "2^{1/2}", (StructuralError, "no exact power 1/2 of 2")),
+        (PAdicQ(5), "4^{1/2}", (StructuralError, "no exact power 1/2 of 4")),
+        (PAdicQ(5), "(1/4)^{-1/2}", (StructuralError, "no exact power -1/2 of 1/4")),
+        (PAdicQ(5), "7/2 + 5^2", "57/2"),
+        (PAdicQ(5), "x", (ParseError, "unknown symbol 'x'")),
+        (TAdicRat(FiniteField(2, 2)), "t^{1/2}", (StructuralError, "no exact power 1/2 of t")),
+        (TAdicRat(FiniteField(2, 2)), "(u*t)^{-2}", "u/t^2"),
+        (LexRank2(FiniteField(3)), "t2^{1/2}", (StructuralError, "no exact power 1/2 of t2")),
+        (HahnFinite(RatFuncField(FiniteField(2), "u")), "u*(t^2)^{1/4}", "u*t^{1/2}"),
+        (HahnFinite(RatFuncField(FiniteField(2), "u")), "(1+t)^{1/2}",
+         (StructuralError, "fractional power of a non-monomial")),
+    ], ids=["Q:2^1/2", "Q:4^1/2", "Q:(1/4)^-1/2", "Q:sum", "Q:x", "tadic:t^1/2",
+            "tadic:(ut)^-2", "lex2:t2^1/2", "hahn:monomial", "hahn:non-monomial"])
+    def test_element_powers_follow_the_function_rule(self, V, text, expected):
+        # an element text takes a power by the rule parse_ratfun applies to
+        # a constant: the field's exact power or an error, never a float
+        if isinstance(expected, str):
+            x = V.parse(text)
+            assert str(x) == expected and type(x) is type(V.zero())
+            return
+        error, message = expected
+        with pytest.raises(error) as err:
+            V.parse(text)
+        assert str(err.value) == message
+
     def test_round_trips(self):
         cases = [
             (PAdicQ(5), ["7/2", "-3", "50"]),

@@ -343,9 +343,11 @@ class Polynomial:
         end.  Over every other field the value at 0 is the constant
         coefficient and at 1 the sum of the coefficients, with no product;
         elsewhere Horner's rule runs over the nonzero terms, multiplying by
-        a^g for the gap g to the next one (``power``).  On a dense
-        polynomial every gap is 1, which is the plain Horner loop; a sparse
-        one such as x^256 + c costs about 2 log2(256) products, not 256.
+        a^g for the gap g to the next one.  On a dense polynomial every gap
+        is 1, which is the plain Horner loop; a sparse one such as x^256 + c
+        takes one power of a, by the point's own ``**``: a reduced fraction
+        (a t-adic or Hahn point) is raised with no gcd, where repeated
+        products would cancel at every step.
         """
         coeffs = self.coeffs
         if len(coeffs) <= 1:
@@ -363,7 +365,8 @@ class Polynomial:
             c = coeffs[i]
             if i and not c:
                 continue
-            acc = acc * power(a, top - i) + c
+            gap = top - i
+            acc = acc * (a if gap == 1 else a ** gap) + c
             top = i
         return acc
 

@@ -831,6 +831,29 @@ def test_sparse_polynomial_evaluates_by_powers(monkeypatch):
     assert len(products) <= 2 * 8 + 2
 
 
+def test_sparse_evaluation_at_a_fraction_takes_no_gcd_in_its_variable(monkeypatch):
+    # x^27 + u at a t-adic point: a^27 of a reduced fraction is reduced as
+    # it stands, where 27 products a * a would cancel by gcds in t
+    V = TAdicRat(RatFuncField(FiniteField(3), "u"))
+    u, t = V.lift(V.kappa.gen()), V.gen()
+    a = (u * t + 1) / (t + u)
+    want = V.one()
+    for _ in range(27):
+        want = want * a
+    want = want + u
+    p = Polynomial.from_dict(V, {0: u, 27: V.one()})
+    gcds = []
+    gcd = Polynomial.gcd
+
+    def counted(f, g):
+        gcds.append(f.var)
+        return gcd(f, g)
+
+    monkeypatch.setattr(Polynomial, "gcd", staticmethod(counted))
+    assert p.evaluate(a) == want
+    assert "t" not in gcds
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_evaluate_matches_the_sum_of_terms(seed):
     # gaps of every size, a zero constant term, and the points 0 and 1

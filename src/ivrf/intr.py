@@ -491,12 +491,12 @@ def _check_point(ctx, phi, delta, val, restrict0, depth, prec):
                        (phi.den.coeffs[dg] * t ** dg))
         h = RationalFunction(locf.scale(r0), locg)
         out = _residue_condition(ctx, t, h, allowed, roots, delta)
-        if out is not None:
-            if out.kind == "out":
-                return out
-            unknown = unknown or out
-        else:
+        if out is None:
             prec["classes"].append({"residue": "*", "case": "exact", "ratio": str(h)})
+        elif out.kind == "out":
+            return out
+        else:
+            unknown = unknown or out
 
     # Classes needing refinement.
     depth_used = 1

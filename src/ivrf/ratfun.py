@@ -941,9 +941,9 @@ def _cancel(p, q):
     Where p == q, g = monic(p) and both cofactors are the constant lc(p).
     Where either has one term c v^k, g = v^m with m the lesser of the two
     least exponents (``low_degree``): c is a unit of the field, so
-    gcd(c v^k, q) = v^min(k, ord q), and dividing by v^m drops the m lowest coefficients (a
-    shift of the bits when packed).  Every other pair goes to
-    ``Polynomial.gcd``.  The monic gcd is unique, so all give one result.
+    gcd(c v^k, q) = v^min(k, ord q), and dividing by v^m drops the m lowest
+    coefficients (a shift of the bits when packed).  Every other pair goes
+    to ``Polynomial.gcd``.  The monic gcd is unique, so all give one result.
     """
     if p.degree <= 0 or q.degree <= 0:
         return p, q, None
@@ -1213,10 +1213,11 @@ def _parse(field, text, env):
 
 
 def _environments(field):
-    """The parse environments of ``field``: its symbols (``symbol_env()``),
-    and those with ``x``, as constants and one term.  They are built on the
-    field's first parse and kept on the field object; their values are
-    never changed."""
+    """The two parse environments of ``field``: its symbols
+    (``symbol_env()``) as constants, for ``parse_element``, and the same with
+    ``x`` as one term, for ``parse_ratfun``.  Both are built on the field's
+    first parse and kept on the field object; their values are never
+    changed."""
     envs = getattr(field, "_parse_envs", None)
     if envs is None:
         symbols = {name: _Parsed.constant(field, val)

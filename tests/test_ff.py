@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -87,6 +88,23 @@ def test_division_by_zero():
     F = FiniteField(2, 2)
     with pytest.raises(StructuralError):
         F.one() / F.zero()
+
+
+def test_extension_field_elements_print_as_polynomials_in_the_generator():
+    # every element of every table-backed GF(p^k), k > 1, under three
+    # generator names: the digest pins each printed string
+    h = hashlib.sha256()
+    printed = 0
+    for gen in ("u", "w", "a1"):
+        for p, k in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2), (7, 2)]:
+            F = FiniteField(p, k, gen)
+            for a in F.elements():
+                h.update(f"{F.q}\t{gen}\t{a!r}\n".encode())
+                printed += 1
+    assert printed == 702
+    assert h.hexdigest() == "411f70e5089e9d5480d63b745e5147ecfd93b6ca6bf449c9b492bdbd53043488"
+    assert [repr(a) for a in FiniteField(3, 2, "a1").elements()] == [
+        "0", "1", "2", "a1", "a1 + 1", "a1 + 2", "2*a1", "2*a1 + 1", "2*a1 + 2"]
 
 
 def test_pth_root_roundtrip():

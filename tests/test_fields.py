@@ -1,15 +1,18 @@
+import operator
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from ivrf.errors import ParseError, PreconditionError, StructuralError
 from ivrf.ff import FiniteField, RatFuncField
-from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, HahnFinite,
-                         LexRank2, PAdicQ, PrimePowerSubfield, TAdicRat,
-                         field_from_config, subfield_from_config)
+from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, HahnElement,
+                         HahnFinite, LexRank2, PAdicQ, PrimePowerSubfield, TAdicRat,
+                         _spread, field_from_config, subfield_from_config)
 from ivrf.intr import DomainSpec, domain_from_config
 from ivrf.ordgroup import INFINITY
+from ivrf.ratfun import RationalFunction
 
 ALL_FIELDS = [
     PAdicQ(5),
@@ -280,6 +283,38 @@ def test_hahn_canonical_equality():
             y = H.random_nonzero(rng) * third + H.random_element(rng)
             for z in ((x * y) / y, (x + y) - y):
                 assert z == x and hash(z) == hash(x)
+
+
+def test_hahn_operators_match_the_spread_functions():
+    # operands on the lattices t^(1/2) and t^(1/3), and ints on either side
+    # (1 - h, h - 1, 2 / h, h / 2): every result, spread onto the lcm lattice
+    # of its operands, is the operation on the operands spread onto it
+    H = HahnFinite(FiniteField(3))
+    half, third = H.monomial(Fraction(1, 2)), H.monomial(Fraction(1, 3))
+    rng = random.Random("hahn-operators")
+    xs = [1 - half, half + 2 * third ** 2, H.random_nonzero(rng) * half + third]
+    ys = [third, 1 + half * third, H.random_nonzero(rng) * third - half]
+
+    def lattice(a):
+        return 1 if isinstance(a, int) else a.m
+
+    def spread(a, k):
+        if isinstance(a, int):
+            return RationalFunction.constant(H.kappa, H.kappa.from_int(a), "s")
+        return _spread(a.f, k // a.m)
+
+    pairs = ([(x, y) for x in xs for y in ys] + [(n, x) for x in xs for n in (1, 2)]
+             + [(x, n) for x in xs for n in (1, 2)])
+    for a, b in pairs:
+        k = lcm(lattice(a), lattice(b))
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            z = op(a, b)
+            assert isinstance(z, HahnElement) and k % z.m == 0
+            assert _spread(z.f, k // z.m) == op(spread(a, k), spread(b, k)), (a, b, op)
+    for x in xs:
+        for zero in (0, H.zero()):
+            with pytest.raises(StructuralError):
+                x / zero
 
 
 # The valued-field surface every variant shares: one case per field, with

@@ -17,6 +17,7 @@ polynomial arithmetic under the GF(2)(u) towers runs on ints.
 from __future__ import annotations
 
 import itertools
+from math import isqrt
 
 from .errors import StructuralError, ResourceError
 from .ratfun import Polynomial, RationalFunction, power
@@ -25,15 +26,9 @@ _TABLE_CAP = 64  # largest q for table-backed extension fields
 _PRIME_CAP = 2 ** 16  # largest p; GF(p) keeps all p elements
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def _least_factor(n):
+    """The least factor d >= 2 of an integer n >= 2 (n itself when prime)."""
+    return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
 
 
 class FiniteField:
@@ -53,7 +48,7 @@ class FiniteField:
     def _init(self, p, k, gen_name):
         if p > _PRIME_CAP:
             raise ResourceError(f"the prime {p} exceeds the cap {_PRIME_CAP}")
-        if not _is_prime(p):
+        if p < 2 or _least_factor(p) != p:
             raise StructuralError(f"{p} is not prime")
         if k < 1:
             raise StructuralError("extension degree must be positive")
@@ -279,18 +274,9 @@ class FFElement:
         f = self.field
         if f.k == 1:
             return str(self.idx)
-        digits = f._digits(self.idx)
-        parts = []
-        for i in range(f.k - 1, -1, -1):
-            d = digits[i]
-            if d == 0:
-                continue
-            if i == 0:
-                parts.append(str(d))
-            else:
-                s = f.gen_name if i == 1 else f"{f.gen_name}^{i}"
-                parts.append(s if d == 1 else f"{d}*{s}")
-        return " + ".join(parts) if parts else "0"
+        Fp = f.modulus.field
+        return Polynomial(Fp, [Fp.element(d) for d in f._digits(self.idx)],
+                          f.gen_name).to_str()
 
 
 class RatFuncField:

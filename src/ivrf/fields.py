@@ -30,11 +30,11 @@ elements in s = t^(1/m).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import (ConfigError, PreconditionError, ResourceError,
                      StructuralError, UnsupportedCaseError)
-from .ff import _PRIME_CAP, FiniteField, RatFuncField
+from .ff import _PRIME_CAP, _least_factor, FiniteField, RatFuncField
 from .ordgroup import INFINITY, GroupElement, GroupSpec
 from .parsing import EXPONENT_BOUND
 from .ratfun import (Polynomial, RationalFunction, _paren, fraction_free_gcd,
@@ -758,7 +758,7 @@ def _split_prime_power(q):
         raise ResourceError(f"order {q} exceeds the cap {_PRIME_CAP}")
     if q < 2:
         raise ConfigError(f"{q} is not a prime power")
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    p = _least_factor(q)
     k, m = 0, q
     while m % p == 0:
         m //= p

@@ -311,15 +311,13 @@ class RatFuncField:
 
     is_finite = False
 
-    def random(self, rng, degree=2):
-        num = Polynomial(self.base,
-                         [self.base.random(rng) for _ in range(degree + 1)],
-                         self.var)
-        den = Polynomial.zero(self.base, self.var)
+    def random(self, rng, degree=1):
+        def draw():
+            return Polynomial(self.base, [self.base.random(rng) for _ in range(degree + 1)],
+                              self.var)
+        num, den = draw(), draw()
         while den.is_zero():
-            den = Polynomial(self.base,
-                             [self.base.random(rng) for _ in range(degree + 1)],
-                             self.var)
+            den = draw()
         return RationalFunction(num, den)
 
     def small_elements(self):

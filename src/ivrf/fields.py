@@ -29,6 +29,7 @@ elements in s = t^(1/m).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -223,13 +224,6 @@ def _unit_residue(f):
     return f.num.coeff(m) / f.den.coeff(m)
 
 
-def _random_residue(kappa, rng):
-    """A random element of kappa, of degree at most 1 over GF(q)(u)."""
-    if kappa.is_finite:
-        return kappa.random(rng)
-    return kappa.random(rng, degree=1)
-
-
 class TAdicRat(ValuedField):
     """kappa(t) with the t-adic valuation; elements are reduced fractions of
     polynomials in t over the residue field kappa."""
@@ -270,8 +264,7 @@ class TAdicRat(ValuedField):
 
     def random_element(self, rng):
         def poly(terms):
-            return Polynomial(self.kappa, [_random_residue(self.kappa, rng)
-                                           for _ in range(terms)], "t")
+            return Polynomial(self.kappa, [self.kappa.random(rng) for _ in range(terms)], "t")
         num = poly(rng.randint(0, 2) + 1)
         den = Polynomial.zero(self.kappa, "t")
         while den.is_zero():
@@ -334,7 +327,7 @@ class LexRank2(ValuedField):
         return self.gen2()  # (0,1) is the least positive value
 
     def random_element(self, rng):
-        coeff = self.inner.random(rng, degree=1)
+        coeff = self.inner.random(rng)
         x = RationalFunction.constant(self.inner, coeff, "t2")
         return (x * self.gen1() ** rng.randint(-1, 1)
                 * self.gen2() ** rng.randint(-1, 1)
@@ -406,27 +399,19 @@ class HahnElement:
     def is_zero(self):
         return self.f.is_zero()
 
-    def _coerce(self, other):
-        if isinstance(other, HahnElement):
-            return other
+    def _combine(self, other, op):
+        """op on both functions spread onto the lcm of both lattices (an int
+        operand is lifted), as an element on its least lattice."""
         if isinstance(other, int):
-            return self.field.from_int(other)
-        return None
-
-    def _lattice(self, o):
-        """The lcm of both lattices and both functions spread onto it."""
-        m, n = self.m, o.m
-        if m == n:
-            return m, self.f, o.f
-        k = _lattice_lcm(m, n)
-        return k, _spread(self.f, k // m), _spread(o.f, k // n)
+            other = self.field.from_int(other)
+        elif not isinstance(other, HahnElement):
+            return NotImplemented
+        k = _lattice_lcm(self.m, other.m)
+        return _hahn(self.field, k, op(_spread(self.f, k // self.m),
+                                       _spread(other.f, k // other.m)))
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        m, a, b = self._lattice(o)
-        return _hahn(self.field, m, a + b)
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
@@ -434,37 +419,21 @@ class HahnElement:
         return HahnElement(self.field, self.m, -self.f)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return self._combine(other, lambda a, b: b - a)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        m, a, b = self._lattice(o)
-        return _hahn(self.field, m, a * b)
+        return self._combine(other, operator.mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise StructuralError("division by zero")
-        m, a, b = self._lattice(o)
-        return _hahn(self.field, m, a / b)
+        return self._combine(other, operator.truediv)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        return self._combine(other, lambda a, b: b / a)
 
     def __pow__(self, n):
         if isinstance(n, Fraction) and n.denominator != 1:
@@ -589,7 +558,7 @@ class HahnFinite(ValuedField):
         for _ in range(rng.randint(1, 3)):
             # the coefficient is drawn before the exponent: seeded samples
             # and the golden digests rest on this order
-            c = _random_residue(self.kappa, rng)
+            c = self.kappa.random(rng)
             x = x + self.monomial(rng.choice(pool), c)
         return x
 

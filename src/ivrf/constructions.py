@@ -262,8 +262,6 @@ def notlocal_witness(D, depth=3, split_samples=None):
     if L.is_finite:
         q = L.q
         den = {0: V.one(), 1: V.from_int(-1), q: V.one()}
-        w = RationalFunction(Polynomial.constant(V, V.one()),
-                             Polynomial.from_dict(V, den))
         record["case"] = f"finite residue field of order {q}"
         record["maps_to_one"] = all(
             d ** q - d + 1 == L.one() for d in L.elements())
@@ -283,13 +281,12 @@ def notlocal_witness(D, depth=3, split_samples=None):
                                 f"{EXPONENT_BOUND}")
         c = L.gen()  # the variable u lies outside GF(q)(u^(p^e))
         den = {0: -V.lift(c ** pe), degree: V.one()}
-        w = RationalFunction(Polynomial.constant(V, V.one()),
-                             Polynomial.from_dict(V, den))
         record["case"] = f"purely inseparable of exponent {e}"
         denom_residue = Polynomial.from_dict(L, {0: -(c ** pe), degree: L.one()})
         roots, complete = residue_roots(denom_residue, L)
         record["denominator_rootless"] = complete and not roots
 
+    w = RationalFunction(Polynomial.constant(V, V.one()), Polynomial.from_dict(V, den))
     dom = DomainSpec(D.components, WHOLE_FIELD)
     verdict = intr_member(w, dom, depth=depth)
     record["membership"] = verdict.to_json()

@@ -923,7 +923,7 @@ class RationalFunction:
         return self.to_str()
 
     def to_str(self):
-        if self.den == Polynomial.constant(self.field, self.field.one(), self.var):
+        if self.den.degree == 0:
             return self.num.to_str()
         ns = self.num.to_str()
         ds = self.den.to_str()

@@ -39,37 +39,31 @@ def _fail(report, **info):
 
 # -- sample generators -------------------------------------------------------
 
-def _rand_poly_padic(V, rng, max_degree=8):
+def _rand_poly(V, rng, max_degree, coefficient):
+    """A nonzero polynomial over V: a degree drawn up to ``max_degree``, then
+    each coefficient by ``coefficient()``, drawn again while it is zero."""
     while True:
-        deg = rng.randint(0, max_degree)
-        coeffs = []
-        for _ in range(deg + 1):
-            if rng.random() < 0.2:
-                coeffs.append(Fraction(0))
-            else:
-                coeffs.append(Fraction(rng.randint(-9, 9))
-                              * Fraction(V.p) ** rng.randint(-2, 2))
-        f = Polynomial(V, coeffs)
+        f = Polynomial(V, [coefficient() for _ in range(rng.randint(0, max_degree) + 1)])
         if not f.is_zero():
             return f
+
+
+def _rand_poly_padic(V, rng, max_degree=8):
+    def coefficient():
+        if rng.random() < 0.2:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9)) * Fraction(V.p) ** rng.randint(-2, 2)
+    return _rand_poly(V, rng, max_degree, coefficient)
 
 
 def _rand_poly_tadic(V, rng, max_degree=8):
     # monomial coefficients c * t^e keep the exact arithmetic small
-    kappa = V.kappa
     t = V.gen()
-    while True:
-        deg = rng.randint(0, max_degree)
-        coeffs = []
-        for _ in range(deg + 1):
-            c = kappa.random(rng)
-            if not c:
-                coeffs.append(V.zero())
-            else:
-                coeffs.append(V.lift(c) * t ** rng.randint(-2, 3))
-        f = Polynomial(V, coeffs)
-        if not f.is_zero():
-            return f
+
+    def coefficient():
+        c = V.kappa.random(rng)
+        return V.lift(c) * t ** rng.randint(-2, 3) if c else V.zero()
+    return _rand_poly(V, rng, max_degree, coefficient)
 
 
 def _rand_point_tadic(V, rng):

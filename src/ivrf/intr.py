@@ -271,7 +271,9 @@ def residue_roots(poly, L):
     highest, so n is a unit times a monic divisor of the one and d a monic
     divisor of the other.  A candidate is a root exactly when
     sum_i P_i n^i d^(deg-i) vanishes (``horner``), which needs no fraction
-    arithmetic.  A search tries at most ``_ROOT_BUDGET`` trial divisors per
+    arithmetic.  The sum cannot vanish when one index alone reaches the
+    largest term degree deg P_i + i deg n + (deg-i) deg d over the nonzero
+    P_i, so only the other candidates are summed.  A search tries at most ``_ROOT_BUDGET`` trial divisors per
     end coefficient and screens at most ``_ROOT_BUDGET`` candidates;
     ``complete`` is True exactly when neither runs out, and then every root
     is found.
@@ -292,9 +294,16 @@ def residue_roots(poly, L):
     one = Polynomial.constant(L.base, L.base.one(), L.var)
     candidates = ((n.scale(c), d) for d in dens for n in nums
                   if Polynomial.gcd(n, d).degree == 0 for c in L.base.nonzero_elements())
+    terms = [(i, c.degree) for i, c in enumerate(cleared) if c]
+    top = len(cleared) - 1
+
+    def may_vanish(n, d):
+        degrees = [dc + i * n.degree + (top - i) * d.degree for i, dc in terms]
+        return degrees.count(max(degrees)) > 1
+
     roots = {RationalFunction(n, d, _canonical=True)
              for n, d in islice(candidates, _ROOT_BUDGET)
-             if horner(cleared, n, d, one)[0].is_zero()}
+             if may_vanish(n, d) and horner(cleared, n, d, one)[0].is_zero()}
     return roots, nums_complete and dens_complete and next(candidates, None) is None
 
 

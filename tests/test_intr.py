@@ -14,7 +14,7 @@ from ivrf.intr import (CertifiedIn, CertifiedOut, DomainSpec, MStar, Pointed,
                        _small_residues, characteristic_set, dichotomy_check,
                        domain_from_config, ideal_member, intr_member, residue_roots)
 from ivrf.newton import minval_rat
-from ivrf.ratfun import (POLE, Polynomial, RationalFunction, clear_denominators,
+from ivrf.ratfun import (POLE, Polynomial, RationalFunction, clear_denominators, horner,
                          parse_ratfun)
 
 Q5 = PAdicQ(5)
@@ -543,6 +543,46 @@ def test_root_search_finds_planted_roots_past_degree_four(L, most):
         roots, complete = residue_roots(p, L)
         assert complete and planted <= roots, p
         assert all(p.evaluate(r) == L.zero() for r in roots)
+
+
+def _counting_horner(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return horner(*args)
+    monkeypatch.setattr(intr, "horner", counted)
+    return calls
+
+
+def test_root_search_sums_no_candidate_with_a_single_top_degree(monkeypatch):
+    # x^729 - u^27: the candidates c*u^j (j <= 8 or j >= 19) give the term
+    # degrees 27 and 729*j, never equal, so no candidate sum is taken; the
+    # divisor budget still leaves the search incomplete
+    L = RatFuncField(FiniteField(3), "u")
+    u = L.gen()
+    calls = _counting_horner(monkeypatch)
+    p = Polynomial.from_dict(L, {0: -(u ** 27), 729: L.one()})
+    assert residue_roots(p, L) == (set(), False)
+    assert calls == []
+
+
+def test_root_search_sums_the_candidates_whose_top_degrees_tie(monkeypatch):
+    # x^2 + u^2 over GF(3)(u) has no root, but its candidates +-u tie at
+    # term degree 2 and are summed, while 1, -1, u^2 and -u^2 are not
+    L = RatFuncField(FiniteField(3), "u")
+    u, x = L.gen(), Polynomial.gen(L)
+    calls = _counting_horner(monkeypatch)
+    assert residue_roots(x ** 2 + u ** 2, L) == (set(), True)
+    assert len(calls) == 2
+    # at a root two term degrees tie, so planted roots of several heights
+    # are all still found
+    planted = {u, -u, (u ** 2 + 1) / u, u / (u + 1), 1 / (u ** 3 + u + 1)}
+    p = Polynomial.constant(L, L.one())
+    for r in planted:
+        p = p * (x - r)
+    roots, complete = residue_roots(p, L)
+    assert complete and roots == planted
 
 
 class TestRestrictedResidues:

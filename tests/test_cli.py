@@ -4,6 +4,7 @@ import pytest
 
 from click.testing import CliRunner
 
+from ivrf import constructions as cons
 from ivrf.cli import main
 from ivrf.intr import domain_from_config
 from ivrf.ratfun import POLE, parse_ratfun
@@ -44,6 +45,13 @@ class TestMinval:
         assert lines[0] == "gamma,minval,observed,exact"
         assert len(lines) == 6
 
+    def test_json_sweep(self):
+        res = run("minval", "--config", PADIC5, "-f", "5+x", "--sweep", "2")
+        data = payload(res)
+        assert res.exit_code == 0
+        assert len(data["sweep"]) == 5
+        assert [line.split(",")[0] for line in data["sweep"]] == ["-2", "-1", "0", "1", "2"]
+
 
 class TestMember:
     def test_certified_out_with_witness_five(self):
@@ -59,6 +67,13 @@ class TestMember:
         data = payload(res)
         assert data["verdict"] == "CertifiedIn"
         assert data["depth_used"] == 2
+
+    def test_out_writes_the_printed_text(self, tmp_path):
+        out = tmp_path / "member.json"
+        printed = run("member", "--config", RING5, "--phi", "(x^5-x)/5")
+        written = run("member", "--config", RING5, "--phi", "(x^5-x)/5", "--out", str(out))
+        assert written.exit_code == 0 and written.stdout == ""
+        assert out.read_text() == printed.stdout
 
     def test_witness_in_the_residue_variable(self):
         # roots over GF(2)(v) are built in v, not in a fixed variable
@@ -98,6 +113,11 @@ class TestIdeal:
         res = run("ideal", "--config", RING5, "--phi", "x",
                   "--kind", "pointed", "--at", "1")
         assert payload(res)["member"] is False
+
+    def test_pointed_without_at_exits_two(self):
+        res = run("ideal", "--config", RING5, "--phi", "x", "--kind", "pointed")
+        assert res.exit_code == 2, res.output
+        assert "--at" in res.output
 
     def test_mstar(self):
         res = run("ideal", "--config", HAHN_PVD, "--phi", "x", "--kind", "mstar")
@@ -145,6 +165,15 @@ class TestConstruct:
         data = payload(res)
         assert res.exit_code == 0
         assert data["verification"]["ok"]
+
+    def test_theta_csv(self):
+        res = run("construct", "theta", "--samples", "4", "--format", "csv")
+        assert res.exit_code == 0, res.output
+        lines = res.stdout.splitlines()
+        assert lines[0] == "a,v_2(a),v_2(theta(a)),v_3(a),v_3(theta(a))"
+        grid = [str(a) for a in cons.coprime_grid(4)]
+        assert [line.split(",")[0] for line in lines[1:]] == grid
+        assert all(len(line.split(",")) == 5 for line in lines[1:])
 
     def test_psi_identity_exit_zero(self):
         res = run("construct", "psi", "--preset", "t6n2", "--samples", "10")
@@ -201,6 +230,19 @@ class TestVerify:
                                              "checked": 0, "failures": [{}]})
         res = run("verify", "slopes")
         assert res.exit_code == 1
+
+    def test_suite_violation_exits_one(self, monkeypatch):
+        # an envelope oracle one too high everywhere: every point disagrees,
+        # and the report keeps ten of the failures
+        import ivrf.suites as suites_mod
+        real = suites_mod.minval_poly
+        monkeypatch.setattr(suites_mod, "minval_poly",
+                            lambda f, V: real(f.scale(V.uniformizer()), V))
+        res = run("verify", "envelope", "--samples", "12")
+        data = payload(res)
+        assert res.exit_code == 1
+        assert data["ok"] is False
+        assert 1 <= len(data["failures"]) <= 10
 
 
 class TestErrors:
@@ -341,6 +383,13 @@ class TestErrors:
         res = run("member", "--config", str(tmp_path / "missing.json"), "--phi", "x")
         assert res.exit_code == 2, res.output
         assert "missing.json" in res.output
+
+    def test_config_file_holding_a_list_exits_two(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text('[{"variant": "padic", "p": 5}]')
+        res = run("member", "--config", str(path), "--phi", "x")
+        assert res.exit_code == 2, res.output
+        assert "is not a JSON object" in res.output
 
     @pytest.mark.parametrize("depth", ["0", "-1"])
     def test_depth_below_one_exits_two(self, depth):

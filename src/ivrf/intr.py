@@ -273,10 +273,10 @@ def residue_roots(poly, L):
     sum_i P_i n^i d^(deg-i) vanishes (``horner``), which needs no fraction
     arithmetic.  The sum cannot vanish when one index alone reaches the
     largest term degree deg P_i + i deg n + (deg-i) deg d over the nonzero
-    P_i, so only the other candidates are summed.  A search tries at most ``_ROOT_BUDGET`` trial divisors per
-    end coefficient and screens at most ``_ROOT_BUDGET`` candidates;
-    ``complete`` is True exactly when neither runs out, and then every root
-    is found.
+    P_i, so only the other candidates are summed.  A search tries at most
+    ``_ROOT_BUDGET`` trial divisors per end coefficient and screens at most
+    ``_ROOT_BUDGET`` candidates; ``complete`` is True exactly when neither
+    runs out, and then every root is found.
     """
     if isinstance(L, FiniteField):
         return {c for c in L.nonzero_elements() if not poly.evaluate(c)}, True

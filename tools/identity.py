@@ -3,12 +3,15 @@ leaves every one of them byte-identical.
 
     python tools/identity.py [--suite-seed 7] [--corpus-seeds 7 2024]
 
-prints three sha256 digests: ``suites`` over the ten ``run_suite`` reports
+prints four sha256 digests: ``suites`` over the ten ``run_suite`` reports
 at the suite seed (default sample counts, without ``elapsed``); ``corpus``
 over ``str(phi)`` and the verdict JSON of ``intr_member(phi, D, depth=3)``
 for every ``certify`` and ``tower`` item of ``perfbench/corpus.py`` at each
-corpus seed; and ``kinds`` over the seed, the item id and the verdict kind
-(in, out or unknown) of the same items.  A change that rewrites witnesses or
+corpus seed; ``kinds`` over the seed, the item id and the verdict kind
+(in, out or unknown) of the same items; and ``witness`` over the
+``notlocal_witness`` records of the Frobenius pullbacks of GF(2)(u)
+(e = 1..4) and GF(3)(u) (e = 1, 2), each on the t-adic and the Hahn field,
+at depth 3 with 10 split samples drawn from ``random.Random(0)``.  A change that rewrites witnesses or
 reasons on purpose moves ``corpus`` but must keep ``kinds``: that shows no
 verdict changed kind.  It reads the package and the corpus of the checkout
 that holds it, so compare its lines from two checkouts.  It writes no files.
@@ -18,6 +21,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import sys
 
 sys.dont_write_bytecode = True
@@ -39,6 +43,20 @@ def suites_digest(seed):
         report = run_suite(name, seed=seed)
         report.pop("elapsed")
         h.update(f"{name}\t{_dump(report)}\n".encode())
+    return h.hexdigest()
+
+
+def witness_digest():
+    h = hashlib.sha256()
+    for p, exponents in ((2, range(1, 5)), (3, range(1, 3))):
+        L = ivrf.RatFuncField(ivrf.FiniteField(p), "u")
+        for V in (ivrf.TAdicRat(L), ivrf.HahnFinite(L)):
+            for e in exponents:
+                D = ivrf.DomainSpec.pvd(V, ivrf.FrobeniusSubfield(L, e))
+                rng = random.Random(0)
+                pts = [V.random_nonzero(rng) for _ in range(10)]
+                w, record = ivrf.notlocal_witness(D, depth=3, split_samples=pts)
+                h.update(f"{D.describe()}\t{w}\t{_dump(record)}\n".encode())
     return h.hexdigest()
 
 
@@ -68,3 +86,4 @@ if __name__ == "__main__":
     corpus_hex, kinds_hex = corpus_digests(args.corpus_seeds)
     print("corpus", corpus_hex)
     print("kinds", kinds_hex)
+    print("witness", witness_digest())

@@ -97,6 +97,7 @@ def minval(config, expr, sweep, out, fmt):
     V = _field_only(config)
     phi = parse_ratfun(V, expr)
     pl = minval_rat(phi, V)
+    report = _report("minval", function=str(phi), envelope=pl.to_json())
     if fmt == "csv" or sweep:
         lines = ["gamma,minval,observed,exact"]
         for k in range(-abs(sweep), abs(sweep) + 1):
@@ -109,10 +110,8 @@ def minval(config, expr, sweep, out, fmt):
         if fmt == "csv":
             _emit("\n".join(lines), out, "csv")
             return
-        _emit(_report("minval", function=str(phi), envelope=pl.to_json(),
-                      sweep=lines[1:]), out)
-        return
-    _emit(_report("minval", function=str(phi), envelope=pl.to_json()), out)
+        report["sweep"] = lines[1:]
+    _emit(report, out)
 
 
 @main.command()
@@ -216,9 +215,9 @@ def construct_theta(preset, samples, fmt, out):
                 cells.append(str(V.valuation(val)))
             lines.append(",".join(cells))
         _emit("\n".join(lines), out, "csv")
-        sys.exit(0 if rep["ok"] else 1)
-    _emit(_report("construct theta", preset=S.describe(), theta=str(th),
-                  verification=rep), out)
+    else:
+        _emit(_report("construct theta", preset=S.describe(), theta=str(th),
+                      verification=rep), out)
     sys.exit(0 if rep["ok"] else 1)
 
 

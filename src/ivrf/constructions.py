@@ -68,9 +68,9 @@ class SingularData:
 
 
 def preset(name):
-    if name in ("t6n2", "23"):
+    if name == "t6n2":
         return SingularData([2, 3], 6, 2)
-    if name in ("t30n2", "235"):
+    if name == "t30n2":
         return SingularData([2, 3, 5], 30, 2)
     raise PreconditionError(f"unknown preset {name!r}")
 

@@ -36,7 +36,7 @@ from .errors import (ConfigError, PreconditionError, StructuralError,
                      UndecidedError)
 from .fields import (FrobeniusSubfield, _config_value, field_from_config,
                      in_pullback, subfield_from_config)
-from .ff import FiniteField, RatFuncField, polynomials, rf_pth_root
+from .ff import FiniteField, RatFuncField, polynomials
 from .newton import local_poly, minval_poly, minval_rat
 from .ordgroup import lattice_point_in_interval
 from .ratfun import (POLE, Polynomial, RationalFunction, _primitive_part,
@@ -125,10 +125,6 @@ class DomainSpec:
     def __init__(self, components, E):
         self.components = components  # list of (ValuedField, subfield-or-None)
         self.E = E
-
-    @classmethod
-    def valuation_ring(cls, V, E=WHOLE_RING):
-        return cls([(V, None)], E)
 
     @classmethod
     def pvd(cls, V, sub, E=WHOLE_RING):
@@ -551,14 +547,12 @@ def _residue_condition(ctx, t, h, allowed, roots, delta):
         return (_probe(ctx, t, residues, h, roots)
                 or Unknown("no probe residue found"))
 
-    if isinstance(ctx.fsub, FrobeniusSubfield):
-        reduced = h
-        for _ in range(ctx.fsub.purely_inseparable_exponent):
-            reduced = rf_pth_root(reduced, L.base.p)
-            if reduced is None:
-                break
-        else:
-            return None
+    sub = ctx.fsub
+    if isinstance(sub, FrobeniusSubfield) and all(
+            i % sub.step == 0 and sub.contains(f.coeff(i))
+            for f in (h.num, h.den) for i in f.support()):
+        # h is then a p^e-th power (GF(q) is perfect), and so is each h(c)
+        return None
 
     return (_probe(ctx, t, residues, h, roots)
             or Unknown(f"residue ratio {h} into subfield undecided at {delta}"))

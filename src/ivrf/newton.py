@@ -159,19 +159,16 @@ def minval_poly(f, V):
         b = V.valuation(f.coeffs[i])
         lines.append((i, b))
     lines.sort(key=lambda e: -e[0])  # decreasing slope: leftmost piece first
-    stack = []  # entries (slope, intercept, index, start)
+    stack = []  # entries (slope, intercept, start); start None on the left end
     for m, b in lines:
-        placed = False
         while stack:
             m0, b0, s0 = stack[-1]
             gx = (b - b0).scale(Fraction(1, m0 - m))
-            if s0 is not None and gx <= s0:
-                stack.pop()
-                continue
-            stack.append((m, b, gx))
-            placed = True
-            break
-        if not placed and not stack:
+            if s0 is None or gx > s0:
+                stack.append((m, b, gx))
+                break
+            stack.pop()
+        else:
             stack.append((m, b, None))
     segs = []
     for k, (m, b, start) in enumerate(stack):

@@ -87,8 +87,6 @@ class GroupSpec:
         return f"{core}(lex)"
 
     def element(self, *coords):
-        if len(coords) == 1 and isinstance(coords[0], (tuple, list)):
-            coords = tuple(coords[0])
         if len(coords) != self.rank:
             raise GroupMismatchError(
                 f"expected {self.rank} coordinates, got {len(coords)}")

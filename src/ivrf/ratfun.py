@@ -310,7 +310,7 @@ class Polynomial:
         if type(a) is _GF2Polynomial:
             x, y = a.bits, b.bits
             while y:
-                x, y = y, _gf2_mod(x, y)
+                x, y = y, _gf2_divmod(x, y)[1]
             return a._new(x)
         if a.is_zero():
             return b.monic()
@@ -515,9 +515,6 @@ class _GF2Polynomial(Polynomial):
         q, r = _gf2_divmod(self.bits, other.bits)
         return self._new(q), self._new(r)
 
-    def monic(self):
-        return self
-
     def evaluate(self, a):
         """The value at a point: bit 0 at 0, the parity of the bits at 1,
         and Horner on the bits at any other point."""
@@ -555,15 +552,6 @@ def _gf2_divmod(a, b):
         a ^= b << shift
         shift = a.bit_length() - db
     return q, a
-
-
-def _gf2_mod(a, b):
-    db = b.bit_length()
-    shift = a.bit_length() - db
-    while shift >= 0:
-        a ^= b << shift
-        shift = a.bit_length() - db
-    return a
 
 
 # -- gcd over F[v][x] -------------------------------------------------------

@@ -39,6 +39,10 @@ def _fail(report, **info):
 
 # -- sample generators -------------------------------------------------------
 
+Q5 = PAdicQ(5)
+T4 = TAdicRat(FiniteField(2, 2))
+
+
 def _rand_poly(V, rng, max_degree, coefficient):
     """A nonzero polynomial over V: a degree drawn up to ``max_degree``, then
     each coefficient by ``coefficient()``, drawn again while it is zero."""
@@ -91,7 +95,7 @@ def envelope(seed=0, samples=None, depth=None):
     functions = samples or 500
     rng = random.Random(seed)
     report = _report("envelope", seed=seed, functions=functions, points=100)
-    fields = [(PAdicQ(5), _rand_poly_padic), (TAdicRat(FiniteField(2, 2)), _rand_poly_tadic)]
+    fields = [(Q5, _rand_poly_padic), (T4, _rand_poly_tadic)]
     for k in range(functions):
         V, make = fields[k % 2]
         f = make(V, rng)
@@ -120,8 +124,6 @@ def gauss(seed=0, samples=None, depth=None):
     pairs = samples or 500
     rng = random.Random(seed)
     report = _report("gauss", seed=seed, pairs=pairs)
-    Q5 = PAdicQ(5)
-    T4 = TAdicRat(FiniteField(2, 2))
     for k in range(pairs):
         if k % 3 == 2:
             V, make = T4, _rand_poly_tadic
@@ -141,8 +143,6 @@ def predict(seed=0, samples=None, depth=None):
     count = samples or 10_000
     rng = random.Random(seed)
     report = _report("predict", seed=seed, count=count)
-    Q5 = PAdicQ(5)
-    T4 = TAdicRat(FiniteField(2, 2))
     n_tadic = count // 5
     for k in range(count):
         if k < n_tadic:
@@ -174,8 +174,6 @@ def slopes(seed=0, samples=None, depth=None):
     count = samples or 200
     rng = random.Random(seed)
     report = _report("slopes", seed=seed, count=count)
-    Q5 = PAdicQ(5)
-    T4 = TAdicRat(FiniteField(2, 2))
     for k in range(count):
         if k % 3 == 2:
             V = T4

@@ -63,8 +63,8 @@ GF2_U = RatFuncField(GF2, "u")
 TOWER_DOMAINS = {
     "GF2(u)(t)": (DomainSpec.pvd(TAdicRat(GF2_U), ConstantSubfield(GF2_U)), 6),
     "hahn/GF2(u)": (DomainSpec.pvd(HahnFinite(GF2_U), ConstantSubfield(GF2_U)), 2),
-    "lex2": (DomainSpec.valuation_ring(LexRank2(GF2)), 6),
-    "hahn/GF2": (DomainSpec.valuation_ring(HahnFinite(GF2)), 6),
+    "lex2": (DomainSpec.pvd(LexRank2(GF2), None), 6),
+    "hahn/GF2": (DomainSpec.pvd(HahnFinite(GF2), None), 6),
 }
 TOWER_DIGEST = "de7e04ee54f0459a526a1a9c596ca71bc1582b12c750dfb85660ff65956f2860"
 
@@ -113,9 +113,9 @@ def test_tower_digest():
 GF4 = FiniteField(2, 2)
 HAHN_GF4 = HahnFinite(GF4)
 HAHN_DOMAINS = {
-    "hahn/GF4": (DomainSpec.valuation_ring(HAHN_GF4), 6),
+    "hahn/GF4": (DomainSpec.pvd(HAHN_GF4, None), 6),
     "hahn/GF4 over GF2": (DomainSpec.pvd(HAHN_GF4, PrimePowerSubfield(GF4, 1)), 6),
-    "hahn/GF3": (DomainSpec.valuation_ring(HahnFinite(FiniteField(3))), 6),
+    "hahn/GF3": (DomainSpec.pvd(HahnFinite(FiniteField(3)), None), 6),
 }
 HAHN_DIGEST = "49f0ec9832381a44ab651aeffadae8b6f80de0bdd44f07348cad8b83b7c07d47"
 
@@ -128,7 +128,7 @@ GF2_U_FROBENIUS = FrobeniusSubfield(GF2_U, 1)
 # Two pairs over Hahn/GF(2)(u), as when the digest was taken; the third pair
 # is in test_mixed_lattice_digest.
 VERDICT_DOMAINS = {
-    "Q5": (DomainSpec.valuation_ring(PAdicQ(5)), 6),
+    "Q5": (DomainSpec.pvd(PAdicQ(5), None), 6),
     "{2,3} on E=field": (DomainSpec.intersection([PAdicQ(2), PAdicQ(3)]), 6),
     "tadic/GF4 over GF2": (DomainSpec.pvd(TAdicRat(GF4), PrimePowerSubfield(GF4, 1)), 6),
     "tadic/GF2(u) constants": (DomainSpec.pvd(TAdicRat(GF2_U), ConstantSubfield(GF2_U)), 6),

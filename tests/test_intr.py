@@ -34,7 +34,7 @@ class TestMembership:
     def test_inverse_of_x_is_out(self):
         # (x + 125)/(x^2 + 125) is 1/x in value for 0 < v(a) < 3/2 and 1 at
         # a = 0, so the envelope, not the point 0, gives the witness
-        D = DomainSpec.valuation_ring(Q5, WHOLE_RING)
+        D = DomainSpec.pvd(Q5, None, WHOLE_RING)
         phi = RationalFunction(qp(125, 1), qp(125, 0, 1))
         v = intr_member(phi, D)
         assert v.kind == "out"
@@ -42,12 +42,12 @@ class TestMembership:
         assert Q5.valuation(phi.evaluate(v.witness)) < Q5.group.zero()
 
     def test_zero_is_checked_before_the_components(self):
-        D = DomainSpec.valuation_ring(Q5, WHOLE_RING)
+        D = DomainSpec.pvd(Q5, None, WHOLE_RING)
         v = intr_member(RationalFunction(qp(1), qp(0, 1)), D)  # 1/x
         assert (v.kind, v.witness, v.reason) == ("out", Fraction(0), "pole at 0")
 
     def test_fermat_quotient_in_at_depth_two(self):
-        D = DomainSpec.valuation_ring(Q5, WHOLE_RING)
+        D = DomainSpec.pvd(Q5, None, WHOLE_RING)
         phi = RationalFunction(qp(0, -1, 0, 0, 0, 1), qp(5))
         v = intr_member(phi, D, depth=3)
         assert v.kind == "in"
@@ -62,7 +62,7 @@ class TestMembership:
             assert val == 0 or Q5.valuation(val) >= Q5.group.zero()
 
     def test_depth_exhaustion_is_honest(self):
-        D = DomainSpec.valuation_ring(Q5, WHOLE_RING)
+        D = DomainSpec.pvd(Q5, None, WHOLE_RING)
         phi = RationalFunction(qp(0, -1, 0, 0, 0, 1), qp(5))
         v = intr_member(phi, D, depth=1)
         assert v.kind == "unknown"
@@ -80,7 +80,7 @@ class TestMembership:
         assert not v.depth_exhausted
 
     def test_over_refined_quotient_is_out(self):
-        D = DomainSpec.valuation_ring(Q5, WHOLE_RING)
+        D = DomainSpec.pvd(Q5, None, WHOLE_RING)
         phi = RationalFunction(qp(0, -1, 0, 0, 0, 1), qp(25))
         v = intr_member(phi, D, depth=4)
         assert v.kind == "out"
@@ -88,7 +88,7 @@ class TestMembership:
         assert Q5.valuation(ev) < Q5.group.zero()
 
     def test_pole_inside_ring(self):
-        D = DomainSpec.valuation_ring(Q5, WHOLE_RING)
+        D = DomainSpec.pvd(Q5, None, WHOLE_RING)
         phi = RationalFunction(qp(0, 1), qp(-1, 1))
         v = intr_member(phi, D)
         assert v.kind == "out"
@@ -118,7 +118,7 @@ class TestMembership:
         assert intr_member(phi, D2).kind == "in"
 
     def test_zero_function_trivially_in(self):
-        D = DomainSpec.valuation_ring(Q5, WHOLE_RING)
+        D = DomainSpec.pvd(Q5, None, WHOLE_RING)
         assert intr_member(RationalFunction.zero(Q5), D).kind == "in"
 
     def test_certified_in_soundness_sampled(self):
@@ -167,7 +167,7 @@ class TestDriver:
         # a faulty component verdict whose witness 1 meets every target
         monkeypatch.setattr(intr, "_certify",
                             lambda *args: CertifiedOut(Fraction(1), "injected"))
-        D = DomainSpec.valuation_ring(Q5)
+        D = DomainSpec.pvd(Q5, None)
         v = intr_member(parse_ratfun(Q5, "x"), D)
         assert (v.kind, v.reason) == ("unknown", "candidate witness failed re-verification")
         with pytest.raises(UndecidedError):
@@ -177,7 +177,7 @@ class TestDriver:
         # with every component undecided, phi(0) still decides a value ideal
         # when it falls outside m; otherwise the answer stays undecided
         monkeypatch.setattr(intr, "_certify", lambda *args: Unknown("injected"))
-        D = DomainSpec.valuation_ring(Q5)
+        D = DomainSpec.pvd(Q5, None)
         assert not ideal_member(parse_ratfun(Q5, "x + 1"), ValueIdeal(1), D)
         with pytest.raises(UndecidedError):
             ideal_member(parse_ratfun(Q5, "x + 5"), ValueIdeal(1), D)
@@ -186,7 +186,7 @@ class TestDriver:
         # The witness 80 = 5 + 5 * 15 comes out of the refinement at the
         # residue class of 5, where the shifted function has value -1 at 15;
         # the reason names 80, the point where phi has value -1.
-        D = DomainSpec.valuation_ring(Q5)
+        D = DomainSpec.pvd(Q5, None)
         phi = parse_ratfun(Q5, "((1/5)*x^4 + (5) + (7/2)*x^3)"
                                "/((-3)*x^3 + (-3) + (-3)*x^1 + (3/25)*x^2)")
         v = intr_member(phi, D)
@@ -201,24 +201,24 @@ class TestDriver:
 
 class TestIdeals:
     def test_pointed_examples(self):
-        D = DomainSpec.valuation_ring(Q5, WHOLE_FIELD)
+        D = DomainSpec.pvd(Q5, None, WHOLE_FIELD)
         x = RationalFunction(qp(0, 1))
         assert ideal_member(x, Pointed(Fraction(5)), D)
         assert not ideal_member(x, Pointed(Fraction(1)), D)
 
     def test_pointed_zero_value_is_in(self):
         # phi(5) = 0, whose valuation INFINITY lies above every value of m
-        D = DomainSpec.valuation_ring(Q5)
+        D = DomainSpec.pvd(Q5, None)
         assert ideal_member(parse_ratfun(Q5, "x - 5"), Pointed(Fraction(5)), D)
 
     def test_pointed_pole_precondition(self):
-        D = DomainSpec.valuation_ring(Q5, WHOLE_FIELD)
+        D = DomainSpec.pvd(Q5, None, WHOLE_FIELD)
         phi = RationalFunction(qp(1), qp(0, 1))
         with pytest.raises(PreconditionError):
             ideal_member(phi, Pointed(Fraction(0)), D)
 
     def test_pointed_anchor_must_be_in_E(self):
-        D = DomainSpec.valuation_ring(Q5, WHOLE_RING)
+        D = DomainSpec.pvd(Q5, None, WHOLE_RING)
         x = RationalFunction(qp(0, 1))
         with pytest.raises(PreconditionError):
             ideal_member(x, Pointed(Fraction(1, 5)), D)
@@ -235,7 +235,7 @@ class TestIdeals:
         Q2 = PAdicQ(2)
         P = lambda *cs: Polynomial(Q2, [Fraction(c) for c in cs])
         theta = RationalFunction(P(6, 0, 0, 0, 6), P(6, 0, 37, 0, 6))
-        D = DomainSpec.valuation_ring(Q2, WHOLE_FIELD)
+        D = DomainSpec.pvd(Q2, None, WHOLE_FIELD)
         assert ideal_member(theta, MStar(), D)
 
     def test_mstar_rejected_for_intersections(self):
@@ -250,7 +250,7 @@ class TestIdeals:
         assert not ideal_member(RationalFunction.one(Q2), MStar(), D)
 
     def test_value_ideal(self):
-        D = DomainSpec.valuation_ring(Q5, WHOLE_RING)
+        D = DomainSpec.pvd(Q5, None, WHOLE_RING)
         phi = RationalFunction(qp(25))
         assert ideal_member(phi, ValueIdeal(2), D)
         assert not ideal_member(RationalFunction(qp(5)), ValueIdeal(2), D)
@@ -269,25 +269,25 @@ class TestIdeals:
         D = DomainSpec.pvd(V, PrimePowerSubfield(F4, 1), [V.one()])
         assert ideal_member(RationalFunction.constant(V, V.gen()), ValueIdeal(1), D)
         assert not ideal_member(RationalFunction.one(V), ValueIdeal(1), D)
-        D5 = DomainSpec.valuation_ring(Q5, [Fraction(1)])
+        D5 = DomainSpec.pvd(Q5, None, [Fraction(1)])
         assert ideal_member(RationalFunction(qp(Fraction(10, 3))), ValueIdeal(1), D5)
         assert ideal_member(RationalFunction(qp(50)), ValueIdeal(2), D5)
         assert not ideal_member(RationalFunction(qp(5)), ValueIdeal(2), D5)
         # E = {5} does not contain 0, so the pole of 25/x at 0 is no obstacle
-        E5 = DomainSpec.valuation_ring(Q5, [Fraction(5)])
+        E5 = DomainSpec.pvd(Q5, None, [Fraction(5)])
         assert ideal_member(parse_ratfun(Q5, "25/x"), ValueIdeal(1), E5)
 
     def test_m_power_divisible_group(self):
         H = HahnFinite(FiniteField(2))
-        D = DomainSpec.valuation_ring(H, [H.one()])
+        D = DomainSpec.pvd(H, None, [H.one()])
         x = RationalFunction.constant(H, H.monomial(Fraction(1, 4)))
         assert ideal_member(x, ValueIdeal(3), D)
 
     def test_value_ideal_certified_over_divisible_group(self):
         # the certifier against the strict threshold v > 0 of the Hahn ring
         H = HahnFinite(FiniteField(2))
-        ring = DomainSpec.valuation_ring(H, WHOLE_RING)
-        field = DomainSpec.valuation_ring(H, WHOLE_FIELD)
+        ring = DomainSpec.pvd(H, None, WHOLE_RING)
+        field = DomainSpec.pvd(H, None, WHOLE_FIELD)
 
         def fn(text):
             return parse_ratfun(H, text)
@@ -300,7 +300,7 @@ class TestIdeals:
             assert ideal_member(fn("t^{1/2}/(x^2 + x + 1)"), ValueIdeal(1), D)
 
     def test_characteristic_sets(self):
-        D = DomainSpec.valuation_ring(Q5, WHOLE_FIELD)
+        D = DomainSpec.pvd(Q5, None, WHOLE_FIELD)
         x = RationalFunction(qp(0, 1))
         fam = [Pointed(Fraction(5)), Pointed(Fraction(1)), Pointed(Fraction(10))]
         got = characteristic_set(x, fam, D)
@@ -319,7 +319,7 @@ class TestIdeals:
 
     def test_pointed_containment_for_certified(self):
         # anything certified into the ring lands in the one-point overring
-        D = DomainSpec.valuation_ring(PAdicQ(5), WHOLE_RING)
+        D = DomainSpec.pvd(PAdicQ(5), None, WHOLE_RING)
         phi = RationalFunction(qp(0, -1, 0, 0, 0, 1), qp(5))
         assert intr_member(phi, D).kind == "in"
         for a in (Fraction(0), Fraction(1), Fraction(5), Fraction(7, 3)):
@@ -426,7 +426,7 @@ class TestResidueRoots:
         # whose root search runs past the budget; the depth is not the cause
         T = TAdicRat(RatFuncField(FiniteField(2), "u"))
         phi = parse_ratfun(T, "1/(x^2 + x + u^25)")
-        v = intr_member(phi, DomainSpec.valuation_ring(T, E))
+        v = intr_member(phi, DomainSpec.pvd(T, None, E))
         assert v.kind == "unknown"
         assert v.reason == "root search beyond budget 4096 at value 0"
         assert not v.depth_exhausted
@@ -626,7 +626,7 @@ class TestRankTwo:
         P = lambda *cs: Polynomial(self.V, list(cs))
         phi = RationalFunction(P(self.t1, self.V.zero(), self.V.one()),
                                P(self.t1))
-        D = DomainSpec.valuation_ring(self.V, WHOLE_RING)
+        D = DomainSpec.pvd(self.V, None, WHOLE_RING)
         v = intr_member(phi, D)
         assert v.kind == "out"
         ev = phi.evaluate(v.witness)
@@ -635,7 +635,7 @@ class TestRankTwo:
     def test_member_in(self):
         P = lambda *cs: Polynomial(self.V, list(cs))
         phi = RationalFunction(P(self.V.zero(), self.t2))  # t2 * x
-        D = DomainSpec.valuation_ring(self.V, WHOLE_RING)
+        D = DomainSpec.pvd(self.V, None, WHOLE_RING)
         assert intr_member(phi, D).kind == "in"
 
     def test_fractional_breakpoint_skipped(self):

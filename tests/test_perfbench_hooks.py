@@ -24,7 +24,7 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         assert intr.residue_roots is not originals[1]
         V = PAdicQ(5)
         phi = ratfun.parse_ratfun(V, "(x^5 - x)/5")
-        assert intr.intr_member(phi, DomainSpec.valuation_ring(V), depth=3).kind == "in"
+        assert intr.intr_member(phi, DomainSpec.pvd(V, None), depth=3).kind == "in"
         assert tracer.calls("intr.intr_member") == 1
         assert tracer.calls("intr.residue_roots") > 0
         assert tracer.calls("ratfun.normalize.Q") > 0

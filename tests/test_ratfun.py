@@ -895,8 +895,8 @@ GF2_TOWERS = {
                   "t*x/(x^2 + x + u)"),
     "hahn/GF2(u)": (DomainSpec.pvd(HahnFinite(GF2_U), ConstantSubfield(GF2_U)),
                     "t*(x^2 + x)/(x^2 + x + u)"),
-    "lex2": (DomainSpec.valuation_ring(LexRank2(GF2)), "t2*x^2/(x^2 + x + 1)"),
-    "hahn/GF2": (DomainSpec.valuation_ring(HahnFinite(GF2)), "(x^2 + x)/(x^2 + x + 1)"),
+    "lex2": (DomainSpec.pvd(LexRank2(GF2), None), "t2*x^2/(x^2 + x + 1)"),
+    "hahn/GF2": (DomainSpec.pvd(HahnFinite(GF2), None), "(x^2 + x)/(x^2 + x + 1)"),
 }
 
 

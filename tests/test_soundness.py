@@ -42,7 +42,7 @@ HAHN_POINTS = ["0", "1", "u", "u^2", "t^(1/2)", "u*t", "1/t^(1/2)",
 
 # name -> (domain on E = ring, coefficient pool, point pool)
 DOMAINS = {
-    "Q5": (DomainSpec.valuation_ring(PAdicQ(5)),
+    "Q5": (DomainSpec.pvd(PAdicQ(5), None),
            ["0", "1", "-1", "2", "5", "1/5", "3/25", "25", "7"],
            ["0", "1", "2", "3", "5", "10", "25", "1/5", "1/2", "-1", "6/5"]),
     "{2,3}": (DomainSpec.intersection([PAdicQ(2), PAdicQ(3)], WHOLE_RING),
@@ -66,7 +66,7 @@ DOMAINS = {
          "(u^6 + u^5 + 1)/t", "(u^8 + u^4 + u^3 + 1)*t^2/(u^2 + 1)",
          "(u^5 + u^3 + u^2 + u + 1)/(u^4 + u^2)", "u^6/(u^8 + u + 1)"],
         TADIC_POINTS),
-    "lex2/GF2": (DomainSpec.valuation_ring(LexRank2(GF2)),
+    "lex2/GF2": (DomainSpec.pvd(LexRank2(GF2), None),
                  ["0", "1", "t1", "t2", "1/t1", "t1*t2", "1/t2", "t2/t1"],
                  ["0", "1", "t1", "t2", "1/t1", "t1/t2", "t2/t1", "1 + t1",
                   "1 + t2", "t1 + t2"]),

@@ -56,7 +56,7 @@ class FiniteField:
         if k > 1 and p ** min(k, _TABLE_CAP.bit_length()) > _TABLE_CAP:
             raise ResourceError(f"GF({p}^{k}) exceeds the table cap {_TABLE_CAP}")
         q = p ** k
-        self.p = p
+        self.p = self.characteristic = p
         self.k = k
         self.q = q
         self.gen_name = gen_name
@@ -289,6 +289,7 @@ class RatFuncField:
                 f"construct the base field with a different gen_name")
         self.base = base
         self.var = var
+        self.characteristic = base.characteristic
         # shared immutable constants: every Polynomial trim and every
         # normalization over this field asks for them
         self._zero = RationalFunction.zero(base, var)

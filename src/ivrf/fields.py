@@ -47,6 +47,7 @@ class RationalsContext:
 
     _zero = Fraction(0)
     _one = Fraction(1)
+    characteristic = 0
 
     def zero(self):
         return self._zero
@@ -85,7 +86,8 @@ class ValuedField:
     ``group``, ``residue_field`` and the shared constants ``_zero`` and
     ``_one``, and lists its generators in ``_generators``.  The rest is said
     once here: ``zero``, ``one``, ``from_int`` (an integer lifted from the
-    residue field), ``symbol_env`` (the generators plus every residue-field
+    residue field), ``characteristic`` (the residue field's, but 0 for
+    ``PAdicQ``), ``symbol_env`` (the generators plus every residue-field
     symbol lifted) and ``_residue_is_zero``, the check that opens every
     ``residue``.
     """
@@ -103,6 +105,10 @@ class ValuedField:
 
     def from_int(self, n):
         return self.lift(self.residue_field.from_int(n))
+
+    @property
+    def characteristic(self):
+        return self.residue_field.characteristic
 
     # valuation data -------------------------------------------------
 
@@ -161,6 +167,8 @@ class ValuedField:
 
 class PAdicQ(ValuedField):
     """Q with the p-adic valuation; elements are Fractions."""
+
+    characteristic = 0
 
     def __init__(self, p):
         self.p = p

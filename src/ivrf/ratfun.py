@@ -1,8 +1,9 @@
 """Exact univariate polynomials and rational functions over any field.
 
 The code is generic over a small coefficient-field protocol: the field
-object provides ``zero()``, ``one()`` and ``from_int(n)`` (and, optionally,
-``poly_gcd(a, b)``: see ``Polynomial.gcd``), and its elements carry
+object provides ``zero()``, ``one()``, ``from_int(n)`` and its
+``characteristic`` (and, optionally, ``poly_gcd(a, b)``: see
+``Polynomial.gcd``), and its elements carry
 arithmetic through operator overloading (exact, no floats).  An element is
 false exactly when it is zero: trimming, supports, evaluation and products
 test coefficients by truth value, never by ``==`` against ``zero()``, which
@@ -238,6 +239,14 @@ class Polynomial:
             raise StructuralError("negative power of a polynomial")
         if n == 0:
             return Polynomial.constant(self.field, self.field.one(), self.var)
+        p = self.field.characteristic
+        if p and not n % p and type(self) is Polynomial:
+            # f^(pm) = (f^p)^m, and in characteristic p f^p is sum c_i^p x^(ip)
+            frobenius = [self.field.zero()] * (p * self.degree + 1)
+            for i, c in enumerate(self.coeffs):
+                if c:
+                    frobenius[p * i] = c ** p
+            return self._new(frobenius) ** (n // p)
         return power(self, n)
 
     def scale(self, c):

@@ -441,6 +441,23 @@ def test_hahn_power_shrinks_the_lattice():
         assert got == expected and hash(got) == hash(expected)
 
 
+@pytest.mark.parametrize("name", ["GF4", "GF3(u)", "GF2(u)(t)", "hahn/GF2(u)", "lex2"])
+def test_frobenius_power_matches_square_and_multiply(name):
+    # in characteristic p a power f^(pm) is taken as (sum c_i^p x^(ip))^m;
+    # it equals the power by squaring and multiplying
+    F4, GF3_U = FiniteField(2, 2), RatFuncField(FiniteField(3), "u")
+    V, draw = {"GF4": (F4, F4.random), "GF3(u)": (GF3_U, GF3_U.random)}.get(
+        name) or GCD_FIELDS[name]
+    p = V.characteristic
+    assert p == (3 if name == "GF3(u)" else 2)
+    assert QQ.characteristic == PAdicQ(5).characteristic == 0
+    rng = random.Random(f"frobenius:{name}")
+    for _ in range(3):
+        f = _random_poly(V, rng, 2, draw)
+        for n in (p, p * p, 2 * p, p + 1, 3 * p):
+            assert f ** n == ratfun.power(f, n)
+
+
 # -- sums, products, quotients, inverses and compositions against the full
 # normalization: each result must equal RationalFunction(num, den) of the
 # unreduced numerator and denominator, which cancels by one gcd of the two.

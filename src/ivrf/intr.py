@@ -36,7 +36,7 @@ from .errors import (ConfigError, PreconditionError, StructuralError,
                      UndecidedError)
 from .fields import (FrobeniusSubfield, _config_value, field_from_config,
                      in_pullback, subfield_from_config)
-from .ff import FiniteField, RatFuncField, polynomials
+from .ff import FiniteField, RatFuncField, _poly_pth_root, polynomials
 from .newton import local_poly, minval_poly, minval_rat
 from .ordgroup import lattice_point_in_interval
 from .ratfun import (POLE, Polynomial, RationalFunction, _primitive_part,
@@ -261,11 +261,13 @@ def residue_roots(poly, L):
     """Nonzero roots of a polynomial over GF(q) or GF(q)(u).
 
     Returns (roots, complete).  Over GF(q) enumeration is exhaustive.  Over
-    GF(q)(u) the rational root theorem names the candidates: with the
-    coefficients P_i cleared to GF(q)[u] and divided by their content, a
-    reduced root n/d (d monic) has n dividing the lowest P_i and d the
-    highest, so n is a unit times a monic divisor of the one and d a monic
-    divisor of the other.  A candidate is a root exactly when
+    GF(q)(u) a p-th power r^p has the roots of r, so the search runs on
+    coefficient-wise p-th roots while there are any.  Then the rational
+    root theorem names the candidates: with the coefficients P_i cleared to
+    GF(q)[u] and divided by their content, a reduced root n/d (d monic) has
+    n dividing the lowest P_i and d the highest, so n is a unit times a
+    monic divisor of the one and d a monic divisor of the other.  A
+    candidate is a root exactly when
     sum_i P_i n^i d^(deg-i) vanishes (``horner``), which needs no fraction
     arithmetic.  The sum cannot vanish when one index alone reaches the
     largest term degree deg P_i + i deg n + (deg-i) deg d over the nonzero
@@ -283,6 +285,9 @@ def residue_roots(poly, L):
         raise StructuralError("root search on the zero polynomial")
     if shift == poly.degree:
         return (set(), True)
+    root = _poly_pth_root(poly, L.base.p)
+    if root is not None:  # poly = root^p, and a^p = 0 exactly when a = 0
+        return residue_roots(root, L)
     cleared = _primitive_part(clear_denominators(
         [(c.num, c.den) for c in poly.coeffs[shift:]]))
     nums, nums_complete = _monic_divisors(cleared[0])

@@ -556,15 +556,30 @@ def _counting_horner(monkeypatch):
 
 
 def test_root_search_sums_no_candidate_with_a_single_top_degree(monkeypatch):
-    # x^729 - u^27: the candidates c*u^j (j <= 8 or j >= 19) give the term
-    # degrees 27 and 729*j, never equal, so no candidate sum is taken; the
+    # x^730 - u^27: the candidates c*u^j (j <= 8 or j >= 19) give the term
+    # degrees 27 and 730*j, never equal, so no candidate sum is taken; the
     # divisor budget still leaves the search incomplete
     L = RatFuncField(FiniteField(3), "u")
     u = L.gen()
     calls = _counting_horner(monkeypatch)
-    p = Polynomial.from_dict(L, {0: -(u ** 27), 729: L.one()})
+    p = Polynomial.from_dict(L, {0: -(u ** 27), 730: L.one()})
     assert residue_roots(p, L) == (set(), False)
     assert calls == []
+    # x^729 - u^27 is (x^27 - u)^27, whose end coefficients u and 1 leave
+    # the candidates c and c*u, and none ties: a complete search
+    p = Polynomial.from_dict(L, {0: -(u ** 27), 729: L.one()})
+    assert residue_roots(p, L) == (set(), True)
+    assert calls == []
+
+
+def test_root_search_finds_the_roots_of_p_th_powers():
+    # over GF(2)(u): (x + u)^2 (x + 1) is no square, and the search runs on
+    # it; (x + u)^4 (x + u + 1)^2 is the square of (x + u)^2 (x + u + 1),
+    # and the search runs on that, which has the same roots
+    L = RatFuncField(FiniteField(2), "u")
+    u, x = L.gen(), Polynomial.gen(L)
+    assert residue_roots((x + u) ** 2 * (x + 1), L) == ({u, L.one()}, True)
+    assert residue_roots((x + u) ** 4 * (x + u + 1) ** 2, L) == ({u, u + 1}, True)
 
 
 def test_root_search_sums_the_candidates_whose_top_degrees_tie(monkeypatch):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -130,6 +131,35 @@ class TestLatticeSearch:
         from ivrf.intr import _Region
         r = _Region(Z.element(2), False, Z.element(2), False)
         assert r.lattice_point(Z) == Z.element(2)
+
+
+def _lattice_grid(group):
+    """Lattice points with coordinates in [-4, 4], of step 1/12 in a
+    divisible coordinate: strictly between two endpoints of coordinates in
+    [-2, 2] with denominators 1, 2 or 3 it holds a lattice point whenever
+    the group has one there."""
+    lines = [[Fraction(k, 12) for k in range(-48, 49)] if d else range(-4, 5)
+             for d in group.divisible]
+    return [group.element(*c) for c in product(*lines)]
+
+
+@pytest.mark.parametrize("group, coords", [
+    (Z, [Fraction(n, d) for d in (1, 2, 3) for n in range(-2 * d, 2 * d + 1)]),
+    (Q, [Fraction(n, d) for d in (1, 2, 3) for n in range(-2 * d, 2 * d + 1)]),
+    (Z2, [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1)]),
+], ids=["Z", "Q", "Z2"])
+def test_lattice_search_matches_a_grid(group, coords):
+    # every pair of endpoints, each bounded or not: the point found lies
+    # strictly inside and in the lattice, and it is None exactly when the
+    # grid has no such point
+    grid = _lattice_grid(group)
+    ends = [None] + [group.element(*c) for c in product(coords, repeat=group.rank)]
+    for lo, hi in product(ends, repeat=2):
+        p = lattice_point_in_interval(group, lo, hi)
+        inside = [g for g in grid if (lo is None or lo < g) and (hi is None or g < hi)]
+        assert (p is None) == (not inside), (lo, hi, p)
+        if p is not None:
+            assert p.in_lattice() and (lo is None or lo < p) and (hi is None or p < hi)
 
 
 class TestRepresentation:

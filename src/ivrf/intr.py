@@ -267,11 +267,11 @@ def residue_roots(poly, L):
     GF(q)[u] and divided by their content, a reduced root n/d (d monic) has
     n dividing the lowest P_i and d the highest, so n is a unit times a
     monic divisor of the one and d a monic divisor of the other.  A
-    candidate is a root exactly when
-    sum_i P_i n^i d^(deg-i) vanishes (``horner``), which needs no fraction
-    arithmetic.  The sum cannot vanish when one index alone reaches the
-    largest term degree deg P_i + i deg n + (deg-i) deg d over the nonzero
-    P_i, so only the other candidates are summed.  A search tries at most
+    candidate is a root exactly when sum_i P_i n^i d^(deg-i) vanishes
+    (``horner``), which needs no fraction arithmetic.  The sum cannot
+    vanish when one index alone reaches the largest term degree
+    deg P_i + i deg n + (deg-i) deg d over the nonzero P_i, so only the
+    other candidates are summed.  A search tries at most
     ``_ROOT_BUDGET`` trial divisors per end coefficient and screens at most
     ``_ROOT_BUDGET`` candidates; ``complete`` is True exactly when neither
     runs out, and then every root is found.

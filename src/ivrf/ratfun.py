@@ -241,7 +241,8 @@ class Polynomial:
             return Polynomial.constant(self.field, self.field.one(), self.var)
         p = self.field.characteristic
         if p and not n % p and type(self) is Polynomial:
-            # f^(pm) = (f^p)^m, and in characteristic p f^p is sum c_i^p x^(ip)
+            # f^(pm) = (f^p)^m, and in characteristic p f^p is sum c_i^p x^(ip);
+            # a packed GF(2) polynomial squares by _gf2_mul instead
             frobenius = [self.field.zero()] * (p * self.degree + 1)
             for i, c in enumerate(self.coeffs):
                 if c:

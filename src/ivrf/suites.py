@@ -39,7 +39,7 @@ def _fail(report, **info):
 
 # -- sample generators -------------------------------------------------------
 
-Q5 = PAdicQ(5)
+Q5 = PAdicQ(5)  # the fields of envelope, gauss, predict and slopes
 T4 = TAdicRat(FiniteField(2, 2))
 
 

@@ -11,9 +11,9 @@ corpus seed; ``kinds`` over the seed, the item id and the verdict kind
 (in, out or unknown) of the same items; and ``witness`` over the
 ``notlocal_witness`` records of the Frobenius pullbacks of GF(2)(u)
 (e = 1..4) and GF(3)(u) (e = 1, 2), each on the t-adic and the Hahn field,
-at depth 3 with 10 split samples drawn from ``random.Random(0)``.  A change that rewrites witnesses or
-reasons on purpose moves ``corpus`` but must keep ``kinds``: that shows no
-verdict changed kind.  It reads the package and the corpus of the checkout
+at depth 3 with 10 split samples drawn from ``random.Random(0)``.  A change
+that rewrites witnesses or reasons on purpose moves ``corpus`` but must keep
+``kinds``: that shows no verdict changed kind.  It reads the package and the corpus of the checkout
 that holds it, so compare its lines from two checkouts.  It writes no files.
 """
 

@@ -748,6 +748,9 @@ class TestResidueBranches:
                                         "ratio": "x^4 + x^2"}]},
             {"from": "0", "to": None, "slope": 2, "intercept": "0",
              "status": "clear"})),
+        # even exponents alone do not make a p-th power: u is not a square
+        "ratio even exponents out": (_TADIC_GF2U, _FROBENIUS, "u*x^4 + x^2",
+                                     _out("1", "residue u + 1 outside subfield")),
         # the bounded probe: a residue outside F, or none found
         "ratio probe out": (_TADIC_GF2U, _FROBENIUS, "u*x^2 + x",
                             _out("1", "residue u + 1 outside subfield")),

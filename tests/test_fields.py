@@ -70,6 +70,40 @@ class TestResidueExamples:
             V.residue(Fraction(1, 5))
 
 
+def _multiplicity(p, n):
+    """The exponent of p in the nonzero integer n, by repeated division."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_padic_valuation_and_residue_by_definition(p):
+    # v(n/d) = v_p(n) - v_p(d) and res(n/d) = n * d^-1 mod p on seeded
+    # fractions: zero, negatives, and powers of p in either part.
+    V = PAdicQ(p)
+    rng = random.Random(p)
+    xs = [Fraction(0), Fraction(-p), Fraction(1, p ** 3), Fraction(-p ** 4, 7)]
+    for _ in range(300):
+        n = rng.choice([-1, 1]) * rng.randint(1, 60) * p ** rng.randint(0, 3)
+        xs.append(Fraction(n, rng.randint(1, 60) * p ** rng.randint(0, 3)))
+    for x in xs:
+        n, d = x.numerator, x.denominator
+        if not n:
+            assert V.valuation(x) is INFINITY
+            assert V.residue(x) == V.residue_field.zero()
+            continue
+        v = _multiplicity(p, n) - _multiplicity(p, d)
+        assert V.valuation(x) == V.group.element(v)
+        if v < 0:
+            with pytest.raises(PreconditionError, match=r"^residue needs valuation >= 0$"):
+                V.residue(x)
+        else:
+            assert V.residue(x) == V.residue_field.from_int(n * pow(d, -1, p))
+
+
 @pytest.mark.parametrize("V", ALL_FIELDS, ids=lambda v: v.describe())
 class TestValuationAxioms:
     def test_multiplicative(self, V):

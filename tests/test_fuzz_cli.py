@@ -7,6 +7,9 @@ the element and function grammar, with small exponents only, and include
 element texts ``INT^{p/q}`` over the p-adic fields.  Whatever the input,
 a command exits 0 or 2 and no exception but ``SystemExit`` escapes;
 ``construct witness`` may exit 1 only with a record that is not ``ok``.
+``minval`` is fuzzed by a strategy of its own, with ``--sweep`` 0-3 and
+both output formats, so that the 500 examples of the other commands stay
+the same.
 """
 
 import json
@@ -164,3 +167,25 @@ def test_fuzzed_commands_exit_zero_or_two(args):
         assert json.loads(res.stdout)["record"]["ok"] is False, args
     else:
         assert res.exit_code in (0, 2), (args, res.output)
+
+
+@st.composite
+def minval_invocations(draw):
+    k = draw(st.integers(0, len(CONFIGS) - 1))
+    cfg = _mutated(draw, _copy(CONFIGS[k][0]))
+    raw = json.dumps(cfg)
+    if draw(st.sampled_from([False] * 9 + [True])):
+        raw = raw[:-1]  # not valid JSON
+    return ["minval", "--config", raw, "-f", draw(TEXTS[k][0]),
+            "--sweep", str(draw(st.integers(0, 3))),
+            "--format", draw(st.sampled_from(["json", "csv"]))]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(minval_invocations())
+def test_fuzzed_minval_exits_zero_or_two(args):
+    res = CliRunner().invoke(main, args)
+    assert res.exception is None or isinstance(res.exception, SystemExit), (
+        args, repr(res.exception))
+    assert res.exit_code in (0, 2), (args, res.output)

@@ -84,14 +84,14 @@ def _rand_point_tadic(V, rng):
         return RationalFunction(num, den) * V.gen() ** rng.randint(-2, 2)
 
 
-def _rand_gamma(V, rng):
-    return V.group.element(Fraction(rng.randint(-24, 24), rng.randint(1, 4)))
-
-
 # -- suites ------------------------------------------------------------------
 
 def envelope(seed=0, samples=None, depth=None):
-    """Envelope oracle: the piecewise form equals the direct minimum."""
+    """Envelope oracle: the piecewise form equals the direct minimum.
+
+    At gamma = n/d the minimum of v(a_i) + i*gamma is taken in integers, as
+    the minimum of v(a_i)*d + i*n divided by d: scaling by d > 0 keeps the
+    order and is exact."""
     functions = samples or 500
     rng = random.Random(seed)
     report = _report("envelope", seed=seed, functions=functions, points=100)
@@ -108,10 +108,11 @@ def envelope(seed=0, samples=None, depth=None):
             _fail(report, f=str(f), reason="slopes not strictly decreasing")
         if len(pl.breakpoints()) > max(f.support()):
             _fail(report, f=str(f), reason="too many breakpoints")
-        lines = [(i, V.valuation(f.coeffs[i])) for i in f.support()]
+        lines = [(i, V.valuation(f.coeffs[i]).coords[0]) for i in f.support()]
         for _ in range(100):
-            gamma = _rand_gamma(V, rng)
-            direct = min(b + gamma.scale(i) for i, b in lines)
+            n, d = rng.randint(-24, 24), rng.randint(1, 4)
+            gamma = V.group.element(Fraction(n, d))
+            direct = V.group.element(Fraction(min(b * d + i * n for i, b in lines), d))
             if pl.eval(gamma) != direct:
                 _fail(report, f=str(f), gamma=str(gamma), got=str(pl.eval(gamma)),
                       expected=str(direct))

@@ -89,7 +89,7 @@ class ValuedField:
     residue field), ``characteristic`` (the residue field's, but 0 for
     ``PAdicQ``), ``symbol_env`` (the generators plus every residue-field
     symbol lifted) and ``_residue_is_zero``, the check that opens every
-    ``residue``.
+    ``residue`` but ``PAdicQ``'s, which tests the integers of the fraction.
     """
 
     group = None          # GroupSpec
@@ -166,7 +166,14 @@ class ValuedField:
 
 
 class PAdicQ(ValuedField):
-    """Q with the p-adic valuation; elements are Fractions."""
+    """Q with the p-adic valuation; elements are Fractions.
+
+    At most one of the reduced numerator n and denominator d is divisible
+    by p, so each element takes one valuation test: ``valuation`` counts
+    the factors p of d when p divides d and of n otherwise, and ``residue``
+    is n/d mod p from ``d % p`` (0 means v < 0) and ``n % p``, with no
+    group element built.
+    """
 
     characteristic = 0
 
@@ -189,17 +196,16 @@ class PAdicQ(ValuedField):
         return v
 
     def valuation(self, x):
-        n = x.numerator
+        n, d = x.numerator, x.denominator
         if not n:
             return INFINITY
-        return GroupElement(self.group, (self._vp(n) - self._vp(x.denominator),))
+        return GroupElement(self.group, (-self._vp(d) if d % self.p == 0 else self._vp(n),))
 
     def residue(self, x):
-        if self._residue_is_zero(x):
-            return self.residue_field.zero()
-        n = x.numerator % self.p
         d = x.denominator % self.p
-        return self.residue_field.from_int(n) / self.residue_field.from_int(d)
+        if not d:
+            raise PreconditionError("residue needs valuation >= 0")
+        return self.residue_field.from_int(x.numerator % self.p * pow(d, -1, self.p))
 
     def lift(self, r):
         return Fraction(r.idx)

@@ -221,7 +221,10 @@ class PAdicQ(ValuedField):
     def random_element(self, rng):
         num = rng.randint(-6, 6)
         den = rng.randint(1, 6)
-        return Fraction(num, den) * Fraction(self.p) ** rng.randint(-2, 2)
+        e = rng.randint(-2, 2)
+        if e >= 0:
+            return Fraction(num * self.p ** e, den)
+        return Fraction(num, den * self.p ** -e)
 
     def describe(self):
         return f"Q(v_{self.p})"

@@ -56,7 +56,9 @@ def _rand_poly_padic(V, rng, max_degree=8):
     def coefficient():
         if rng.random() < 0.2:
             return Fraction(0)
-        return Fraction(rng.randint(-9, 9)) * Fraction(V.p) ** rng.randint(-2, 2)
+        c = rng.randint(-9, 9)
+        e = rng.randint(-2, 2)
+        return Fraction(c * V.p ** e) if e >= 0 else Fraction(c, V.p ** -e)
     return _rand_poly(V, rng, max_degree, coefficient)
 
 

@@ -251,7 +251,10 @@ class Polynomial:
         return power(self, n)
 
     def scale(self, c):
-        """The polynomial times a constant c; times 1 it is itself."""
+        """The polynomial times a constant c; times 1 it is itself, times 0
+        the zero polynomial."""
+        if not c:
+            return self._new([])
         if c == self.field.one():
             return self
         return self._new([a * c for a in self.coeffs])
@@ -968,8 +971,8 @@ def _product(a, b, c, d):
     """a/b * c/d for reduced fractions with monic denominators: gcd(a, d)
     and gcd(c, b) are cancelled (``_cancel``), and what is left is coprime.
     The denominator is a product of exact quotients of monic polynomials,
-    so it is monic as built.  A product by the constant 1 is the other
-    operand (``Polynomial.scale``)."""
+    so it is monic as built.  A product by a constant is the other operand
+    scaled (``Polynomial.scale``): itself for 1, the zero function for 0."""
     if b.degree == 0 and a.degree <= 0:
         a, b, c, d = c, d, a, b
     if d.degree == 0 and c.degree <= 0:  # times the constant c

@@ -458,6 +458,40 @@ def test_frobenius_power_matches_square_and_multiply(name):
             assert f ** n == ratfun.power(f, n)
 
 
+def test_scaling_by_zero_multiplies_no_coefficient(monkeypatch):
+    # 0 * f is the zero function without a product per coefficient of f,
+    # and 1/w for a sparse w over GF(3)(u) scales w by the inverse of its
+    # leading coefficient without multiplying that inverse by each zero
+    # coefficient in the gap, so the work does not grow with the gap
+    from ivrf.ff import FFElement
+    L = RatFuncField(FiniteField(3), "u")
+    u = L.gen()
+    big = u ** 40 + u + 1
+    calls = []
+    mul = FFElement.__mul__
+
+    def counted(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    def sparse(gap):
+        zero, one = L.zero(), L.one()
+        return RationalFunction(Polynomial(L, [one, one] + [zero] * gap + [1 / big], "t"))
+
+    f, ws = big / (u + 2), [sparse(gap) for gap in (100, 200)]
+    monkeypatch.setattr(FFElement, "__mul__", counted)
+    monkeypatch.setattr(FFElement, "__rmul__", counted)
+    assert (0 * f).is_zero()
+    assert calls == []
+    counts = []
+    for w in ws:
+        del calls[:]
+        inverse = 1 / w
+        counts.append(len(calls))
+        assert inverse.num.is_zero() is False and inverse * w == RationalFunction.one(L, "t")
+    assert counts[0] == counts[1] < 400
+
+
 # -- sums, products, quotients, inverses and compositions against the full
 # normalization: each result must equal RationalFunction(num, den) of the
 # unreduced numerator and denominator, which cancels by one gcd of the two.

@@ -9,7 +9,7 @@ from ivrf import ratfun
 from ivrf.errors import IvrfError, ParseError, StructuralError
 from ivrf.fields import (QQ, ConstantSubfield, HahnElement, HahnFinite, LexRank2,
                          PAdicQ, TAdicRat, _spread)
-from ivrf.ff import FiniteField, RatFuncField
+from ivrf.ff import FFElement, FiniteField, RatFuncField
 from ivrf.intr import DomainSpec, domain_from_config, intr_member
 from ivrf.parsing import parse_expression
 from ivrf.ratfun import (POLE, Polynomial, RationalFunction, _GF2Polynomial,
@@ -463,7 +463,6 @@ def test_scaling_by_zero_multiplies_no_coefficient(monkeypatch):
     # and 1/w for a sparse w over GF(3)(u) scales w by the inverse of its
     # leading coefficient without multiplying that inverse by each zero
     # coefficient in the gap, so the work does not grow with the gap
-    from ivrf.ff import FFElement
     L = RatFuncField(FiniteField(3), "u")
     u = L.gen()
     big = u ** 40 + u + 1
@@ -488,7 +487,7 @@ def test_scaling_by_zero_multiplies_no_coefficient(monkeypatch):
         del calls[:]
         inverse = 1 / w
         counts.append(len(calls))
-        assert inverse.num.is_zero() is False and inverse * w == RationalFunction.one(L, "t")
+        assert inverse * w == RationalFunction.one(L, "t")
     assert counts[0] == counts[1] < 400
 
 

@@ -3,7 +3,7 @@ leaves every one of them byte-identical.
 
     python tools/identity.py [--suite-seed 7] [--corpus-seeds 7 2024]
 
-prints four sha256 digests: ``suites`` over the ten ``run_suite`` reports
+prints five sha256 digests: ``suites`` over the ten ``run_suite`` reports
 at the suite seed (default sample counts, without ``elapsed``); ``corpus``
 over ``str(phi)`` and the verdict JSON of ``intr_member(phi, D, depth=3)``
 for every ``certify`` and ``tower`` item of ``perfbench/corpus.py`` at each
@@ -11,7 +11,13 @@ corpus seed; ``kinds`` over the seed, the item id and the verdict kind
 (in, out or unknown) of the same items; and ``witness`` over the
 ``notlocal_witness`` records of the Frobenius pullbacks of GF(2)(u)
 (e = 1..4) and GF(3)(u) (e = 1, 2), each on the t-adic and the Hahn field,
-at depth 3 with 10 split samples drawn from ``random.Random(0)``.  A change
+at depth 3 with 10 split samples drawn from ``random.Random(0)``; and
+``newton`` over the envelope JSON of 40 seeded nonzero rational functions
+on each of six fields (Q5, t-adic GF(4) and GF(2)(u), lex2 GF(2), Hahn
+GF(2) and GF(2)(u)), with the prediction, the slopes and the local
+polynomials of the numerator and the denominator at a seeded point; in
+every odd draw each numerator coefficient attains the minimum at that
+point, so the local polynomials have several terms.  A change
 that rewrites witnesses or reasons on purpose moves ``corpus`` but must keep
 ``kinds``: that shows no verdict changed kind.  It reads the package and the corpus of the checkout
 that holds it, so compare its lines from two checkouts.  It writes no files.
@@ -60,6 +66,40 @@ def witness_digest():
     return h.hexdigest()
 
 
+def _unit(V, rng):
+    L = V.residue_field
+    while True:
+        r = L.random(rng) if L.is_finite else L.random(rng, degree=1)
+        if r:
+            return V.lift(r)
+
+
+def newton_digest():
+    h = hashlib.sha256()
+    gf2u = ivrf.RatFuncField(ivrf.FiniteField(2), "u")
+    for V in (ivrf.PAdicQ(5), ivrf.TAdicRat(ivrf.FiniteField(2, 2)), ivrf.TAdicRat(gf2u),
+              ivrf.LexRank2(ivrf.FiniteField(2)), ivrf.HahnFinite(ivrf.FiniteField(2)),
+              ivrf.HahnFinite(gf2u)):
+        rng = random.Random(0)
+        for k in range(40):
+            a = V.random_nonzero(rng)
+            if k % 2:
+                c = V.random_nonzero(rng)
+                num = [_unit(V, rng) * c / a ** i for i in range(rng.randint(1, 4))]
+            else:
+                num = [V.random_element(rng) for _ in range(rng.randint(1, 4))]
+            den = [V.random_element(rng) for _ in range(rng.randint(1, 3))]
+            num, den = ivrf.Polynomial(V, num), ivrf.Polynomial(V, den)
+            if num.is_zero() or den.is_zero():
+                continue
+            phi = ivrf.RationalFunction(num, den)
+            locs = [ivrf.local_poly(f, a, V) for f in (phi.num, phi.den)]
+            h.update(f"{V.describe()}\t{phi}\t{a}\t{_dump(ivrf.minval_rat(phi, V).to_json())}"
+                     f"\t{ivrf.predict(phi, a, V)}\t{ivrf.slopes_check(phi, a, V)}"
+                     f"\t{locs[0]}\t{locs[1]}\n".encode())
+    return h.hexdigest()
+
+
 def corpus_digests(seeds):
     """The ``corpus`` and ``kinds`` digests, from one pass over the items."""
     h = hashlib.sha256()
@@ -87,3 +127,4 @@ if __name__ == "__main__":
     print("corpus", corpus_hex)
     print("kinds", kinds_hex)
     print("witness", witness_digest())
+    print("newton", newton_digest())

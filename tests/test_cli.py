@@ -158,6 +158,12 @@ class TestLocpoly:
         assert data["support"] == [0, 1]
         assert data["local_polynomial"] == "x + 1"
 
+    @pytest.mark.parametrize("f, t", [("0", "5"), ("x+1", "0")])
+    def test_zero_function_or_point_exits_two(self, f, t):
+        res = run("locpoly", "--config", PADIC5, "-f", f, "-t", t)
+        assert res.exit_code == 2
+        assert "Error: local polynomial needs f and t nonzero" in res.output
+
 
 class TestConstruct:
     def test_theta(self):

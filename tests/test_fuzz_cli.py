@@ -189,3 +189,23 @@ def test_fuzzed_minval_exits_zero_or_two(args):
     assert res.exception is None or isinstance(res.exception, SystemExit), (
         args, repr(res.exception))
     assert res.exit_code in (0, 2), (args, res.output)
+
+
+@st.composite
+def construct_invocations(draw):
+    command = draw(st.sampled_from(["psi", "rho", "separator"]))
+    args = ["construct", command, "--preset", draw(st.sampled_from(["t6n2", "t30n2"])),
+            "--phi", draw(TEXTS[0][0]), "--samples", str(draw(st.integers(1, 4)))]
+    if command == "rho":
+        args += ["--phi2", draw(TEXTS[0][0])]
+    return args
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(construct_invocations())
+def test_fuzzed_constructions_exit_zero_or_two(args):
+    res = CliRunner().invoke(main, args)
+    assert res.exception is None or isinstance(res.exception, SystemExit), (
+        args, repr(res.exception))
+    assert res.exit_code in (0, 2), (args, res.output)

@@ -233,6 +233,12 @@ class TestSlopes:
         for t in (Fraction(1), Fraction(5), Fraction(1, 5), Fraction(7)):
             assert slopes_check(phi, t, Q5) == (1, 1)
 
+    def test_zero_point_or_function_rejected(self):
+        for phi, t in ((RationalFunction(qp(5, 1)), Fraction(0)),
+                       (RationalFunction(qp()), Fraction(5))):
+            with pytest.raises(PreconditionError, match="slopes need phi and t nonzero"):
+                slopes_check(phi, t, Q5)
+
     def test_matches_envelope_slopes(self):
         rng = random.Random(6)
         checked = 0

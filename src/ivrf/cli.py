@@ -17,13 +17,13 @@ from pathlib import Path
 import click
 
 from . import constructions as cons
-from .errors import ConfigError, IvrfError
+from .errors import ConfigError, IvrfError, PreconditionError
 from .fields import (field_from_config, residue_field_from_config,
                      subfield_from_config)
 from .intr import (WHOLE_FIELD, DomainSpec, MStar, Pointed, ValueIdeal,
                    dichotomy_check, domain_from_config, ideal_member,
                    intr_member)
-from .newton import local_poly, minval_rat, predict
+from .newton import local_poly, minval_poly, minval_rat, predict
 from .ratfun import POLE, parse_ratfun
 from .suites import SUITES, run_suite
 
@@ -126,10 +126,11 @@ def locpoly(config, expr, at, out):
     if f.den.degree > 0:
         raise click.UsageError("locpoly expects a polynomial")
     t = V.parse(at)
-    loc = local_poly(f.num, t, V)
+    if f.is_zero() or not t:
+        raise PreconditionError("local polynomial needs f and t nonzero")
+    loc = local_poly(minval_poly(f.num, V), t, V.valuation(t))
     _emit(_report("locpoly", f=str(f), t=str(t), degree=loc.degree,
-                  local_polynomial=str(loc),
-                  support=loc.support()), out)
+                  local_polynomial=str(loc), support=loc.support()), out)
 
 
 @main.command()

@@ -372,8 +372,8 @@ def _certify(ctx, phi, region, restrict0, depth):
     unknown = None
     depth_used = 1
     cert = []
-
-    for seg in (minval_poly(phi.num, V) - minval_poly(phi.den, V)).segments:
+    num, den = minval_poly(phi.num, V), minval_poly(phi.den, V)
+    for seg in (num - den).segments:
         piece = region.intersect(seg.lo, True, seg.hi, True)
         rec = {"from": _fmt(seg.lo), "to": _fmt(seg.hi),
                "slope": seg.slope, "intercept": str(seg.intercept)}
@@ -393,8 +393,8 @@ def _certify(ctx, phi, region, restrict0, depth):
             cert.append({"point": _fmt(delta), "status": "not a value"})
             continue
         prec = {"point": _fmt(delta), "classes": []}
-        out = _check_point(ctx, phi, delta, seg.value_at(delta), restrict0,
-                           depth, prec)
+        out = _check_point(ctx, phi, num, den, delta, seg.value_at(delta),
+                           restrict0, depth, prec)
         cert.append(prec)
         if out.kind == "out":
             return out
@@ -458,26 +458,27 @@ def _check_interval(ctx, phi, seg, piece, restrict0, rec):
     return None
 
 
-def _check_point(ctx, phi, delta, val, restrict0, depth, prec):
+def _check_point(ctx, phi, num, den, delta, val, restrict0, depth, prec):
     """The residue classes at the breakpoint ``delta`` of envelope value ``val``.
 
-    The numerator's local polynomial is built only where a verdict reads it:
-    for its roots when the value fails (they are refined, and no exact class
-    may take them), and for the ratio h at value 0 of a pullback.  There a
-    numerator root c has h(c) = 0, which every subfield contains, so the
-    ratio check skips the denominator's roots alone."""
+    The local polynomials are read from ``num`` and ``den``, the envelopes of
+    phi's terms; the numerator's only where a verdict reads it: for its roots
+    when the value fails (they are refined, and no exact class may take
+    them), and for the ratio h at value 0 of a pullback.  There a numerator
+    root c has h(c) = 0, which every subfield contains, so the ratio check
+    skips the denominator's roots alone."""
     V = ctx.V
     L = V.residue_field
     zero = V.group.zero()
     t = V.element_of_value(delta)
-    locg = local_poly(phi.den, t, V)
+    locg = local_poly(den, t, delta)
     ok_val = ctx.value_ok(val)
     allowed = restrict0 if delta == zero else None
 
     roots_g, complete = residue_roots(locg, L)
     roots_f = set()
     if not ok_val:
-        roots_f, complete_f = residue_roots(local_poly(phi.num, t, V), L)
+        roots_f, complete_f = residue_roots(local_poly(num, t, delta), L)
         complete = complete and complete_f
     if allowed is not None:
         roots_g = {c for c in roots_g if allowed.contains(c)}
@@ -495,7 +496,7 @@ def _check_point(ctx, phi, delta, val, restrict0, depth, prec):
             return CertifiedOut(t * V.lift(c), f"exact class value {val} at {delta}")
     elif val == zero and ctx.fsub is not None:
         # exact classes have residue r0 * locf(c)/locg(c)
-        locf = local_poly(phi.num, t, V)
+        locf = local_poly(num, t, delta)
         df, dg = locf.degree, locg.degree
         r0 = V.residue((phi.num.coeffs[df] * t ** df) /
                        (phi.den.coeffs[dg] * t ** dg))

@@ -7,11 +7,11 @@ to right, and its breakpoints live in the divisible closure of the value
 group.  For a rational function the envelope of the numerator minus the
 envelope of the denominator is taken segment-wise on the merged breakpoints.
 
-Local polynomials capture what happens at a single value: for t nonzero,
-loc(f, t) is f(t*x) divided by its dominant coefficient and reduced modulo
-the maximal ideal, a monic ``Polynomial`` in x over the residue field.  The
-envelope predicts v(f(a)) exactly unless the residue of a/t is a root of the
-local polynomial.
+The envelope of f keeps its lines (i, v(a_i)), each v(a_i) read once, and
+local polynomials are read from them: for t nonzero, loc(f, t) is f(t*x)
+divided by its dominant coefficient and reduced modulo the maximal ideal, a
+monic ``Polynomial`` in x over the residue field.  The envelope predicts
+v(f(a)) exactly unless the residue of a/t is a root of the local polynomial.
 """
 
 from __future__ import annotations
@@ -76,9 +76,8 @@ class PiecewiseLinear:
             strictly_hi = seg.hi is None or seg.hi > gamma
             if strictly_lo and (seg.hi is None or gamma <= seg.hi):
                 left = seg.slope
-            if strictly_hi and (seg.lo is None or gamma >= seg.lo):
-                if right is None:
-                    right = seg.slope
+            if strictly_hi and (seg.lo is None or gamma >= seg.lo) and right is None:
+                right = seg.slope
         return left, right
 
     def is_continuous(self):
@@ -134,10 +133,6 @@ class PiecewiseLinear:
         return all(s.slope[0] == s.slope[1] and s.intercept[0] == s.intercept[1]
                    for s in diff.segments)
 
-    def is_constant(self):
-        m = self.merged()
-        return len(m.segments) == 1 and m.segments[0].slope == 0
-
     def to_json(self):
         return {"segments": [
             {"slope": seg.slope,
@@ -150,15 +145,22 @@ class PiecewiseLinear:
         return "PL{" + "; ".join(repr(s) for s in self.segments) + "}"
 
 
+class Envelope(PiecewiseLinear):
+    """The envelope of ``poly`` over ``V``; ``lines`` are its (i, v(a_i)), i falling."""
+
+    __slots__ = ("poly", "V", "lines")
+
+    def __init__(self, poly, V, lines, segments):
+        super().__init__(V.group, segments)
+        self.poly, self.V, self.lines = poly, V, lines
+
+
 def minval_poly(f, V):
     """Lower envelope of the lines v(a_i) + i*gamma over the support of f."""
     if f.is_zero():
         raise StructuralError("minval of the zero polynomial")
-    lines = []
-    for i in f.support():
-        b = V.valuation(f.coeffs[i])
-        lines.append((i, b))
-    lines.sort(key=lambda e: -e[0])  # decreasing slope: leftmost piece first
+    # decreasing slope: leftmost piece first
+    lines = [(i, V.valuation(f.coeffs[i])) for i in reversed(f.support())]
     stack = []  # entries (slope, intercept, start); start None on the left end
     for m, b in lines:
         while stack:
@@ -170,11 +172,9 @@ def minval_poly(f, V):
             stack.pop()
         else:
             stack.append((m, b, None))
-    segs = []
-    for k, (m, b, start) in enumerate(stack):
-        hi = stack[k + 1][2] if k + 1 < len(stack) else None
-        segs.append(Segment(m, b, start, hi, tag=m))
-    return PiecewiseLinear(V.group, segs)
+    ends = [start for _, _, start in stack[1:]] + [None]
+    segs = [Segment(m, b, start, hi, tag=m) for (m, b, start), hi in zip(stack, ends)]
+    return Envelope(f, V, lines, segs)
 
 
 def minval_rat(phi, V):
@@ -185,29 +185,26 @@ def minval_rat(phi, V):
     return pl.merged()
 
 
-def local_poly(f, t, V):
-    """The localized residue polynomial of f at t, a ``Polynomial`` in x over
-    the residue field.
+def local_poly(env, t, vt):
+    """The localized residue polynomial of the envelope's polynomial f at a
+    nonzero t of value vt, a ``Polynomial`` in x over the residue field.
 
     With d the largest index attaining min_i v(a_i t^i), this is
     f(t x) / (a_d t^d) reduced modulo the maximal ideal: monic of degree d,
     and its coefficient at x^i is nonzero exactly when index i attains the
-    minimum.  So only the attaining indices i < d take field arithmetic, the
-    residue of a_i / (a_d t^(d-i)); every other coefficient is 0.
+    minimum.  The minimum is over all of the envelope's lines, not its hull,
+    and reads no valuation.  Only the attaining indices i < d take field
+    arithmetic, the residue of a_i / (a_d t^(d-i)); every other one is 0.
     """
-    if f.is_zero() or not t:
-        raise PreconditionError("local polynomial needs f and t nonzero")
-    vt = V.valuation(t)
-    vals = [(i, V.valuation(f.coeffs[i]) + vt.scale(i)) for i in f.support()]
+    vals = [(i, b + vt.scale(i)) for i, b in env.lines]
     mv = min(v for _, v in vals)
-    attaining = [i for i, v in vals if v == mv]
-    d = attaining[-1]
+    d, *below = [i for i, v in vals if v == mv]
+    V, coeffs = env.V, env.poly.coeffs
     L = V.residue_field
-    coeffs = [L.zero()] * d + [L.one()]
-    ad = f.coeffs[d]
-    for i in attaining[:-1]:
-        coeffs[i] = V.residue(f.coeffs[i] / (ad * t ** (d - i)))
-    return Polynomial(L, coeffs, "x")
+    loc = [L.zero()] * d + [L.one()]
+    for i in below:
+        loc[i] = V.residue(coeffs[i] / (coeffs[d] * t ** (d - i)))
+    return Polynomial(L, loc, "x")
 
 
 def predict(phi, a, V):
@@ -220,11 +217,11 @@ def predict(phi, a, V):
     if not a:
         raise PreconditionError("predict needs a nonzero point")
     va = V.valuation(a)
-    predicted = minval_poly(phi.num, V).eval(va) - minval_poly(phi.den, V).eval(va)
+    num, den = minval_poly(phi.num, V), minval_poly(phi.den, V)
     one = V.residue_field.one()
-    exact = bool(local_poly(phi.num, a, V).evaluate(one)
-                 and local_poly(phi.den, a, V).evaluate(one))
-    return predicted, exact
+    exact = bool(local_poly(num, a, va).evaluate(one)
+                 and local_poly(den, a, va).evaluate(one))
+    return num.eval(va) - den.eval(va), exact
 
 
 def slopes_check(phi, t, V):
@@ -236,6 +233,6 @@ def slopes_check(phi, t, V):
     """
     if phi.is_zero() or not t:
         raise PreconditionError("slopes need phi and t nonzero")
-    locf = local_poly(phi.num, t, V)
-    locg = local_poly(phi.den, t, V)
+    vt = V.valuation(t)
+    locf, locg = (local_poly(minval_poly(f, V), t, vt) for f in (phi.num, phi.den))
     return locf.degree - locg.degree, locf.low_degree() - locg.low_degree()

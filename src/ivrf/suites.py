@@ -159,11 +159,12 @@ def predict(seed=0, samples=None, depth=None):
             if a == 0:
                 a = Fraction(1)
         vfa = V.valuation(f.evaluate(a))
-        predicted = minval_poly(f, V).eval(V.valuation(a))
+        env, va = minval_poly(f, V), V.valuation(a)
+        predicted = env.eval(va)
         if not (vfa is INFINITY or vfa >= predicted):
             _fail(report, f=str(f), a=str(a), reason="value below envelope")
             continue
-        loc = local_poly(f, a, V)
+        loc = local_poly(env, a, va)
         exact = bool(loc.evaluate(V.residue_field.one()))
         if exact != (vfa == predicted):
             _fail(report, f=str(f), a=str(a),

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ivrf import suites
 from ivrf.errors import PreconditionError, StructuralError
 from ivrf.ff import FiniteField, RatFuncField
 from ivrf.fields import HahnFinite, LexRank2, PAdicQ, TAdicRat
@@ -67,7 +68,8 @@ class TestMinvalRat:
 
     def test_constant(self):
         pl = minval_rat(RationalFunction(qp(75)), Q5)
-        assert pl.is_constant()
+        segs = pl.merged().segments
+        assert len(segs) == 1 and segs[0].slope == 0
         assert pl.eval(G.element(9)) == G.element(2)
 
     def test_theta_values(self):
@@ -96,20 +98,20 @@ class TestMinvalRat:
 
 class TestLocalPoly:
     def test_at_unit(self):
-        loc = local_poly(qp(5, 1), Fraction(1), Q5)
+        loc = local_poly(minval_poly(qp(5, 1), Q5), Fraction(1), G.zero())
         assert loc.degree == 1
         assert loc.support() == [1]
         assert loc.leading() == loc.field.one()
 
     def test_at_uniformizer(self):
-        loc = local_poly(qp(5, 1), Fraction(5), Q5)
+        loc = local_poly(minval_poly(qp(5, 1), Q5), Fraction(5), G.element(1))
         assert loc.degree == 1
         assert loc.support() == [0, 1]
         # x + 1 vanishes at the residue of -1
         assert loc.evaluate(Q5.residue_field.from_int(-1)) == Q5.residue_field.zero()
 
     def test_pure_power(self):
-        loc = local_poly(qp(0, 0, 1), Fraction(7), Q5)
+        loc = local_poly(minval_poly(qp(0, 0, 1), Q5), Fraction(7), G.zero())
         assert loc.support() == [2]
         assert loc.leading() == loc.field.one()
 
@@ -122,8 +124,8 @@ class TestLocalPoly:
             t = Q5.random_element(rng)
             if t == 0:
                 continue
-            loc = local_poly(f, t, Q5)
             vt = Q5.valuation(t)
+            loc = local_poly(minval_poly(f, Q5), t, vt)
             mv = direct_min(f, Q5, vt)
             achieved = [i for i in f.support()
                         if Q5.valuation(f.coeffs[i]) + vt.scale(i) == mv]
@@ -173,12 +175,69 @@ def test_local_poly_matches_definition(V):
             f = Polynomial(V, [V.random_element(rng) for _ in range(rng.randint(1, 4))])
         if f.is_zero():
             continue
-        loc = local_poly(f, t, V)
+        loc = local_poly(minval_poly(f, V), t, V.valuation(t))
         assert loc == _definition_local_poly(f, t, V)
         assert loc.leading() == loc.field.one()
         off_unit += V.valuation(t) != zero
         several += len(loc.support()) > 1
     assert off_unit and several
+
+
+class TestValuationReads:
+    """Each coefficient valuation is read once, by the envelope.  The
+    valuation a residue takes to test its own argument is not counted."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls, in_residue = [], []
+        for cls in (PAdicQ, TAdicRat):
+            def valuation(V, x, orig=cls.valuation):
+                if not in_residue:
+                    calls.append(x)
+                return orig(V, x)
+
+            def residue(V, x, orig=cls.residue):
+                in_residue.append(x)
+                try:
+                    return orig(V, x)
+                finally:
+                    in_residue.pop()
+            monkeypatch.setattr(cls, "valuation", valuation)
+            monkeypatch.setattr(cls, "residue", residue)
+        return calls
+
+    @pytest.mark.parametrize("V", [Q5, TAdicRat(FiniteField(2, 2))],
+                             ids=["padic", "tadic"])
+    def test_local_poly_reads_no_valuation(self, V, reads):
+        rng = random.Random(9)
+        several = 0
+        for k in range(40):
+            t = V.random_nonzero(rng)
+            if k % 2:  # every index attains the minimum at t
+                c = V.random_nonzero(rng)
+                f = Polynomial(V, [_unit(V, rng) * c / t ** i for i in range(4)])
+            else:
+                f = Polynomial(V, [V.random_element(rng) for _ in range(4)])
+            if f.is_zero():
+                continue
+            env, vt = minval_poly(f, V), V.valuation(t)
+            reads.clear()
+            several += len(local_poly(env, t, vt).support()) > 1
+            assert reads == []
+        assert several
+
+    def test_predict_suite_reads_each_coefficient_once(self, reads, monkeypatch):
+        supports = []
+        minval = suites.minval_poly
+
+        def spy(f, V):
+            supports.append(len(f.support()))
+            return minval(f, V)
+        monkeypatch.setattr(suites, "minval_poly", spy)
+        assert suites.run_suite("predict", seed=2024, samples=60)["ok"]
+        assert len(supports) == 60
+        # the support, then v(a) and v(f(a)), once per sample
+        assert len(reads) == sum(supports) + 2 * 60
 
 
 class TestPredict:

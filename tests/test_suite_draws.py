@@ -30,9 +30,9 @@ def test_sample_streams(monkeypatch):
         lines.append(f"eval\t{gamma}")
         return pl_eval(pl, gamma)
 
-    def spy_local(f, t, V):
-        lines.append(f"local\t{f}\t{t}")
-        return local_poly(f, t, V)
+    def spy_local(env, t, vt):
+        lines.append(f"local\t{env.poly}\t{t}")
+        return local_poly(env, t, vt)
 
     monkeypatch.setattr(suites, "minval_poly", spy_minval)
     monkeypatch.setattr(suites, "local_poly", spy_local)

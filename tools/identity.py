@@ -93,7 +93,8 @@ def newton_digest():
             if num.is_zero() or den.is_zero():
                 continue
             phi = ivrf.RationalFunction(num, den)
-            locs = [ivrf.local_poly(f, a, V) for f in (phi.num, phi.den)]
+            locs = [ivrf.local_poly(ivrf.minval_poly(f, V), a, V.valuation(a))
+                    for f in (phi.num, phi.den)]
             h.update(f"{V.describe()}\t{phi}\t{a}\t{_dump(ivrf.minval_rat(phi, V).to_json())}"
                      f"\t{ivrf.predict(phi, a, V)}\t{ivrf.slopes_check(phi, a, V)}"
                      f"\t{locs[0]}\t{locs[1]}\n".encode())

@@ -52,6 +52,27 @@ class TestMinval:
         assert len(data["sweep"]) == 5
         assert [line.split(",")[0] for line in data["sweep"]] == ["-2", "-1", "0", "1", "2"]
 
+    @pytest.mark.parametrize("config, expr, rows", [
+        ('{"variant":"padic","p":5}', "(x^3+5)/(x-25)",
+         ["-2,-4,-4,True", "-1,-2,-2,True", "0,0,0,True", "1,0,0,True",
+          "2,-1,pole,False"]),
+        ('{"variant":"tadic","residue":{"q":4}}', "(x^2+t)/(x-t^2)",
+         ["-2,-2,-2,True", "-1,-1,-1,True", "0,0,0,True", "1,0,0,True",
+          "2,-1,pole,False"]),
+        ('{"variant":"lex2"}', "(x^2+t1)/(x-t2)",
+         ["(-2, 0),(-2, 0),(-2, 0),True", "(-1, 0),(-1, 0),(-1, 0),True",
+          "(0, 0),(0, 0),(0, 0),True", "(1, 0),(1, -1),(1, -1),True",
+          "(2, 0),(1, -1),(1, -1),True"]),
+        ('{"variant":"hahn","residue":{"kind":"ratfunc","q":2}}', "(x^2+t^{1/2})/(x-t)",
+         ["-2,-2,-2,True", "-1,-1,-1,True", "0,0,0,True", "1,-1/2,pole,False",
+          "2,-1/2,-1/2,True"]),
+    ], ids=["padic", "tadic", "lex2", "hahn"])
+    def test_csv_sweep_rows(self, config, expr, rows):
+        res = run("minval", "--config", config, "-f", expr, "--sweep", "2",
+                  "--format", "csv")
+        assert res.exit_code == 0, res.output
+        assert res.output.splitlines() == ["gamma,minval,observed,exact"] + rows
+
 
 class TestMember:
     def test_certified_out_with_witness_five(self):

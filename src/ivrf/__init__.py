@@ -21,8 +21,9 @@ from .ff import FFElement, FiniteField, RatFuncField
 from .fields import (ConstantSubfield, FrobeniusSubfield, HahnElement,
                      HahnFinite, LexRank2, PAdicQ, PrimePowerSubfield, QQ,
                      SubfieldSpec, TAdicRat, ValuedField, field_from_config)
-from .newton import (Envelope, PiecewiseLinear, Segment, local_poly,
-                     minval_poly, minval_rat, predict, slopes_check)
+from .newton import (Envelope, PiecewiseLinear, RatEnvelope, Segment,
+                     local_poly, minval_poly, minval_rat, predict,
+                     slopes_check)
 from .intr import (CertifiedIn, CertifiedOut, DomainSpec, MStar, Pointed,
                    Unknown, ValueIdeal, WHOLE_FIELD, WHOLE_RING,
                    characteristic_set, dichotomy_check, domain_from_config,

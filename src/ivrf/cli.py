@@ -103,10 +103,10 @@ def minval(config, expr, sweep, out, fmt):
         for k in range(-abs(sweep), abs(sweep) + 1):
             gamma = V.group.element(*([k] + [0] * (V.group.rank - 1)))
             t = V.element_of_value(gamma)
-            predicted, exact = predict(phi, t, V)
+            predicted, exact = predict(pl, t, gamma)  # v(t) is gamma
             ev = phi.evaluate(t)
             observed = "pole" if ev is POLE else V.valuation(ev)
-            lines.append(f"{gamma},{pl.eval(gamma)},{observed},{exact}")
+            lines.append(f"{gamma},{predicted},{observed},{exact}")
         if fmt == "csv":
             _emit("\n".join(lines), out, "csv")
             return

@@ -12,6 +12,9 @@ local polynomials are read from them: for t nonzero, loc(f, t) is f(t*x)
 divided by its dominant coefficient and reduced modulo the maximal ideal, a
 monic ``Polynomial`` in x over the residue field.  The envelope predicts
 v(f(a)) exactly unless the residue of a/t is a root of the local polynomial.
+The envelope of phi keeps the envelopes of its numerator and denominator, so
+``predict`` and ``slopes_check`` read a point's value and local polynomials
+from it, with v(a) from the caller, and build no envelope themselves.
 """
 
 from __future__ import annotations
@@ -177,12 +180,22 @@ def minval_poly(f, V):
     return Envelope(f, V, lines, segs)
 
 
+class RatEnvelope(PiecewiseLinear):
+    """The envelope of phi: the merged segments of ``num`` minus ``den``, the
+    ``Envelope``s of phi's numerator and denominator."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        super().__init__(num.group, (num - den).merged().segments)
+        self.num, self.den = num, den
+
+
 def minval_rat(phi, V):
     """Envelope of the numerator minus envelope of the denominator."""
     if phi.is_zero():
         raise StructuralError("minval of the zero function")
-    pl = minval_poly(phi.num, V) - minval_poly(phi.den, V)
-    return pl.merged()
+    return RatEnvelope(minval_poly(phi.num, V), minval_poly(phi.den, V))
 
 
 def local_poly(env, t, vt):
@@ -207,32 +220,31 @@ def local_poly(env, t, vt):
     return Polynomial(L, loc, "x")
 
 
-def predict(phi, a, V):
-    """(predicted valuation of phi(a), exactness flag).
+def predict(env, a, va):
+    """(predicted valuation of phi(a), exactness flag) for phi's envelope
+    ``env`` and a nonzero a of value va.
 
-    The prediction is the envelope value at v(a).  It is exact when the
+    The prediction is the envelope value at va.  It is exact when the
     residue 1 = res(a/a) is a root of neither local polynomial at t = a;
-    v(f(a)) can only exceed the envelope, never undercut it.
+    v(phi(a)) can only exceed the envelope, never undercut it.
     """
     if not a:
         raise PreconditionError("predict needs a nonzero point")
-    va = V.valuation(a)
-    num, den = minval_poly(phi.num, V), minval_poly(phi.den, V)
-    one = V.residue_field.one()
-    exact = bool(local_poly(num, a, va).evaluate(one)
-                 and local_poly(den, a, va).evaluate(one))
-    return num.eval(va) - den.eval(va), exact
+    one = env.num.V.residue_field.one()
+    exact = bool(local_poly(env.num, a, va).evaluate(one)
+                 and local_poly(env.den, a, va).evaluate(one))
+    return env.eval(va), exact
 
 
-def slopes_check(phi, t, V):
-    """Envelope slopes adjacent to v(t), read off the local polynomials.
+def slopes_check(env, t, vt):
+    """Slopes of phi's envelope ``env`` adjacent to vt = v(t), read off the
+    local polynomials at t.
 
-    Returns (c, c') where c governs the piece immediately left of v(t) and
+    Returns (c, c') where c governs the piece immediately left of vt and
     c' the piece immediately right: c is the difference of the top support
     indices, c' of the bottom support indices.
     """
-    if phi.is_zero() or not t:
+    if not t:
         raise PreconditionError("slopes need phi and t nonzero")
-    vt = V.valuation(t)
-    locf, locg = (local_poly(minval_poly(f, V), t, vt) for f in (phi.num, phi.den))
+    locf, locg = local_poly(env.num, t, vt), local_poly(env.den, t, vt)
     return locf.degree - locg.degree, locf.low_degree() - locg.low_degree()

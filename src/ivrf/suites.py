@@ -194,12 +194,10 @@ def slopes(seed=0, samples=None, depth=None):
         phi = RationalFunction(f, g)
         if phi.is_zero():
             continue
-        c, cp = slopes_check(phi, tt, V)
-        pl = minval_poly(phi.num, V) - minval_poly(phi.den, V)
-        left, right = pl.slopes_around(V.valuation(tt))
-        if (c, cp) != (left, right):
-            _fail(report, phi=str(phi), t=str(tt), got=(c, cp),
-                  expected=(left, right))
+        env, vt = minval_rat(phi, V), V.valuation(tt)
+        got, expected = slopes_check(env, tt, vt), env.slopes_around(vt)
+        if got != expected:
+            _fail(report, phi=str(phi), t=str(tt), got=got, expected=expected)
         report["checked"] += 1
     return report
 

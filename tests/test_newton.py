@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
-from ivrf import suites
+from ivrf import newton, suites
+from ivrf.cli import main
 from ivrf.errors import PreconditionError, StructuralError
 from ivrf.ff import FiniteField, RatFuncField
 from ivrf.fields import HahnFinite, LexRank2, PAdicQ, TAdicRat
@@ -94,6 +96,29 @@ class TestMinvalRat:
                 expect = (direct_min(phi.num, Q5, gamma)
                           - direct_min(phi.den, Q5, gamma))
                 assert pl.eval(gamma) == expect
+
+    def test_keeps_the_envelopes_it_was_made_from(self):
+        phi = RationalFunction(qp(5, 1), qp(0, 1))
+        pl = minval_rat(phi, Q5)
+        assert pl.num.poly == phi.num and pl.den.poly == phi.den
+        assert pl == pl.num - pl.den
+
+    def test_slopes_suite_and_sweep_build_each_envelope_once(self, monkeypatch):
+        built = []
+        minval = newton.minval_poly
+
+        def spy(f, V):
+            built.append(f)
+            return minval(f, V)
+        monkeypatch.setattr(newton, "minval_poly", spy)
+        monkeypatch.setattr(suites, "minval_poly", spy)
+        assert suites.run_suite("slopes", seed=2024, samples=200)["ok"]
+        assert len(built) == 400  # a numerator and a denominator per sample
+        built.clear()
+        res = CliRunner().invoke(main, ["minval", "--config", '{"variant":"padic","p":5}',
+                                        "-f", "(x^3+5)/(x-25)", "--sweep", "3"])
+        assert res.exit_code == 0, res.output
+        assert len(built) == 2
 
 
 class TestLocalPoly:
@@ -243,24 +268,24 @@ class TestValuationReads:
 class TestPredict:
     def test_exact_case(self):
         phi = RationalFunction(qp(5, 1))
-        predicted, exact = predict(phi, Fraction(3), Q5)
+        predicted, exact = predict(minval_rat(phi, Q5), Fraction(3), G.element(0))
         assert predicted == G.element(0) and exact
         assert Q5.valuation(phi.evaluate(Fraction(3))) == predicted
 
     def test_root_blocks_exactness(self):
         phi = RationalFunction(qp(5, 1))
-        predicted, exact = predict(phi, Fraction(-5), Q5)
+        predicted, exact = predict(minval_rat(phi, Q5), Fraction(-5), G.element(1))
         assert predicted == G.element(1) and not exact
         assert phi.evaluate(Fraction(-5)) == 0  # jumped to infinity
 
     def test_constant_always_exact(self):
         phi = RationalFunction(qp(10))
-        predicted, exact = predict(phi, Fraction(7), Q5)
+        predicted, exact = predict(minval_rat(phi, Q5), Fraction(7), G.element(0))
         assert predicted == G.element(1) and exact
 
     def test_zero_point_rejected(self):
         with pytest.raises(PreconditionError):
-            predict(RationalFunction(qp(1, 1)), Fraction(0), Q5)
+            predict(minval_rat(RationalFunction(qp(1, 1)), Q5), Fraction(0), INFINITY)
 
     @pytest.mark.parametrize("V", [Q5, TAdicRat(FiniteField(2, 2))],
                              ids=["padic", "tadic"])
@@ -276,7 +301,8 @@ class TestPredict:
                 continue
             a = V.random_nonzero(rng)
             vfa = V.valuation(f.evaluate(a))
-            predicted, exact = predict(RationalFunction(f), a, V)
+            predicted, exact = predict(minval_rat(RationalFunction(f), V), a,
+                                       V.valuation(a))
             assert vfa is INFINITY or vfa >= predicted
             assert exact == (vfa == predicted)
             checked += 1
@@ -285,18 +311,20 @@ class TestPredict:
 class TestSlopes:
     def test_five_plus_x(self):
         phi = RationalFunction(qp(5, 1))
-        assert slopes_check(phi, Fraction(5), Q5) == (1, 0)
+        assert slopes_check(minval_rat(phi, Q5), Fraction(5), G.element(1)) == (1, 0)
 
     def test_identity_function(self):
         phi = RationalFunction(qp(0, 1))
         for t in (Fraction(1), Fraction(5), Fraction(1, 5), Fraction(7)):
-            assert slopes_check(phi, t, Q5) == (1, 1)
+            assert slopes_check(minval_rat(phi, Q5), t, Q5.valuation(t)) == (1, 1)
 
     def test_zero_point_or_function_rejected(self):
-        for phi, t in ((RationalFunction(qp(5, 1)), Fraction(0)),
-                       (RationalFunction(qp()), Fraction(5))):
-            with pytest.raises(PreconditionError, match="slopes need phi and t nonzero"):
-                slopes_check(phi, t, Q5)
+        env = minval_rat(RationalFunction(qp(5, 1)), Q5)
+        with pytest.raises(PreconditionError, match="slopes need phi and t nonzero"):
+            slopes_check(env, Fraction(0), INFINITY)
+        # a zero function has no envelope
+        with pytest.raises(StructuralError, match="minval of the zero function"):
+            minval_rat(RationalFunction(qp()), Q5)
 
     def test_matches_envelope_slopes(self):
         rng = random.Random(6)
@@ -312,7 +340,7 @@ class TestSlopes:
             phi = RationalFunction(f, g)
             if phi.is_zero():
                 continue
-            c, cp = slopes_check(phi, t, Q5)
+            c, cp = slopes_check(minval_rat(phi, Q5), t, Q5.valuation(t))
             pl = minval_poly(phi.num, Q5) - minval_poly(phi.den, Q5)
             assert (c, cp) == pl.slopes_around(Q5.valuation(t))
             checked += 1

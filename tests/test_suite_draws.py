@@ -4,8 +4,8 @@ envelope oracle under a wrong envelope.
 A suite report lists only failures, so the golden report digests do not
 pin what a suite draws: a change to how a sample is built could draw other
 functions and points and still report ``ok``.  ``test_sample_streams`` spies
-on ``minval_poly``, ``PiecewiseLinear.eval`` and ``local_poly`` and hashes
-every function, value and point they receive.
+on ``minval_poly``, ``minval_rat``, ``PiecewiseLinear.eval`` and ``local_poly``
+and hashes every function, value and point they receive.
 """
 
 import hashlib
@@ -14,17 +14,22 @@ from ivrf import newton, suites
 from ivrf.newton import PiecewiseLinear, Segment
 from ivrf.suites import run_suite
 
-STREAMS = "f47a54296bc686643fa25c7203e3a11be7f0885a79701a952762b599817fa669"
+STREAMS = "1910d2cc09ae8eb8b4a05b392e9bb5c03b36cac51b7f7673b19cb4b7949c150a"
 
 
 def test_sample_streams(monkeypatch):
     lines = []
-    minval_poly, local_poly = newton.minval_poly, newton.local_poly
+    minval_poly, minval_rat = newton.minval_poly, newton.minval_rat
+    local_poly = newton.local_poly
     pl_eval = PiecewiseLinear.eval
 
     def spy_minval(f, V):
         lines.append(f"minval\t{f}")
         return minval_poly(f, V)
+
+    def spy_minval_rat(phi, V):
+        lines.extend((f"minval\t{phi.num}", f"minval\t{phi.den}"))
+        return minval_rat(phi, V)
 
     def spy_eval(pl, gamma):
         lines.append(f"eval\t{gamma}")
@@ -35,6 +40,7 @@ def test_sample_streams(monkeypatch):
         return local_poly(env, t, vt)
 
     monkeypatch.setattr(suites, "minval_poly", spy_minval)
+    monkeypatch.setattr(suites, "minval_rat", spy_minval_rat)
     monkeypatch.setattr(suites, "local_poly", spy_local)
     monkeypatch.setattr(newton, "local_poly", spy_local)  # slopes_check's
     monkeypatch.setattr(PiecewiseLinear, "eval", spy_eval)

@@ -93,10 +93,10 @@ def newton_digest():
             if num.is_zero() or den.is_zero():
                 continue
             phi = ivrf.RationalFunction(num, den)
-            locs = [ivrf.local_poly(ivrf.minval_poly(f, V), a, V.valuation(a))
-                    for f in (phi.num, phi.den)]
-            h.update(f"{V.describe()}\t{phi}\t{a}\t{_dump(ivrf.minval_rat(phi, V).to_json())}"
-                     f"\t{ivrf.predict(phi, a, V)}\t{ivrf.slopes_check(phi, a, V)}"
+            env, va = ivrf.minval_rat(phi, V), V.valuation(a)
+            locs = [ivrf.local_poly(e, a, va) for e in (env.num, env.den)]
+            h.update(f"{V.describe()}\t{phi}\t{a}\t{_dump(env.to_json())}"
+                     f"\t{ivrf.predict(env, a, va)}\t{ivrf.slopes_check(env, a, va)}"
                      f"\t{locs[0]}\t{locs[1]}\n".encode())
     return h.hexdigest()
 

@@ -193,7 +193,7 @@ def construct():
 
 def _preset_opt(fn):
     return click.option("--preset", default="t6n2",
-                        type=click.Choice(["t6n2", "t30n2"]))(fn)
+                        type=click.Choice(list(cons.PRESETS)))(fn)
 
 
 @construct.command("theta")

@@ -48,7 +48,7 @@ class SingularData:
         for V in self.components:
             vt = V.valuation(self.t)
             zero = V.group.zero()
-            if vt is INFINITY or not (zero < vt < V.group.element(n)):
+            if not zero < vt < V.group.element(n):
                 raise StructuralError(
                     f"0 < v_{V.p}(t) < n*v_{V.p}(t_m) fails for t={t}, n={n}")
 
@@ -67,12 +67,13 @@ class SingularData:
         return f"SingularData{self.describe()}"
 
 
+PRESETS = {"t6n2": ([2, 3], 6, 2), "t30n2": ([2, 3, 5], 30, 2)}  # primes, t, n
+
+
 def preset(name):
-    if name == "t6n2":
-        return SingularData([2, 3], 6, 2)
-    if name == "t30n2":
-        return SingularData([2, 3, 5], 30, 2)
-    raise PreconditionError(f"unknown preset {name!r}")
+    if name not in PRESETS:
+        raise PreconditionError(f"unknown preset {name!r}")
+    return SingularData(*PRESETS[name])
 
 
 def _x(S):
@@ -227,9 +228,7 @@ def verify_separator(phi, S, samples):
             zero = V.group.zero()
             vphi = V.valuation(pv)
             vpsi = V.valuation(sv)
-            pos_phi = vphi is INFINITY or vphi > zero
-            pos_psi = vpsi is INFINITY or vpsi > zero
-            if pos_phi != pos_psi:
+            if (vphi > zero) != (vpsi > zero):
                 report["violations"].append({"a": str(a), "prime": V.p})
         report["checked"] += 1
     report["ok"] = not report["violations"]

@@ -22,7 +22,6 @@ from .intr import (DomainSpec, MStar, Pointed, WHOLE_FIELD, VIOLATION,
                    characteristic_set, dichotomy_check, ideal_member,
                    intr_member)
 from .newton import local_poly, minval_poly, minval_rat, slopes_check
-from .ordgroup import INFINITY
 from .ratfun import POLE, Polynomial, RationalFunction
 
 
@@ -161,7 +160,7 @@ def predict(seed=0, samples=None, depth=None):
         vfa = V.valuation(f.evaluate(a))
         env, va = minval_poly(f, V), V.valuation(a)
         predicted = env.eval(va)
-        if not (vfa is INFINITY or vfa >= predicted):
+        if not vfa >= predicted:
             _fail(report, f=str(f), a=str(a), reason="value below envelope")
             continue
         loc = local_poly(env, a, va)

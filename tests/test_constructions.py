@@ -32,6 +32,14 @@ class TestSingularData:
             SingularData([2, 3], t=12, n=2)  # v_2(12) = 2 not < 2
         SingularData([2, 3], t=12, n=3)
 
+    def test_zero_t_rejected(self):
+        with pytest.raises(StructuralError):  # v(0) is above every value
+            SingularData([2, 3], t=0, n=2)
+
+    def test_unknown_preset_rejected(self):
+        with pytest.raises(PreconditionError, match="^unknown preset 't6n3'$"):
+            preset("t6n3")
+
 
 class TestTheta:
     def test_formula_shape(self):

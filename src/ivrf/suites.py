@@ -239,7 +239,7 @@ def psi_identity(seed=0, samples=None, depth=None):
     return report
 
 
-def theta(seed=0, samples=None, depth=None):
+def theta(seed=0, samples=None, depth=3):
     """Exhaustive case table for theta on the reduced-fraction grid."""
     bound = samples or 200
     S = cons.preset("t6n2")
@@ -251,7 +251,7 @@ def theta(seed=0, samples=None, depth=None):
             _fail(report, **v)
     th = cons.build_theta(S)
     D = S.domain()
-    verdict = intr_member(th, D, depth=3)
+    verdict = intr_member(th, D, depth=depth)
     if verdict.kind != "in":
         _fail(report, stage="membership", verdict=repr(verdict))
     x = RationalFunction.gen(S.field)

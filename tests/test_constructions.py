@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ivrf import suites
 from ivrf.constructions import (SingularData, build_psi,
                                 build_rho, build_separator, build_theta,
                                 coprime_grid, field_map_scan, notlocal_witness,
@@ -72,6 +73,17 @@ class TestTheta:
     def test_grid_verification_t30(self):
         rep = verify_theta(preset("t30n2"), coprime_grid(25))
         assert rep["ok"]
+
+    def test_suite_certifies_at_its_depth(self, monkeypatch):
+        depths = []
+        intr_member = suites.intr_member
+
+        def spy(phi, D, depth):
+            depths.append(depth)
+            return intr_member(phi, D, depth=depth)
+        monkeypatch.setattr(suites, "intr_member", spy)
+        assert suites.run_suite("theta", samples=20, depth=1)["ok"]
+        assert depths == [1]
 
 
 class TestPsi:

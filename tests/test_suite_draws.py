@@ -1,5 +1,5 @@
 """The sample streams of the envelope, predict and slopes suites, and the
-envelope oracle under a wrong envelope.
+envelope oracle under wrong envelopes.
 
 A suite report lists only failures, so the golden report digests do not
 pin what a suite draws: a change to how a sample is built could draw other
@@ -9,6 +9,8 @@ and hashes every function, value and point they receive.
 """
 
 import hashlib
+
+import pytest
 
 from ivrf import newton, suites
 from ivrf.newton import PiecewiseLinear, Segment
@@ -75,3 +77,46 @@ def test_envelope_oracle_catches_an_intercept_off_by_one(monkeypatch):
     caught = [fail for fail in report["failures"] if fail["f"] == wrong[0]]
     assert caught and all("expected" in fail for fail in caught)
     assert report["checked"] == 20
+
+
+def _pl(V, pieces):
+    """A piecewise-linear function from (slope, intercept, lo, hi) in Z."""
+    el = lambda c: None if c is None else V.group.element(c)
+    return PiecewiseLinear(V.group, [Segment(m, el(b), el(lo), el(hi))
+                                     for m, b, lo, hi in pieces])
+
+
+def _too_many_breakpoints(f, V):
+    # slopes d+1, d, ..., 0 with joints at 0, 1, ..., d: continuous and
+    # concave, but one breakpoint more than the top support index d allows
+    d = max(f.support())
+    pieces, b = [], 0
+    for j in range(d + 2):
+        b += max(j - 1, 0)
+        pieces.append((d + 1 - j, b, j - 1 if j else None, j if j <= d else None))
+    return _pl(V, pieces)
+
+
+@pytest.mark.parametrize("wrong_pl, reason", [
+    (lambda f, V: _pl(V, [(1, 0, None, 0), (0, 1, 0, None)]), "discontinuous envelope"),
+    (lambda f, V: _pl(V, [(1, 0, None, 0), (0, 0, 1, None)]), "discontinuous envelope"),
+    (lambda f, V: _pl(V, [(0, 0, None, 0), (0, 0, 0, None)]),
+     "slopes not strictly decreasing"),
+    (_too_many_breakpoints, "too many breakpoints"),
+], ids=["joint-disagrees", "gap", "repeated-slope", "too-many-breakpoints"])
+def test_envelope_oracle_catches_a_malformed_envelope(monkeypatch, wrong_pl, reason):
+    wrong = []
+    minval_poly = newton.minval_poly
+
+    def malformed(f, V):
+        if wrong:
+            return minval_poly(f, V)
+        wrong.append(str(f))
+        pl = wrong_pl(f, V)
+        assert pl.is_continuous() == (reason != "discontinuous envelope")
+        return pl
+
+    monkeypatch.setattr(suites, "minval_poly", malformed)
+    report = run_suite("envelope", seed=3, samples=4)
+    assert not report["ok"]
+    assert {"f": wrong[0], "reason": reason} in report["failures"]

@@ -12,9 +12,7 @@ local polynomials are read from them: for t nonzero, loc(f, t) is f(t*x)
 divided by its dominant coefficient and reduced modulo the maximal ideal, a
 monic ``Polynomial`` in x over the residue field.  The envelope predicts
 v(f(a)) exactly unless the residue of a/t is a root of the local polynomial.
-The envelope of phi keeps the envelopes of its numerator and denominator, so
-``predict`` and ``slopes_check`` read a point's value and local polynomials
-from it, with v(a) from the caller, and build no envelope themselves.
+The envelope of phi keeps those of its numerator and denominator.
 """
 
 from __future__ import annotations
@@ -73,15 +71,9 @@ class PiecewiseLinear:
 
     def slopes_around(self, gamma):
         """Slopes immediately left and right of gamma."""
-        left = right = None
-        for seg in self.segments:
-            strictly_lo = seg.lo is None or seg.lo < gamma
-            strictly_hi = seg.hi is None or seg.hi > gamma
-            if strictly_lo and (seg.hi is None or gamma <= seg.hi):
-                left = seg.slope
-            if strictly_hi and (seg.lo is None or gamma >= seg.lo) and right is None:
-                right = seg.slope
-        return left, right
+        left = next(s for s in self.segments if s.hi is None or gamma <= s.hi)
+        right = next(s for s in self.segments if s.hi is None or gamma < s.hi)
+        return left.slope, right.slope
 
     def is_continuous(self):
         for a, b in zip(self.segments, self.segments[1:]):
@@ -181,8 +173,8 @@ def minval_poly(f, V):
 
 
 class RatEnvelope(PiecewiseLinear):
-    """The envelope of phi: the merged segments of ``num`` minus ``den``, the
-    ``Envelope``s of phi's numerator and denominator."""
+    """The envelope of phi: ``num`` minus ``den``, the envelopes of phi's
+    numerator and denominator, with equal adjacent pieces merged."""
 
     __slots__ = ("num", "den")
 
@@ -221,10 +213,9 @@ def local_poly(env, t, vt):
 
 
 def predict(env, a, va):
-    """(predicted valuation of phi(a), exactness flag) for phi's envelope
-    ``env`` and a nonzero a of value va.
+    """(predicted valuation of phi(a), exactness flag), read from phi's ``env``.
 
-    The prediction is the envelope value at va.  It is exact when the
+    The prediction is the envelope value at va = v(a).  It is exact when the
     residue 1 = res(a/a) is a root of neither local polynomial at t = a;
     v(phi(a)) can only exceed the envelope, never undercut it.
     """
@@ -237,8 +228,7 @@ def predict(env, a, va):
 
 
 def slopes_check(env, t, vt):
-    """Slopes of phi's envelope ``env`` adjacent to vt = v(t), read off the
-    local polynomials at t.
+    """Slopes of phi's ``env`` adjacent to vt = v(t), read off the local polynomials.
 
     Returns (c, c') where c governs the piece immediately left of vt and
     c' the piece immediately right: c is the difference of the top support

@@ -190,9 +190,7 @@ def slopes(seed=0, samples=None, depth=None):
             tt = V.random_element(rng)
             if tt == 0:
                 tt = Fraction(5)
-        phi = RationalFunction(f, g)
-        if phi.is_zero():
-            continue
+        phi = RationalFunction(f, g)  # f and g are drawn nonzero
         env, vt = minval_rat(phi, V), V.valuation(tt)
         got, expected = slopes_check(env, tt, vt), env.slopes_around(vt)
         if got != expected:

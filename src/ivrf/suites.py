@@ -160,7 +160,7 @@ def predict(seed=0, samples=None, depth=None):
         vfa = V.valuation(f.evaluate(a))
         env, va = minval_poly(f, V), V.valuation(a)
         predicted = env.eval(va)
-        if not vfa >= predicted:
+        if vfa < predicted:
             _fail(report, f=str(f), a=str(a), reason="value below envelope")
             continue
         loc = local_poly(env, a, va)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -229,6 +230,66 @@ class TestConstruct:
         ring = json.dumps({**json.loads(TADIC_PVD), "E": "ring"})
         res = run("construct", "witness", "--config", ring, "--samples", "5")
         assert payload(res)["domain"] == "GF(4)(t) t-adic|GF(2) in GF(4) on E=field"
+
+
+# stdout digests of construct runs, pinned so that a refactor of the
+# builders, the verifiers or the commands leaves every byte of output alone
+CONSTRUCT_RUNS = [
+    ("theta", "--samples", "12"),
+    ("theta", "--samples", "6", "--format", "csv"),
+    ("psi", "--samples", "10"),
+    ("psi", "--phi", "(x^2-2)/(3*x+1)", "--samples", "10"),
+    ("rho", "--phi", "x+2", "--phi2", "x^2-3", "--samples", "8"),
+    ("rho", "--phi", "1/x", "--phi2", "x-1", "--samples", "8"),
+    ("separator", "--phi", "x", "--samples", "8"),
+    ("separator", "--phi", "1/(x-2)", "--samples", "8"),
+]
+CONSTRUCT_DIGESTS = {
+    "t6n2": [
+        "9e3b64d0b1066aa7024586695f90fd6a325b24f5ea9c008e0bb43aaadda66f73",
+        "063b678ab2578326193b828ebab7b115672a25c41459b215dba507e7258e7d48",
+        "8c76839b30fca0d824a1a8bffef5bc978c88bfa302908a90c34cc3b98f8e6859",
+        "f13fac8ea0b94ebcaa7aef7de94c014649a73af7ee264a30b60d37085d0d5e01",
+        "fa135ee43bcbef83a367cf08a659fb3a2bea3053fac16edbc1adc24ace78c7b3",
+        "af432ed8c0595291de6c3b67a7d25a33fb10967e2ffdb24d7cdd257008128926",
+        "77758de8f81cfb8dfc1f95bb43c8b396ece7636bcddfeb6b34d25f5eb0682374",
+        "c2a79ebe90e0719621a2475717316e79cca76eb7b31e933002d8f14fe0428c69",
+    ],
+    "t30n2": [
+        "1aeaefc76aa63e883b3d8eba30a74b3e7db724f91eb07d311969b62c08f49b40",
+        "e3fbbaddd12dc81cd46226caf241363ffc4f0c49dfd2fbe9e2d6311375cd6c9d",
+        "f1d407cecb41c69edf00babe73d4554348616c9910352f2a5c6722ecf75fe642",
+        "0c76430b6c841fde134e6fc3638c99bc615b53f69dc27b10d5bbbcbcf437bd9c",
+        "c6efd3179cdab7cf278c2278afae7534385528a125a1738bb4d8009be11258a2",
+        "a1e9306e80efdee790b58b0ac6125138b8bc21be8986f30e8ea504838b67594c",
+        "6ee2ddf3d30598c01e9f444f73907b9c80309e9ba610b974d469576f3954cc0a",
+        "f181070b90cc26bd9bf3bc7df2bfd1bb8eb578d1b5781a066bafae8552f5960e",
+    ],
+}
+
+
+@pytest.mark.parametrize("preset", sorted(CONSTRUCT_DIGESTS))
+@pytest.mark.parametrize("k", range(len(CONSTRUCT_RUNS)))
+def test_construct_output_pinned(preset, k):
+    command, *rest = CONSTRUCT_RUNS[k]
+    res = run("construct", command, "--preset", preset, *rest)
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == CONSTRUCT_DIGESTS[preset][k]
+
+
+@pytest.mark.parametrize("args, message", [
+    (("psi", "--phi", "0"), "Error: psi needs a nonzero function\n"),
+    (("rho", "--phi", "x", "--phi2", "0"), "Error: rho needs phi2 nonzero\n"),
+    (("theta", "--preset", "nope"),
+     "Usage: main construct theta [OPTIONS]\n"
+     "Try 'main construct theta --help' for help.\n\n"
+     "Error: Invalid value for '--preset': 'nope' is not one of 't6n2', 't30n2'.\n"),
+])
+def test_construct_usage_error_pinned(args, message):
+    res = run("construct", *args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == message
 
 
 class TestScan:

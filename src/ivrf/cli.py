@@ -192,8 +192,9 @@ def construct():
 
 
 def _preset_opt(fn):
-    return click.option("--preset", default="t6n2",
-                        type=click.Choice(list(cons.PRESETS)))(fn)
+    return click.option("--preset", "S", default="t6n2",
+                        type=click.Choice(list(cons.PRESETS)),
+                        callback=lambda ctx, param, name: cons.preset(name))(fn)
 
 
 @construct.command("theta")
@@ -201,10 +202,8 @@ def _preset_opt(fn):
 @click.option("--samples", type=click.IntRange(min=1), default=50, help="grid bound for checks")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--out", default=None)
-def construct_theta(preset, samples, fmt, out):
-    S = cons.preset(preset)
-    th = cons.build_theta(S)
-    rep = cons.verify_theta(S, cons.coprime_grid(samples))
+def construct_theta(S, samples, fmt, out):
+    th, rep = cons.verify_theta(S, cons.coprime_grid(samples))
     if fmt == "csv":
         lines = ["a," + ",".join(f"v_{V.p}(a),v_{V.p}(theta(a))"
                                  for V in S.components)]
@@ -227,13 +226,11 @@ def construct_theta(preset, samples, fmt, out):
 @click.option("--phi", default="x")
 @click.option("--samples", type=click.IntRange(min=1), default=30)
 @click.option("--out", default=None)
-def construct_psi(preset, phi, samples, out):
-    S = cons.preset(preset)
+def construct_psi(S, phi, samples, out):
     fn = parse_ratfun(S.field, phi)
-    psi, identity = cons.build_psi(fn, S)
-    rep = cons.verify_psi(fn, S, list(cons.coprime_grid(samples)))
+    psi, rep = cons.verify_psi(fn, S, list(cons.coprime_grid(samples)))
     _emit(_report("construct psi", preset=S.describe(), phi=str(fn),
-                  psi=str(psi), identity=identity, verification=rep), out)
+                  psi=str(psi), identity=rep["identity"], verification=rep), out)
     sys.exit(0 if rep["ok"] else 1)
 
 
@@ -243,12 +240,10 @@ def construct_psi(preset, phi, samples, out):
 @click.option("--phi2", required=True)
 @click.option("--samples", type=click.IntRange(min=1), default=30)
 @click.option("--out", default=None)
-def construct_rho(preset, phi, phi2, samples, out):
-    S = cons.preset(preset)
+def construct_rho(S, phi, phi2, samples, out):
     f1 = parse_ratfun(S.field, phi)
     f2 = parse_ratfun(S.field, phi2)
-    r = cons.build_rho(f1, f2, S)
-    rep = cons.verify_rho(f1, f2, S, list(cons.coprime_grid(samples)))
+    r, rep = cons.verify_rho(f1, f2, S, list(cons.coprime_grid(samples)))
     _emit(_report("construct rho", preset=S.describe(), rho=str(r),
                   verification=rep), out)
     sys.exit(0 if rep["ok"] else 1)
@@ -259,11 +254,9 @@ def construct_rho(preset, phi, phi2, samples, out):
 @click.option("--phi", default="x")
 @click.option("--samples", type=click.IntRange(min=1), default=30)
 @click.option("--out", default=None)
-def construct_separator(preset, phi, samples, out):
-    S = cons.preset(preset)
+def construct_separator(S, phi, samples, out):
     fn = parse_ratfun(S.field, phi)
-    sep = cons.build_separator(fn, S)
-    rep = cons.verify_separator(fn, S, list(cons.coprime_grid(samples)))
+    sep, rep = cons.verify_separator(fn, S, list(cons.coprime_grid(samples)))
     _emit(_report("construct separator", preset=S.describe(), separator=str(sep),
                   verification=rep), out)
     sys.exit(0 if rep["ok"] else 1)

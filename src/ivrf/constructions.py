@@ -16,8 +16,9 @@ The builders return exact rational functions:
 * the separator phi / (phi + theta(phi));
 * the two not-local witnesses 1/(x^q - x + 1) and 1/(x^(p^(2e)) - u^(p^e)).
 
-Each builder is paired with a sampling verifier that re-checks the claimed
-valuation case table by direct exact evaluation.
+Each builder is paired with a sampling verifier that builds the function,
+re-checks its valuation case table (and psi's identity) by direct exact
+evaluation, and returns the function it checked with its report.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ class SingularData:
     def field(self):
         return self.components[0]
 
-    def domain(self, E=WHOLE_FIELD):
-        return DomainSpec.intersection(list(self.components), E)
+    def domain(self):
+        return DomainSpec.intersection(list(self.components))
 
     def describe(self):
         ps = ",".join(str(V.p) for V in self.components)
@@ -104,8 +105,8 @@ def coprime_grid(bound):
 
 
 def verify_theta(S, samples):
-    """Exact case table for theta: at v(a) = 0 the value gains valuation; at
-    v(a) != 0 the value is congruent to 1 modulo the maximal ideal."""
+    """theta and its exact case table: at v(a) = 0 the value gains valuation;
+    at v(a) != 0 the value is congruent to 1 modulo the maximal ideal."""
     theta = build_theta(S)
     report = {"checked": 0, "violations": []}
     for a in samples:
@@ -129,24 +130,23 @@ def verify_theta(S, samples):
                     {"a": str(a), "prime": V.p, "case": case})
         report["checked"] += 1
     report["ok"] = not report["violations"]
-    return report
+    return theta, report
 
 
 def build_psi(phi, S):
-    """psi = phi^n/(t + phi^(2n)) plus the exact cancellation identity."""
+    """psi = phi^n/(t + phi^(2n))."""
     if phi.is_zero():
         raise PreconditionError("psi needs a nonzero function")
-    t = _const(S, S.t)
-    n = S.n
-    psi = phi ** n / (t + phi ** (2 * n))
-    identity = (phi ** n * (1 - phi ** n * psi) == t * psi)
-    return psi, identity
+    return phi ** S.n / (_const(S, S.t) + phi ** (2 * S.n))
 
 
 def verify_psi(phi, S, samples):
-    """Valuation case table: v(psi(a)) = 0 where v(phi(a)) = 0, and
+    """psi, the cancellation identity phi^n (1 - phi^n psi) = t psi, and the
+    valuation case table: v(psi(a)) = 0 where v(phi(a)) = 0, and
     v(psi(a)) = n*v(phi(a)) - v(t) > 0 where v(phi(a)) > 0."""
-    psi, identity = build_psi(phi, S)
+    psi = build_psi(phi, S)
+    phi_n = phi ** S.n
+    identity = phi_n * (1 - phi_n * psi) == _const(S, S.t) * psi
     report = {"identity": identity, "checked": 0, "violations": []}
     for a in samples:
         pv = phi.evaluate(a)
@@ -168,7 +168,7 @@ def verify_psi(phi, S, samples):
                 report["violations"].append({"a": str(a), "prime": V.p})
         report["checked"] += 1
     report["ok"] = identity and not report["violations"]
-    return report
+    return psi, report
 
 
 def build_rho(phi1, phi2, S):
@@ -182,7 +182,7 @@ def build_rho(phi1, phi2, S):
 
 
 def verify_rho(phi1, phi2, S, samples):
-    """v(rho(a)) = min(v(phi1(a)), v(phi2(a))), exactly, at every sample."""
+    """rho, with v(rho(a)) = min(v(phi1(a)), v(phi2(a))) at every sample."""
     rho = build_rho(phi1, phi2, S)
     report = {"checked": 0, "skipped": 0, "violations": []}
     for a in samples:
@@ -198,7 +198,7 @@ def verify_rho(phi1, phi2, S, samples):
                 report["violations"].append({"a": str(a), "prime": V.p})
         report["checked"] += 1
     report["ok"] = not report["violations"]
-    return report
+    return rho, report
 
 
 def build_separator(phi, S):
@@ -211,8 +211,8 @@ def build_separator(phi, S):
 
 
 def verify_separator(phi, S, samples):
-    """v(psi(a)) > 0 exactly when v(phi(a)) > 0, and psi(a) lands in the
-    intersection domain, at every sample."""
+    """The separator psi, with v(psi(a)) > 0 exactly when v(phi(a)) > 0, and
+    psi(a) in the intersection domain, at every sample."""
     psi = build_separator(phi, S)
     D = S.domain()
     report = {"checked": 0, "skipped": 0, "violations": []}
@@ -232,7 +232,7 @@ def verify_separator(phi, S, samples):
                 report["violations"].append({"a": str(a), "prime": V.p})
         report["checked"] += 1
     report["ok"] = not report["violations"]
-    return report
+    return psi, report
 
 
 # ---------------------------------------------------------------------------

@@ -220,18 +220,17 @@ def psi_identity(seed=0, samples=None, depth=None):
         phi = _rand_q_ratfun(S.field, rng)
         if phi.is_zero():
             continue
-        psi, identity = cons.build_psi(phi, S)
-        if not identity:
+        if not cons.verify_psi(phi, S, ())[1]["identity"]:
             _fail(report, phi=str(phi), reason="identity failed")
         report["checked"] += 1
     grid = []
     for _ in range(points):
         grid.append(Fraction(rng.randint(-40, 40), rng.randint(1, 12)))
-    vrep = cons.verify_psi(_rand_q_ratfun(S.field, rng, 3), S, grid)
+    _, vrep = cons.verify_psi(_rand_q_ratfun(S.field, rng, 3), S, grid)
     if not vrep["ok"]:
         _fail(report, stage="case table", failures=vrep["violations"][:3])
     x = RationalFunction.gen(S.field)
-    vrep2 = cons.verify_psi(x, S, grid)
+    _, vrep2 = cons.verify_psi(x, S, grid)
     if not vrep2["ok"]:
         _fail(report, stage="case table x", failures=vrep2["violations"][:3])
     return report
@@ -242,14 +241,12 @@ def theta(seed=0, samples=None, depth=3):
     bound = samples or 200
     S = cons.preset("t6n2")
     report = _report("theta", bound=bound)
-    vrep = cons.verify_theta(S, cons.coprime_grid(bound))
+    th, vrep = cons.verify_theta(S, cons.coprime_grid(bound))
     report["checked"] = vrep["checked"]
     if not vrep["ok"]:
         for v in vrep["violations"][:10]:
             _fail(report, **v)
-    th = cons.build_theta(S)
-    D = S.domain()
-    verdict = intr_member(th, D, depth=depth)
+    verdict = intr_member(th, S.domain(), depth=depth)
     if verdict.kind != "in":
         _fail(report, stage="membership", verdict=repr(verdict))
     x = RationalFunction.gen(S.field)
@@ -274,7 +271,7 @@ def rho(seed=0, samples=None, depth=None):
         if phi2.is_zero():
             continue
         try:
-            vrep = cons.verify_rho(phi1, phi2, S, points)
+            _, vrep = cons.verify_rho(phi1, phi2, S, points)
         except StructuralError as exc:  # constant ratio at a pole of theta
             _fail(report, phi1=str(phi1), phi2=str(phi2), error=str(exc))
             continue

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
-from ivrf import suites
+from ivrf import constructions, suites
+from ivrf.cli import main
 from ivrf.constructions import (SingularData, build_psi,
                                 build_rho, build_separator, build_theta,
                                 coprime_grid, field_map_scan, notlocal_witness,
@@ -67,11 +69,11 @@ class TestTheta:
         assert V3.valuation(v2) == V3.group.element(1)
 
     def test_grid_verification(self):
-        rep = verify_theta(S, coprime_grid(60))
+        _, rep = verify_theta(S, coprime_grid(60))
         assert rep["ok"] and rep["checked"] > 2000
 
     def test_grid_verification_t30(self):
-        rep = verify_theta(preset("t30n2"), coprime_grid(25))
+        _, rep = verify_theta(preset("t30n2"), coprime_grid(25))
         assert rep["ok"]
 
     def test_suite_certifies_at_its_depth(self, monkeypatch):
@@ -88,17 +90,17 @@ class TestTheta:
 
 class TestPsi:
     def test_shape_and_identity(self):
-        psi, identity = build_psi(x, S)
+        psi, identity = build_psi(x, S), verify_psi(x, S, [])[1]["identity"]
         assert psi == x ** 2 / (x ** 4 + 6)
         assert identity
 
     def test_unit_case(self):
-        psi, _ = build_psi(x, S)
+        psi = build_psi(x, S)
         V2 = S.components[0]
         assert V2.valuation(psi.evaluate(Fraction(1))) == V2.group.zero()
 
     def test_ideal_case(self):
-        psi, _ = build_psi(x, S)
+        psi = build_psi(x, S)
         assert psi.evaluate(Fraction(2)) == Fraction(2, 11)
         V2 = S.components[0]
         assert V2.valuation(psi.evaluate(Fraction(2))) == V2.group.element(1)
@@ -115,11 +117,11 @@ class TestPsi:
             phi = RationalFunction(num, den)
             if phi.is_zero():
                 continue
-            _, identity = build_psi(phi, S)
+            identity = verify_psi(phi, S, [])[1]["identity"]
             assert identity
 
     def test_case_table(self):
-        rep = verify_psi(x, S, list(coprime_grid(20)))
+        _, rep = verify_psi(x, S, list(coprime_grid(20)))
         assert rep["ok"]
 
 
@@ -148,7 +150,7 @@ class TestRho:
         assert V3.valuation(rho.as_constant()) == V3.group.zero()
 
     def test_min_law_sampled(self):
-        rep = verify_rho(x + 2, x * x - 3, S, list(coprime_grid(15)))
+        _, rep = verify_rho(x + 2, x * x - 3, S, list(coprime_grid(15)))
         assert rep["ok"]
 
 
@@ -165,8 +167,86 @@ class TestSeparator:
         assert V2.valuation(sep.evaluate(Fraction(1))) == V2.group.zero()
 
     def test_sampled(self):
-        rep = verify_separator(x, S, list(coprime_grid(15)))
+        _, rep = verify_separator(x, S, list(coprime_grid(15)))
         assert rep["ok"]
+
+
+class TestVerifierFailures:
+    """Each verifier fed a wrong function by a patched builder reports it,
+    and hands back the function it checked."""
+
+    def test_theta(self, monkeypatch):
+        monkeypatch.setattr(constructions, "build_theta", lambda S: 1 / x)
+        theta, rep = verify_theta(S, coprime_grid(3))
+        assert theta == 1 / x and not rep["ok"]
+        assert rep["checked"] == 14  # the pole at 0 is not checked
+        assert rep["violations"][0] == {"a": "0", "case": "pole"}
+        assert {"a": "1", "prime": 2, "case": "unit argument"} in rep["violations"]
+        assert {"a": "2", "prime": 2, "case": "congruent to 1"} in rep["violations"]
+
+    def test_psi(self, monkeypatch):
+        monkeypatch.setattr(constructions, "build_psi", lambda phi, S: phi)
+        psi, rep = verify_psi(x, S, list(coprime_grid(4)))
+        assert psi == x and not rep["ok"]
+        assert rep["identity"] is False
+        assert {"a": "4", "prime": 2} in rep["violations"]  # v_2 is 2, not 2*2-1
+
+    def test_psi_identity_alone_fails_the_report(self, monkeypatch):
+        monkeypatch.setattr(constructions, "build_psi", lambda phi, S: phi)
+        _, rep = verify_psi(x, S, list(coprime_grid(3)))
+        assert rep["identity"] is False and rep["violations"] == []
+        assert not rep["ok"]
+
+    def test_rho(self, monkeypatch):
+        monkeypatch.setattr(constructions, "build_rho", lambda phi1, phi2, S: phi1)
+        rho, rep = verify_rho(x + 2, x * x - 3, S, list(coprime_grid(3)))
+        assert rho == x + 2 and not rep["ok"]
+        # v_2(2) = 1 but v_2(-3) = 0
+        assert rep["violations"][0] == {"a": "0", "prime": 2}
+
+    def test_separator(self, monkeypatch):
+        monkeypatch.setattr(constructions, "build_separator",
+                            lambda phi, S: 1 / (x - 1))
+        sep, rep = verify_separator(x, S, list(coprime_grid(3)))
+        assert sep == 1 / (x - 1) and not rep["ok"]
+        assert rep["skipped"] == 1 and rep["checked"] == 14  # the pole at 1
+        assert {"a": "3", "case": "not in D"} in rep["violations"]
+        assert {"a": "2", "prime": 2} in rep["violations"]
+
+    def test_separator_skips_a_pole_of_phi(self):
+        _, rep = verify_separator(1 / x, S, list(coprime_grid(3)))
+        assert rep["ok"] and rep["skipped"] == 1 and rep["checked"] == 14
+
+
+class TestOneBuild:
+    """A construct command or the theta suite builds each function once."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        counts = {}
+        for name in ("build_theta", "build_psi", "build_rho", "build_separator"):
+            def spy(*args, _name=name, _real=getattr(constructions, name)):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _real(*args)
+            monkeypatch.setattr(constructions, name, spy)
+        return counts
+
+    @pytest.mark.parametrize("args, expected", [
+        (["theta", "--samples", "5"], {"build_theta": 1}),
+        (["psi", "--samples", "5"], {"build_psi": 1}),
+        (["rho", "--phi", "x+2", "--phi2", "x^2-3", "--samples", "5"],
+         {"build_rho": 1, "build_theta": 1}),
+        (["separator", "--phi", "x", "--samples", "5"],
+         {"build_separator": 1, "build_theta": 1}),
+    ])
+    def test_construct(self, builds, args, expected):
+        res = CliRunner().invoke(main, ["construct", *args])
+        assert res.exit_code == 0, res.output
+        assert builds == expected
+
+    def test_theta_suite(self, builds):
+        assert suites.run_suite("theta", samples=20)["ok"]
+        assert builds == {"build_theta": 1}
 
 
 class TestWitnesses:

@@ -372,13 +372,15 @@ def rf_pth_root(h, p):
     """The rational function H with H^p = h, or None when there is none.
 
     The coefficient field's ``pth_root`` returns a root or None (GF(q) is
-    perfect; GF(q)(u) is not)."""
+    perfect; GF(q)(u) is not).  Frobenius is an injective ring map, so the
+    coefficient-wise roots N, D of the canonical h = num/den have N^p = num,
+    D^p = den and h = (N/D)^p; a common factor G of N and D would make G^p a
+    common factor of num and den, and D is monic as den is, so N/D is canonical."""
     num = _poly_pth_root(h.num, p)
     den = _poly_pth_root(h.den, p)
     if num is None or den is None:
         return None
-    root = RationalFunction(num, den)
-    return root if root ** p == h else None
+    return RationalFunction(num, den, _canonical=True)
 
 
 def _poly_pth_root(poly, p):

@@ -143,6 +143,23 @@ class TestRatFuncField:
         assert rf_pth_root(U * x ** 2, 2) is None   # u has no square root
         assert rf_pth_root(x ** 3, 2) is None       # odd exponent
 
+    @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)])
+    def test_pth_root_is_exact(self, p, k):
+        # rf_pth_root returns N/D as canonical without raising it to the p-th
+        # power: its roots must be exact, and canonical so that == holds
+        L = RatFuncField(FiniteField(p, k, gen_name="a"), "u")
+        rng = random.Random(p * 10 + k)
+        for _ in range(30):
+            h = L.random(rng, degree=rng.randint(0, 3))
+            assert rf_pth_root(h ** p, p) == h
+        found = 0
+        for g in L.small_elements():
+            root = rf_pth_root(g, p)
+            if root is not None:
+                assert root ** p == g
+                found += 1
+        assert found > 1
+
     def test_small_elements_distinct(self):
         seen = []
         for c in self.L.small_elements():

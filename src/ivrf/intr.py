@@ -364,49 +364,57 @@ class _Ctx:
         return in_pullback(self.V, self.fsub, y)
 
 
-def _certify(ctx, phi, region, restrict0, depth):
-    """The verdict for one context; a ``CertifiedIn`` carries its pieces.
-    ``CertifiedOut`` and ``Unknown`` carry none, so a record is written
-    only on a path that can still end in ``CertifiedIn``."""
-    V = ctx.V
+def _combine(verdicts, record):
+    """The one rule that merges part verdicts, read in order: the first
+    ``CertifiedOut``, with no part after it read; else the first ``Unknown``;
+    else ``CertifiedIn(record(certificates))`` at the deepest depth used,
+    at least 1.  Only that last case builds a record."""
     unknown = None
+    certificates = []
     depth_used = 1
-    cert = []
-    num, den = minval_poly(phi.num, V), minval_poly(phi.den, V)
-    for seg in (num - den).segments:
-        piece = region.intersect(seg.lo, True, seg.hi, True)
-        rec = {"from": _fmt(seg.lo), "to": _fmt(seg.hi),
-               "slope": seg.slope, "intercept": str(seg.intercept)}
-        if piece is not None:
-            out = _check_interval(ctx, phi, seg, piece, restrict0, rec)
-            if out is not None:
-                if out.kind == "out":
-                    return out
-                unknown = unknown or out
-        cert.append(rec)
-
-        # The breakpoint at the right end of this segment, if any.
-        delta = seg.hi
-        if delta is None or not region.contains(delta):
-            continue
-        if not delta.in_lattice():
-            cert.append({"point": _fmt(delta), "status": "not a value"})
-            continue
-        prec = {"point": _fmt(delta), "classes": []}
-        out = _check_point(ctx, phi, num, den, delta, seg.value_at(delta),
-                           restrict0, depth, prec)
-        cert.append(prec)
+    for out in verdicts:
         if out.kind == "out":
             return out
         if out.kind == "unknown":
             unknown = unknown or out
         else:
+            certificates.append(out.certificate)
             depth_used = max(depth_used, out.depth_used)
+    return unknown or CertifiedIn(record(certificates), depth_used)
 
-    return unknown or CertifiedIn(cert, depth_used)
+
+def _certify(ctx, phi, region, restrict0, depth):
+    """The verdict for one context: its segments and breakpoints combined,
+    so a ``CertifiedIn`` carries their records in order."""
+    num, den = minval_poly(phi.num, ctx.V), minval_poly(phi.den, ctx.V)
+
+    def parts():
+        for seg in (num - den).segments:
+            piece = region.intersect(seg.lo, True, seg.hi, True)
+            if piece is None:
+                yield CertifiedIn(_segment_record(seg), 1)
+            else:
+                yield _check_interval(ctx, phi, seg, piece, restrict0)
+
+            # The breakpoint at the right end of this segment, if any.
+            delta = seg.hi
+            if delta is None or not region.contains(delta):
+                continue
+            if not delta.in_lattice():
+                yield CertifiedIn({"point": _fmt(delta), "status": "not a value"}, 1)
+            else:
+                yield _check_point(ctx, phi, num, den, delta, seg.value_at(delta),
+                                   restrict0, depth)
+
+    return _combine(parts(), list)
 
 
-def _check_interval(ctx, phi, seg, piece, restrict0, rec):
+def _segment_record(seg, **status):
+    return {"from": _fmt(seg.lo), "to": _fmt(seg.hi), "slope": seg.slope,
+            "intercept": str(seg.intercept), **status}
+
+
+def _check_interval(ctx, phi, seg, piece, restrict0):
     """Linear analysis on an open segment interior (both supports single)."""
     V = ctx.V
     group = V.group
@@ -421,10 +429,9 @@ def _check_interval(ctx, phi, seg, piece, restrict0, rec):
             # an admissible point even under the residue restriction
             return CertifiedOut(V.element_of_value(gv),
                                 f"envelope value {seg.value_at(gv)} at {gv}")
-
+    clear = CertifiedIn(_segment_record(seg, status="clear"), 1)
     if ctx.fsub is None:
-        rec["status"] = "clear"
-        return None
+        return clear
 
     fi, gj = seg.tag
     f_c = phi.num.coeffs[fi]
@@ -432,14 +439,13 @@ def _check_interval(ctx, phi, seg, piece, restrict0, rec):
 
     if s == 0 and beta == zero:
         const = V.residue(f_c / g_c)
-        rec["status"] = "zero segment"
-        rec["residue"] = str(const)
         if not ctx.fsub.contains(const):
             gv = piece.lattice_point(group)
             if gv is not None:
                 return CertifiedOut(V.element_of_value(gv),
                                     f"residue {const} outside subfield")
-        return None
+        return CertifiedIn(_segment_record(seg, status="zero segment",
+                                           residue=str(const)), 1)
 
     if s != 0:
         gstar = (ctx.tau - beta).scale(Fraction(1, s))
@@ -451,14 +457,11 @@ def _check_interval(ctx, phi, seg, piece, restrict0, rec):
             const = V.residue((f_c * t ** fi) / (g_c * t ** gj))
             allowed = restrict0 if gstar == zero else None
             h = const * RationalFunction.gen(V.residue_field) ** (s if allowed is None else 0)
-            out = _residue_condition(ctx, t, h, allowed, (), gstar)
-            if out is not None:
-                return out
-    rec["status"] = "clear"
-    return None
+            return _residue_condition(ctx, t, h, allowed, (), gstar) or clear
+    return clear
 
 
-def _check_point(ctx, phi, num, den, delta, val, restrict0, depth, prec):
+def _check_point(ctx, phi, num, den, delta, val, restrict0, depth):
     """The residue classes at the breakpoint ``delta`` of envelope value ``val``.
 
     The local polynomials are read from ``num`` and ``den``, the envelopes of
@@ -484,58 +487,56 @@ def _check_point(ctx, phi, num, den, delta, val, restrict0, depth, prec):
         roots_g = {c for c in roots_g if allowed.contains(c)}
         roots_f = {c for c in roots_f if allowed.contains(c)}
     roots = roots_f | roots_g
-    unknown = None
-    if not complete:
-        unknown = Unknown(f"root search beyond budget {_ROOT_BUDGET} "
-                          f"at value {delta}")
 
-    # Exact classes.
-    if not ok_val:
-        c = next((c for c in _small_residues(L, allowed) if c not in roots), None)
-        if c is not None:
-            return CertifiedOut(t * V.lift(c), f"exact class value {val} at {delta}")
-    elif val == zero and ctx.fsub is not None:
-        # exact classes have residue r0 * locf(c)/locg(c)
-        locf = local_poly(num, t, delta)
-        df, dg = locf.degree, locg.degree
-        r0 = V.residue((phi.num.coeffs[df] * t ** df) /
-                       (phi.den.coeffs[dg] * t ** dg))
-        h = RationalFunction(locf.scale(r0), locg)
-        out = _residue_condition(ctx, t, h, allowed, roots, delta)
-        if out is None:
-            prec["classes"].append({"residue": "*", "case": "exact", "ratio": str(h)})
-        elif out.kind == "out":
-            return out
-        else:
-            unknown = unknown or out
+    def classes():
+        if not complete:
+            yield Unknown(f"root search beyond budget {_ROOT_BUDGET} at value {delta}")
 
-    # Classes needing refinement.
-    depth_used = 1
-    for c in sorted(roots, key=str):
-        a0 = t * V.lift(c)
-        ev = phi.evaluate(a0)
-        if ev is POLE:
-            return CertifiedOut(a0, head="pole")
-        if not ctx.point_ok(ev):
-            return CertifiedOut(a0, head=f"value {V.valuation(ev)}")
-        if depth <= 1:
-            unknown = unknown or Unknown(
-                f"refinement needed at {delta}, residue {c}; depth exhausted", True)
-            continue
-        shifted = phi.compose(RationalFunction(
-            Polynomial(V, [a0, t], phi.num.var)))
-        out = _certify(ctx, shifted, _Region(zero, True, None, True), None, depth - 1)
-        if out.kind == "out":
-            return out.moved(a0 + t * out.witness)
-        if out.kind == "unknown":
-            unknown = unknown or out
-            continue
-        prec["classes"].append({"residue": str(c),
-                                "case": "g-root" if c in roots_g else "f-root",
-                                "action": "refined", "depth": out.depth_used})
-        depth_used = max(depth_used, 1 + out.depth_used)
+        # Exact classes.
+        if not ok_val:
+            c = next((c for c in _small_residues(L, allowed) if c not in roots), None)
+            if c is not None:
+                yield CertifiedOut(t * V.lift(c), f"exact class value {val} at {delta}")
+        elif val == zero and ctx.fsub is not None:
+            # exact classes have residue r0 * locf(c)/locg(c)
+            locf = local_poly(num, t, delta)
+            df, dg = locf.degree, locg.degree
+            r0 = V.residue((phi.num.coeffs[df] * t ** df) /
+                           (phi.den.coeffs[dg] * t ** dg))
+            h = RationalFunction(locf.scale(r0), locg)
+            yield (_residue_condition(ctx, t, h, allowed, roots, delta) or CertifiedIn(
+                {"residue": "*", "case": "exact", "ratio": str(h)}, 1))
 
-    return unknown or CertifiedIn(prec, depth_used)
+        # Classes needing refinement.
+        for c in sorted(roots, key=str):
+            yield _refine(ctx, phi, t, c, "g-root" if c in roots_g else "f-root",
+                          delta, depth)
+
+    return _combine(classes(), lambda records: {"point": _fmt(delta), "classes": records})
+
+
+def _refine(ctx, phi, t, c, case, delta, depth):
+    """The verdict on the residue class c at value ``delta`` (t of that
+    value): its centre a0 = t*lift(c) when phi fails there, else the
+    substitution a = a0 + t*y with v(y) > 0 one depth lower, its witness
+    moved back to a."""
+    V = ctx.V
+    a0 = t * V.lift(c)
+    ev = phi.evaluate(a0)
+    if ev is POLE:
+        return CertifiedOut(a0, head="pole")
+    if not ctx.point_ok(ev):
+        return CertifiedOut(a0, head=f"value {V.valuation(ev)}")
+    if depth <= 1:
+        return Unknown(f"refinement needed at {delta}, residue {c}; depth exhausted", True)
+    shifted = phi.compose(RationalFunction(Polynomial(V, [a0, t], phi.num.var)))
+    out = _certify(ctx, shifted, _Region(V.group.zero(), True, None, True), None, depth - 1)
+    if out.kind == "out":
+        return out.moved(a0 + t * out.witness)
+    if out.kind == "unknown":
+        return out
+    return CertifiedIn({"residue": str(c), "case": case, "action": "refined",
+                        "depth": out.depth_used}, 1 + out.depth_used)
 
 
 def _residue_condition(ctx, t, h, allowed, roots, delta):
@@ -631,22 +632,17 @@ def _certify_domain(phi, D, targets, depth):
     if not _meets(targets, ev0):
         return CertifiedOut(D.field.zero(), "value at 0 outside the domain")
 
-    certificates = []
-    depth_used = 1
-    unknown = None
-    for ctx, (_, fsub) in zip(targets, D.components):
-        region, restrict0 = _region(D.E, ctx.V.group.zero(), fsub)
-        out = _certify(ctx, phi, region, restrict0, depth)
-        if out.kind == "in":
-            depth_used = max(depth_used, out.depth_used)
-            certificates.append({"component": ctx.V.describe(), "pieces": out.certificate})
-        elif out.kind == "unknown":
-            unknown = unknown or out
-        elif D.contains_point(out.witness) and not _meets(targets, phi.evaluate(out.witness)):
-            return out
-        else:
-            unknown = unknown or Unknown("candidate witness failed re-verification")
-    return unknown or CertifiedIn(certificates, depth_used)
+    def components():
+        for ctx, (_, fsub) in zip(targets, D.components):
+            region, restrict0 = _region(D.E, ctx.V.group.zero(), fsub)
+            out = _certify(ctx, phi, region, restrict0, depth)
+            if out.kind == "out" and (not D.contains_point(out.witness)
+                                      or _meets(targets, phi.evaluate(out.witness))):
+                out = Unknown("candidate witness failed re-verification")
+            yield out
+
+    return _combine(components(), lambda pieces: [
+        {"component": ctx.V.describe(), "pieces": p} for ctx, p in zip(targets, pieces)])
 
 
 def intr_member(phi, D, depth=3):

@@ -152,6 +152,35 @@ class TestMembership:
         assert not D.member(phi.evaluate(v.witness))
 
 
+class TestCombine:
+    """The one rule that merges part verdicts: first Out, else first
+    Unknown, else In over the certificates at the deepest depth."""
+
+    @staticmethod
+    def _parts(*verdicts):
+        yield from verdicts
+        pytest.fail("a part after the CertifiedOut was read")
+
+    def test_out_wins_and_stops_the_stream(self):
+        out = CertifiedOut(Fraction(3), "w")
+        parts = self._parts(Unknown("a"), CertifiedIn("r1", 2), Unknown("b"), out)
+        assert intr._combine(parts, list) is out
+
+    def test_first_unknown_without_an_out(self):
+        first = Unknown("a")
+        parts = [first, CertifiedIn("r1", 2), Unknown("b")]
+        assert intr._combine(iter(parts), list) is first
+
+    def test_certificates_in_order_at_the_deepest_depth(self):
+        v = intr._combine(iter([CertifiedIn("r1", 2), CertifiedIn("r2", 3),
+                                CertifiedIn("r3", 1)]), tuple)
+        assert (v.kind, v.certificate, v.depth_used) == ("in", ("r1", "r2", "r3"), 3)
+        v = intr._combine(iter([CertifiedIn("r1", 0)]), list)
+        assert (v.certificate, v.depth_used) == (["r1"], 1)
+        v = intr._combine(iter([]), list)
+        assert (v.kind, v.certificate, v.depth_used) == ("in", [], 1)
+
+
 class TestDriver:
     """Ring and value-ideal membership share one driver; these reach the
     branches that the seeded corpora do not."""

@@ -88,7 +88,7 @@ def main():
 @click.option("--config", required=True, help="field spec (JSON path or inline)")
 @click.option("-f", "--function", "expr", required=True,
               help="polynomial or rational function in x")
-@click.option("--sweep", type=int, default=0,
+@click.option("--sweep", type=click.IntRange(min=0), default=0,
               help="also sweep integer values in [-N, N] (CSV)")
 @click.option("--out", default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
@@ -100,7 +100,7 @@ def minval(config, expr, sweep, out, fmt):
     report = _report("minval", function=str(phi), envelope=pl.to_json())
     if fmt == "csv" or sweep:
         lines = ["gamma,minval,observed,exact"]
-        for k in range(-abs(sweep), abs(sweep) + 1):
+        for k in range(-sweep, sweep + 1):
             gamma = V.group.element(*([k] + [0] * (V.group.rank - 1)))
             t = V.element_of_value(gamma)
             predicted, exact = predict(pl, t, gamma)  # v(t) is gamma
@@ -288,8 +288,8 @@ def scan():
 @click.option("--order", type=int, required=True, help="order of the source field")
 @click.option("--sub-order", type=int, default=None,
               help="order of the target subfield (defaults to the whole field)")
-@click.option("-B", "--degree-bound", type=int, default=2)
-@click.option("-k", "--exceptions", type=int, default=0)
+@click.option("-B", "--degree-bound", type=click.IntRange(min=0), default=2)
+@click.option("-k", "--exceptions", type=click.IntRange(min=0), default=0)
 @click.option("--out", default=None)
 def scan_fieldmaps(order, sub_order, degree_bound, exceptions, out):
     """All rational functions mapping a small field into a subfield."""

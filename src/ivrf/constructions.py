@@ -359,6 +359,8 @@ def field_map_scan(L, M, degree_bound, exception_bound=0):
     """
     if not getattr(L, "is_finite", False):
         raise PreconditionError("the scan needs a finite source field")
+    if degree_bound < 0 or exception_bound < 0:
+        raise PreconditionError("the scan bounds must be at least 0")
     if L.q > 64:
         raise ResourceError("source field order beyond 64")
     if degree_bound > 4:

@@ -508,6 +508,16 @@ class TestErrors:
         res = run("ideal", "--config", RING5, "--phi", "1/5", *args)
         assert res.exit_code == 2, res.output
 
+    @pytest.mark.parametrize("args, option", [
+        (["scan", "fieldmaps", "--order", "4", "-B", "-1"], "'-B' / '--degree-bound'"),
+        (["scan", "fieldmaps", "--order", "4", "-k", "-1"], "'-k' / '--exceptions'"),
+        (["minval", "--config", PADIC5, "-f", "x", "--sweep", "-2"], "'--sweep'"),
+    ], ids=["degree-bound", "exceptions", "sweep"])
+    def test_negative_count_exits_two(self, args, option):
+        res = run(*args)
+        assert res.exit_code == 2, res.output
+        assert f"Invalid value for {option}" in res.output
+
     def test_scan_order_beyond_cap_exits_two(self):
         res = run("scan", "fieldmaps", "--order", "1000003")
         assert res.exit_code == 2, res.output

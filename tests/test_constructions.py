@@ -329,6 +329,11 @@ class TestFieldMapScan:
         with pytest.raises(PreconditionError):
             field_map_scan(GFU, ConstantSubfield(GFU), 2, 0)
 
+    @pytest.mark.parametrize("bounds", [(-1, 0), (2, -1)], ids=["degree", "exceptions"])
+    def test_negative_bound_is_a_precondition_error(self, bounds):
+        with pytest.raises(PreconditionError, match="at least 0"):
+            field_map_scan(FiniteField(2, 2), None, *bounds)
+
     def test_json_shape(self):
         F2 = FiniteField(2)
         scan = field_map_scan(F2, None, 1, 0)

@@ -15,7 +15,7 @@ verification suites.
 from .errors import (ConfigError, IvrfError, ParseError, PreconditionError,
                      ResourceError, StructuralError, UndecidedError,
                      UnsupportedCaseError)
-from .ordgroup import GroupElement, GroupSpec, INFINITY, cmp
+from .ordgroup import GroupElement, GroupSpec, INFINITY
 from .ratfun import POLE, Polynomial, RationalFunction, parse_ratfun
 from .ff import FFElement, FiniteField, RatFuncField
 from .fields import (ConstantSubfield, FrobeniusSubfield, HahnElement,

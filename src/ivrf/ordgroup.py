@@ -1,9 +1,9 @@
 """Ordered abelian value groups with exact rational coordinates.
 
 A rank-k group element is a vector in Q^k compared lexicographically.  The
-same representation serves the lattice Z^k and its divisible closure; a
-per-coordinate flag records which coordinates are divisible, and
-``in_lattice`` tells whether an element lies in the integral lattice.
+same representation serves the lattice Z^k and its divisible closure Q^k;
+one flag tells them apart, and ``in_lattice`` tells whether an element lies
+in the integral lattice.
 
 A coordinate is a plain ``int`` when it is integral and a ``Fraction`` only
 when it is not; this form is canonical (never a ``Fraction`` with denominator
@@ -46,20 +46,17 @@ def _normed(coords):
 
 
 class GroupSpec:
-    """Q^rank under lexicographic order, with lattice flags per coordinate."""
+    """Z^rank, or Q^rank when ``divisible``, under lexicographic order.
+    The attribute ``divisible`` repeats the flag once per coordinate, the
+    form that ``perfbench/tracing.py`` reads."""
 
     __slots__ = ("rank", "divisible", "_zero")
 
-    def __init__(self, rank, divisible=None):
+    def __init__(self, rank, divisible=False):
         if rank < 1:
             raise StructuralError("group rank must be at least 1")
-        if divisible is None:
-            divisible = (False,) * rank
-        divisible = tuple(bool(d) for d in divisible)
-        if len(divisible) != rank:
-            raise StructuralError("need one lattice flag per coordinate")
         self.rank = rank
-        self.divisible = divisible
+        self.divisible = (bool(divisible),) * rank
         self._zero = GroupElement(self, (0,) * rank)
 
     @staticmethod
@@ -70,7 +67,7 @@ class GroupSpec:
     @staticmethod
     def rationals():
         """Q as a rank-1 divisible group."""
-        return GroupSpec(1, (True,))
+        return GroupSpec(1, True)
 
     def __eq__(self, other):
         return (isinstance(other, GroupSpec)
@@ -216,15 +213,6 @@ class _Infinity:
 
 
 INFINITY = _Infinity()
-
-
-def cmp(a, b):
-    """Three-way lexicographic comparison: -1, 0 or 1."""
-    if a < b:
-        return -1
-    if a == b:
-        return 0
-    return 1
 
 
 def element_from_json(group, data):

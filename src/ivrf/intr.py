@@ -516,10 +516,10 @@ def _check_point(ctx, phi, num, den, delta, val, restrict0, depth):
 
 
 def _refine(ctx, phi, t, c, case, delta, depth):
-    """The verdict on the residue class c at value ``delta`` (t of that
-    value): its centre a0 = t*lift(c) when phi fails there, else the
-    substitution a = a0 + t*y with v(y) > 0 one depth lower, its witness
-    moved back to a."""
+    """The verdict on the residue class of c at value ``delta`` = v(t): a
+    ``CertifiedOut`` at its centre a0 = t*lift(c) when phi fails there, else
+    the verdict on the substitution a = a0 + t*y, v(y) > 0, one depth lower,
+    with its witness moved back to a."""
     V = ctx.V
     a0 = t * V.lift(c)
     ev = phi.evaluate(a0)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from ivrf import constructions, suites
 from ivrf.cli import main
@@ -16,7 +17,7 @@ from ivrf.errors import (PreconditionError, ResourceError, StructuralError,
 from ivrf.ff import FiniteField, RatFuncField
 from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, HahnFinite,
                          PrimePowerSubfield, TAdicRat)
-from ivrf.intr import DomainSpec
+from ivrf.intr import DomainSpec, intr_member
 from ivrf.ratfun import POLE, Polynomial, RationalFunction
 
 S = preset("t6n2")
@@ -86,6 +87,34 @@ class TestTheta:
         monkeypatch.setattr(suites, "intr_member", spy)
         assert suites.run_suite("theta", samples=20, depth=1)["ok"]
         assert depths == [1]
+
+
+@st.composite
+def singular_data(draw):
+    """An admissible spec beyond the presets: primes a nonempty subset of
+    {2, 3, 5, 7}, n 2 or 3, and t the product of p^e over the primes with
+    0 < e < n (n = 1 admits no t)."""
+    primes = draw(st.lists(st.sampled_from([2, 3, 5, 7]), min_size=1,
+                           max_size=4, unique=True).map(sorted))
+    n = draw(st.integers(2, 3))
+    t = 1
+    for p in primes:
+        t *= p ** draw(st.integers(1, n - 1))
+    return SingularData(primes, t, n)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(singular_data())
+def test_every_verifier_holds_on_admissible_specs(T):
+    grid = list(coprime_grid(12))
+    y = RationalFunction.gen(T.field)
+    theta, rep = verify_theta(T, grid)
+    assert rep["ok"] and rep["checked"] == len(grid), rep["violations"][:3]
+    for phi in (y, (y * y - 2) / (3 * y + 1)):
+        assert verify_psi(phi, T, grid)[1]["ok"], phi
+    assert verify_rho(y + 2, y * y - 3, T, grid)[1]["ok"]
+    assert verify_separator(y, T, grid)[1]["ok"]
+    assert intr_member(theta, T.domain(), depth=3).kind == "in"
 
 
 class TestPsi:

@@ -3,7 +3,7 @@ leaves every one of them byte-identical.
 
     python tools/identity.py [--suite-seed 7] [--corpus-seeds 7 2024]
 
-prints five sha256 digests: ``suites`` over the ten ``run_suite`` reports
+prints six sha256 digests: ``suites`` over the ten ``run_suite`` reports
 at the suite seed (default sample counts, without ``elapsed``); ``corpus``
 over ``str(phi)`` and the verdict JSON of ``intr_member(phi, D, depth=3)``
 for every ``certify`` and ``tower`` item of ``perfbench/corpus.py`` at each
@@ -17,10 +17,13 @@ on each of six fields (Q5, t-adic GF(4) and GF(2)(u), lex2 GF(2), Hahn
 GF(2) and GF(2)(u)), with the prediction, the slopes and the local
 polynomials of the numerator and the denominator at a seeded point; in
 every odd draw each numerator coefficient attains the minimum at that
-point, so the local polynomials have several terms.  A change
-that rewrites witnesses or reasons on purpose moves ``corpus`` but must keep
-``kinds``: that shows no verdict changed kind.  It reads the package and the corpus of the checkout
-that holds it, so compare its lines from two checkouts.  It writes no files.
+point, so the local polynomials have several terms; and ``theta`` over
+the ``verify_theta`` reports on ``coprime_grid(60)`` at ({2,3}, t=12,
+n=3), ({3,5}, t=45, n=3) and ({2,3,5,7}, t=210, n=2), beyond the suite's
+one preset.  A change that rewrites witnesses or reasons on purpose moves
+``corpus`` but must keep ``kinds``: that shows no verdict changed kind.  It
+reads the package and the corpus of the checkout that holds it, so compare
+its lines from two checkouts.  It writes no files.
 """
 
 import argparse
@@ -101,6 +104,18 @@ def newton_digest():
     return h.hexdigest()
 
 
+THETA_SPECS = (([2, 3], 12, 3), ([3, 5], 45, 3), ([2, 3, 5, 7], 210, 2))
+
+
+def theta_digest():
+    h = hashlib.sha256()
+    for primes, t, n in THETA_SPECS:
+        S = ivrf.SingularData(primes, t, n)
+        theta, report = ivrf.verify_theta(S, ivrf.coprime_grid(60))
+        h.update(f"{S.describe()}\t{theta}\t{_dump(report)}\n".encode())
+    return h.hexdigest()
+
+
 def corpus_digests(seeds):
     """The ``corpus`` and ``kinds`` digests, from one pass over the items."""
     h = hashlib.sha256()
@@ -129,3 +144,4 @@ if __name__ == "__main__":
     print("kinds", kinds_hex)
     print("witness", witness_digest())
     print("newton", newton_digest())
+    print("theta", theta_digest())

@@ -21,9 +21,11 @@ int, bit i the coefficient of var^i (``_GF2Polynomial``): addition is xor,
 multiplication shift-xor, division and the gcd shifted xor.  The GF(2)(u)
 towers rest on this ring.  Every other field keeps the dense coefficient
 tuple; both print the same.  Over Q (``Fraction`` coefficients) products,
-divisions, gcds and evaluation run on plain ints: ``_q_ints`` puts a
-polynomial on one denominator, and each coefficient of a result is built
-once as a reduced ``Fraction``.
+divisions, gcds and evaluation run on plain ints: each polynomial is put on
+one denominator once, at the first of these that reads it
+(``Polynomial._q_form``, kept with the polynomial), and each coefficient of
+a result is built once as a reduced ``Fraction``.  ``evaluate_pair`` gives
+a value over Q as the unreduced pair of ints that ``evaluate`` reduces.
 
 The operations are methods: ``RationalFunction(f, g)`` normalizes f/g by
 one gcd, ``phi.evaluate(a)`` returns a value or ``POLE``,
@@ -89,7 +91,7 @@ class Polynomial:
     ``_GF2Polynomial`` instead, which packs the coefficients into one int.
     """
 
-    __slots__ = ("field", "coeffs", "var")
+    __slots__ = ("field", "coeffs", "var", "_ints")
 
     def __new__(cls, field, coeffs=(), var="x"):
         if getattr(field, "poly_bits", False):
@@ -103,6 +105,7 @@ class Polynomial:
         self.field = field
         self.coeffs = tuple(coeffs)
         self.var = var
+        self._ints = None
 
     def _new(self, coeffs):
         """A polynomial in this one's field and variable from a coefficient
@@ -114,7 +117,17 @@ class Polynomial:
         p.field = self.field
         p.coeffs = tuple(coeffs)
         p.var = self.var
+        p._ints = None
         return p
+
+    def _q_form(self):
+        """A polynomial over Q on one denominator, (ints, l) as ``_q_ints``
+        gives it.  It is built on the first read and kept in ``_ints``: the
+        coefficients of a polynomial never change, so it stays exact."""
+        form = self._ints
+        if form is None:
+            form = self._ints = _q_ints(self.coeffs)
+        return form
 
     # -- constructors ------------------------------------------------
 
@@ -227,7 +240,7 @@ class Polynomial:
         if len(q.coeffs) == 1:
             return p.scale(q.coeffs[0])
         if isinstance(self.coeffs[-1], Fraction) and isinstance(other.coeffs[-1], Fraction):
-            (a, la), (b, lb) = _q_ints(self.coeffs), _q_ints(other.coeffs)
+            (a, la), (b, lb) = self._q_form(), other._q_form()
             den = la * lb
             return self._new([Fraction(n, den) for n in _convolve(a, b, 0)])
         return self._new(_convolve(self.coeffs, other.coeffs, self.field.zero()))
@@ -268,7 +281,7 @@ class Polynomial:
             return self._new([]), self
         if isinstance(other.coeffs[-1], Fraction):
             # s a = q b + r for the integer multiples a = la * self, b = lb * other
-            (a, la), (b, lb) = _q_ints(self.coeffs), _q_ints(other.coeffs)
+            (a, la), (b, lb) = self._q_form(), other._q_form()
             q, r, s = _z_pseudo_divmod(a, b)
             den = la * s
             return (self._new([Fraction(c * lb, den) for c in q]),
@@ -313,8 +326,8 @@ class Polynomial:
           spread them onto one lattice s = t^(1/m) and run
           ``fraction_free_gcd`` over kappa[s].
         * Over Q (``Fraction`` coefficients) the same primitive remainder
-          sequence runs in Z[x] on plain ints: each operand is put on one
-          denominator (``_q_ints``), each pseudo-remainder divided by its
+          sequence runs in Z[x] on plain ints: each operand's integer form
+          (``_q_form``) is read, each pseudo-remainder divided by its
           integer content, and only the final gcd is made monic over Q.
         * Otherwise (GF(q), q > 2): the Euclidean algorithm.
 
@@ -336,7 +349,7 @@ class Polynomial:
             return field_gcd(a, b)
         lead = a.leading()
         if isinstance(lead, Fraction):
-            g = _z_gcd(_q_ints(a.coeffs)[0], _q_ints(b.coeffs)[0])
+            g = _z_gcd(a._q_form()[0], b._q_form()[0])
             return a._new([Fraction(c, g[-1]) for c in g[:-1]] + [a.field.one()])
         if isinstance(lead, RationalFunction):
             g = fraction_free_gcd([(c.num, c.den) for c in a.coeffs],
@@ -352,11 +365,12 @@ class Polynomial:
         """The value at a field element (or anything with the ops).
 
         Over Q (a ``Fraction`` point and ``Fraction`` coefficients) the sum
-        is taken on plain integers by ``_q_horner`` and reduced once at the
-        end.  Over every other field the value at 0 is the constant
-        coefficient and at 1 the sum of the coefficients, with no product;
-        elsewhere Horner's rule runs over the nonzero terms, multiplying by
-        a^g for the gap g to the next one.  On a dense polynomial every gap
+        is taken on plain integers by ``_q_horner``, from the polynomial's
+        integer form built on its first read, and reduced once at the end.
+        Over every other field the value at 0 is the constant coefficient
+        and at 1 the sum of the coefficients, with no product; elsewhere
+        Horner's rule runs over the nonzero terms, multiplying by a^g for
+        the gap g to the next one.  On a dense polynomial every gap
         is 1, which is the plain Horner loop; a sparse one such as x^256 + c
         takes one power of a, by the point's own ``**``: a reduced fraction
         (a t-adic or Hahn point) is raised with no gcd, where repeated
@@ -366,7 +380,7 @@ class Polynomial:
         if len(coeffs) <= 1:
             return coeffs[0] if coeffs else self.field.zero()
         if isinstance(a, Fraction) and isinstance(coeffs[-1], Fraction):
-            num, den = _q_horner(coeffs, a)
+            num, den = _q_horner(self, a)
             return Fraction(num, den)
         if not a:
             return coeffs[0]
@@ -881,20 +895,32 @@ class RationalFunction:
     def evaluate(self, a):
         """Value at a point; POLE where the reduced denominator vanishes.
 
-        Over Q both polynomials go through ``_q_horner``: the value is
-        ``POLE`` when the denominator's integer numerator is 0, and otherwise
-        one ``Fraction`` built from the two unreduced pairs.
+        Over Q (a ``Fraction`` point) the value is one ``Fraction`` built
+        from the unreduced pair of ``evaluate_pair``, or ``POLE`` where its
+        second entry is 0.
         """
         if isinstance(a, Fraction) and isinstance(self.den.leading(), Fraction):
-            dn, dd = _q_horner(self.den.coeffs, a)
-            if dn == 0:
-                return POLE
-            nn, nd = _q_horner(self.num.coeffs, a)
-            return Fraction(nn * dd, nd * dn)
+            num, den = self.evaluate_pair(a)
+            return Fraction(num, den) if den else POLE
         d = self.den.evaluate(a)
         if not d:
             return POLE
         return self.num.evaluate(a) / d
+
+    def evaluate_pair(self, a):
+        """The value over Q at a Fraction a as an unreduced pair of ints
+        (N, D) with N/D = f(a), and (1, 0) where a is a pole.
+
+        Both polynomials go through ``_q_horner``: D is 0 exactly when the
+        denominator's integer numerator is, and otherwise N/D is the
+        quotient of the two unreduced pairs.  ``evaluate`` over Q is
+        ``Fraction(N, D)`` of this pair.
+        """
+        dn, dd = _q_horner(self.den, a)
+        if dn == 0:
+            return 1, 0
+        nn, nd = _q_horner(self.num, a)
+        return nn * dd, nd * dn
 
     def compose(self, other):
         """Substitute a rational function (or polynomial) for the variable.
@@ -1070,19 +1096,19 @@ def horner(coeffs, r, s, one, scale=_mul):
     return acc, spow
 
 
-def _q_horner(coeffs, a):
+def _q_horner(p, a):
     """p(a) over Q as an unreduced pair of ints (numerator, denominator).
 
-    ``coeffs`` are the Fraction (or int) coefficients of p, constant term
-    first, and ``a = r/s`` a Fraction.  With l the lcm of the coefficient
-    denominators and n = deg p, the pair is (l * s^n * p(a), l * s^n): the
-    numerator is ``horner`` on the ints l * c_i, one multiply-add on plain
-    ints per coefficient, so no gcd beyond the lcm and no Fraction is built.
-    The zero polynomial gives (0, 1).
+    ``p`` is a polynomial with Fraction coefficients and ``a = r/s`` a
+    Fraction.  With l the lcm of the coefficient denominators and n = deg p,
+    the pair is (l * s^n * p(a), l * s^n): the numerator is ``horner`` on
+    the ints l * c_i of p's integer form (``Polynomial._q_form``, built once
+    per polynomial), one multiply-add on plain ints per coefficient, so no
+    gcd and no Fraction is built.  The zero polynomial gives (0, 1).
     """
-    if not coeffs:
+    if not p.coeffs:
         return 0, 1
-    ints, lcm = _q_ints(coeffs)
+    ints, lcm = p._q_form()
     r, s = a.as_integer_ratio()
     num, spow = horner(ints, r, s, 1)
     return num, lcm * spow
@@ -1091,13 +1117,15 @@ def _q_horner(coeffs, a):
 def _q_ints(coeffs):
     """A polynomial over Q on one denominator: (ints, l), l the lcm of the
     denominators of the Fraction (or int) ``coeffs`` and ints[i] = l *
-    coeffs[i], plain ints.  The zero polynomial gives ([], 1)."""
+    coeffs[i], plain ints in a tuple.  The zero polynomial gives ((), 1).
+    ``Polynomial._q_form`` calls it once per polynomial and keeps the
+    result."""
     ratios = [c.as_integer_ratio() for c in coeffs]
     lcm = 1
     for _, d in ratios:
         if lcm % d:
             lcm = lcm * d // _igcd(lcm, d)
-    return [n * (lcm // d) for n, d in ratios], lcm
+    return tuple([n * (lcm // d) for n, d in ratios]), lcm
 
 
 def _convolve(a, b, zero):

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from ivrf import constructions, suites
+from ivrf import constructions, ratfun, suites
 from ivrf.cli import main
 from ivrf.constructions import (SingularData, build_psi,
                                 build_rho, build_separator, build_theta,
@@ -76,6 +76,18 @@ class TestTheta:
     def test_grid_verification_t30(self):
         _, rep = verify_theta(preset("t30n2"), coprime_grid(25))
         assert rep["ok"]
+
+    def test_suite_builds_each_integer_form_once(self, monkeypatch):
+        # theta's two polynomials are put on one denominator once each, not
+        # at each of the 48 928 evaluations (97 880 forms)
+        q_ints, calls = ratfun._q_ints, []
+
+        def spy(coeffs):
+            calls.append(coeffs)
+            return q_ints(coeffs)
+        monkeypatch.setattr(ratfun, "_q_ints", spy)
+        assert suites.run_suite("theta", seed=2024, samples=200)["ok"]
+        assert len(calls) == 12
 
     def test_suite_certifies_at_its_depth(self, monkeypatch):
         depths = []

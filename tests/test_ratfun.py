@@ -1108,6 +1108,42 @@ def test_q_kernels_build_one_fraction_per_coefficient(V, monkeypatch):
     assert g == c.monic() and n <= len(g.coeffs) + 1
 
 
+def _q_results(p, q, a):
+    """Every Q kernel on the pair at the point: products both ways, the two
+    values, divmod (q nonzero) and the gcd (p or q nonzero)."""
+    out = [p * q, q * p, p.evaluate(a), q.evaluate(a)]
+    if q:
+        out.append(divmod(p, q))
+    if p or q:
+        out.append(Polynomial.gcd(p, q))
+    return out
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(coeff_lists, coeff_lists, points)
+def test_a_kept_integer_form_matches_fresh_copies_and_fractions(ac, bc, a):
+    # The integer form is built on the first read and kept; reading it again,
+    # and reading the forms of the results, must give what fresh copies of
+    # the same coefficients and plain Fraction arithmetic give.
+    p, q = Polynomial(QQ, ac), Polynomial(QQ, bc)
+    p.evaluate(a), q.evaluate(a)
+    first = _q_results(p, q, a)
+    assert _q_results(p, q, a) == first
+    assert _q_results(Polynomial(QQ, ac), Polynomial(QQ, bc), a) == first
+    ac, bc = _q_trim(ac), _q_trim(bc)
+    assert list(first[0].coeffs) == _q_ref_mul(ac, bc)
+    assert first[2:4] == [fraction_horner(ac, a), fraction_horner(bc, a)]
+    if bc:
+        assert [list(r.coeffs) for r in first[4]] == list(_q_ref_divmod(ac, bc))
+    if ac or bc:
+        assert list(first[-1].coeffs) == _q_ref_gcd(ac, bc)
+    # results whose forms have been read act as fresh copies of themselves
+    for r in [first[0], first[1], *(first[4] if bc else ())]:
+        r.evaluate(a)
+        fresh = Polynomial(QQ, r.coeffs), Polynomial(QQ, bc)
+        assert _q_results(r, q, a) == _q_results(*fresh, a)
+
+
 # -- parse_ratfun against the constant-function oracle ------------------------
 #
 # The oracle reads a text with the grammar of ivrf.parsing over an

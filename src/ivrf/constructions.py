@@ -106,31 +106,48 @@ def coprime_grid(bound):
 
 def verify_theta(S, samples):
     """theta and its exact case table: at v(a) = 0 the value gains valuation;
-    at v(a) != 0 the value is congruent to 1 modulo the maximal ideal."""
+    at v(a) != 0 the value is congruent to 1 modulo the maximal ideal.
+
+    The table is read in integers.  The built theta's value at each sample
+    is the unreduced pair (N, D) of ``RationalFunction.evaluate_pair``, the
+    pair ``evaluate`` reduces, and ``_theta_case`` reads each valuation from
+    N, D and a's numerator and denominator.
+    """
     theta = build_theta(S)
     report = {"checked": 0, "violations": []}
     for a in samples:
-        val = theta.evaluate(a)
-        if val is POLE:
+        num, den = theta.evaluate_pair(a)
+        if not den:
             report["violations"].append({"a": str(a), "case": "pole"})
             continue
+        r, s = a.numerator, a.denominator
         for V in S.components:
-            zero = V.group.zero()
-            va = V.valuation(a)
-            vth = V.valuation(val)
-            if va == zero:
-                ok = vth is not INFINITY and vth > zero
-                case = "unit argument"
-            else:
-                ok = (vth == zero
-                      and V.residue(val) == V.residue_field.one())
-                case = "congruent to 1"
+            case, ok = _theta_case(V, r, s, num, den)
             if not ok:
                 report["violations"].append(
                     {"a": str(a), "prime": V.p, "case": case})
         report["checked"] += 1
     report["ok"] = not report["violations"]
     return theta, report
+
+
+def _theta_case(V, r, s, num, den):
+    """The row of theta's case table at a = r/s (reduced) for the p-adic V,
+    and whether the value num/den (den nonzero) meets it, as (case, ok).
+
+    Every v_p is ``V.int_valuation`` of a nonzero int, and v(num/den) is
+    v_p(num) - v_p(den).  Where v(a) = 0 (r nonzero and p dividing neither
+    r nor s, so v_p(rs) = 0) the case is "unit argument", met when num is
+    nonzero and v_p(num) > v_p(den).  Elsewhere, a = 0 included, it is "congruent to 1": v(num/den)
+    = 0 and num/den - 1 = (num - den)/den lies in the maximal ideal, that is
+    v_p(num) = v_p(den) and num = den or v_p(num - den) > v_p(den).
+    """
+    vp = V.int_valuation
+    vden = vp(den)
+    if r and not vp(r * s):
+        return "unit argument", num != 0 and vp(num) > vden
+    return "congruent to 1", (num != 0 and vp(num) == vden
+                              and (num == den or vp(num - den) > vden))
 
 
 def build_psi(phi, S):

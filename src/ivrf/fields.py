@@ -172,7 +172,8 @@ class PAdicQ(ValuedField):
     by p, so each element takes one valuation test: ``valuation`` counts
     the factors p of d when p divides d and of n otherwise, and ``residue``
     is n/d mod p from ``d % p`` (0 means v < 0) and ``n % p``, with no
-    group element built.
+    group element built.  ``int_valuation`` is the count itself, v_p of a
+    nonzero int, for callers that hold unreduced integer pairs.
     """
 
     characteristic = 0
@@ -187,11 +188,13 @@ class PAdicQ(ValuedField):
     def from_int(self, n):
         return Fraction(n)
 
-    def _vp(self, n):
-        n = abs(n)
-        v = 0
-        while n % self.p == 0:
-            n //= self.p
+    def int_valuation(self, n):
+        """v_p(n) of a nonzero int n, as a plain int."""
+        if not n:
+            raise PreconditionError("v_p(0) is not an integer")
+        p, v = self.p, 0
+        while not n % p:
+            n //= p
             v += 1
         return v
 
@@ -199,7 +202,8 @@ class PAdicQ(ValuedField):
         n, d = x.numerator, x.denominator
         if not n:
             return INFINITY
-        return GroupElement(self.group, (-self._vp(d) if d % self.p == 0 else self._vp(n),))
+        return GroupElement(self.group, (-self.int_valuation(d) if d % self.p == 0
+                                         else self.int_valuation(n),))
 
     def residue(self, x):
         d = x.denominator % self.p

@@ -11,13 +11,14 @@ from ivrf.constructions import (SingularData, build_psi,
                                 build_rho, build_separator, build_theta,
                                 coprime_grid, field_map_scan, notlocal_witness,
                                 preset, verify_psi, verify_rho,
-                                verify_separator, verify_theta)
+                                verify_separator, verify_theta, _theta_case)
 from ivrf.errors import (PreconditionError, ResourceError, StructuralError,
                          UnsupportedCaseError)
 from ivrf.ff import FiniteField, RatFuncField
 from ivrf.fields import (ConstantSubfield, FrobeniusSubfield, HahnFinite,
-                         PrimePowerSubfield, TAdicRat)
+                         PAdicQ, PrimePowerSubfield, TAdicRat)
 from ivrf.intr import DomainSpec, intr_member
+from ivrf.ordgroup import INFINITY
 from ivrf.ratfun import POLE, Polynomial, RationalFunction
 
 S = preset("t6n2")
@@ -99,6 +100,54 @@ class TestTheta:
         monkeypatch.setattr(suites, "intr_member", spy)
         assert suites.run_suite("theta", samples=20, depth=1)["ok"]
         assert depths == [1]
+
+
+def _group_case(V, a, value):
+    """theta's case table at a for the value, read from group elements and
+    the residue of the reduced Fraction: the reference for the integer
+    reading of ``_theta_case``."""
+    zero = V.group.zero()
+    vth = V.valuation(value)
+    if V.valuation(a) == zero:
+        return "unit argument", vth is not INFINITY and vth > zero
+    return "congruent to 1", vth == zero and V.residue(value) == V.residue_field.one()
+
+
+def _case_draws(p, rng):
+    """Seeded (a, N, D) triples, D nonzero and N/D unreduced: a of either
+    sign with p^-3 .. p^3 (0 among them), and N equal to D, 0, D plus a
+    multiple of a power of p, or any multiple of one; then the pairs of
+    theta's own evaluation at specs with v_p(t) = 2 and v_p(t) = 1."""
+    def point():
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 30)) * Fraction(p) ** rng.randint(-3, 3)
+
+    draws = []
+    for k in range(3000):
+        a = Fraction(0) if k % 50 == 0 else point()
+        D = rng.choice([-1, 1]) * rng.randint(1, 50) * p ** rng.randint(0, 3)
+        N = (D, 0, D + rng.randint(-50, 50) * p ** rng.randint(0, 4),
+             rng.randint(-50, 50) * p ** rng.randint(0, 4))[k % 4]
+        draws.append((a, N, D))
+    other = 3 if p == 2 else 2
+    for T in (SingularData([p], p ** 2, 3), SingularData(sorted([p, other]), p * other, 2)):
+        theta = build_theta(T)
+        for a in [*coprime_grid(8), *(point() for _ in range(200))]:
+            N, D = theta.evaluate_pair(a)
+            if D:
+                draws.append((a, N, D))
+    return draws
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_integer_case_table_matches_group_elements(p):
+    V = PAdicQ(p)
+    seen = set()
+    for a, N, D in _case_draws(p, random.Random(f"theta-case:{p}")):
+        got = _theta_case(V, a.numerator, a.denominator, N, D)
+        assert got == _group_case(V, a, Fraction(N, D)), (a, N, D)
+        seen.add(got)
+    assert seen == {("unit argument", True), ("unit argument", False),
+                    ("congruent to 1", True), ("congruent to 1", False)}
 
 
 @st.composite

@@ -104,6 +104,20 @@ def test_padic_valuation_and_residue_by_definition(p):
             assert V.residue(x) == V.residue_field.from_int(n * pow(d, -1, p))
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_padic_int_valuation_counts_the_factors_p(p):
+    # the integer routine behind valuation: any sign, unreduced products,
+    # and an error rather than an endless loop at 0
+    V = PAdicQ(p)
+    rng = random.Random(f"int-valuation:{p}")
+    for _ in range(300):
+        m, k = rng.randint(-10 ** 6, 10 ** 6), rng.randint(0, 6)
+        if m % p:
+            assert V.int_valuation(m * p ** k) == k
+    with pytest.raises(PreconditionError, match=r"^v_p\(0\) is not an integer$"):
+        V.int_valuation(0)
+
+
 @pytest.mark.parametrize("V", ALL_FIELDS, ids=lambda v: v.describe())
 class TestValuationAxioms:
     def test_multiplicative(self, V):

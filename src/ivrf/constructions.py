@@ -138,9 +138,10 @@ def _theta_case(V, r, s, num, den):
     Every v_p is ``V.int_valuation`` of a nonzero int, and v(num/den) is
     v_p(num) - v_p(den).  Where v(a) = 0 (r nonzero and p dividing neither
     r nor s, so v_p(rs) = 0) the case is "unit argument", met when num is
-    nonzero and v_p(num) > v_p(den).  Elsewhere, a = 0 included, it is "congruent to 1": v(num/den)
-    = 0 and num/den - 1 = (num - den)/den lies in the maximal ideal, that is
-    v_p(num) = v_p(den) and num = den or v_p(num - den) > v_p(den).
+    nonzero and v_p(num) > v_p(den).  Elsewhere, a = 0 included, it is
+    "congruent to 1": v(num/den) = 0 and num/den - 1 = (num - den)/den lies
+    in the maximal ideal, that is v_p(num) = v_p(den) and num = den or
+    v_p(num - den) > v_p(den).
     """
     vp = V.int_valuation
     vden = vp(den)

@@ -370,11 +370,11 @@ class Polynomial:
         Over every other field the value at 0 is the constant coefficient
         and at 1 the sum of the coefficients, with no product; elsewhere
         Horner's rule runs over the nonzero terms, multiplying by a^g for
-        the gap g to the next one.  On a dense polynomial every gap
-        is 1, which is the plain Horner loop; a sparse one such as x^256 + c
-        takes one power of a, by the point's own ``**``: a reduced fraction
-        (a t-adic or Hahn point) is raised with no gcd, where repeated
-        products would cancel at every step.
+        the gap g to the next one.  On a dense polynomial every gap is 1,
+        which is the plain Horner loop; a sparse one such as x^256 + c takes
+        one power of a, by the point's own ``**``: a reduced fraction (a
+        t-adic or Hahn point) is raised with no gcd, where repeated products
+        would cancel at every step.
         """
         coeffs = self.coeffs
         if len(coeffs) <= 1:

@@ -80,7 +80,7 @@ class TestTheta:
 
     def test_suite_builds_each_integer_form_once(self, monkeypatch):
         # theta's two polynomials are put on one denominator once each, not
-        # at each of the 48 928 evaluations (97 880 forms)
+        # at each of the 48 928 evaluations
         q_ints, calls = ratfun._q_ints, []
 
         def spy(coeffs):

@@ -119,7 +119,8 @@ def _case_draws(p, rng):
     multiple of a power of p, or any multiple of one; then the pairs of
     theta's own evaluation at specs with v_p(t) = 2 and v_p(t) = 1."""
     def point():
-        return Fraction(rng.randint(-30, 30), rng.randint(1, 30)) * Fraction(p) ** rng.randint(-3, 3)
+        r = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
+        return r * Fraction(p) ** rng.randint(-3, 3)
 
     draws = []
     for k in range(3000):

@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ivrf.errors import ParseError, PreconditionError, StructuralError
 from ivrf.ff import FiniteField, RatFuncField
@@ -423,3 +424,32 @@ class TestSharedSurface:
         assert V.valuation(x) < V.group.zero()
         with pytest.raises(PreconditionError):
             V.residue(x)
+
+
+ANGULAR_FIELDS = [PAdicQ(5), TAdicRat(FiniteField(2, 2)),
+                  TAdicRat(RatFuncField(FiniteField(2), "u")), LexRank2(FiniteField(2)),
+                  HahnFinite(FiniteField(2)), HahnFinite(RatFuncField(FiniteField(2), "u"))]
+
+
+@pytest.mark.parametrize("V", ANGULAR_FIELDS, ids=lambda V: V.describe())
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_angular_component(V, seed):
+    """ac(x) is the residue of x / element_of_value(v(x)): multiplicative,
+    the residue on units, 1 on the chosen elements of each value, r on the
+    lift of r, and undefined at 0."""
+    L, rng = V.residue_field, random.Random(seed)
+    x, y = V.random_nonzero(rng), V.random_nonzero(rng)
+    ac = V.angular
+    assert ac(x * y) == ac(x) * ac(y)
+    assert ac(x / y) == ac(x) / ac(y)
+    gamma = V.valuation(x)
+    unit = x / V.element_of_value(gamma)
+    assert V.valuation(unit) == V.group.zero()
+    assert ac(x) == ac(unit) == V.residue(unit)
+    assert ac(V.element_of_value(gamma)) == L.one()
+    r = L.random(rng)
+    if r:
+        assert ac(V.lift(r)) == r
+    with pytest.raises(PreconditionError):
+        ac(V.zero())

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from click.testing import CliRunner
@@ -58,6 +59,63 @@ class TestMinvalPoly:
                 continue
             pl = minval_poly(f, Q5)
             assert len(pl.breakpoints()) <= max(f.support())
+
+
+def _hull_poly(V, rng):
+    # coefficients of scattered values, some zero, so the hull drops lines
+    G = V.group
+    coeffs = []
+    for _ in range(rng.randint(1, 7)):
+        if rng.random() < 0.2:
+            coeffs.append(V.zero())
+            continue
+        if G.rank == 2:
+            gamma = G.element(rng.randint(-3, 3), rng.randint(-4, 4))
+        else:
+            gamma = G.element(Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3])))
+        coeffs.append(V.element_of_value(gamma) * V.lift(V.residue_field.one()))
+    return Polynomial(V, coeffs)
+
+
+def _canonical(g):
+    return all(type(c) is int or c.denominator != 1 for c in g.coords)
+
+
+@pytest.mark.parametrize("V", [LexRank2(FiniteField(2)), HahnFinite(FiniteField(2))],
+                         ids=lambda v: v.describe())
+def test_hull_matches_brute_force(V):
+    """The breakpoints are exactly the values where two lines tie for the
+    minimum over all lines, each piece is that minimum, and every integral
+    coordinate of a breakpoint or an intercept is an ``int``."""
+    rng = random.Random(31)
+    G = V.group
+    unit = G.element(1, 0) if G.rank == 2 else G.element(1)
+    breaks = fractional = 0
+    for _ in range(60):
+        f = _hull_poly(V, rng)
+        if f.is_zero():
+            continue
+        lines = [(i, V.valuation(f.coeffs[i])) for i in f.support()]
+        ties = set()
+        for (i, bi), (j, bj) in combinations(lines, 2):
+            gamma = (bj - bi).scale(Fraction(1, i - j))
+            values = [b + gamma.scale(k) for k, b in lines]
+            if values.count(min(values)) > 1:
+                ties.add(gamma)
+        env = minval_poly(f, V)
+        assert env.breakpoints() == sorted(ties)
+        for seg in env.segments:
+            lo, hi = seg.lo, seg.hi
+            inner = (G.zero() if lo is None and hi is None else hi - unit if lo is None
+                     else lo + unit if hi is None else (lo + hi).scale(Fraction(1, 2)))
+            for gamma in (lo, inner, hi):
+                if gamma is not None:
+                    assert seg.value_at(gamma) == direct_min(f, V, gamma)
+            assert _canonical(seg.intercept)
+            assert all(_canonical(g) for g in (lo, hi) if g is not None)
+        breaks += len(ties)
+        fractional += sum(any(type(c) is not int for c in g.coords) for g in ties)
+    assert breaks > 40 and fractional
 
 
 class TestMinvalRat:
@@ -263,6 +321,19 @@ class TestValuationReads:
         assert len(supports) == 60
         # the support, then v(a) and v(f(a)), once per sample
         assert len(reads) == sum(supports) + 2 * 60
+
+
+def test_predict_suite_takes_no_residue(monkeypatch):
+    """Local polynomials are read from angular components in the residue
+    field: the predict suite asks no valued field for a residue."""
+    calls = []
+    for cls in (PAdicQ, TAdicRat):
+        def residue(V, x, orig=cls.residue):
+            calls.append(x)
+            return orig(V, x)
+        monkeypatch.setattr(cls, "residue", residue)
+    assert suites.run_suite("predict", seed=2024, samples=500)["ok"]
+    assert calls == []
 
 
 class TestPredict:

@@ -18,13 +18,13 @@ field V holds x iff v(x) > 0, or v(x) = 0 and the residue lies in F;
 ``in_pullback`` is that test, and ``intr.DomainSpec.pvd(V, F, E)`` is the
 pullback as a domain (for F = None, the valuation ring).
 
-Each variant is a ``ValuedField``.  It supplies its valuation, residue, lift
-and generators; zero, one, integer literals, the parsing symbols and the
-residue's precondition v(x) >= 0 come from the base class.  The t-adic order
-and the residue of a unit, read off the lowest terms of a fraction of
-polynomials, are the module helpers ``_t_order`` and ``_unit_residue``: they
-serve kappa(t), the t1-adic coefficients of the rank-2 field and the Hahn
-elements in s = t^(1/m).
+Each variant is a ``ValuedField``.  It supplies its valuation, residue,
+angular component, lift and generators; zero, one, integer literals, the
+parsing symbols and the residue's precondition v(x) >= 0 come from the base
+class.  The t-adic order and the angular component, read off the lowest
+terms of a fraction of polynomials, are the module helpers ``_t_order`` and
+``_angular``: they serve kappa(t), the t1-adic coefficients of the rank-2
+field and the Hahn elements in s = t^(1/m).
 """
 
 from __future__ import annotations
@@ -82,14 +82,16 @@ class ValuedField:
     """Common surface of the four field variants.
 
     A field supplies ``valuation``, ``residue``, ``lift``,
-    ``element_of_value``, ``random_element`` and ``describe``, sets
-    ``group``, ``residue_field`` and the shared constants ``_zero`` and
-    ``_one``, and lists its generators in ``_generators``.  The rest is said
-    once here: ``zero``, ``one``, ``from_int`` (an integer lifted from the
-    residue field), ``characteristic`` (the residue field's, but 0 for
-    ``PAdicQ``), ``symbol_env`` (the generators plus every residue-field
-    symbol lifted) and ``_residue_is_zero``, the check that opens every
-    ``residue`` but ``PAdicQ``'s, which tests the integers of the fraction.
+    ``element_of_value``, ``random_element``, ``describe`` and ``angular``:
+    the residue of x / element_of_value(v(x)) for x nonzero, multiplicative
+    (a PreconditionError at 0).  It sets ``group``, ``residue_field`` and the
+    shared constants ``_zero`` and ``_one``, and lists its generators in
+    ``_generators``.  The rest is said once here: ``zero``, ``one``,
+    ``from_int`` (an integer lifted from the residue field),
+    ``characteristic`` (the residue field's, but 0 for ``PAdicQ``),
+    ``symbol_env`` (the generators plus every residue-field symbol lifted)
+    and ``_residue_is_zero``, the check that opens every ``residue`` but
+    ``PAdicQ``'s, which tests the integers of the fraction.
     """
 
     group = None          # GroupSpec
@@ -211,6 +213,11 @@ class PAdicQ(ValuedField):
             raise PreconditionError("residue needs valuation >= 0")
         return self.residue_field.from_int(x.numerator % self.p * pow(d, -1, self.p))
 
+    def angular(self, x):
+        n, d, p = x.numerator, x.denominator, self.p  # int_valuation raises at 0
+        return self.residue_field.from_int(n // p ** self.int_valuation(n)
+                                           * pow(d // p ** self.int_valuation(d), -1, p))
+
     def lift(self, r):
         return Fraction(r.idx)
 
@@ -239,10 +246,20 @@ def _t_order(f):
     return f.num.low_degree() - f.den.low_degree()
 
 
-def _unit_residue(f):
-    """The residue of a fraction of order 0: the ratio of the lowest terms."""
+def _angular(f):
+    """The angular component of a fraction of polynomials in t: the ratio of
+    the lowest coefficients of its numerator and denominator."""
     m = f.num.low_degree()
-    return f.num.coeff(m) / f.den.coeff(m)
+    if m is None:
+        raise PreconditionError("the angular component of 0")
+    return f.num.coeff(m) / f.den.coeff(f.den.low_degree())
+
+
+def _monomial(kappa, e, c, var):
+    """c * var^e, c nonzero, as a reduced fraction of polynomials over kappa."""
+    return RationalFunction(Polynomial.from_dict(kappa, {max(e, 0): c}, var),
+                            Polynomial.from_dict(kappa, {max(-e, 0): kappa.one()}, var),
+                            _canonical=True)
 
 
 class TAdicRat(ValuedField):
@@ -259,6 +276,9 @@ class TAdicRat(ValuedField):
     def gen(self):
         return RationalFunction.gen(self.kappa, "t")
 
+    def monomial(self, e, c):
+        return _monomial(self.kappa, e, c, "t") if c else self.zero()
+
     def _generators(self):
         return {"t": self.gen()}
 
@@ -268,9 +288,10 @@ class TAdicRat(ValuedField):
         return GroupElement(self.group, (_t_order(x),))
 
     def residue(self, x):
-        if self._residue_is_zero(x):
-            return self.kappa.zero()
-        return _unit_residue(x)
+        return self.kappa.zero() if self._residue_is_zero(x) else _angular(x)
+
+    def angular(self, x):
+        return _angular(x)
 
     def lift(self, r):
         return RationalFunction.constant(self.kappa, r, "t")
@@ -278,7 +299,7 @@ class TAdicRat(ValuedField):
     def element_of_value(self, gamma):
         if not gamma.in_lattice():
             raise PreconditionError(f"{gamma} is not an attained value")
-        return self.gen() ** int(gamma.coords[0])
+        return self.monomial(gamma.coords[0], self.kappa.one())
 
     def uniformizer(self):
         return self.gen()
@@ -330,10 +351,13 @@ class LexRank2(ValuedField):
         return GroupElement(self.group, (a1 - a2, j1 - j2))
 
     def residue(self, x):
-        if self._residue_is_zero(x):
-            return self.kappa.zero()
-        _, j = self._poly_val(x.num)
-        return _unit_residue(x.num.coeff(j) / x.den.coeff(j))  # a t1-adic unit
+        return self.kappa.zero() if self._residue_is_zero(x) else self.angular(x)
+
+    def angular(self, x):
+        if x.is_zero():
+            raise PreconditionError("the angular component of 0")
+        (_, i), (_, j) = self._poly_val(x.num), self._poly_val(x.den)
+        return _angular(x.num.coeff(i)) / _angular(x.den.coeff(j))
 
     def lift(self, r):
         return RationalFunction.constant(self.inner, self.inner.constant(r), "t2")
@@ -527,11 +551,8 @@ class HahnFinite(ValuedField):
         if not c:
             return self.zero()
         q = Fraction(q)
-        a = q.numerator
-        num = Polynomial.from_dict(kappa, {max(a, 0): c}, "s")
-        den = Polynomial.from_dict(kappa, {max(-a, 0): kappa.one()}, "s")
         return HahnElement(self, _lattice_lcm(q.denominator),
-                           RationalFunction(num, den, _canonical=True))
+                           _monomial(kappa, q.numerator, c, "s"))
 
     def gen(self):
         return self.monomial(1)
@@ -562,9 +583,10 @@ class HahnFinite(ValuedField):
         return self.group.element(Fraction(_t_order(x.f), x.m))
 
     def residue(self, x):
-        if self._residue_is_zero(x):
-            return self.kappa.zero()
-        return _unit_residue(x.f)
+        return self.kappa.zero() if self._residue_is_zero(x) else _angular(x.f)
+
+    def angular(self, x):
+        return _angular(x.f)
 
     def lift(self, r):
         return HahnElement(self, 1, RationalFunction.constant(self.kappa, r, "s"))

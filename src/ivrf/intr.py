@@ -433,12 +433,11 @@ def _check_interval(ctx, phi, seg, piece, restrict0):
     if ctx.fsub is None:
         return clear
 
+    # at a point a of value gamma on this piece, ac(phi(a)) = const * ac(a)^s
     fi, gj = seg.tag
-    f_c = phi.num.coeffs[fi]
-    g_c = phi.den.coeffs[gj]
+    const = V.angular(phi.num.coeffs[fi]) / V.angular(phi.den.coeffs[gj])
 
     if s == 0 and beta == zero:
-        const = V.residue(f_c / g_c)
         if not ctx.fsub.contains(const):
             gv = piece.lattice_point(group)
             if gv is not None:
@@ -450,11 +449,10 @@ def _check_interval(ctx, phi, seg, piece, restrict0):
     if s != 0:
         gstar = (ctx.tau - beta).scale(Fraction(1, s))
         if piece.contains(gstar) and gstar.in_lattice():
-            # at value gstar the residue of phi is h(c) = const * c^s; when
-            # the residues are restricted to the subfield's units, c^s stays
-            # in F and h = const decides
+            # phi has value tau = 0 at t*lift(c), and residue h(c) = const * c^s
+            # as ac(t) = 1; when the residues are restricted to the
+            # subfield's units, c^s stays in F and h = const decides
             t = V.element_of_value(gstar)
-            const = V.residue((f_c * t ** fi) / (g_c * t ** gj))
             allowed = restrict0 if gstar == zero else None
             h = const * RationalFunction.gen(V.residue_field) ** (s if allowed is None else 0)
             return _residue_condition(ctx, t, h, allowed, (), gstar) or clear
@@ -498,11 +496,10 @@ def _check_point(ctx, phi, num, den, delta, val, restrict0, depth):
             if c is not None:
                 yield CertifiedOut(t * V.lift(c), f"exact class value {val} at {delta}")
         elif val == zero and ctx.fsub is not None:
-            # exact classes have residue r0 * locf(c)/locg(c)
+            # exact classes have residue r0 * locf(c)/locg(c), r0 = ac(a_df/b_dg)
             locf = local_poly(num, t, delta)
-            df, dg = locf.degree, locg.degree
-            r0 = V.residue((phi.num.coeffs[df] * t ** df) /
-                           (phi.den.coeffs[dg] * t ** dg))
+            r0 = (V.angular(phi.num.coeffs[locf.degree])
+                  / V.angular(phi.den.coeffs[locg.degree]))
             h = RationalFunction(locf.scale(r0), locg)
             yield (_residue_condition(ctx, t, h, allowed, roots, delta) or CertifiedIn(
                 {"residue": "*", "case": "exact", "ratio": str(h)}, 1))

@@ -18,6 +18,7 @@ The envelope of phi keeps those of its numerator and denominator.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 
 from .errors import PreconditionError, StructuralError
 from .ratfun import Polynomial
@@ -156,19 +157,22 @@ def minval_poly(f, V):
         raise StructuralError("minval of the zero polynomial")
     # decreasing slope: leftmost piece first
     lines = [(i, V.valuation(f.coeffs[i])) for i in reversed(f.support())]
-    stack = []  # entries (slope, intercept, start); start None on the left end
+    # entries (slope, intercept, n, k): the piece starts at coordinates n/k,
+    # k > 0 (n None on the left end), and n/k > n0/k0 iff n*k0 > n0*k in lex
+    stack = []
     for m, b in lines:
         while stack:
-            m0, b0, s0 = stack[-1]
-            gx = (b - b0).scale(Fraction(1, m0 - m))
-            if s0 is None or gx > s0:
-                stack.append((m, b, gx))
+            m0, b0, n0, k0 = stack[-1]
+            n, k = tuple(map(sub, b.coords, b0.coords)), m0 - m
+            if n0 is None or [c * k0 for c in n] > [c * k for c in n0]:
+                stack.append((m, b, n, k))
                 break
             stack.pop()
         else:
-            stack.append((m, b, None))
-    ends = [start for _, _, start in stack[1:]] + [None]
-    segs = [Segment(m, b, start, hi, tag=m) for (m, b, start), hi in zip(stack, ends)]
+            stack.append((m, b, None, 1))
+    ends = [V.group.element(*[Fraction(c, k) for c in n]) for _, _, n, k in stack[1:]]
+    segs = [Segment(m, b, lo, hi, tag=m)
+            for (m, b, _, _), lo, hi in zip(stack, [None] + ends, ends + [None])]
     return Envelope(f, V, lines, segs)
 
 
@@ -198,8 +202,9 @@ def local_poly(env, t, vt):
     f(t x) / (a_d t^d) reduced modulo the maximal ideal: monic of degree d,
     and its coefficient at x^i is nonzero exactly when index i attains the
     minimum.  The minimum is over all of the envelope's lines, not its hull,
-    and reads no valuation.  Only the attaining indices i < d take field
-    arithmetic, the residue of a_i / (a_d t^(d-i)); every other one is 0.
+    and reads no valuation.  An attaining index i < d has the residue of
+    a_i / (a_d t^(d-i)), of value 0: ac(a_i) / (ac(a_d) ac(t)^(d-i)) in
+    angular components, in the residue field.  Every other one is 0.
     """
     vals = [(i, b + vt.scale(i)) for i, b in env.lines]
     mv = min(v for _, v in vals)
@@ -207,8 +212,10 @@ def local_poly(env, t, vt):
     V, coeffs = env.V, env.poly.coeffs
     L = V.residue_field
     loc = [L.zero()] * d + [L.one()]
-    for i in below:
-        loc[i] = V.residue(coeffs[i] / (coeffs[d] * t ** (d - i)))
+    if below:
+        ac, lead, act = V.angular, V.angular(coeffs[d]), V.angular(t)
+        for i in below:
+            loc[i] = ac(coeffs[i]) / (lead * act ** (d - i))
     return Polynomial(L, loc, "x")
 
 

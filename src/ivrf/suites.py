@@ -63,11 +63,9 @@ def _rand_poly_padic(V, rng, max_degree=8):
 
 def _rand_poly_tadic(V, rng, max_degree=8):
     # monomial coefficients c * t^e keep the exact arithmetic small
-    t = V.gen()
-
     def coefficient():
         c = V.kappa.random(rng)
-        return V.lift(c) * t ** rng.randint(-2, 3) if c else V.zero()
+        return V.monomial(rng.randint(-2, 3), c) if c else V.zero()
     return _rand_poly(V, rng, max_degree, coefficient)
 
 

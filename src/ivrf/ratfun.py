@@ -265,12 +265,12 @@ class Polynomial:
 
     def scale(self, c):
         """The polynomial times a constant c; times 1 it is itself, times 0
-        the zero polynomial."""
+        the zero polynomial, and a zero coefficient takes no product."""
         if not c:
             return self._new([])
         if c == self.field.one():
             return self
-        return self._new([a * c for a in self.coeffs])
+        return self._new([a * c if a else a for a in self.coeffs])
 
     def __divmod__(self, other):
         if not isinstance(other, Polynomial):
@@ -1145,15 +1145,17 @@ def _convolve(a, b, zero):
 def _long_division(r, b, quotient):
     """Long division of the coefficient list ``r`` (consumed) by ``b``: the
     quotient and the trimmed remainder as lists.  ``quotient(c)`` is the
-    quotient coefficient for a nonzero leading coefficient c."""
+    quotient coefficient for a nonzero leading coefficient c.  The divisor's
+    nonzero terms below its leading one are listed once."""
     db = len(b) - 1
     q = [None] * (len(r) - db)
+    terms = [(j, d) for j, d in enumerate(b[:db]) if d]
     for k in range(len(q) - 1, -1, -1):
         c = r.pop()
         if c:
             c = quotient(c)
-            for j in range(db):
-                r[k + j] = r[k + j] - c * b[j]
+            for j, d in terms:
+                r[k + j] = r[k + j] - c * d
         q[k] = c
     while r and not r[-1]:
         r.pop()

@@ -359,6 +359,27 @@ class TestWitnesses:
         assert rec["ok"] and rec["denominator_rootless"] and rec["certified"]
         assert w.den.degree == 4
 
+    def test_split_evaluation_skips_zero_coefficients(self, monkeypatch):
+        """One split evaluation of the e = 4 witness 1/(x^256 - u^16) on the
+        Hahn field: the point spread onto its lattice is mostly zero
+        coefficients, and making the value's denominator monic multiplies
+        only the nonzero ones (515 products when each zero took one)."""
+        GFU = RatFuncField(FiniteField(2), "u")
+        D = DomainSpec.pvd(HahnFinite(GFU), FrobeniusSubfield(GFU, 4))
+        w, _ = notlocal_witness(D, depth=1)
+        a = D.field.parse("(1/(u + 1))*t^{1/2} + (u + 1)*t^2")
+        expected = 1 / (a ** 256 - D.field.lift(GFU.gen() ** 16))
+        products = []
+        mul = RationalFunction.__mul__
+
+        def spy(f, g):
+            products.append(f)
+            return mul(f, g)
+        monkeypatch.setattr(RationalFunction, "__mul__", spy)
+        value = w.evaluate(a)
+        assert len(products) == 5
+        assert value == expected
+
     def test_intersection_rejected(self):
         D = DomainSpec.intersection([TAdicRat(FiniteField(2))] * 2)
         with pytest.raises(PreconditionError):

@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 
-from .errors import (ConfigError, PreconditionError, StructuralError,
+from .errors import (ConfigError, PreconditionError, ResourceError, StructuralError,
                      UndecidedError)
 from .fields import (FrobeniusSubfield, _config_value, field_from_config,
                      in_pullback, subfield_from_config)
@@ -516,7 +516,8 @@ def _refine(ctx, phi, t, c, case, delta, depth):
     """The verdict on the residue class of c at value ``delta`` = v(t): a
     ``CertifiedOut`` at its centre a0 = t*lift(c) when phi fails there, else
     the verdict on the substitution a = a0 + t*y, v(y) > 0, one depth lower,
-    with its witness moved back to a."""
+    with its witness moved back to a; ``Unknown`` if the substitution passes
+    a resource bound, such as a Hahn lattice finer than t^(1/65536)."""
     V = ctx.V
     a0 = t * V.lift(c)
     ev = phi.evaluate(a0)
@@ -526,8 +527,11 @@ def _refine(ctx, phi, t, c, case, delta, depth):
         return CertifiedOut(a0, head=f"value {V.valuation(ev)}")
     if depth <= 1:
         return Unknown(f"refinement needed at {delta}, residue {c}; depth exhausted", True)
-    shifted = phi.compose(RationalFunction(Polynomial(V, [a0, t], phi.num.var)))
-    out = _certify(ctx, shifted, _Region(V.group.zero(), True, None, True), None, depth - 1)
+    try:
+        shifted = phi.compose(RationalFunction(Polynomial(V, [a0, t], phi.num.var)))
+        out = _certify(ctx, shifted, _Region(V.group.zero(), True, None, True), None, depth - 1)
+    except ResourceError as err:
+        return Unknown(f"refinement at {delta}, residue {c}: {err}")
     if out.kind == "out":
         return out.moved(a0 + t * out.witness)
     if out.kind == "unknown":

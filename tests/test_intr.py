@@ -68,6 +68,24 @@ class TestMembership:
         assert v.kind == "unknown"
         assert v.depth_exhausted
 
+    @pytest.mark.parametrize("text, point", [
+        ("((t)*x^3 + (t^2))/((1/t)*x^4 + (t/(1 + t)) + (1)*x^3)", "1/32768"),
+        ("((t/(1 + t))*x^2)/((1)*x^4 + (1/t^2)*x^2 + (1)*x^3)", "1/65536"),
+    ])
+    def test_lattice_bound_in_a_refinement_is_unknown(self, text, point):
+        # each refinement halves the lattice step until the substitution
+        # needs t^(1/131072): the class is Unknown, not a ResourceError
+        D = domain_from_config({"field": {"variant": "hahn", "residue": {"q": 2}},
+                                "E": "field"})
+        phi = parse_ratfun(D.field, text)
+        for depth in range(1, 9):
+            v = intr_member(phi, D, depth=depth)
+            assert v.kind == "unknown" and v.depth_exhausted
+        v = intr_member(phi, D, depth=20)
+        assert v.kind == "unknown" and not v.depth_exhausted
+        assert v.reason == (f"refinement at {point}, residue 1: "
+                            "lattice t^(1/131072) beyond the bound 65536")
+
     def test_undecided_residue_is_not_depth_exhausted(self):
         # no refinement runs, though the residue variable is named "depth"
         D = domain_from_config({

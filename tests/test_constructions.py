@@ -309,6 +309,125 @@ class TestVerifierFailures:
         assert rep["ok"] and rep["skipped"] == 1 and rep["checked"] == 14
 
 
+def _group_psi(phi, T, samples):
+    """verify_psi read from group elements of the reduced values: the
+    reference for its integer reading."""
+    psi = constructions.build_psi(phi, T)
+    phi_n = phi ** T.n
+    identity = phi_n * (1 - phi_n * psi) == RationalFunction.constant(T.field, T.t) * psi
+    report = {"identity": identity, "checked": 0, "violations": []}
+    for a in samples:
+        pv = phi.evaluate(a)
+        sv = psi.evaluate(a)
+        if pv is POLE or sv is POLE:
+            continue
+        for V in T.components:
+            zero = V.group.zero()
+            vphi = V.valuation(pv)
+            vpsi = V.valuation(sv)
+            if vphi == zero:
+                ok = vpsi == zero
+            elif vphi is not INFINITY and vphi > zero:
+                expect = vphi.scale(T.n) - V.valuation(T.t)
+                ok = vpsi == expect and vpsi > zero
+            else:
+                continue
+            if not ok:
+                report["violations"].append({"a": str(a), "prime": V.p})
+        report["checked"] += 1
+    report["ok"] = identity and not report["violations"]
+    return psi, report
+
+
+def _group_rho(phi1, phi2, T, samples):
+    rho = constructions.build_rho(phi1, phi2, T)
+    report = {"checked": 0, "skipped": 0, "violations": []}
+    for a in samples:
+        v1 = phi1.evaluate(a)
+        v2 = phi2.evaluate(a)
+        vr = rho.evaluate(a)
+        if v1 is POLE or v2 is POLE or vr is POLE:
+            report["skipped"] += 1
+            continue
+        for V in T.components:
+            expect = min(V.valuation(v1), V.valuation(v2))
+            if V.valuation(vr) != expect:
+                report["violations"].append({"a": str(a), "prime": V.p})
+        report["checked"] += 1
+    report["ok"] = not report["violations"]
+    return rho, report
+
+
+def _group_separator(phi, T, samples):
+    psi = constructions.build_separator(phi, T)
+    D = T.domain()
+    report = {"checked": 0, "skipped": 0, "violations": []}
+    for a in samples:
+        pv = phi.evaluate(a)
+        sv = psi.evaluate(a)
+        if pv is POLE or sv is POLE:
+            report["skipped"] += 1
+            continue
+        if not D.member(sv):
+            report["violations"].append({"a": str(a), "case": "not in D"})
+        for V in T.components:
+            zero = V.group.zero()
+            vphi = V.valuation(pv)
+            vpsi = V.valuation(sv)
+            if (vphi > zero) != (vpsi > zero):
+                report["violations"].append({"a": str(a), "prime": V.p})
+        report["checked"] += 1
+    report["ok"] = not report["violations"]
+    return psi, report
+
+
+# the presets, the specs of the theta digest, and a non-integral t
+_ORACLE_SPECS = [*(SingularData(*spec) for spec in constructions.PRESETS.values()),
+                 SingularData([2, 3], 12, 3), SingularData([3, 5], 45, 3),
+                 SingularData([2, 3, 5, 7], 210, 2),
+                 SingularData([2, 3], Fraction(12, 5), 3)]
+
+
+def _oracle_phis(T):
+    """Functions with poles and zeros on the grid: x, 1/x, x - 1 and
+    (x^2 - 2)/(3x + 1)."""
+    y = RationalFunction.gen(T.field)
+    return [y, 1 / y, y - 1, (y * y - 2) / (3 * y + 1)]
+
+
+def _oracle_reports(T, grid):
+    """Each verifier's name and result beside its group-element reference."""
+    phis = _oracle_phis(T)
+    for phi in phis:
+        yield "psi", verify_psi(phi, T, grid), _group_psi(phi, T, grid)
+        yield "separator", verify_separator(phi, T, grid), _group_separator(phi, T, grid)
+        for phi2 in phis:
+            yield "rho", verify_rho(phi, phi2, T, grid), _group_rho(phi, phi2, T, grid)
+
+
+class TestGroupOracle:
+    """psi, rho and the separator report what the group-element reading of
+    the reduced values reports, on sound and on wrong functions."""
+
+    @pytest.mark.parametrize("T", _ORACLE_SPECS, ids=repr)
+    def test_sound_builders(self, T):
+        for name, got, ref in _oracle_reports(T, list(coprime_grid(5))):
+            assert got == ref, name
+
+    @pytest.mark.parametrize("T", _ORACLE_SPECS, ids=repr)
+    def test_wrong_builders(self, T, monkeypatch):
+        y = RationalFunction.gen(T.field)
+        monkeypatch.setattr(constructions, "build_psi", lambda phi, T: phi)
+        monkeypatch.setattr(constructions, "build_rho", lambda phi1, phi2, T: phi1)
+        monkeypatch.setattr(constructions, "build_separator",
+                            lambda phi, T: 1 / (y - 1))
+        violations = {}
+        for name, got, ref in _oracle_reports(T, list(coprime_grid(5))):
+            assert got == ref, name
+            violations[name] = violations.get(name, 0) + len(got[1]["violations"])
+        assert all(violations.values()), violations
+
+
 class TestOneBuild:
     """A construct command or the theta suite builds each function once."""
 

@@ -208,12 +208,9 @@ def construct_theta(S, samples, fmt, out):
         lines = ["a," + ",".join(f"v_{V.p}(a),v_{V.p}(theta(a))"
                                  for V in S.components)]
         for a in cons.coprime_grid(samples):
-            val = th.evaluate(a)
-            cells = [str(a)]
-            for V in S.components:
-                cells.append(str(V.valuation(a)))
-                cells.append(str(V.valuation(val)))
-            lines.append(",".join(cells))
+            cells = zip(S.valuations(a.as_integer_ratio()),
+                        S.valuations(th.evaluate_pair(a)))
+            lines.append(",".join([str(a), *(f"{va},{vth}" for va, vth in cells)]))
         _emit("\n".join(lines), out, "csv")
     else:
         _emit(_report("construct theta", preset=S.describe(), theta=str(th),

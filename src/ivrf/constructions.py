@@ -17,8 +17,8 @@ The builders return exact rational functions:
 * the two not-local witnesses 1/(x^q - x + 1) and 1/(x^(p^(2e)) - u^(p^e)).
 
 Each builder is paired with a sampling verifier that builds the function,
-re-checks its valuation case table (and psi's identity) by direct exact
-evaluation, and returns the function it checked with its report.
+re-checks its valuation case table (and psi's identity) by exact evaluation
+read in integers, and returns the function it checked with its report.
 """
 
 from __future__ import annotations
@@ -46,12 +46,19 @@ class SingularData:
         self.components = [PAdicQ(p) for p in primes]
         self.t = Fraction(t)
         self.n = n
-        for V in self.components:
-            vt = V.valuation(self.t)
-            zero = V.group.zero()
-            if not zero < vt < V.group.element(n):
+        for V, vt in zip(self.components, self.valuations(self.t.as_integer_ratio())):
+            if not 0 < vt < n:
                 raise StructuralError(
                     f"0 < v_{V.p}(t) < n*v_{V.p}(t_m) fails for t={t}, n={n}")
+
+    def valuations(self, pair):
+        """v_p(num) - v_p(den) of an unreduced pair of ints (num, den), den
+        nonzero, for each p in order: an int, or INFINITY where num is 0, as
+        for ``RationalFunction.evaluate_pair`` or ``Fraction.as_integer_ratio``."""
+        num, den = pair
+        if not num:
+            return [INFINITY] * len(self.components)
+        return [V.int_valuation(num) - V.int_valuation(den) for V in self.components]
 
     @property
     def field(self):
@@ -166,20 +173,18 @@ def verify_psi(phi, S, samples):
     phi_n = phi ** S.n
     identity = phi_n * (1 - phi_n * psi) == _const(S, S.t) * psi
     report = {"identity": identity, "checked": 0, "violations": []}
+    vts = S.valuations(S.t.as_integer_ratio())
     for a in samples:
-        pv = phi.evaluate(a)
-        sv = psi.evaluate(a)
-        if pv is POLE or sv is POLE:
+        pv = phi.evaluate_pair(a)
+        sv = psi.evaluate_pair(a)
+        if not pv[1] or not sv[1]:
             continue
-        for V in S.components:
-            zero = V.group.zero()
-            vphi = V.valuation(pv)
-            vpsi = V.valuation(sv)
-            if vphi == zero:
-                ok = vpsi == zero
-            elif vphi is not INFINITY and vphi > zero:
-                expect = vphi.scale(S.n) - V.valuation(S.t)
-                ok = vpsi == expect and vpsi > zero
+        for V, vphi, vpsi, vt in zip(S.components, S.valuations(pv),
+                                     S.valuations(sv), vts):
+            if vphi == 0:
+                ok = vpsi == 0
+            elif 0 < vphi < INFINITY:
+                ok = vpsi == S.n * vphi - vt and vpsi > 0
             else:
                 continue
             if not ok:
@@ -204,15 +209,12 @@ def verify_rho(phi1, phi2, S, samples):
     rho = build_rho(phi1, phi2, S)
     report = {"checked": 0, "skipped": 0, "violations": []}
     for a in samples:
-        v1 = phi1.evaluate(a)
-        v2 = phi2.evaluate(a)
-        vr = rho.evaluate(a)
-        if v1 is POLE or v2 is POLE or vr is POLE:
+        pairs = [f.evaluate_pair(a) for f in (phi1, phi2, rho)]
+        if not all(den for _, den in pairs):
             report["skipped"] += 1
             continue
-        for V in S.components:
-            expect = min(V.valuation(v1), V.valuation(v2))
-            if V.valuation(vr) != expect:
+        for V, e1, e2, er in zip(S.components, *map(S.valuations, pairs)):
+            if er != min(e1, e2):
                 report["violations"].append({"a": str(a), "prime": V.p})
         report["checked"] += 1
     report["ok"] = not report["violations"]
@@ -232,21 +234,18 @@ def verify_separator(phi, S, samples):
     """The separator psi, with v(psi(a)) > 0 exactly when v(phi(a)) > 0, and
     psi(a) in the intersection domain, at every sample."""
     psi = build_separator(phi, S)
-    D = S.domain()
     report = {"checked": 0, "skipped": 0, "violations": []}
     for a in samples:
-        pv = phi.evaluate(a)
-        sv = psi.evaluate(a)
-        if pv is POLE or sv is POLE:
+        pv = phi.evaluate_pair(a)
+        sv = psi.evaluate_pair(a)
+        if not pv[1] or not sv[1]:
             report["skipped"] += 1
             continue
-        if not D.member(sv):
+        vpsis = S.valuations(sv)
+        if min(vpsis) < 0:
             report["violations"].append({"a": str(a), "case": "not in D"})
-        for V in S.components:
-            zero = V.group.zero()
-            vphi = V.valuation(pv)
-            vpsi = V.valuation(sv)
-            if (vphi > zero) != (vpsi > zero):
+        for V, vphi, vpsi in zip(S.components, S.valuations(pv), vpsis):
+            if (vphi > 0) != (vpsi > 0):
                 report["violations"].append({"a": str(a), "prime": V.p})
         report["checked"] += 1
     report["ok"] = not report["violations"]

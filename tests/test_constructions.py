@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -426,6 +427,24 @@ class TestGroupOracle:
             assert got == ref, name
             violations[name] = violations.get(name, 0) + len(got[1]["violations"])
         assert all(violations.values()), violations
+
+
+@pytest.mark.parametrize("suite, expected", [
+    ("psi-identity", {}),
+    ("rho", {("ivrf.intr", "ideal_member"): 924}),  # the characteristic sets
+])
+def test_q_suites_read_no_group_valuation_in_constructions(suite, expected, monkeypatch):
+    calls = {}
+    valuation = PAdicQ.valuation
+
+    def spy(self, a):
+        caller = sys._getframe(1)
+        key = (caller.f_globals["__name__"], caller.f_code.co_name)
+        calls[key] = calls.get(key, 0) + 1
+        return valuation(self, a)
+    monkeypatch.setattr(PAdicQ, "valuation", spy)
+    assert suites.run_suite(suite, seed=2024)["ok"]
+    assert calls == expected
 
 
 class TestOneBuild:

@@ -28,3 +28,23 @@ def test_only_ratfun_knows_the_packed_gf2_format():
             uses[path.stem] = found
     assert "ratfun" in uses
     assert set(uses) == {"ratfun"}, {k: v for k, v in uses.items() if k != "ratfun"}
+
+
+def _valuation_callers(path):
+    """The names of the functions and methods of a module that call an
+    attribute ``valuation``."""
+    callers = set()
+    for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "valuation" for node in ast.walk(fn)):
+            callers.add(fn.name)
+    return callers
+
+
+def test_q_constructions_read_valuations_through_one_reader():
+    # SingularData, the Q verifiers and the theta CSV read each v_p in
+    # integers through SingularData.valuations; notlocal_witness is generic
+    # over fields and reads group elements
+    assert _valuation_callers(SRC / "constructions.py") <= {"notlocal_witness"}
+    assert "construct_theta" not in _valuation_callers(SRC / "cli.py")

@@ -636,7 +636,10 @@ def _certify_domain(phi, D, targets, depth):
     def components():
         for ctx, (_, fsub) in zip(targets, D.components):
             region, restrict0 = _region(D.E, ctx.V.group.zero(), fsub)
-            out = _certify(ctx, phi, region, restrict0, depth)
+            try:  # a bound met at the input's own segments and breakpoints
+                out = _certify(ctx, phi, region, restrict0, depth)
+            except ResourceError as err:
+                out = Unknown(f"certification over {ctx.V.describe()}: {err}")
             if out.kind == "out" and (not D.contains_point(out.witness)
                                       or _meets(targets, phi.evaluate(out.witness))):
                 out = Unknown("candidate witness failed re-verification")

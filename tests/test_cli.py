@@ -443,6 +443,13 @@ class TestErrors:
         assert res.exit_code == 2, res.output
         assert message in res.output
 
+    def test_lattice_bound_at_a_breakpoint_of_the_input_is_unknown(self):
+        res = run("member", "--config",
+                  '{"field": {"variant": "hahn", "residue": {"q": 2}}, "E": "field"}',
+                  "--phi", "t^{1/65536}*x^3 + 1")
+        assert res.exit_code == 0, res.output
+        assert payload(res)["verdict"] == "Unknown"
+
     @pytest.mark.parametrize("command", [
         ["dichotomy", "--phi", "x"],
         ["construct", "witness"],

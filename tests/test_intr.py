@@ -86,6 +86,18 @@ class TestMembership:
         assert v.reason == (f"refinement at {point}, residue 1: "
                             "lattice t^(1/131072) beyond the bound 65536")
 
+    @pytest.mark.parametrize("text", ["1/(t^{1/65536}*x^3 + 1)", "t^{1/65536}*x^3 + 1"],
+                             ids=["point", "interval"])
+    def test_lattice_bound_at_a_breakpoint_of_the_input_is_unknown(self, text):
+        # the input's own breakpoint -1/196608 needs t^(1/196608), beyond the
+        # lattice bound, in _check_point or _check_interval before any refinement
+        D = domain_from_config({"field": {"variant": "hahn", "residue": {"q": 2}},
+                                "E": "field"})
+        v = intr_member(parse_ratfun(D.field, text), D, depth=3)
+        assert v.kind == "unknown" and not v.depth_exhausted
+        assert v.reason == ("certification over Hahn(GF(2), Q): "
+                            "lattice t^(1/196608) beyond the bound 65536")
+
     def test_undecided_residue_is_not_depth_exhausted(self):
         # no refinement runs, though the residue variable is named "depth"
         D = domain_from_config({

@@ -175,12 +175,10 @@ def verify_psi(phi, S, samples):
     report = {"identity": identity, "checked": 0, "violations": []}
     vts = S.valuations(S.t.as_integer_ratio())
     for a in samples:
-        pv = phi.evaluate_pair(a)
-        sv = psi.evaluate_pair(a)
-        if not pv[1] or not sv[1]:
+        pairs = [f.evaluate_pair(a) for f in (phi, psi)]
+        if not all(den for _, den in pairs):
             continue
-        for V, vphi, vpsi, vt in zip(S.components, S.valuations(pv),
-                                     S.valuations(sv), vts):
+        for V, vphi, vpsi, vt in zip(S.components, *map(S.valuations, pairs), vts):
             if vphi == 0:
                 ok = vpsi == 0
             elif 0 < vphi < INFINITY:
@@ -236,15 +234,14 @@ def verify_separator(phi, S, samples):
     psi = build_separator(phi, S)
     report = {"checked": 0, "skipped": 0, "violations": []}
     for a in samples:
-        pv = phi.evaluate_pair(a)
-        sv = psi.evaluate_pair(a)
-        if not pv[1] or not sv[1]:
+        pairs = [f.evaluate_pair(a) for f in (phi, psi)]
+        if not all(den for _, den in pairs):
             report["skipped"] += 1
             continue
-        vpsis = S.valuations(sv)
+        vphis, vpsis = map(S.valuations, pairs)
         if min(vpsis) < 0:
             report["violations"].append({"a": str(a), "case": "not in D"})
-        for V, vphi, vpsi in zip(S.components, S.valuations(pv), vpsis):
+        for V, vphi, vpsi in zip(S.components, vphis, vpsis):
             if (vphi > 0) != (vpsi > 0):
                 report["violations"].append({"a": str(a), "prime": V.p})
         report["checked"] += 1

@@ -432,3 +432,110 @@ class TestGaussMultiplicativity:
                 continue
             assert minval_poly(f * g, V) == minval_poly(f, V) + minval_poly(g, V)
             checked += 1
+
+
+# A reference for the Newton layer that computes on group elements
+# throughout: the hull, the evaluation and the local polynomial exactly as
+# they read before rank-1 values were computed on their one coordinate.
+
+def _ref_hull(f, V):
+    lines = [(i, V.valuation(f.coeffs[i])) for i in reversed(f.support())]
+    stack = []
+    for m, b in lines:
+        while stack:
+            m0, b0, n0, k0 = stack[-1]
+            n, k = tuple(b.coords[j] - b0.coords[j] for j in range(len(b.coords))), m0 - m
+            if n0 is None or [c * k0 for c in n] > [c * k for c in n0]:
+                stack.append((m, b, n, k))
+                break
+            stack.pop()
+        else:
+            stack.append((m, b, None, 1))
+    ends = [V.group.element(*[Fraction(c, k) for c in n]) for _, _, n, k in stack[1:]]
+    return [(m, b, lo, hi, m)
+            for (m, b, _, _), lo, hi in zip(stack, [None] + ends, ends + [None])]
+
+
+def _ref_eval(segments, gamma):
+    for seg in segments:
+        if seg.hi is None or gamma <= seg.hi:
+            return gamma.scale(seg.slope) + seg.intercept
+
+
+def _ref_local_poly(env, t, vt):
+    vals = [(i, b + vt.scale(i)) for i, b in env.lines]
+    mv = min(v for _, v in vals)
+    d, *below = [i for i, v in vals if v == mv]
+    V, coeffs = env.V, env.poly.coeffs
+    L = V.residue_field
+    loc = [L.zero()] * d + [L.one()]
+    if below:
+        ac, lead, act = V.angular, V.angular(coeffs[d]), V.angular(t)
+        for i in below:
+            loc[i] = ac(coeffs[i]) / (lead * act ** (d - i))
+    return Polynomial(L, loc, "x")
+
+
+def _exact(g):
+    """A group element (or None) with the type of every coordinate, so that
+    an int and a Fraction of the same value tell apart."""
+    return None if g is None else (g.group, tuple((type(c), c) for c in g.coords))
+
+
+def _newton_draw(V, rng, k):
+    """(f, t) as in the ``newton`` digest: in odd draws every coefficient
+    of f attains the minimum at t; every third even draw scatters values."""
+    t = V.random_nonzero(rng)
+    if k % 2:
+        c = V.random_nonzero(rng)
+        return Polynomial(V, [_unit(V, rng) * c / t ** i
+                              for i in range(rng.randint(1, 4))]), t
+    if k % 3 == 0 and (V.group.rank == 2 or V.group.divisible[0]):
+        return _hull_poly(V, rng), t
+    return Polynomial(V, [V.random_element(rng) for _ in range(rng.randint(1, 5))]), t
+
+
+def _random_value(G, rng):
+    n = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+    return G.element(n, rng.randint(-3, 3)) if G.rank == 2 else G.element(n)
+
+
+@pytest.mark.parametrize("V", [Q5, TAdicRat(FiniteField(2, 2)), HahnFinite(FiniteField(2)),
+                               LexRank2(FiniteField(2))],
+                         ids=lambda v: v.describe())
+def test_newton_matches_the_group_element_reference(V):
+    """Segments, values and local polynomials equal the reference's, with
+    every coordinate of the same type: Hahn gives fractional breakpoints
+    and coordinates, lex2 is rank 2."""
+    rng = random.Random(33)
+    G = V.group
+    unit = G.element(1, 0) if G.rank == 2 else G.element(1)
+    fractional = several = 0
+    for k in range(60):
+        f, t = _newton_draw(V, rng, k)
+        if f.is_zero():
+            continue
+        env = minval_poly(f, V)
+        ref = _ref_hull(f, V)
+        assert [(s.slope, _exact(s.intercept), _exact(s.lo), _exact(s.hi), s.tag)
+                for s in env.segments] == [
+            (m, _exact(b), _exact(lo), _exact(hi), tag) for m, b, lo, hi, tag in ref]
+        cuts = env.breakpoints()
+        points = cuts + [_random_value(G, rng) for _ in range(6)]
+        points += [cuts[0] - unit, cuts[-1] + unit] if cuts else [G.zero()]
+        for gamma in points:
+            assert _exact(env.eval(gamma)) == _exact(_ref_eval(env.segments, gamma))
+            for seg in env.segments:
+                want = gamma.scale(seg.slope) + seg.intercept
+                assert _exact(seg.value_at(gamma)) == _exact(want)
+        g = V.random_nonzero(rng)
+        den = Polynomial(V, [g, V.random_nonzero(rng)])
+        renv = minval_rat(RationalFunction(f, den), V)
+        for gamma in points + renv.breakpoints():
+            assert _exact(renv.eval(gamma)) == _exact(_ref_eval(renv.segments, gamma))
+        vt = V.valuation(t)
+        loc = local_poly(env, t, vt)
+        assert loc == _ref_local_poly(env, t, vt)
+        fractional += any(type(c) is not int for p in cuts for c in p.coords)
+        several += len(loc.support()) > 1
+    assert several and fractional

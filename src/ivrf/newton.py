@@ -13,6 +13,10 @@ divided by its dominant coefficient and reduced modulo the maximal ideal, a
 monic ``Polynomial`` in x over the residue field.  The envelope predicts
 v(f(a)) exactly unless the residue of a/t is a root of the local polynomial.
 The envelope of phi keeps those of its numerator and denominator.
+
+Over a rank-1 value group (every field but lex2) the hull, the values and
+the local polynomial's minimum are computed on each value's one coordinate,
+an int or a Fraction, with one group element per returned value.
 """
 
 from __future__ import annotations
@@ -21,7 +25,15 @@ from fractions import Fraction
 from operator import sub
 
 from .errors import PreconditionError, StructuralError
+from .ordgroup import GroupElement, _norm
 from .ratfun import Polynomial
+
+
+def _on_coordinate(G, gamma):
+    """Whether ``gamma`` is an element of ``G`` of rank 1, read as a number;
+    anything else takes the group arithmetic, which checks the group."""
+    return (G.rank == 1 and type(gamma) is GroupElement
+            and (gamma.group is G or gamma.group == G))
 
 
 class Segment:
@@ -42,7 +54,10 @@ class Segment:
         self.tag = tag
 
     def value_at(self, gamma):
-        return gamma.scale(self.slope) + self.intercept
+        b = self.intercept
+        if _on_coordinate(b.group, gamma):
+            return GroupElement(b.group, (_norm(self.slope * gamma.coords[0] + b.coords[0]),))
+        return gamma.scale(self.slope) + b
 
     def __repr__(self):
         lo = "-oo" if self.lo is None else str(self.lo)
@@ -62,10 +77,15 @@ class PiecewiseLinear:
         self.segments = list(segments)
 
     def eval(self, gamma):
+        if _on_coordinate(self.group, gamma):
+            g = gamma.coords[0]
+            for seg in self.segments:
+                if seg.hi is None or g <= seg.hi.coords[0]:
+                    return GroupElement(self.group,
+                                        (_norm(seg.slope * g + seg.intercept.coords[0]),))
         for seg in self.segments:
             if seg.hi is None or gamma <= seg.hi:
                 return seg.value_at(gamma)
-        return self.segments[-1].value_at(gamma)
 
     def breakpoints(self):
         return [seg.hi for seg in self.segments[:-1]]
@@ -158,19 +178,29 @@ def minval_poly(f, V):
     # decreasing slope: leftmost piece first
     lines = [(i, V.valuation(f.coeffs[i])) for i in reversed(f.support())]
     # entries (slope, intercept, n, k): the piece starts at coordinates n/k,
-    # k > 0 (n None on the left end), and n/k > n0/k0 iff n*k0 > n0*k in lex
+    # k > 0 (n None on the left end), and n/k > n0/k0 iff n*k0 > n0*k in lex;
+    # over a rank-1 group n is the one coordinate itself
+    G = V.group
+    rank1 = G.rank == 1
     stack = []
     for m, b in lines:
         while stack:
             m0, b0, n0, k0 = stack[-1]
-            n, k = tuple(map(sub, b.coords, b0.coords)), m0 - m
-            if n0 is None or [c * k0 for c in n] > [c * k for c in n0]:
+            k = m0 - m
+            if rank1:
+                n = b.coords[0] - b0.coords[0]
+                later = n0 is None or n * k0 > n0 * k
+            else:
+                n = tuple(map(sub, b.coords, b0.coords))
+                later = n0 is None or [c * k0 for c in n] > [c * k for c in n0]
+            if later:
                 stack.append((m, b, n, k))
                 break
             stack.pop()
         else:
             stack.append((m, b, None, 1))
-    ends = [V.group.element(*[Fraction(c, k) for c in n]) for _, _, n, k in stack[1:]]
+    ends = [G.element(Fraction(n, k)) if rank1 else G.element(*[Fraction(c, k) for c in n])
+            for _, _, n, k in stack[1:]]
     segs = [Segment(m, b, lo, hi, tag=m)
             for (m, b, _, _), lo, hi in zip(stack, [None] + ends, ends + [None])]
     return Envelope(f, V, lines, segs)
@@ -206,7 +236,11 @@ def local_poly(env, t, vt):
     a_i / (a_d t^(d-i)), of value 0: ac(a_i) / (ac(a_d) ac(t)^(d-i)) in
     angular components, in the residue field.  Every other one is 0.
     """
-    vals = [(i, b + vt.scale(i)) for i, b in env.lines]
+    if _on_coordinate(env.V.group, vt):
+        g = vt.coords[0]
+        vals = [(i, b.coords[0] + i * g) for i, b in env.lines]
+    else:
+        vals = [(i, b + vt.scale(i)) for i, b in env.lines]
     mv = min(v for _, v in vals)
     d, *below = [i for i, v in vals if v == mv]
     V, coeffs = env.V, env.poly.coeffs

@@ -268,7 +268,8 @@ class Polynomial:
         the zero polynomial, and a zero coefficient takes no product."""
         if not c:
             return self._new([])
-        if c == self.field.one():
+        one = self.field.one()
+        if c is one or c == one:
             return self
         return self._new([a * c if a else a for a in self.coeffs])
 
@@ -1032,7 +1033,7 @@ def _monic(num, den):
     if num.is_zero():
         return num, Polynomial.constant(num.field, one, num.var)
     lead = den.leading()
-    if lead != one:
+    if lead is not one and lead != one:
         inv = one / lead
         num, den = num.scale(inv), den.scale(inv)
     return num, den

@@ -5,13 +5,13 @@ from itertools import combinations
 import pytest
 from click.testing import CliRunner
 
-from ivrf import newton, suites
+from ivrf import newton, ordgroup, suites
 from ivrf.cli import main
 from ivrf.errors import PreconditionError, StructuralError
 from ivrf.ff import FiniteField, RatFuncField
 from ivrf.fields import HahnFinite, LexRank2, PAdicQ, TAdicRat
 from ivrf.newton import local_poly, minval_poly, minval_rat, predict, slopes_check
-from ivrf.ordgroup import INFINITY
+from ivrf.ordgroup import INFINITY, GroupMismatchError
 from ivrf.ratfun import Polynomial, RationalFunction
 
 Q5 = PAdicQ(5)
@@ -539,3 +539,32 @@ def test_newton_matches_the_group_element_reference(V):
         fractional += any(type(c) is not int for p in cuts for c in p.coords)
         several += len(loc.support()) > 1
     assert several and fractional
+
+
+@pytest.mark.parametrize("V", [Q5, HahnFinite(FiniteField(2))], ids=lambda v: v.describe())
+def test_rank1_values_build_one_group_element_per_result(V, monkeypatch):
+    """Over a rank-1 group a local polynomial builds no group element and
+    a value of the envelope builds exactly one; a value of another group
+    is still refused."""
+    rng = random.Random(34)
+    draws = [_newton_draw(V, rng, k) for k in range(12)]
+    draws = [(minval_poly(f, V), t, V.valuation(t)) for f, t in draws if not f.is_zero()]
+    built = []
+    init = ordgroup.GroupElement.__init__
+
+    def spy(self, group, coords):
+        built.append(coords)
+        init(self, group, coords)
+    monkeypatch.setattr(ordgroup.GroupElement, "__init__", spy)
+    for env, t, vt in draws:
+        local_poly(env, t, vt)
+        assert built == []
+        for gamma in env.breakpoints() + [vt]:
+            env.eval(gamma)
+            assert len(built) == 1
+            built.clear()
+    for other in (LexRank2(FiniteField(2)).group.element(0, 1),
+                  (HahnFinite(FiniteField(2)) if V is Q5 else Q5).group.zero()):
+        for env, _, _ in draws:
+            with pytest.raises(GroupMismatchError):
+                env.eval(other)

@@ -9,9 +9,10 @@ tables are built and when an element is printed.  The tables come from
 ``Polynomial`` arithmetic over GF(p): trial division finds the modulus, and
 each product of two digit vectors is reduced by it with ``%``.  Prime fields
 up to p = 2^16 use plain modular arithmetic.  GF(q)(u) is built from the
-generic polynomial core with variable ``u``; GF(2) sets ``poly_bits``, so its
-polynomials are packed into ints (bit i the coefficient of u^i), and the
-polynomial arithmetic under the GF(2)(u) towers runs on ints.
+generic polynomial core with variable ``u``; GF(2) and GF(4) set
+``poly_packing``, so their polynomials are packed into bit planes (bit i the
+coefficient of u^i, or over GF(4) one bit of its index per plane), and the
+polynomial arithmetic under the GF(2)(u) towers and over GF(4) runs on ints.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ class FiniteField:
         self.k = k
         self.q = q
         self.gen_name = gen_name
-        # polynomials over GF(2) are packed into ints (ratfun._GF2Polynomial)
-        self.poly_bits = q == 2
+        # polynomials over GF(2) and GF(4) are packed into bit planes (ratfun)
+        self.poly_packing = q if q in (2, 4) else None
         self._els = [FFElement(self, i) for i in range(q)]
         if k > 1:
             self.modulus = self._find_irreducible()

@@ -191,10 +191,12 @@ class PAdicQ(ValuedField):
         return Fraction(n)
 
     def int_valuation(self, n):
-        """v_p(n) of a nonzero int n, as a plain int."""
+        """v_p(n) of a nonzero int n, as a plain int; v_2 by its lowest set bit."""
         if not n:
             raise PreconditionError("v_p(0) is not an integer")
         p, v = self.p, 0
+        if p == 2:
+            return (n & -n).bit_length() - 1
         while not n % p:
             n //= p
             v += 1

@@ -16,11 +16,13 @@ never an int or a polynomial, so equal values hash equal.  Every fraction
 field in ivrf rests on this one form: an element of kappa(t) is a
 RationalFunction in t, and a Hahn field element is one in s = t^(1/m).
 
-A polynomial over GF(2) (a field with ``poly_bits`` set) is stored as one
-int, bit i the coefficient of var^i (``_GF2Polynomial``): addition is xor,
-multiplication shift-xor, division and the gcd shifted xor.  The GF(2)(u)
-towers rest on this ring.  Every other field keeps the dense coefficient
-tuple; both print the same.  Over Q (``Fraction`` coefficients) products,
+A polynomial over GF(2) or GF(4) (a field whose ``poly_packing`` is its q)
+is packed into ints: over GF(2) one int, bit i the coefficient of var^i
+(``_GF2Polynomial``), and over GF(4) two such planes, the two bits of each
+coefficient's index (``_GF4Polynomial``).  Addition is xor, multiplication
+carry-less, division and the gcd shifted xor.  The GF(2)(u) towers and
+GF(4)(t) rest on these rings.  Every other field keeps the dense
+coefficient tuple; all print the same.  Over Q (``Fraction`` coefficients) products,
 divisions, gcds and evaluation run on plain ints: each polynomial is put on
 one denominator once, at the first of these that reads it
 (``Polynomial._q_form``, kept with the polynomial), and each coefficient of
@@ -87,15 +89,17 @@ POLE = _Pole()
 class Polynomial:
     """Dense univariate polynomial; trailing zeros trimmed.
 
-    Over a field that sets ``poly_bits`` (GF(2)) the constructor returns a
-    ``_GF2Polynomial`` instead, which packs the coefficients into one int.
+    Over GF(2) and GF(4) (a field with ``poly_packing``) the constructor
+    returns a ``_GF2Polynomial`` or ``_GF4Polynomial`` instead, which packs
+    the coefficients into one int or two bit planes.
     """
 
     __slots__ = ("field", "coeffs", "var", "_ints")
 
     def __new__(cls, field, coeffs=(), var="x"):
-        if getattr(field, "poly_bits", False):
-            return object.__new__(_GF2Polynomial)
+        packing = getattr(field, "poly_packing", None)
+        if packing:
+            return object.__new__(_PACKED[packing])
         return object.__new__(cls)
 
     def __init__(self, field, coeffs, var="x"):
@@ -309,7 +313,8 @@ class Polynomial:
     def gcd(a, b):
         """Monic greatest common divisor.
 
-        * Over GF(2) (packed, ``_GF2Polynomial``): Euclid on the ints.
+        * Over GF(2) and GF(4) (packed): Euclid on the ints, or on the pairs
+          of planes, made monic once.
         * Over rational-function coefficients F(v) the denominators are
           cleared once and the gcd is taken in F[v][x] by the primitive
           remainder sequence (Collins, J. ACM 1967; Brown, J. ACM 1971):
@@ -330,7 +335,7 @@ class Polynomial:
           sequence runs in Z[x] on plain ints: each operand's integer form
           (``_q_form``) is read, each pseudo-remainder divided by its
           integer content, and only the final gcd is made monic over Q.
-        * Otherwise (GF(q), q > 2): the Euclidean algorithm.
+        * Otherwise (GF(q), q = 3 or q > 4): the Euclidean algorithm.
 
         The monic gcd is unique, so all of them give the same result.
         """
@@ -339,6 +344,11 @@ class Polynomial:
             while y:
                 x, y = y, _gf2_divmod(x, y)[1]
             return a._new(x)
+        if type(a) is _GF4Polynomial:
+            x0, x1, y0, y1 = a.w0, a.w1, b.w0, b.w1
+            while y0 | y1:
+                x0, x1, (y0, y1) = y0, y1, _gf4_divmod(x0, x1, y0, y1)[2:]
+            return a._new(*_gf4_scale(x0, x1, _GF4_INV[_gf4_lead(x0, x1)]))
         if a.is_zero():
             return b.monic()
         if b.is_zero():
@@ -580,6 +590,142 @@ def _gf2_divmod(a, b):
         a ^= b << shift
         shift = a.bit_length() - db
     return q, a
+
+
+class _GF4Polynomial(_GF2Polynomial):
+    """A polynomial over GF(4) packed into two GF(2) planes, ints w0 and w1:
+    the coefficient of var^i is w0_i + w*w1_i (w the generator, w^2 = w + 1),
+    whose ``FFElement`` index has the bits w0_i and w1_i.  Its ``bits`` are
+    the support w0 | w1, which the methods of ``_GF2Polynomial`` it keeps
+    read.  Products are three carry-less ones (Karatsuba)."""
+
+    __slots__ = ("w0", "w1")
+
+    def __init__(self, field, coeffs, var="x"):
+        w0 = w1 = 0
+        for i, c in enumerate(coeffs):
+            w0 |= (c.idx & 1) << i
+            w1 |= (c.idx >> 1) << i
+        self.field, self.w0, self.w1, self.var = field, w0, w1, var
+
+    def _new(self, w0, w1):
+        p = object.__new__(_GF4Polynomial)
+        p.field, p.w0, p.w1, p.var = self.field, w0, w1, self.var
+        return p
+
+    @property
+    def bits(self):
+        return self.w0 | self.w1
+
+    @property
+    def degree(self):
+        return (self.w0 | self.w1).bit_length() - 1
+
+    def is_zero(self):
+        return not (self.w0 | self.w1)
+
+    @property
+    def coeffs(self):
+        return tuple(self.coeff(i) for i in range(self.degree + 1))
+
+    def leading(self):
+        _GF2Polynomial.leading(self)  # raises for the zero polynomial
+        return self.field.element(_gf4_lead(self.w0, self.w1))
+
+    def coeff(self, i):
+        return self.field.element((self.w0 >> i & 1) | (self.w1 >> i & 1) << 1 if i >= 0 else 0)
+
+    def __eq__(self, other):
+        return (type(other) is _GF4Polynomial and self.w0 == other.w0 and self.w1 == other.w1
+                and self.var == other.var and self.field is other.field)
+
+    def __hash__(self):
+        return hash(("poly", self.var, self.w0, self.w1))
+
+    def __add__(self, other):
+        if type(other) is not _GF4Polynomial or other.var != self.var:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._new(self.w0 ^ other.w0, self.w1 ^ other.w1)
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other):
+        if type(other) is not _GF4Polynomial or other.var != self.var:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a0, a1, b0, b1 = self.w0, self.w1, other.w0, other.w1
+        low = _gf2_mul(a0, b0)
+        # (a0 + w a1)(b0 + w b1) = a0b0 + a1b1 + w((a0 + a1)(b0 + b1) + a0b0)
+        return self._new(low ^ _gf2_mul(a1, b1), _gf2_mul(a0 ^ a1, b0 ^ b1) ^ low)
+
+    __rmul__ = __mul__
+
+    def scale(self, c):
+        return self if c.idx == 1 else self._new(*_gf4_scale(self.w0, self.w1, c.idx))
+
+    def __divmod__(self, other):
+        if type(other) is not _GF4Polynomial:
+            return NotImplemented
+        if not other.bits:
+            raise StructuralError("polynomial division by zero")
+        q0, q1, r0, r1 = _gf4_divmod(self.w0, self.w1, other.w0, other.w1)
+        return self._new(q0, q1), self._new(r0, r1)
+
+    def evaluate(self, a):
+        """The parity of each plane at 1, and elsewhere Horner on the digits
+        as over GF(2)."""
+        if a == self.field.one():
+            return self.field.element((self.w0.bit_count() & 1) | (self.w1.bit_count() & 1) << 1)
+        return _GF2Polynomial.evaluate(self, a)
+
+
+_PACKED = {2: _GF2Polynomial, 4: _GF4Polynomial}
+_GF4_INV = (0, 1, 3, 2)  # 1/w = w + 1 and 1/(w + 1) = w; 0 stays 0
+
+
+def _gf4_lead(w0, w1):
+    """The index of the leading coefficient of packed planes, 0 for zero."""
+    top = (w0 | w1).bit_length() - 1
+    return (w0 >> top & 1) | (w1 >> top & 1) << 1 if top >= 0 else 0
+
+
+def _gf4_scale(w0, w1, k):
+    """The planes of a packed GF(4) polynomial times the element of index k:
+    w(w0 + w w1) = w1 + w(w0 + w1), and (w + 1)(w0 + w w1) = w0 + w1 + w w0."""
+    if k == 1:
+        return w0, w1
+    if k == 2:
+        return w1, w0 ^ w1
+    if k == 3:
+        return w0 ^ w1, w0
+    return 0, 0
+
+
+def _gf4_divmod(a0, a1, b0, b1):
+    """Quotient and remainder planes (q0, q1, r0, r1) of packed GF(4)
+    polynomials, b nonzero.  Over b made monic each quotient digit is the
+    leading digit of the remainder, and the quotient is scaled back once."""
+    db = (b0 | b1).bit_length()
+    shift = (a0 | a1).bit_length() - db
+    if shift < 0:
+        return 0, 0, a0, a1
+    inv = _GF4_INV[_gf4_lead(b0, b1)]
+    m0, m1 = _gf4_scale(b0, b1, inv)
+    multiples = ((0, 0), (m0, m1), (m1, m0 ^ m1), (m0 ^ m1, m0))
+    q0 = q1 = 0
+    while shift >= 0:
+        top = shift + db - 1
+        c = (a0 >> top & 1) | (a1 >> top & 1) << 1
+        m0, m1 = multiples[c]
+        q0 |= (c & 1) << shift
+        q1 |= (c >> 1) << shift
+        a0 ^= m0 << shift
+        a1 ^= m1 << shift
+        shift = (a0 | a1).bit_length() - db
+    return (*_gf4_scale(q0, q1, inv), a0, a1)
 
 
 # -- gcd over F[v][x] -------------------------------------------------------
@@ -985,6 +1131,8 @@ def _cancel(p, q):
             return p, q, None
         if type(p) is _GF2Polynomial:
             return p._new(p.bits >> m), q._new(q.bits >> m), p._new(1 << m)
+        if type(p) is _GF4Polynomial:
+            return p._new(p.w0 >> m, p.w1 >> m), q._new(q.w0 >> m, q.w1 >> m), p._new(1 << m, 0)
         field = p.field
         return (p._new(list(p.coeffs[m:])), q._new(list(q.coeffs[m:])),
                 p._new([field.zero()] * m + [field.one()]))

@@ -119,6 +119,26 @@ def test_padic_int_valuation_counts_the_factors_p(p):
         V.int_valuation(0)
 
 
+def test_padic_int_valuation_at_2_matches_the_division_loop():
+    # v_2 is read off the lowest set bit; it must agree with counting the
+    # factors 2 one division at a time, for either sign and large k
+    def by_division(n):
+        v = 0
+        while not n % 2:
+            n //= 2
+            v += 1
+        return v
+
+    V = PAdicQ(2)
+    rng = random.Random("int-valuation:2")
+    for k in range(201):
+        for m in (1, -1, 3, -7, rng.randrange(1, 10 ** 30, 2), -rng.randrange(1, 2 ** 90, 2)):
+            n = m << k
+            assert V.int_valuation(n) == by_division(n) == k
+    with pytest.raises(PreconditionError, match=r"^v_p\(0\) is not an integer$"):
+        V.int_valuation(0)
+
+
 @pytest.mark.parametrize("V", ALL_FIELDS, ids=lambda v: v.describe())
 class TestValuationAxioms:
     def test_multiplicative(self, V):

@@ -10,7 +10,8 @@ from ivrf.errors import IvrfError, ParseError, StructuralError
 from ivrf.fields import (QQ, ConstantSubfield, HahnElement, HahnFinite, LexRank2,
                          PAdicQ, TAdicRat, _spread)
 from ivrf.ff import FFElement, FiniteField, RatFuncField
-from ivrf.intr import DomainSpec, domain_from_config, intr_member
+from ivrf.intr import DomainSpec, domain_from_config, intr_member, residue_roots
+from ivrf.newton import local_poly, minval_poly
 from ivrf.parsing import parse_expression
 from ivrf.ratfun import (POLE, Polynomial, RationalFunction, _GF2Polynomial,
                          parse_ratfun)
@@ -858,6 +859,138 @@ def test_gf2_packed_evaluates_at_a_function_field_element():
     assert str(value) == "(u^3 + u + 1)/(u^3 + u^2 + u + 1)"
 
 
+# -- GF(4)[v], packed into two bit planes, against a table reference ---------
+#
+# The reference works on lists of GF(4) indices, constant term first, with no
+# trailing zeros, through the field's own addition, negation, multiplication
+# and inversion tables, so it shares nothing with the packed representation.
+
+def _ref4_add(a, b, neg=False):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _ref_trim([GF4._add_tab[x][GF4._neg_tab[y] if neg else y] for x, y in zip(a, b)])
+
+
+def _ref4_scale(a, k):
+    return _ref_trim([GF4._mul[k][x] for x in a])
+
+
+def _ref4_mul(a, b):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = GF4._add_tab[out[i + j]][GF4._mul[x][y]]
+    return _ref_trim(out)
+
+
+def _ref4_divmod(a, b):
+    r = list(a)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    inv = GF4._inv[b[-1]]
+    for i in range(len(r) - 1, len(b) - 2, -1):
+        if r[i]:
+            k = i - len(b) + 1
+            c = q[k] = GF4._mul[r[i]][inv]
+            for j, y in enumerate(b):
+                r[k + j] = GF4._add_tab[r[k + j]][GF4._neg_tab[GF4._mul[c][y]]]
+    return _ref_trim(q), _ref_trim(r)
+
+
+def _ref4_gcd(a, b):
+    while b:
+        a, b = b, _ref4_divmod(a, b)[1]
+    return _ref4_scale(a, GF4._inv[a[-1]]) if a else a
+
+
+def _ref4_eval(a, k):
+    acc = 0
+    for c in reversed(a):
+        acc = GF4._add_tab[GF4._mul[acc][k]][c]
+    return acc
+
+
+def _ref4_str(a):
+    names = {1: "1", 2: "u", 3: "(u + 1)"}
+    parts = []
+    for i in reversed(range(len(a))):
+        if a[i]:
+            xs = "" if i == 0 else "v" if i == 1 else f"v^{i}"
+            parts.append(names[a[i]] if not xs else xs if a[i] == 1 else f"{names[a[i]]}*{xs}")
+    return " + ".join(parts) or "0"
+
+
+def _gf4(idx):
+    return Polynomial(GF4, [GF4.element(i) for i in idx], "v")
+
+
+# degrees up to 70, across the 30- and 60-bit digits of Python ints
+gf4_lists = st.lists(st.integers(0, 3), max_size=71).map(_ref_trim)
+
+
+@given(gf4_lists, gf4_lists, st.integers(0, 3))
+@example([], [], 0)
+@example([3] * 71, [0] * 30 + [2], 3)
+@example([0] * 60 + [1], [2, 3] * 30 + [3], 2)
+@settings(max_examples=200, deadline=None)
+def test_gf4_packed_matches_reference(a, b, n):
+    T4 = TAdicRat(GF4)
+    pa, pb = _gf4(a), _gf4(b)
+    el = [GF4.element(c) for c in a]
+    assert pa.degree == len(a) - 1
+    assert pa.coeffs == tuple(el)
+    assert pa.support() == [i for i, c in enumerate(a) if c]
+    assert pa.low_degree() == next((i for i, c in enumerate(a) if c), None)
+    assert [pa.coeff(i) for i in range(-1, len(a) + 2)] == (
+        [GF4.zero()] + el + [GF4.zero()] * 2)
+    assert pa.is_constant() == (len(a) <= 1) and pa.is_zero() == (not a)
+    if a:
+        assert pa.leading() == el[-1]
+    else:
+        with pytest.raises(StructuralError):
+            pa.leading()
+    assert pa + pb == _gf4(_ref4_add(a, b))
+    assert pa - pb == _gf4(_ref4_add(a, b, neg=True))
+    assert -pa == _gf4(_ref4_add([], a, neg=True))
+    product = pa * pb
+    assert product == _gf4(_ref4_mul(a, b))
+    # one value built two ways: equal, with one hash
+    again = Polynomial.from_dict(GF4, {i: GF4.element(c) for i, c in
+                                       enumerate(_ref4_mul(a, b)) if c}, "v")
+    assert product == again and hash(product) == hash(again)
+    power = [1]
+    for _ in range(n):
+        power = _ref4_mul(power, a)
+    assert pa ** n == _gf4(power)
+    for k in range(4):
+        assert pa.scale(GF4.element(k)) == _gf4(_ref4_scale(a, k))
+        assert pa.evaluate(GF4.element(k)) == GF4.element(_ref4_eval(a, k))
+    # at a function-field point, against the sum of the terms c_i a^i
+    t, w = T4.gen(), T4.lift(GF4.gen())
+    point = (t * t + w * t + 1) / t
+    want = T4.zero()
+    for i, c in enumerate(el):
+        if c:
+            want = want + point ** i * c
+    # a constant polynomial gives its constant, an element of GF(4)
+    assert T4.zero() + pa.evaluate(point) == want
+    if b:
+        q, r = divmod(pa, pb)
+        assert q * pb + r == pa and r.degree < pb.degree
+        assert (q, r) == tuple(map(_gf4, _ref4_divmod(a, b)))
+        assert pa // pb == q and pa % pb == r
+    else:
+        with pytest.raises(StructuralError):
+            divmod(pa, pb)
+    g = Polynomial.gcd(pa, pb)
+    assert g == _gf4(_ref4_gcd(a, b))
+    if a or b:
+        assert g.leading() == GF4.one()
+        assert (pa % g).is_zero() and (pb % g).is_zero()
+    else:
+        assert g.is_zero()
+    assert str(pa) == _ref4_str(a)
+
+
 def test_sparse_polynomial_evaluates_by_powers(monkeypatch):
     # x^256 + c at a Hahn point: 8 squarings for the power, not 256 products
     H = HahnFinite(GF2_U)
@@ -973,6 +1106,51 @@ def test_gf2_hot_paths_build_no_coefficient_tuple(name, monkeypatch):
         Polynomial.gcd(f.num * g.den, f.den * g.den)
     phi = parse_ratfun(V, text)
     assert intr_member(phi, D, depth=3).kind in ("in", "out")
+
+
+def test_gf4_hot_paths_build_no_coefficient_tuple(monkeypatch):
+    # GF(4)[v] is packed into two bit planes under every generator name, and
+    # under the t-adic field and GF(4)(u).  Products, quotients and gcds
+    # there, the local polynomials over GF(4), its root search and
+    # intr_member on the t-adic pullback read the planes, so building a
+    # coefficient tuple fails.
+    packed = ratfun._GF4Polynomial
+    for name in ("u", "w", "z"):
+        assert type(Polynomial.gen(FiniteField(2, 2, name), "v")) is packed
+    W4 = FiniteField(2, 2, "w")
+    T4, U4 = TAdicRat(GF4), RatFuncField(W4, "u")
+    assert type(T4.gen().num) is packed and type(U4.gen().den) is packed
+    D = domain_from_config({"field": {"variant": "tadic", "residue": {"kind": "gf", "q": 4}},
+                            "subfield": {"kind": "subgf", "order": 2}, "E": "field"})
+    phis = [parse_ratfun(D.field, text) for text in
+            ("(x^2 + x)/(x^4 + x + 1)", "u*t*x/(x^2 + x + u)", "t/(x^2 + x + u)")]
+
+    def unpack(self):
+        raise AssertionError("coefficient tuple of a packed polynomial built")
+
+    monkeypatch.setattr(packed, "coeffs", property(unpack))
+    for V, draw in ((T4, T4.random_element), (U4, lambda rng: U4.random(rng, degree=2))):
+        rng = random.Random(f"packed4:{V}")
+        fs = [draw(rng) for _ in range(8)]
+        for f, g in zip(fs, fs[1:]):
+            _assert_reduced(f * g, f.num * g.num, f.den * g.den)
+            if g:
+                _assert_reduced(f / g, f.num * g.den, f.den * g.num)
+            _assert_reduced(f + g, f.num * g.den + g.num * f.den, f.den * g.den)
+            Polynomial.gcd(f.num * g.den, f.den * g.den)
+    t = T4.gen()
+    f = parse_ratfun(T4, "x^3 + (u*t)*x^2 + (t^2 + 1)*x + t").num
+    env = minval_poly(f, T4)
+    for point in (t, T4.one(), t * t):
+        loc = local_poly(env, point, T4.valuation(point))
+        assert type(loc) is packed and loc.leading() == GF4.one()
+        roots, complete = residue_roots(loc, GF4)
+        assert complete and all(not loc.evaluate(r) for r in roots)
+    x4 = Polynomial.from_dict(GF4, {4: GF4.one(), 1: GF4.one(), 0: GF4.one()})
+    assert residue_roots(x4, GF4) == (set(), True)
+    assert residue_roots(x4 * x4 + Polynomial.gen(GF4), GF4)[1]
+    for phi in phis:
+        assert intr_member(phi, D, depth=3).kind in ("in", "out")
 
 
 # -- Q[x] against a per-Fraction reference -----------------------------------

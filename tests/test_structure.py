@@ -48,3 +48,18 @@ def test_q_constructions_read_valuations_through_one_reader():
     # over fields and reads group elements
     assert _valuation_callers(SRC / "constructions.py") <= {"notlocal_witness"}
     assert "construct_theta" not in _valuation_callers(SRC / "cli.py")
+
+
+def test_only_ratfun_knows_the_packed_gf4_format():
+    # the packed GF(4) polynomial (two GF(2) planes w0, w1: coefficient i is
+    # w0_i + w*w1_i) is read and built in ratfun alone
+    uses = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (node.id if isinstance(node, ast.Name) else node.attr
+                    if isinstance(node, ast.Attribute) else node.name
+                    if isinstance(node, ast.alias) else None)
+            if name in ("_GF4Polynomial", "w0", "w1"):
+                uses.setdefault(path.stem, []).append((node.lineno, name))
+    assert "ratfun" in uses
+    assert set(uses) == {"ratfun"}, {k: v for k, v in uses.items() if k != "ratfun"}

@@ -9,10 +9,9 @@ tables are built and when an element is printed.  The tables come from
 ``Polynomial`` arithmetic over GF(p): trial division finds the modulus, and
 each product of two digit vectors is reduced by it with ``%``.  Prime fields
 up to p = 2^16 use plain modular arithmetic.  GF(q)(u) is built from the
-generic polynomial core with variable ``u``; GF(2) and GF(4) set
-``poly_packing``, so their polynomials are packed into bit planes (bit i the
-coefficient of u^i, or over GF(4) one bit of its index per plane), and the
-polynomial arithmetic under the GF(2)(u) towers and over GF(4) runs on ints.
+generic polynomial core with variable ``u``; GF(2) and GF(4) name their
+``poly_packing``, so their polynomials are packed into bit planes, and the
+polynomial arithmetic under GF(2)(u) and GF(4)(t) runs on ints.
 """
 
 from __future__ import annotations

@@ -621,9 +621,6 @@ class _GF4Polynomial(_GF2Polynomial):
     def degree(self):
         return (self.w0 | self.w1).bit_length() - 1
 
-    def is_zero(self):
-        return not (self.w0 | self.w1)
-
     @property
     def coeffs(self):
         return tuple(self.coeff(i) for i in range(self.degree + 1))
@@ -657,6 +654,9 @@ class _GF4Polynomial(_GF2Polynomial):
             if other is NotImplemented:
                 return NotImplemented
         a0, a1, b0, b1 = self.w0, self.w1, other.w0, other.w1
+        if (a0 | a1) < 2 or (b0 | b1) < 2:  # a constant factor scales the other
+            k, p = (b0 | b1 << 1, self) if (b0 | b1) < 2 else (a0 | a1 << 1, other)
+            return p if k == 1 else p._new(*_gf4_scale(p.w0, p.w1, k))
         low = _gf2_mul(a0, b0)
         # (a0 + w a1)(b0 + w b1) = a0b0 + a1b1 + w((a0 + a1)(b0 + b1) + a0b0)
         return self._new(low ^ _gf2_mul(a1, b1), _gf2_mul(a0 ^ a1, b0 ^ b1) ^ low)
@@ -710,8 +710,6 @@ def _gf4_divmod(a0, a1, b0, b1):
     leading digit of the remainder, and the quotient is scaled back once."""
     db = (b0 | b1).bit_length()
     shift = (a0 | a1).bit_length() - db
-    if shift < 0:
-        return 0, 0, a0, a1
     inv = _GF4_INV[_gf4_lead(b0, b1)]
     m0, m1 = _gf4_scale(b0, b1, inv)
     multiples = ((0, 0), (m0, m1), (m1, m0 ^ m1), (m0 ^ m1, m0))

@@ -21,10 +21,10 @@ is packed into ints: over GF(2) one int, bit i the coefficient of var^i
 (``_GF2Polynomial``), and over GF(4) two such planes, the two bits of each
 coefficient's index (``_GF4Polynomial``).  Addition is xor, multiplication
 carry-less, division and the gcd shifted xor.  The GF(2)(u) towers and
-GF(4)(t) rest on these rings.  Every other field keeps the dense
-coefficient tuple; all print the same.  Over Q (``Fraction`` coefficients) products,
-divisions, gcds and evaluation run on plain ints: each polynomial is put on
-one denominator once, at the first of these that reads it
+GF(4)(t) rest on these rings.  Every other field keeps the dense tuple; all
+print the same.  Over Q (``Fraction`` coefficients) products, divisions,
+gcds and evaluation run on plain ints: each polynomial is put on one
+denominator once, at the first of these that reads it
 (``Polynomial._q_form``, kept with the polynomial), and each coefficient of
 a result is built once as a reduced ``Fraction``.  ``evaluate_pair`` gives
 a value over Q as the unreduced pair of ints that ``evaluate`` reduces.
@@ -259,7 +259,7 @@ class Polynomial:
         p = self.field.characteristic
         if p and not n % p and type(self) is Polynomial:
             # f^(pm) = (f^p)^m, and in characteristic p f^p is sum c_i^p x^(ip);
-            # a packed GF(2) polynomial squares by _gf2_mul instead
+            # a packed polynomial squares by its own carry-less product instead
             frobenius = [self.field.zero()] * (p * self.degree + 1)
             for i, c in enumerate(self.coeffs):
                 if c:

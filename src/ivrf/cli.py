@@ -203,13 +203,13 @@ def _preset_opt(fn):
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--out", default=None)
 def construct_theta(S, samples, fmt, out):
-    th, rep = cons.verify_theta(S, cons.coprime_grid(samples))
+    values = []
+    th, rep = cons.verify_theta(S, cons.coprime_grid(samples), values)
     if fmt == "csv":
         lines = ["a," + ",".join(f"v_{V.p}(a),v_{V.p}(theta(a))"
                                  for V in S.components)]
-        for a in cons.coprime_grid(samples):
-            cells = zip(S.valuations(a.as_integer_ratio()),
-                        S.valuations(th.evaluate_pair(a)))
+        for a, pair in values:
+            cells = zip(S.valuations(a.as_integer_ratio()), S.valuations(pair))
             lines.append(",".join([str(a), *(f"{va},{vth}" for va, vth in cells)]))
         _emit("\n".join(lines), out, "csv")
     else:

@@ -111,19 +111,22 @@ def coprime_grid(bound):
                 yield Fraction(-r, s)
 
 
-def verify_theta(S, samples):
+def verify_theta(S, samples, values=None):
     """theta and its exact case table: at v(a) = 0 the value gains valuation;
     at v(a) != 0 the value is congruent to 1 modulo the maximal ideal.
 
     The table is read in integers.  The built theta's value at each sample
     is the unreduced pair (N, D) of ``RationalFunction.evaluate_pair``, the
     pair ``evaluate`` reduces, and ``_theta_case`` reads each valuation from
-    N, D and a's numerator and denominator.
+    N, D and a's numerator and denominator.  A list ``values`` receives
+    (a, (N, D)) for every sample, in order, for the theta CSV.
     """
     theta = build_theta(S)
     report = {"checked": 0, "violations": []}
     for a in samples:
         num, den = theta.evaluate_pair(a)
+        if values is not None:
+            values.append((a, (num, den)))
         if not den:
             report["violations"].append({"a": str(a), "case": "pole"})
             continue

@@ -28,6 +28,9 @@ denominator once, at the first of these that reads it
 (``Polynomial._q_form``, kept with the polynomial), and each coefficient of
 a result is built once as a reduced ``Fraction``.  ``evaluate_pair`` gives
 a value over Q as the unreduced pair of ints that ``evaluate`` reduces.
+``compose`` with an affine b0 + b1 x is a Taylor shift by repeated
+synthetic division, with no polynomial product, and over Q it shifts the
+integer form.
 
 The operations are methods: ``RationalFunction(f, g)`` normalizes f/g by
 one gcd, ``phi.evaluate(a)`` returns a value or ``POLE``,
@@ -1077,19 +1080,25 @@ class RationalFunction:
         deg q), the result is s^d p(r/s) / s^d q(r/s), and these two are
         coprime: a common root is a common root of p and q, or a zero of s,
         where r does not vanish and the one of p, q of degree d does not.
+
+        An affine substitution b0 + b1 x (s = 1, as in the refinement
+        a0 + t*y of ``intr``) is a Taylor shift of p and of q, which takes
+        no polynomial product; over Q it runs on their integer forms (see
+        ``_compose_poly``).  Any other goes through ``horner``.
         """
         psi = self._coerce(other)
         if psi is NotImplemented:
             raise StructuralError(f"cannot compose with {other!r}")
         num = _compose_poly(self.num, psi)
         den = _compose_poly(self.den, psi)
-        # num/den here are fractions with common denominator psi.den^deg.
-        d = max(self.num.degree, self.den.degree)
-        nn = num * psi.den ** (d - self.num.degree)
-        dd = den * psi.den ** (d - self.den.degree)
-        if dd.is_zero():
+        if psi.den.degree:
+            # num/den here are fractions with common denominator psi.den^deg.
+            d = max(self.num.degree, self.den.degree)
+            num = num * psi.den ** (d - self.num.degree)
+            den = den * psi.den ** (d - self.den.degree)
+        if den.is_zero():
             raise StructuralError("composition hits a pole identically")
-        return RationalFunction(*_monic(nn, dd), _canonical=True)
+        return RationalFunction(*_monic(num, den), _canonical=True)
 
     def __repr__(self):
         return self.to_str()
@@ -1334,11 +1343,52 @@ def _z_gcd(a, b):
 
 def _compose_poly(p, other):
     """The numerator of p(other.num/other.den) written over
-    other.den**deg(p); the caller supplies the denominator power."""
+    other.den**deg(p); the caller supplies the denominator power.
+
+    An affine other = b0 + b1 y is a Taylor shift with no polynomial
+    product: p(b1 (c + y)), c = b0/b1, is coefficient k times b1^k shifted
+    by c (``_shift``).  Over Q it runs on the integer form (ints P_i over
+    l): with b0 = A/S, b1 = T/U and D = SU, the ints P_i D^(n-i) are
+    shifted by AU, and coefficient k times (TS)^k is over l D^n.  Every
+    other substitution runs ``horner``."""
     if p.is_zero():
         return Polynomial.zero(p.field, other.var)
-    one = Polynomial.constant(p.field, p.field.one(), other.var)
-    return horner(p.coeffs, other.num, other.den, one, lambda q, c: q.scale(c))[0]
+    if other.den.degree or other.num.degree != 1:
+        one = Polynomial.constant(p.field, p.field.one(), other.var)
+        return horner(p.coeffs, other.num, other.den, one, lambda q, c: q.scale(c))[0]
+    (b0, b1), n = other.num.coeffs, p.degree
+    if isinstance(b1, Fraction) and isinstance(p.coeffs[-1], Fraction):
+        ints, lcm = p._q_form()
+        (A, S), (T, U) = b0.as_integer_ratio(), b1.as_integer_ratio()
+        D = S * U
+        a = [c * D ** (n - i) for i, c in enumerate(ints)]
+        _shift(a, A * U, 1)
+        TS, den = T * S, lcm * D ** n
+        return Polynomial(p.field, [Fraction(c * TS ** k, den) for k, c in enumerate(a)],
+                          other.var)
+    a, one = list(p.coeffs), p.field.one()
+    if b1 is not one and b1 != one:
+        for k in range(1, n + 1):
+            bk = b1 if k == 1 else bk * b1
+            a[k] = a[k] * bk if a[k] else a[k]
+    if n:
+        _shift(a, b0 / b1, one)
+    return Polynomial(p.field, a, other.var)
+
+
+def _shift(a, c, one):
+    """The coefficients ``a`` of q, constant term first, become those of
+    q(y + c) in place, by repeated synthetic division (von zur Gathen &
+    Gerhard, ISSAC 1997): n(n+1)/2 additions, with no factorial, so in any
+    characteristic, and no product where c is one; c = 0 leaves q."""
+    if not c:
+        return
+    unit = c is one or c == one
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            d = a[j + 1]
+            if d:
+                a[j] = a[j] + (d if unit else c * d)
 
 
 def _root(c, n):

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from ivrf import constructions as cons
 from ivrf.cli import main
 from ivrf.intr import domain_from_config
-from ivrf.ratfun import POLE, parse_ratfun
+from ivrf.ratfun import POLE, RationalFunction, parse_ratfun
 
 PADIC5 = '{"variant": "padic", "p": 5}'
 RING5 = '{"field": {"variant": "padic", "p": 5}, "E": "ring"}'
@@ -202,6 +202,16 @@ class TestConstruct:
         grid = [str(a) for a in cons.coprime_grid(4)]
         assert [line.split(",")[0] for line in lines[1:]] == grid
         assert all(len(line.split(",")) == 5 for line in lines[1:])
+
+    def test_theta_csv_evaluates_each_point_once(self, monkeypatch):
+        # the CSV cells read the pairs verify_theta computed
+        points = []
+        evaluate_pair = RationalFunction.evaluate_pair
+        monkeypatch.setattr(RationalFunction, "evaluate_pair",
+                            lambda f, a: points.append(a) or evaluate_pair(f, a))
+        res = run("construct", "theta", "--samples", "4", "--format", "csv")
+        assert res.exit_code == 0, res.output
+        assert points == list(cons.coprime_grid(4))
 
     def test_psi_identity_exit_zero(self):
         res = run("construct", "psi", "--preset", "t6n2", "--samples", "10")

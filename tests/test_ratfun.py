@@ -555,6 +555,109 @@ def test_fast_paths_match_full_normalization(name, seed):
     assert f.compose(root).den == Polynomial.constant(V, V.one())
 
 
+# -- affine substitutions b0 + b1*x against the sum of powers
+# sum c_i (b0 + b1 x)^i, built by Polynomial + and * alone, for the numerator
+# and the denominator.
+
+AFFINE_FIELDS = {
+    "Q5": PAdicQ(5),
+    "tadic/GF4": TAdicRat(FiniteField(2, 2)),
+    "hahn/GF2": HahnFinite(GF2),
+    "tadic/GF2(u)": TAdicRat(GF2_U),
+    "hahn/GF2(u)": HahnFinite(GF2_U),
+    "lex2/GF2": LexRank2(GF2),
+    "tadic/GF3": TAdicRat(FiniteField(3)),
+}
+
+
+def _sum_of_powers(p, b0, b1):
+    V = p.field
+    linear = Polynomial(V, [b0, b1])
+    acc, power = Polynomial.zero(V), Polynomial.constant(V, V.one())
+    for i, c in enumerate(p.coeffs):
+        if i:
+            power = power * linear
+        acc = acc + power * c
+    return acc
+
+
+def _affine_oracle(phi, b0, b1):
+    return RationalFunction(_sum_of_powers(phi.num, b0, b1), _sum_of_powers(phi.den, b0, b1))
+
+
+def _residue_lift(V, rng):
+    L = V.residue_field
+    while True:
+        r = L.random(rng) if L.is_finite else L.random(rng, degree=1)
+        if r:
+            return V.lift(r)
+
+
+@given(st.sampled_from(sorted(AFFINE_FIELDS)), st.integers(0, 2 ** 32),
+       st.sampled_from(["0", "b1", "b1*lift", "random"]), st.sampled_from(["1", "random"]))
+@example("hahn/GF2", 0, "1/3", "1/2")  # b0 = t^(1/3), b1 = t^(1/2): mixed lattices
+@example("hahn/GF2", 1, "b1", "1/2")   # c = b0/b1 = 1
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+def test_affine_compose_matches_the_sum_of_powers(name, seed, b0_kind, b1_kind):
+    V = AFFINE_FIELDS[name]
+    rng = random.Random(f"affine:{name}:{seed}")
+
+    def draw(kind, b1=None):
+        if kind == "random":
+            return V.random_nonzero(rng) if b1 is None else V.random_element(rng)
+        if kind == "b1":
+            return b1
+        if kind == "b1*lift":
+            return b1 * _residue_lift(V, rng)
+        if kind in ("0", "1"):
+            return V.from_int(int(kind))
+        return V.monomial(Fraction(kind))  # a Hahn lattice t^q
+
+    b1 = draw(b1_kind)
+    b0 = draw(b0_kind, b1)
+    num = Polynomial(V, [V.random_element(rng) for _ in range(rng.randint(1, 6))])
+    den = Polynomial(V, [V.random_element(rng) for _ in range(rng.randint(1, 4))])
+    phi = RationalFunction(num, den if den else Polynomial.constant(V, V.one()))
+    x = RationalFunction.gen(V)
+    assert phi.compose(b0 + b1 * x) == _affine_oracle(phi, b0, b1)
+
+
+def test_affine_compose_is_a_taylor_shift(monkeypatch):
+    # The substitution a0 + t*x of the refinement multiplies no polynomials:
+    # over Q5 it shifts the integer form, and over Hahn GF(2), where c =
+    # a0/t = 1, the shift takes no product by c, so a polynomial of degree n
+    # takes at most 2n - 1 coefficient products, for b1^k and the scaling
+    # by it.  Any other substitution still runs Horner's rule.
+    Q5, H = PAdicQ(5), HahnFinite(GF2)
+    x, y = RationalFunction.gen(Q5), RationalFunction.gen(H)
+    phi = ((x ** 5 - x) / 5) ** 2
+    t = H.monomial(Fraction(1, 2))
+    rng = random.Random("taylor")
+    n = 6
+    chi = RationalFunction(Polynomial(H, [H.random_element(rng) for _ in range(n)] + [H.one()]))
+    want_phi = _affine_oracle(phi, Fraction(15), Fraction(5))
+    want_chi = _affine_oracle(chi, t, t)
+    psi, omega = 15 + 5 * x, t + t * y  # a0 + t*x at the residues 3 and 1
+    products, hahn_products, horners = [], [], []
+    poly_mul, hahn_mul, horner = Polynomial.__mul__, HahnElement.__mul__, ratfun.horner
+    monkeypatch.setattr(Polynomial, "__mul__",
+                        lambda a, b: products.append(a.field) or poly_mul(a, b))
+    monkeypatch.setattr(HahnElement, "__mul__",
+                        lambda a, b: hahn_products.append(a) or hahn_mul(a, b))
+    monkeypatch.setattr(ratfun, "horner", lambda *args: horners.append(1) or horner(*args))
+    assert phi.compose(psi) == want_phi
+    assert products == []
+    assert chi.compose(omega) == want_chi
+    assert len(hahn_products) <= 2 * n - 1
+    assert horners == []
+    phi.compose(x ** 2 + 1)
+    # chi(1/y) = y^n chi(1/y) / y^n: the power of 1/y's denominator is kept
+    one, v = Polynomial.constant(H, H.one()), Polynomial.gen(H)
+    assert chi.compose(1 / y) == RationalFunction(_homogenized(chi.num, n, one, v),
+                                                  _homogenized(chi.den, n, one, v))
+    assert len(horners) == 4  # the numerator and the denominator of each
+
+
 # -- products, quotients and sums whose cancellation needs no gcd: an operand
 # of one term c*v^k, two equal denominators, and the constants 0 and 1, at
 # every level of each tower.  The oracle reduces the unreduced numerator and

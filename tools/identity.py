@@ -3,7 +3,7 @@ leaves every one of them byte-identical.
 
     python tools/identity.py [--suite-seed 7] [--corpus-seeds 7 2024]
 
-prints six sha256 digests: ``suites`` over the ten ``run_suite`` reports
+prints seven sha256 digests: ``suites`` over the ten ``run_suite`` reports
 at the suite seed (default sample counts, without ``elapsed``); ``corpus``
 over ``str(phi)`` and the verdict JSON of ``intr_member(phi, D, depth=3)``
 for every ``certify`` and ``tower`` item of ``perfbench/corpus.py`` at each
@@ -20,7 +20,10 @@ every odd draw each numerator coefficient attains the minimum at that
 point, so the local polynomials have several terms; and ``theta`` over
 the ``verify_theta`` reports on ``coprime_grid(60)`` at ({2,3}, t=12,
 n=3), ({3,5}, t=45, n=3) and ({2,3,5,7}, t=210, n=2), beyond the suite's
-one preset.  A change that rewrites witnesses or reasons on purpose moves
+one preset; and ``compose`` over ``str(phi.compose(b0 + b1*x))`` for 40
+seeded functions on each of the six ``newton`` fields, b1 a random nonzero
+element and b0 in turn 0, b1 times the lift of a nonzero residue, and a
+random element.  A change that rewrites witnesses or reasons on purpose moves
 ``corpus`` but must keep ``kinds``: that shows no verdict changed kind.  It
 reads the package and the corpus of the checkout that holds it, so compare
 its lines from two checkouts.  It writes no files.
@@ -77,12 +80,16 @@ def _unit(V, rng):
             return V.lift(r)
 
 
+def _newton_fields():
+    gf2u = ivrf.RatFuncField(ivrf.FiniteField(2), "u")
+    return (ivrf.PAdicQ(5), ivrf.TAdicRat(ivrf.FiniteField(2, 2)), ivrf.TAdicRat(gf2u),
+            ivrf.LexRank2(ivrf.FiniteField(2)), ivrf.HahnFinite(ivrf.FiniteField(2)),
+            ivrf.HahnFinite(gf2u))
+
+
 def newton_digest():
     h = hashlib.sha256()
-    gf2u = ivrf.RatFuncField(ivrf.FiniteField(2), "u")
-    for V in (ivrf.PAdicQ(5), ivrf.TAdicRat(ivrf.FiniteField(2, 2)), ivrf.TAdicRat(gf2u),
-              ivrf.LexRank2(ivrf.FiniteField(2)), ivrf.HahnFinite(ivrf.FiniteField(2)),
-              ivrf.HahnFinite(gf2u)):
+    for V in _newton_fields():
         rng = random.Random(0)
         for k in range(40):
             a = V.random_nonzero(rng)
@@ -101,6 +108,24 @@ def newton_digest():
             h.update(f"{V.describe()}\t{phi}\t{a}\t{_dump(env.to_json())}"
                      f"\t{ivrf.predict(env, a, va)}\t{ivrf.slopes_check(env, a, va)}"
                      f"\t{locs[0]}\t{locs[1]}\n".encode())
+    return h.hexdigest()
+
+
+def compose_digest():
+    h = hashlib.sha256()
+    for V in _newton_fields():
+        rng = random.Random(0)
+        x = ivrf.RationalFunction.gen(V)
+        for k in range(40):
+            num = ivrf.Polynomial(V, [V.random_element(rng) for _ in range(rng.randint(1, 5))])
+            den = ivrf.Polynomial(V, [V.random_element(rng) for _ in range(rng.randint(1, 3))])
+            if num.is_zero() or den.is_zero():
+                continue
+            phi = ivrf.RationalFunction(num, den)
+            b1 = V.random_nonzero(rng)
+            b0 = (V.zero(), b1 * _unit(V, rng), V.random_element(rng))[k % 3]
+            h.update(f"{V.describe()}\t{phi}\t{b0}\t{b1}"
+                     f"\t{phi.compose(b0 + b1 * x)}\n".encode())
     return h.hexdigest()
 
 
@@ -145,3 +170,4 @@ if __name__ == "__main__":
     print("witness", witness_digest())
     print("newton", newton_digest())
     print("theta", theta_digest())
+    print("compose", compose_digest())
